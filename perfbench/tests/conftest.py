@@ -1,0 +1,11 @@
+"""Puts the benchmark modules and the msgfem sources of this checkout on the path."""
+import os
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+for path in (BENCH, BENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
