@@ -7,8 +7,8 @@ from .dg_forms import (DGAssembler, DofMap, FormMatrix, assemble_B,
                        assemble_Bplus, assemble_H, assemble_load, energy_norm,
                        gamma_sq, weighted_avg_weights)
 from .errors import CoercivityError, ConfigError, MeshError, SolverError
-from .gfem import (CoarseSpace, MSGFEMSolution, assemble_coarse, error_report,
-                   solve_coarse, solve_msgfem)
+from .gfem import (CoarseSpace, GlobalForms, MSGFEMSolution, assemble_coarse,
+                   error_report, solve_coarse, solve_msgfem)
 from .local_problems import (LocalSpectralData, compute_local_data,
                              eigenproblem, harmonic_basis, particular_solution,
                              select_coarse)

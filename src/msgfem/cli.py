@@ -19,7 +19,7 @@ from .config import RunConfig, parse_config, serialize_config
 from .decomposition import build_decomposition
 from .dg_forms import DGAssembler
 from .errors import CoercivityError, ConfigError, SolverError
-from .gfem import assemble_coarse, error_report, max_sqrt_lambda_next, solve_coarse
+from .gfem import GlobalForms, error_report, solve_msgfem
 from .local_problems import compute_local_data, export_eigenvalues
 from .mesh import build_structured_mesh, coefficient_field
 from .space_ops import build_pou
@@ -109,20 +109,16 @@ def _pipeline(config: RunConfig, out: Path, t0: float) -> int:
                                  threads=config.threads)
     (out / "eigenvalues.csv").write_text(export_eigenvalues(locals_))
 
-    asm = DGAssembler(mesh, coef, config.gamma0)
-    B = asm.matrix(None, "B")
-    F = asm.load(f)
-    H = asm.matrix(None, "H")
-    u_fine = fine_solve(mesh, coef, f, config.gamma0, asm=asm)
+    forms = GlobalForms(DGAssembler(mesh, coef, config.gamma0), f)
+    u_fine = fine_solve(mesh, coef, f, config.gamma0, asm=forms.asm)
 
     rows = []
     rel_errors = []
     sweep_ns = []
-    for rule in config.sweep_values():
-        coarse, u_p = assemble_coarse(mesh, decomp, pou, locals_, rule, H_global=H)
-        u_s = solve_coarse(B, F, coarse, u_p)
-        rep = error_report(asm, u_p + u_s, u_fine,
-                           max_sqrt_lambda_next(locals_, coarse))
+    rules = config.sweep_values()
+    for rule, sol in zip(rules, solve_msgfem(mesh, decomp, pou, locals_, forms, rules)):
+        rep = error_report(forms, sol.u_G, u_fine, sol.max_sqrt_lambda_next)
+        coarse = sol.coarse
         n_label = rule[1] if rule[0] == "fixed" else int(coarse.n_j.max(initial=0))
         rows.append([config.grid_m, config.overlap_layers,
                      config.oversampling_layers, n_label, config.gamma0,

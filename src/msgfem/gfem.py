@@ -5,11 +5,19 @@ of unity into global vectors: the particular parts sum into one source
 approximation, and each selected local mode becomes one coarse basis column.
 The coarse correction is the Galerkin solution of the full form on that
 column span against the source residual.
+
+A sweep builds its columns once, for its largest selection, and reduces
+them straight from the sparse basis to small dense Galerkin data.  Each
+sweep point then takes the index subset of its modes, rank-filters that
+subset on its own Gram block and solves on it.  An entry of a sparse Gram
+product depends only on its own two columns, so every point solves, bit
+for bit, the system that a build of just its columns would give.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -23,6 +31,7 @@ from .mesh import TriMesh
 from .space_ops import PartitionOfUnity, interpolate_product, pou_blend, restrict
 
 __all__ = [
+    "GlobalForms",
     "CoarseSpace",
     "MSGFEMSolution",
     "ErrorReport",
@@ -36,18 +45,70 @@ __all__ = [
 _RANK_DROP_RTOL = 1e-10
 
 
+class GlobalForms:
+    """Global matrices and load vector of one problem, each assembled on first use."""
+
+    def __init__(self, asm: DGAssembler, f=None):
+        self.asm = asm
+        self.f = f
+
+    @cached_property
+    def B(self):
+        return self.asm.matrix(None, "B")
+
+    @cached_property
+    def H(self):
+        return self.asm.matrix(None, "H")
+
+    @cached_property
+    def Bplus(self):
+        return self.asm.matrix(None, "Bplus")
+
+    @cached_property
+    def mass(self):
+        return self.asm.matrix(None, "mass")
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        return self.asm.load(self.f)
+
+
 @dataclass
 class CoarseSpace:
-    """Global coarse basis in fine dofs, one column per kept local mode."""
+    """Blended coarse columns with their Galerkin data, and one selection of them.
+
+    ``basis`` has one fine-dof column per assembled local mode, ordered by
+    subdomain j and then mode k; ``offsets`` holds the (j, k) of each column.
+    ``gram_B`` and ``gram_H`` are the column Gram matrices in the full and in
+    the positive form, and ``rhs`` pairs the columns with the residual of the
+    particular part.  The selection is the modes k < n_j[j]: ``columns`` are
+    its columns that pass the rank filter, ``dropped`` names the others.
+    """
 
     basis: sp.csc_matrix
-    offsets: list                 # per column: (subdomain j, local mode k)
+    offsets: np.ndarray           # (n_columns, 2): subdomain j, local mode k
+    gram_B: np.ndarray
+    gram_H: np.ndarray
+    rhs: np.ndarray
     n_j: np.ndarray               # selected modes per subdomain (before drops)
-    dropped: list = field(default_factory=list)
+    columns: np.ndarray
+    dropped: list
 
     @property
     def n_total(self) -> int:
-        return self.basis.shape[1]
+        return self.columns.size
+
+    def select(self, n_j) -> CoarseSpace:
+        """The sub-selection of modes k < n_j[j], rank-filtered on its own Gram block."""
+        n_j = np.asarray(n_j, dtype=np.int64)
+        if np.array_equal(n_j, self.n_j):
+            return self
+        if np.any(n_j > self.n_j):
+            raise ValueError("selection exceeds the assembled modes")
+        j, k = self.offsets.T
+        columns, dropped = _rank_filter(self.gram_H, np.flatnonzero(k < n_j[j]),
+                                        self.offsets)
+        return replace(self, n_j=n_j, columns=columns, dropped=dropped)
 
 
 @dataclass
@@ -72,24 +133,25 @@ def _blend_column(mesh, pou, j, omega, vec):
 
 
 def assemble_coarse(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
-                    locals_: list, rule, H_global=None):
+                    locals_: list, rule, B, F: np.ndarray, H):
     """Blend the particular parts and the selected modes into global vectors.
 
+    Builds one column per mode that ``rule`` selects and reduces the columns
+    to their Galerkin data in the forms ``B`` (with load ``F``) and ``H``.
     Returns the coarse space and the global particular vector.  Columns that
-    are numerically dependent on earlier ones (in the global inner product,
-    when given) are dropped and recorded; this only triggers when eigenvalue
-    clusters concentrate on overlaps.
+    are numerically dependent on earlier ones in the ``H`` inner product are
+    dropped and recorded; this only triggers when eigenvalue clusters
+    concentrate on overlaps.
     """
+    n_sel = np.array([select_coarse(data, rule) for data in locals_], dtype=np.int64)
     ndof = 3 * mesh.n_elements
     u_p = pou_blend(mesh, decomp, pou, [d.particular for d in locals_])
 
-    rows_all, cols_all, data_all, offsets, n_sel = [], [], [], [], []
+    rows_all, cols_all, data_all, offsets = [], [], [], []
     col = 0
-    for data in locals_:
+    for data, n_j in zip(locals_, n_sel):
         omega = decomp.omega(data.j)
         omega_star = decomp.omega_star(data.j)
-        n_j = select_coarse(data, rule)
-        n_sel.append(n_j)
         for k in range(n_j):
             phi_star = data.harmonic_basis @ data.eigenvectors[:, k]
             phi = restrict(phi_star, omega_star, omega)
@@ -106,51 +168,86 @@ def assemble_coarse(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
             shape=(ndof, col)).tocsc()
     else:
         basis = sp.csc_matrix((ndof, 0))
+    offsets = np.array(offsets, dtype=np.int64).reshape(col, 2)
 
-    coarse = CoarseSpace(basis=basis, offsets=offsets,
-                         n_j=np.array(n_sel, dtype=np.int64))
-    if H_global is not None and col:
-        _drop_dependent_columns(coarse, H_global)
+    G = (basis.T @ (B @ basis)).toarray()
+    gram_H = (basis.T @ (H @ basis)).toarray()
+    columns, dropped = _rank_filter(gram_H, np.arange(col), offsets)
+    coarse = CoarseSpace(basis=basis, offsets=offsets, gram_B=0.5 * (G + G.T),
+                         gram_H=gram_H, rhs=basis.T @ (F - B @ u_p), n_j=n_sel,
+                         columns=columns, dropped=dropped)
     return coarse, u_p
 
 
-def _drop_dependent_columns(coarse: CoarseSpace, H) -> None:
-    """Gram-Schmidt rank filter in the given inner product; warns on drops."""
-    C = coarse.basis.toarray()
-    HC = H @ C
-    G = C.T @ HC
+def _rank_filter(gram_H: np.ndarray, sel: np.ndarray, offsets: np.ndarray):
+    """Columns of ``sel`` independent in the Gram matrix; warns on drops.
+
+    Returns the kept columns and the (j, k) offsets of the dropped ones.
+    """
+    kept = sel[_independent_columns(gram_H[np.ix_(sel, sel)])]
+    dropped = [(int(j), int(k)) for j, k in offsets[np.setdiff1d(sel, kept)]]
+    if dropped:
+        warnings.warn(f"dropped {len(dropped)} dependent coarse columns",
+                      stacklevel=3)
+    return kept, dropped
+
+
+def _independent_columns(G: np.ndarray) -> np.ndarray:
+    """Indices of the columns a Cholesky-style elimination of ``G`` keeps.
+
+    Column x is dropped when its residual diagonal (the squared norm of its
+    part orthogonal to the kept columns before it) is at most
+    ``(_RANK_DROP_RTOL * sqrt(G[x, x]))**2``.  The elimination is
+    left-looking: row x of the factor is one vectorized reduction that
+    subtracts the earlier pivot rows' contributions in pivot order, which
+    repeats the floating-point operations of the right-looking row-by-row
+    update.  Pivot rows above the first nonzero of column x contribute exact
+    zeros and are skipped, so the work follows the profile of ``G``; columns
+    of subdomains that do not overlap are orthogonal.
+    """
     n = G.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
     norms0 = np.sqrt(np.maximum(np.diag(G), 0.0))
+    index = np.arange(n)
+    upper = np.triu(G != 0.0)
+    first = np.where(upper.any(axis=0), upper.argmax(axis=0), index)
+    # row x of the factor vanishes beyond the last column whose profile starts by x
+    reach = np.zeros(n, dtype=np.int64)
+    np.maximum.at(reach, first, index)
+    reach = np.maximum.accumulate(reach) + 1
+    U = np.zeros((n, n))          # factor rows; zero for dropped columns
+    S = np.zeros((n, n))          # factor rows over their pivot
+    terms = np.empty((int((index - first).max(initial=0)) + 1,
+                      int((reach - index).max(initial=0))))
     keep = []
-    # cholesky-style elimination on the gram matrix; residual diagonal tracks
-    # the orthogonal-component norms
-    R = G.copy()
-    for i in range(n):
-        d = R[i, i]
-        if d <= (_RANK_DROP_RTOL * norms0[i]) ** 2 or norms0[i] == 0.0:
-            coarse.dropped.append(coarse.offsets[i])
+    for x in range(n):
+        lo, hi = first[x], reach[x]
+        t = terms[:x - lo + 1, :hi - x]
+        t[0] = G[x, x:hi]
+        np.multiply(U[lo:x, x, None], S[lo:x, x:hi], out=t[1:])
+        row = np.subtract.reduce(t, axis=0)
+        d = row[0]
+        if d <= (_RANK_DROP_RTOL * norms0[x]) ** 2 or norms0[x] == 0.0:
             continue
-        keep.append(i)
-        r = R[i, i + 1:] / d
-        R[i + 1:, i + 1:] -= np.outer(R[i, i + 1:], r)
-    if coarse.dropped:
-        warnings.warn(f"dropped {len(coarse.dropped)} dependent coarse "
-                      "columns", stacklevel=3)
-        keep = np.array(keep, dtype=np.int64)
-        coarse.basis = coarse.basis[:, keep]
-        coarse.offsets = [coarse.offsets[i] for i in keep]
+        keep.append(x)
+        U[x, x:hi] = row
+        S[x, x + 1:hi] = row[1:] / d
+    return np.array(keep, dtype=np.int64)
 
 
-def solve_coarse(B, F: np.ndarray, coarse: CoarseSpace, u_p: np.ndarray) -> np.ndarray:
-    """Galerkin correction on the coarse span against the source residual."""
-    if coarse.n_total == 0:
-        return np.zeros_like(u_p)
-    C = coarse.basis
-    resid = F - B @ u_p
-    G = (C.T @ (B @ C)).toarray() if sp.issparse(C) else C.T @ (B @ C)
-    G = np.asarray(G)
-    G = 0.5 * (G + G.T)
-    rhs = C.T @ resid
+def solve_coarse(coarse: CoarseSpace, n_j):
+    """Galerkin correction on one selection against the source residual.
+
+    ``n_j`` picks the sweep point, the modes k < n_j[j] of the assembled
+    space.  Returns the point's coarse space and the correction in fine dofs.
+    """
+    space = coarse.select(n_j)
+    cols = space.columns
+    if cols.size == 0:
+        return space, np.zeros(space.basis.shape[0])
+    G = space.gram_B[np.ix_(cols, cols)]
+    rhs = space.rhs[cols]
     try:
         cf = la.cho_factor(G)
     except la.LinAlgError as exc:
@@ -163,7 +260,7 @@ def solve_coarse(B, F: np.ndarray, coarse: CoarseSpace, u_p: np.ndarray) -> np.n
         res = np.linalg.norm(G @ y - rhs) / rn
         if res > 1e-10:
             raise SolverError(f"coarse solve residual {res:.3e} exceeds tolerance")
-    return np.asarray(C @ y).ravel()
+    return space, np.asarray(space.basis[:, cols] @ y).ravel()
 
 
 @dataclass
@@ -175,11 +272,17 @@ class ErrorReport:
     max_sqrt_lambda_next: float
 
 
-def error_report(asm: DGAssembler, u_G: np.ndarray, u_fine: np.ndarray,
+def error_report(forms, u_G: np.ndarray, u_fine: np.ndarray,
                  max_sqrt_lambda_next: float = float("nan")) -> ErrorReport:
-    """Jump-energy and volume errors of the multiscale solution vs the fine one."""
-    Bp = asm.matrix(None, "Bplus")
-    Mv = asm.matrix(None, "mass")
+    """Jump-energy and volume errors of the multiscale solution vs the fine one.
+
+    ``forms`` is a :class:`GlobalForms`, whose two norm matrices are then
+    assembled once for every report that shares it, or a bare assembler.
+    """
+    if isinstance(forms, DGAssembler):
+        forms = GlobalForms(forms)
+    Bp = forms.Bplus
+    Mv = forms.mass
     diff = u_G - u_fine
 
     def norm(mat, v):
@@ -207,15 +310,30 @@ def max_sqrt_lambda_next(locals_: list, coarse: CoarseSpace) -> float:
     return worst
 
 
-def solve_msgfem(mesh: TriMesh, coefficient, f, decomp: Decomposition,
-                 pou: PartitionOfUnity, gamma0: float, locals_: list,
-                 rule) -> MSGFEMSolution:
-    """Assemble and solve the global coarse problem for one selection rule."""
-    asm = DGAssembler(mesh, coefficient, gamma0)
-    B = asm.matrix(None, "B")
-    F = asm.load(f)
-    H = asm.matrix(None, "H")
-    coarse, u_p = assemble_coarse(mesh, decomp, pou, locals_, rule, H_global=H)
-    u_s = solve_coarse(B, F, coarse, u_p)
-    return MSGFEMSolution(u_p=u_p, u_s=u_s, coarse=coarse,
-                          max_sqrt_lambda_next=max_sqrt_lambda_next(locals_, coarse))
+def _largest_rule(rules: list):
+    if all(kind == "fixed" for kind, _ in rules):
+        return ("fixed", max(n for _, n in rules))
+    if len(rules) == 1:
+        return rules[0]
+    raise ValueError("a sweep is a list of fixed rules or a single rule")
+
+
+def solve_msgfem(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
+                 locals_: list, forms: GlobalForms, rules) -> list:
+    """Assemble the coarse space once and solve it at every sweep point.
+
+    ``rules`` is a list of ``("fixed", n)`` rules or a single rule of any
+    kind.  The columns are assembled for the largest rule, which first checks
+    that every subdomain has the modes it asks for; every point is then solved
+    on its subset of them.  Returns one solution per rule.
+    """
+    rules = list(rules)
+    coarse, u_p = assemble_coarse(mesh, decomp, pou, locals_, _largest_rule(rules),
+                                  forms.B, forms.F, forms.H)
+    solutions = []
+    for rule in rules:
+        space, u_s = solve_coarse(coarse, [select_coarse(d, rule) for d in locals_])
+        solutions.append(MSGFEMSolution(
+            u_p=u_p, u_s=u_s, coarse=space,
+            max_sqrt_lambda_next=max_sqrt_lambda_next(locals_, space)))
+    return solutions

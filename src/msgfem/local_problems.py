@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 
 from .decomposition import Decomposition
 from .dg_forms import DGAssembler, nested_dofs
-from .errors import SolverError
+from .errors import ConfigError, SolverError
 from .mesh import TriMesh
 from .space_ops import PartitionOfUnity, h0_dofs, restrict
 
@@ -233,13 +233,14 @@ def select_coarse(data: LocalSpectralData, rule) -> int:
     """Number of leading modes chosen by a ``("fixed", n)`` or ``("threshold", tau)`` rule.
 
     Kernel modes always count first; a fixed count beyond the available modes
-    is an error.
+    is a configuration error that names the subdomain.
     """
     kind, value = rule
     if kind == "fixed":
         n = int(value)
         if n < 0 or n > data.n_modes:
-            raise ValueError(f"requested {n} modes, only {data.n_modes} available")
+            raise ConfigError(f"requested {n} coarse modes, but subdomain "
+                              f"{data.j} has only {data.n_modes}")
         return max(n, 0)
     if kind == "threshold":
         tau = float(value)

@@ -16,8 +16,7 @@ from msgfem.cli import run as cli_run
 from msgfem.config import parse_config
 from msgfem.decomposition import build_decomposition, grow, square_block
 from msgfem.dg_forms import DGAssembler, subdomain_dofs
-from msgfem.gfem import (assemble_coarse, error_report, max_sqrt_lambda_next,
-                         solve_coarse)
+from msgfem.gfem import GlobalForms, error_report, solve_msgfem
 from msgfem.local_problems import compute_local_data
 from msgfem.mesh import build_structured_mesh, coefficient_field
 from msgfem.space_ops import (build_pou, extend_by_zero, h0_dofs,
@@ -221,18 +220,12 @@ def test_criterion_7_global_error_decay(reference):
     for label in ("constant", "checker"):
         coef = reference["coef"][label]
         locals_ = reference["locals"][label]
-        asm = DGAssembler(mesh, coef, G0)
-        B = asm.matrix(None, "B")
-        F = asm.load(source_one)
-        H = asm.matrix(None, "H")
-        u_fine = fine_solve(mesh, coef, source_one, G0, asm=asm)
+        forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
+        u_fine = fine_solve(mesh, coef, source_one, G0, asm=forms.asm)
         errs, lams = [], []
-        for n in range(1, 13):
-            coarse, u_p = assemble_coarse(mesh, decomp, pou, locals_,
-                                          ("fixed", n), H_global=H)
-            u_s = solve_coarse(B, F, coarse, u_p)
-            rep = error_report(asm, u_p + u_s, u_fine,
-                               max_sqrt_lambda_next(locals_, coarse))
+        rules = [("fixed", n) for n in range(1, 13)]
+        for sol in solve_msgfem(mesh, decomp, pou, locals_, forms, rules):
+            rep = error_report(forms, sol.u_G, u_fine, sol.max_sqrt_lambda_next)
             errs.append(rep.rel_bplus_error)
             lams.append(rep.max_sqrt_lambda_next)
         errs = np.array(errs)
@@ -271,14 +264,11 @@ def test_criterion_9_single_subdomain_exactness():
     decomp = build_decomposition(mesh, 1, 2, 4)
     pou = build_pou(mesh, decomp)
     locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0)
-    asm = DGAssembler(mesh, coef, G0)
-    B = asm.matrix(None, "B")
-    F = asm.load(source_one)
-    H = asm.matrix(None, "H")
-    coarse, u_p = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 0),
-                                  H_global=H)
-    u_G = u_p + solve_coarse(B, F, coarse, u_p)
-    u_fine = fine_solve(mesh, coef, source_one, G0, asm=asm)
+    forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
+    [sol] = solve_msgfem(mesh, decomp, pou, locals_, forms, [("fixed", 0)])
+    u_G = sol.u_G
+    u_fine = fine_solve(mesh, coef, source_one, G0, asm=forms.asm)
+    H = forms.H
     diff = u_G - u_fine
     rel = float(np.sqrt(diff @ (H @ diff)) / np.sqrt(u_fine @ (H @ u_fine)))
     ok = rel <= 1e-10

@@ -157,6 +157,16 @@ def test_main_seed_and_thread_overrides(tmp_path):
     assert a != c
 
 
+def test_sweep_beyond_available_modes_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(SMALL + "coarse_n_sweep = 2,5000\nchecks = off\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: requested 5000 coarse modes" in err
+    assert "subdomain 0 has only" in err
+    assert not (tmp_path / "o" / "errors.csv").exists()
+
+
 def test_threshold_rule_single_row(tmp_path):
     cfg = parse_config(SMALL.replace("coarse_rule = fixed:3",
                                      "coarse_rule = threshold:0.1")

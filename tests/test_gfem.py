@@ -1,14 +1,20 @@
+import copy
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg as la
+import scipy.sparse as sp
 
 from msgfem.decomposition import build_decomposition
 from msgfem.dg_forms import DGAssembler, subdomain_dofs
 from msgfem.errors import CoercivityError
-from msgfem.gfem import (assemble_coarse, error_report, max_sqrt_lambda_next,
-                         solve_coarse, solve_msgfem)
-from msgfem.local_problems import compute_local_data
+from msgfem.gfem import (GlobalForms, _independent_columns, assemble_coarse,
+                         error_report, max_sqrt_lambda_next, solve_coarse,
+                         solve_msgfem)
+from msgfem.local_problems import compute_local_data, select_coarse
 from msgfem.mesh import build_structured_mesh, coefficient_field
-from msgfem.space_ops import build_pou
+from msgfem.space_ops import build_pou, interpolate_product, pou_blend, restrict
 from msgfem.verification import fine_solve
 
 G0 = np.sqrt(10.0)
@@ -26,11 +32,68 @@ def problem():
     pou = build_pou(mesh, decomp)
     locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0)
     asm = DGAssembler(mesh, coef, G0)
-    B = asm.matrix(None, "B")
-    F = asm.load(source_one)
-    H = asm.matrix(None, "H")
+    forms = GlobalForms(asm, source_one)
     u_fine = fine_solve(mesh, coef, source_one, G0, asm=asm)
-    return mesh, coef, decomp, pou, locals_, asm, B, F, H, u_fine
+    return mesh, coef, decomp, pou, locals_, forms, u_fine
+
+
+def _doctored(locals_):
+    """Local data whose mode 1 on subdomain 0 repeats its mode 0."""
+    first = copy.deepcopy(locals_[0])
+    first.eigenvectors = first.eigenvectors.copy()
+    first.eigenvectors[:, 1] = first.eigenvectors[:, 0]
+    return [first] + list(locals_[1:])
+
+
+# -- per-point oracle: every column rebuilt, dense Gram, row-by-row filter ----
+
+def _row_loop_filter(G, rtol=1e-10):
+    """Kept columns of the right-looking elimination, one rank-one update per row."""
+    norms0 = np.sqrt(np.maximum(np.diag(G), 0.0))
+    keep = []
+    R = G.copy()
+    for i in range(G.shape[0]):
+        d = R[i, i]
+        if d <= (rtol * norms0[i]) ** 2 or norms0[i] == 0.0:
+            continue
+        keep.append(i)
+        r = R[i, i + 1:] / d
+        R[i + 1:, i + 1:] -= np.outer(R[i, i + 1:], r)
+    return keep
+
+
+def _oracle_point(mesh, decomp, pou, locals_, rule, B, F, H):
+    """One sweep point built and solved on its own columns alone.
+
+    Returns ``(u_s, n_total, dropped)``.
+    """
+    ndof = 3 * mesh.n_elements
+    u_p = pou_blend(mesh, decomp, pou, [d.particular for d in locals_])
+    rows, cols, vals, offsets = [], [], [], []
+    for data in locals_:
+        omega = decomp.omega(data.j)
+        for k in range(select_coarse(data, rule)):
+            phi_star = data.harmonic_basis @ data.eigenvectors[:, k]
+            phi = restrict(phi_star, decomp.omega_star(data.j), omega)
+            col = interpolate_product(mesh, pou.values[data.j], phi, omega)
+            nz = col != 0.0
+            rows.append(subdomain_dofs(omega)[nz])
+            cols.append(np.full(int(nz.sum()), len(offsets), dtype=np.int64))
+            vals.append(col[nz])
+            offsets.append((data.j, k))
+    if not offsets:
+        return np.zeros(ndof), 0, []
+    C = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(ndof, len(offsets))).tocsc()
+    dense = C.toarray()
+    keep = _row_loop_filter(dense.T @ (H @ dense))
+    dropped = [offsets[i] for i in range(len(offsets)) if i not in keep]
+    C = C[:, keep]
+    G = (C.T @ (B @ C)).toarray()
+    G = 0.5 * (G + G.T)
+    y = la.cho_solve(la.cho_factor(G), C.T @ (F - B @ u_p))
+    return np.asarray(C @ y).ravel(), len(keep), dropped
 
 
 def test_single_subdomain_particular_is_exact():
@@ -39,12 +102,12 @@ def test_single_subdomain_particular_is_exact():
     decomp = build_decomposition(mesh, 1, 2, 2)
     pou = build_pou(mesh, decomp)
     locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0)
-    sol = solve_msgfem(mesh, coef, source_one, decomp, pou, G0, locals_,
-                       ("fixed", 0))
+    asm = DGAssembler(mesh, coef, G0)
+    [sol] = solve_msgfem(mesh, decomp, pou, locals_, GlobalForms(asm, source_one),
+                         [("fixed", 0)])
     assert sol.coarse.n_total == 0
     assert np.all(sol.u_s == 0.0)
     u_fine = fine_solve(mesh, coef, source_one, G0)
-    asm = DGAssembler(mesh, coef, G0)
     H = asm.matrix(None, "H")
     diff = sol.u_G - u_fine
     rel = np.sqrt(diff @ (H @ diff)) / np.sqrt(u_fine @ (H @ u_fine))
@@ -52,16 +115,19 @@ def test_single_subdomain_particular_is_exact():
 
 
 def test_empty_selection_returns_particular(problem):
-    mesh, coef, decomp, pou, locals_, asm, B, F, H, u_fine = problem
-    coarse, u_p = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 0))
+    mesh, coef, decomp, pou, locals_, forms, u_fine = problem
+    coarse, u_p = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 0),
+                                  forms.B, forms.F, forms.H)
     assert coarse.n_total == 0
-    u_s = solve_coarse(B, F, coarse, u_p)
+    _, u_s = solve_coarse(coarse, coarse.n_j)
+    assert u_s.shape == u_p.shape
     assert np.all(u_s == 0.0)
 
 
 def test_coarse_columns_supported_on_their_subdomain(problem):
-    mesh, coef, decomp, pou, locals_, asm, B, F, H, u_fine = problem
-    coarse, _ = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 3))
+    mesh, coef, decomp, pou, locals_, forms, u_fine = problem
+    coarse, _ = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 3),
+                                forms.B, forms.F, forms.H)
     dense = coarse.basis.toarray()
     for col, (j, _k) in enumerate(coarse.offsets):
         inside = subdomain_dofs(decomp.omega(j))
@@ -71,72 +137,181 @@ def test_coarse_columns_supported_on_their_subdomain(problem):
 
 
 def test_zero_data_gives_zero_correction(problem):
-    mesh, coef, decomp, pou, locals_, asm, B, F, H, u_fine = problem
-    coarse, _ = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 2))
-    u_s = solve_coarse(B, np.zeros_like(F), coarse, np.zeros_like(F))
+    mesh, coef, decomp, pou, locals_, forms, u_fine = problem
+    quiet = [copy.copy(d) for d in locals_]
+    for d in quiet:
+        d.particular = np.zeros_like(d.particular)
+    coarse, u_p = assemble_coarse(mesh, decomp, pou, quiet, ("fixed", 2),
+                                  forms.B, np.zeros_like(forms.F), forms.H)
+    assert np.all(u_p == 0.0)
+    _, u_s = solve_coarse(coarse, coarse.n_j)
     assert np.abs(u_s).max() <= 1e-14
 
 
 def test_reduced_system_is_symmetric(problem):
-    mesh, coef, decomp, pou, locals_, asm, B, F, H, u_fine = problem
-    coarse, _ = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 4))
-    G = (coarse.basis.T @ (B @ coarse.basis)).toarray()
+    mesh, coef, decomp, pou, locals_, forms, u_fine = problem
+    coarse, _ = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 4),
+                                forms.B, forms.F, forms.H)
+    G = (coarse.basis.T @ (forms.B @ coarse.basis)).toarray()
     assert np.abs(G - G.T).max() <= 1e-13 * np.abs(G).max()
+    assert np.array_equal(coarse.gram_B, coarse.gram_B.T)
+    assert np.abs(coarse.gram_B - G).max() <= 1e-13 * np.abs(G).max()
 
 
 def test_enlarging_coarse_space_never_hurts(problem):
-    mesh, coef, decomp, pou, locals_, asm, B, F, H, u_fine = problem
-    errors = []
-    for n in (1, 2, 3, 5, 8):
-        coarse, u_p = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", n),
-                                      H_global=H)
-        u_s = solve_coarse(B, F, coarse, u_p)
-        rep = error_report(asm, u_p + u_s, u_fine)
-        errors.append(rep.bplus_error)
+    mesh, coef, decomp, pou, locals_, forms, u_fine = problem
+    rules = [("fixed", n) for n in (1, 2, 3, 5, 8)]
+    errors = [error_report(forms, sol.u_G, u_fine).bplus_error
+              for sol in solve_msgfem(mesh, decomp, pou, locals_, forms, rules)]
     for a, b in zip(errors, errors[1:]):
         assert b <= a + 1e-10
 
 
 def test_error_report_trivial_and_surrogate(problem):
-    mesh, coef, decomp, pou, locals_, asm, B, F, H, u_fine = problem
-    rep = error_report(asm, u_fine, u_fine, 0.123)
+    mesh, coef, decomp, pou, locals_, forms, u_fine = problem
+    rep = error_report(forms.asm, u_fine, u_fine, 0.123)
     assert rep.bplus_error == 0.0 and rep.l2_error == 0.0
     assert rep.rel_bplus_error == 0.0 and rep.rel_l2_error == 0.0
     assert rep.max_sqrt_lambda_next == 0.123
-    coarse, _ = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 2))
+    coarse, _ = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 2),
+                                forms.B, forms.F, forms.H)
     surrogate = max_sqrt_lambda_next(locals_, coarse)
     oracle = max(np.sqrt(d.eigenvalues[2]) for d in locals_)
     assert surrogate == oracle
 
 
+def test_error_report_reuses_norms_bit_for_bit(problem):
+    mesh, coef, decomp, pou, locals_, forms, u_fine = problem
+    u = u_fine + np.linspace(-1e-3, 1e-3, u_fine.size)
+    assert error_report(forms, u, u_fine, 0.5) == error_report(forms.asm, u, u_fine, 0.5)
+
+
 def test_dependent_columns_are_dropped(problem):
-    mesh, coef, decomp, pou, locals_, asm, B, F, H, u_fine = problem
-    doctored = [d for d in locals_]
-    import copy
-    first = copy.deepcopy(doctored[0])
-    first.eigenvectors = first.eigenvectors.copy()
-    first.eigenvectors[:, 1] = first.eigenvectors[:, 0]
-    doctored[0] = first
+    mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     with pytest.warns(UserWarning, match="dependent coarse"):
-        coarse, _ = assemble_coarse(mesh, decomp, pou, doctored, ("fixed", 2),
-                                    H_global=H)
+        coarse, _ = assemble_coarse(mesh, decomp, pou, _doctored(locals_),
+                                    ("fixed", 2), forms.B, forms.F, forms.H)
     assert len(coarse.dropped) == 1
     assert coarse.dropped[0] == (0, 1)
     assert coarse.n_total == 2 * decomp.n_subdomains - 1
 
 
 def test_indefinite_form_reported_as_coercivity_failure(problem):
-    mesh, coef, decomp, pou, locals_, asm, B, F, H, u_fine = problem
-    coarse, u_p = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 3))
+    mesh, coef, decomp, pou, locals_, forms, u_fine = problem
+    coarse, _ = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 3),
+                                -forms.H, forms.F, forms.H)
     with pytest.raises(CoercivityError):
-        solve_coarse(-H, F, coarse, u_p)
+        solve_coarse(coarse, coarse.n_j)
 
 
 def test_solution_container_consistency(problem):
-    mesh, coef, decomp, pou, locals_, asm, B, F, H, u_fine = problem
-    sol = solve_msgfem(mesh, coef, source_one, decomp, pou, G0, locals_,
-                       ("fixed", 3))
+    mesh, coef, decomp, pou, locals_, forms, u_fine = problem
+    [sol] = solve_msgfem(mesh, decomp, pou, locals_, forms, [("fixed", 3)])
     assert np.array_equal(sol.u_G, sol.u_p + sol.u_s)
-    rep = error_report(asm, sol.u_G, u_fine, sol.max_sqrt_lambda_next)
+    rep = error_report(forms, sol.u_G, u_fine, sol.max_sqrt_lambda_next)
     assert rep.rel_bplus_error < 0.2
     assert rep.bplus_error >= 0.0 and rep.l2_error >= 0.0
+
+
+# -- one coarse build per sweep against the per-point oracle ------------------
+
+def _assert_matches_oracle(problem, locals_, rules, solutions):
+    mesh, coef, decomp, pou, _, forms, _ = problem
+    for rule, sol in zip(rules, solutions):
+        u_s, n_total, dropped = _oracle_point(mesh, decomp, pou, locals_, rule,
+                                              forms.B, forms.F, forms.H)
+        assert np.array_equal(sol.u_s, u_s), rule
+        assert sol.coarse.n_total == n_total, rule
+        assert sol.coarse.dropped == dropped, rule
+        assert sol.coarse.n_j.tolist() == [select_coarse(d, rule) for d in locals_]
+
+
+def test_one_pass_sweep_matches_per_point_oracle(problem):
+    mesh, coef, decomp, pou, locals_, forms, u_fine = problem
+    rules = [("fixed", n) for n in (1, 2, 3, 4)]
+    _assert_matches_oracle(problem, locals_, rules,
+                           solve_msgfem(mesh, decomp, pou, locals_, forms, rules))
+    for tau in (0.05, 0.2):
+        rule = ("threshold", tau)
+        _assert_matches_oracle(problem, locals_, [rule],
+                               solve_msgfem(mesh, decomp, pou, locals_, forms, [rule]))
+    # uneven threshold selections ([4, 3, 3, 4] and [3, 2, 2, 3]) as subsets
+    # of one fixed build
+    coarse, _ = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 4),
+                                forms.B, forms.F, forms.H)
+    for tau in (0.05, 0.2):
+        rule = ("threshold", tau)
+        n_j = [select_coarse(d, rule) for d in locals_]
+        assert len(set(n_j)) == 2
+        space, u_s = solve_coarse(coarse, n_j)
+        assert np.array_equal(
+            u_s, _oracle_point(mesh, decomp, pou, locals_, rule,
+                               forms.B, forms.F, forms.H)[0])
+    with pytest.raises(ValueError, match="exceeds the assembled"):
+        solve_coarse(coarse, [5, 4, 4, 4])
+
+
+def test_duplicate_column_dropped_at_exactly_the_points_holding_it(problem):
+    mesh, coef, decomp, pou, locals_, forms, u_fine = problem
+    doctored = _doctored(locals_)
+    rules = [("fixed", n) for n in (1, 2, 3, 4)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solutions = solve_msgfem(mesh, decomp, pou, doctored, forms, rules)
+        _assert_matches_oracle(problem, doctored, rules, solutions)
+    assert any("dependent coarse" in str(w.message) for w in caught)
+    assert [sol.coarse.dropped for sol in solutions] == [[], [(0, 1)], [(0, 1)], [(0, 1)]]
+    assert [sol.coarse.n_total for sol in solutions] == [4, 7, 11, 15]
+
+
+def test_sweep_beyond_available_modes_names_the_subdomain(problem):
+    mesh, coef, decomp, pou, locals_, forms, u_fine = problem
+    fewest = min(locals_, key=lambda d: d.n_modes)
+    with pytest.raises(ValueError, match=f"subdomain {fewest.j} has only"):
+        solve_msgfem(mesh, decomp, pou, locals_, forms,
+                     [("fixed", 2), ("fixed", fewest.n_modes + 1)])
+
+
+# -- rank filter against the row-by-row elimination ----------------------------
+
+def _planted_gram(rng, local: bool):
+    """Gram matrix of random columns with planted dependencies.
+
+    With ``local`` each column lives on a window of rows that moves down with
+    the column index, as blended coarse columns live on their subdomain, so
+    the Gram matrix has a profile; otherwise it is dense.
+    """
+    m, n = 120, 70
+    X = rng.standard_normal((m, n))
+    if local:
+        start = np.sort(rng.integers(0, m - 30, n))
+        rows = np.arange(m)[:, None]
+        X *= (rows >= start) & (rows < start + 30)
+    for i in rng.choice(np.arange(10, n), 6, replace=False):
+        kind = rng.integers(3)
+        if kind == 0:        # exact duplicate of an earlier column
+            X[:, i] = X[:, rng.integers(i)]
+        elif kind == 1:      # dependent up to 1e-12
+            a, b = rng.integers(i, size=2)
+            X[:, i] = X[:, a] - 0.5 * X[:, b] + 1e-12 * rng.standard_normal(m)
+        else:                # zero column
+            X[:, i] = 0.0
+    return X.T @ X
+
+
+@pytest.mark.parametrize("local", [False, True])
+def test_rank_filter_matches_row_by_row_elimination(local):
+    rng = np.random.default_rng(7)
+    dropped_any = 0
+    for _ in range(25):
+        G = _planted_gram(rng, local)
+        kept = _independent_columns(G)
+        assert kept.tolist() == _row_loop_filter(G)
+        dropped_any += G.shape[0] - kept.size
+    assert dropped_any >= 25
+
+
+def test_rank_filter_edge_sizes():
+    assert _independent_columns(np.zeros((0, 0))).size == 0
+    assert _independent_columns(np.zeros((3, 3))).size == 0
+    assert _independent_columns(np.eye(3)).tolist() == [0, 1, 2]
