@@ -3,17 +3,14 @@
 from .config import RunConfig, parse_config, serialize_config
 from .decomposition import (Decomposition, build_decomposition, d_minus,
                             d_plus, grow, square_block)
-from .dg_forms import (DGAssembler, DofMap, FormMatrix, assemble_B,
-                       assemble_Bplus, assemble_H, assemble_load, energy_norm,
-                       gamma_sq, weighted_avg_weights)
+from .dg_forms import DGAssembler
 from .errors import CoercivityError, ConfigError, MeshError, SolverError
 from .gfem import (CoarseSpace, GlobalForms, MSGFEMSolution, assemble_coarse,
                    error_report, solve_coarse, solve_msgfem)
 from .local_problems import (LocalSpectralData, compute_local_data,
                              eigenproblem, harmonic_basis, particular_solution,
                              select_coarse)
-from .mesh import (Coefficient, TriMesh, build_structured_mesh,
-                   coefficient_field, face_data)
+from .mesh import Coefficient, TriMesh, build_structured_mesh, coefficient_field
 from .space_ops import (PartitionOfUnity, build_pou, extend_by_zero, h0_dofs,
                         interpolate_product, locality_check, pou_blend,
                         restrict)

@@ -11,21 +11,22 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, parse_config, serialize_config
-from .decomposition import build_decomposition
+from .decomposition import Decomposition, build_decomposition
 from .dg_forms import DGAssembler
 from .errors import CoercivityError, ConfigError, SolverError
 from .gfem import GlobalForms, error_report, solve_msgfem
 from .local_problems import compute_local_data, export_eigenvalues
-from .mesh import build_structured_mesh, coefficient_field
-from .space_ops import build_pou
-from .verification import fine_solve, run_property_suite
+from .mesh import Coefficient, TriMesh, build_structured_mesh, coefficient_field
+from .space_ops import PartitionOfUnity, build_pou
+from .verification import decay_fit, fine_solve, run_property_suite
 
-__all__ = ["run", "main", "source_function"]
+__all__ = ["Problem", "build_problem", "run", "main", "source_function"]
 
 
 def source_function(spec: str):
@@ -39,6 +40,39 @@ def source_function(spec: str):
     if parts[0] == "sine" and len(parts) == 1:
         return lambda x, y: 2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
     raise ConfigError(f"unknown source spec {spec!r}")
+
+
+@dataclass(frozen=True)
+class Problem:
+    """Everything one run builds before its first solve, built once."""
+
+    config: RunConfig
+    mesh: TriMesh
+    coefficient: Coefficient
+    f: object
+    decomp: Decomposition
+    pou: PartitionOfUnity
+    forms: GlobalForms
+
+
+def build_problem(config: RunConfig) -> Problem:
+    """Mesh, coefficient, source, decomposition, partition of unity and forms.
+
+    A spec these cannot be built from is a configuration error.
+    """
+    try:
+        mesh = build_structured_mesh(config.mesh_n)
+        coef = coefficient_field(mesh, config.coefficient, seed=config.seed)
+        f = source_function(config.source)
+        decomp = build_decomposition(mesh, config.grid_m, config.overlap_layers,
+                                     config.oversampling_layers)
+        pou = build_pou(mesh, decomp)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return Problem(config=config, mesh=mesh, coefficient=coef, f=f, decomp=decomp,
+                   pou=pou, forms=GlobalForms(DGAssembler(mesh, coef, config.gamma0), f))
 
 
 def _fmt(x) -> str:
@@ -56,31 +90,15 @@ _ERROR_COLUMNS = ("m", "l", "lstar", "n_j", "gamma0", "contrast", "n_total",
                   "fitSlope", "fitR2")
 
 
-def _fit_log_vs_power(ns, values, exponent):
-    ns = np.asarray(ns, dtype=float)
-    values = np.asarray(values, dtype=float)
-    good = values > 0
-    if good.sum() < 5:
-        return float("nan"), float("nan")
-    x = ns[good] ** exponent
-    y = np.log(values[good])
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    coeffs, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coeffs
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    ss_res = float(resid @ resid)
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coeffs[0]), float(r2)
-
-
 def run(config: RunConfig, out_dir=None, checks_only: bool = False) -> int:
     """Execute one configuration; writes artifacts and returns the exit code."""
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(serialize_config(config))
+    problem = build_problem(config)
 
     if config.checks or checks_only:
-        report = run_property_suite(config)
+        report = run_property_suite(problem)
         (out / "checks.json").write_text(
             json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
         sys.stdout.write(report.to_text())
@@ -91,26 +109,20 @@ def run(config: RunConfig, out_dir=None, checks_only: bool = False) -> int:
 
     t0 = time.time()
     try:
-        return _pipeline(config, out, t0)
+        return _pipeline(problem, out, t0)
     except (SolverError, CoercivityError) as exc:
         # artifacts produced so far stay on disk
         sys.stderr.write(f"pipeline failure: {exc}\n")
         return 1
 
 
-def _pipeline(config: RunConfig, out: Path, t0: float) -> int:
-    mesh = build_structured_mesh(config.mesh_n)
-    coef = coefficient_field(mesh, config.coefficient, seed=config.seed)
-    f = source_function(config.source)
-    decomp = build_decomposition(mesh, config.grid_m, config.overlap_layers,
-                                 config.oversampling_layers)
-    pou = build_pou(mesh, decomp)
-    locals_ = compute_local_data(mesh, coef, f, decomp, pou, config.gamma0,
-                                 threads=config.threads)
+def _pipeline(problem: Problem, out: Path, t0: float) -> int:
+    config, mesh, decomp, pou = problem.config, problem.mesh, problem.decomp, problem.pou
+    forms = problem.forms
+    locals_ = compute_local_data(mesh, problem.coefficient, problem.f, decomp, pou,
+                                 config.gamma0, threads=config.threads)
     (out / "eigenvalues.csv").write_text(export_eigenvalues(locals_))
-
-    forms = GlobalForms(DGAssembler(mesh, coef, config.gamma0), f)
-    u_fine = fine_solve(mesh, coef, f, config.gamma0, asm=forms.asm)
+    u_fine = fine_solve(forms)
 
     rows = []
     rel_errors = []
@@ -122,12 +134,17 @@ def _pipeline(config: RunConfig, out: Path, t0: float) -> int:
         n_label = rule[1] if rule[0] == "fixed" else int(coarse.n_j.max(initial=0))
         rows.append([config.grid_m, config.overlap_layers,
                      config.oversampling_layers, n_label, config.gamma0,
-                     coef.contrast, coarse.n_total, rep.rel_bplus_error,
+                     problem.coefficient.contrast, coarse.n_total, rep.rel_bplus_error,
                      rep.rel_l2_error, rep.max_sqrt_lambda_next])
         rel_errors.append(rep.rel_bplus_error)
         sweep_ns.append(n_label)
 
-    slope, r2 = _fit_log_vs_power(sweep_ns, rel_errors, 0.5)
+    # the fit uses the sweep points with a positive finite error, if five or more
+    rel_errors = np.array(rel_errors)
+    good = np.isfinite(rel_errors) & (rel_errors > 0)
+    slope = r2 = float("nan")
+    if good.sum() >= 5:
+        slope, _, r2 = decay_fit(np.array(sweep_ns)[good], rel_errors[good], 0.5)
     lines = [",".join(_ERROR_COLUMNS)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row + [slope, r2]))

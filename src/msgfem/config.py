@@ -7,7 +7,7 @@ numpy's PCG64 generator, so equal configs give byte-identical outputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -15,38 +15,95 @@ from .errors import ConfigError
 
 __all__ = ["RunConfig", "parse_config", "serialize_config"]
 
-_DEFAULTS = {
-    "mesh_n": "64",
-    "grid_m": "4",
-    "overlap_layers": "2",
-    "oversampling_layers": "4",
-    "gamma0_sq": "10",
-    "coefficient": "constant:1",
-    "seed": "0",
-    "source": "constant:1",
-    "coarse_rule": "fixed:4",
-    "coarse_n_sweep": "",
-    "out_dir": "out",
-    "threads": "1",
-    "checks": "on",
-}
+
+def _int(low: int, what: str):
+    def parse(key, text, where):
+        try:
+            v = int(text)
+        except ValueError as exc:
+            raise ConfigError(f"{where}{key} must be an integer") from exc
+        if v < low:
+            raise ConfigError(f"{where}{key} must be >= {low} ({what}), got {v}")
+        return v
+    return parse
+
+
+def _positive(key, text, where):
+    try:
+        v = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}{key} must be a number") from exc
+    if v <= 0:
+        raise ConfigError(f"{where}{key} must be positive")
+    return v
+
+
+def _text(key, text, where):
+    return text
+
+
+def _rule(key, text, where):
+    parts = text.split(":")
+    if len(parts) != 2 or parts[0] not in ("fixed", "threshold"):
+        raise ConfigError(f"{where}coarse_rule must be fixed:n or threshold:tau")
+    if parts[0] == "fixed":
+        try:
+            n = int(parts[1])
+        except ValueError as exc:
+            raise ConfigError(f"{where}fixed rule needs an integer") from exc
+        if n < 0:
+            raise ConfigError(f"{where}fixed mode count must be >= 0")
+        return ("fixed", n)
+    try:
+        tau = float(parts[1])
+    except ValueError as exc:
+        raise ConfigError(f"{where}threshold rule needs a number") from exc
+    if tau < 0:
+        raise ConfigError(f"{where}threshold must be >= 0")
+    return ("threshold", tau)
+
+
+def _sweep(key, text, where):
+    sweep = []
+    if text.strip():
+        for tok in text.split(","):
+            try:
+                sweep.append(int(tok.strip()))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{where}coarse_n_sweep must be comma-separated integers") from exc
+        if any(n < 0 for n in sweep):
+            raise ConfigError(f"{where}sweep entries must be >= 0")
+    return sweep
+
+
+def _on_off(key, text, where):
+    if text not in ("on", "off"):
+        raise ConfigError(f"{where}checks must be on or off")
+    return text == "on"
+
+
+def _key(default, parse):
+    return field(default=default, metadata={"parse": parse})
 
 
 @dataclass
 class RunConfig:
-    mesh_n: int = 64
-    grid_m: int = 4
-    overlap_layers: int = 2
-    oversampling_layers: int = 4
-    gamma0_sq: float = 10.0
-    coefficient: str = "constant:1"
-    seed: int = 0
-    source: str = "constant:1"
-    coarse_rule: tuple = ("fixed", 4)
-    coarse_n_sweep: list = field(default_factory=list)
-    out_dir: str = "out"
-    threads: int = 1
-    checks: bool = True
+    """The run's keys, in config-file order, with defaults and parsers."""
+
+    mesh_n: int = _key(64, _int(1, "mesh subdivision count"))
+    grid_m: int = _key(4, _int(1, "subdomain grid size"))
+    overlap_layers: int = _key(2, _int(2, "overlap needed by the partition of unity"))
+    oversampling_layers: int = _key(4, _int(1, "oversampling rings"))
+    gamma0_sq: float = _key(10.0, _positive)
+    coefficient: str = _key("constant:1", _text)
+    seed: int = _key(0, _int(0, "generator seed"))
+    source: str = _key("constant:1", _text)
+    coarse_rule: tuple = _key(("fixed", 4), _rule)
+    coarse_n_sweep: list = field(default_factory=list, metadata={"parse": _sweep})
+    out_dir: str = _key("out", _text)
+    threads: int = _key(1, _int(1, "worker threads"))
+    checks: bool = _key(True, _on_off)
 
     @property
     def gamma0(self) -> float:
@@ -59,31 +116,10 @@ class RunConfig:
         return [self.coarse_rule]
 
 
-def _parse_rule(text: str, lineno: int):
-    parts = text.split(":")
-    if len(parts) != 2 or parts[0] not in ("fixed", "threshold"):
-        raise ConfigError(f"line {lineno}: coarse_rule must be fixed:n or threshold:tau")
-    if parts[0] == "fixed":
-        try:
-            n = int(parts[1])
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: fixed rule needs an integer") from exc
-        if n < 0:
-            raise ConfigError(f"line {lineno}: fixed mode count must be >= 0")
-        return ("fixed", n)
-    try:
-        tau = float(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: threshold rule needs a number") from exc
-    if tau < 0:
-        raise ConfigError(f"line {lineno}: threshold must be >= 0")
-    return ("threshold", tau)
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate; defaults apply for every key not present."""
-    raw = dict(_DEFAULTS)
-    lines = {}
+    keys = {f.name: f for f in fields(RunConfig)}
+    given = {}                        # key -> (line number, value text)
     for lineno, line in enumerate(text.splitlines(), start=1):
         content = line.split("#", 1)[0].strip()
         if not content:
@@ -91,78 +127,27 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in content:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, value = (s.strip() for s in content.split("=", 1))
-        if key not in _DEFAULTS:
+        if key not in keys:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        raw[key] = value
-        lines[key] = lineno
+        given[key] = (lineno, value)
+    return RunConfig(**{
+        key: keys[key].metadata["parse"](key, value, f"line {lineno}: ")
+        for key, (lineno, value) in given.items()})
 
-    def where(key):
-        return f"line {lines.get(key, 0)}: " if key in lines else ""
 
-    def want_int(key, low, what):
-        try:
-            v = int(raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"{where(key)}{key} must be an integer") from exc
-        if v < low:
-            raise ConfigError(f"{where(key)}{key} must be >= {low} ({what}), got {v}")
-        return v
-
-    mesh_n = want_int("mesh_n", 1, "mesh subdivision count")
-    grid_m = want_int("grid_m", 1, "subdomain grid size")
-    overlap = want_int("overlap_layers", 2, "overlap needed by the partition of unity")
-    oversampling = want_int("oversampling_layers", 1, "oversampling rings")
-    seed = want_int("seed", 0, "generator seed")
-    threads = want_int("threads", 1, "worker threads")
-    try:
-        gamma0_sq = float(raw["gamma0_sq"])
-    except ValueError as exc:
-        raise ConfigError(f"{where('gamma0_sq')}gamma0_sq must be a number") from exc
-    if gamma0_sq <= 0:
-        raise ConfigError(f"{where('gamma0_sq')}gamma0_sq must be positive")
-
-    sweep = []
-    if raw["coarse_n_sweep"].strip():
-        for tok in raw["coarse_n_sweep"].split(","):
-            try:
-                sweep.append(int(tok.strip()))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{where('coarse_n_sweep')}coarse_n_sweep must be "
-                    "comma-separated integers") from exc
-        if any(n < 0 for n in sweep):
-            raise ConfigError(f"{where('coarse_n_sweep')}sweep entries must be >= 0")
-
-    if raw["checks"] not in ("on", "off"):
-        raise ConfigError(f"{where('checks')}checks must be on or off")
-
-    return RunConfig(
-        mesh_n=mesh_n, grid_m=grid_m, overlap_layers=overlap,
-        oversampling_layers=oversampling, gamma0_sq=gamma0_sq,
-        coefficient=raw["coefficient"], seed=seed, source=raw["source"],
-        coarse_rule=_parse_rule(raw["coarse_rule"], lines.get("coarse_rule", 0)),
-        coarse_n_sweep=sweep, out_dir=raw["out_dir"], threads=threads,
-        checks=raw["checks"] == "on",
-    )
+def _value_text(value) -> str:
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return f"{value[0]}:{value[1]}"
+    if isinstance(value, list):
+        return ",".join(str(n) for n in value)
+    return str(value)
 
 
 def serialize_config(config: RunConfig) -> str:
     """Textual form that parses back to an equal config."""
-    rule = f"{config.coarse_rule[0]}:{config.coarse_rule[1]}"
-    sweep = ",".join(str(n) for n in config.coarse_n_sweep)
-    items = [
-        ("mesh_n", config.mesh_n),
-        ("grid_m", config.grid_m),
-        ("overlap_layers", config.overlap_layers),
-        ("oversampling_layers", config.oversampling_layers),
-        ("gamma0_sq", repr(config.gamma0_sq)),
-        ("coefficient", config.coefficient),
-        ("seed", config.seed),
-        ("source", config.source),
-        ("coarse_rule", rule),
-        ("coarse_n_sweep", sweep),
-        ("out_dir", config.out_dir),
-        ("threads", config.threads),
-        ("checks", "on" if config.checks else "off"),
-    ]
-    return "\n".join(f"{k} = {v}" for k, v in items) + "\n"
+    return "".join(f"{f.name} = {_value_text(getattr(config, f.name))}\n"
+                   for f in fields(RunConfig))

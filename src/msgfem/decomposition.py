@@ -15,23 +15,12 @@ from .mesh import TriMesh
 
 __all__ = [
     "Decomposition",
-    "element_set",
     "square_block",
     "grow",
     "d_plus",
     "d_minus",
     "build_decomposition",
-    "coloring_constant",
-    "export_decomposition",
 ]
-
-
-def element_set(mesh: TriMesh, members) -> np.ndarray:
-    """Sorted, duplicate-free element index array, validated against the mesh."""
-    arr = np.unique(np.asarray(members, dtype=np.int64))
-    if arr.size and (arr[0] < 0 or arr[-1] >= mesh.n_elements):
-        raise ValueError("element index out of range")
-    return arr
 
 
 def square_block(mesh: TriMesh, ix0: int, ix1: int, iy0: int, iy1: int) -> np.ndarray:
@@ -45,11 +34,9 @@ def square_block(mesh: TriMesh, ix0: int, ix1: int, iy0: int, iy1: int) -> np.nd
     return np.sort(np.concatenate([2 * sq, 2 * sq + 1]))
 
 
-def _vertex_elements(mesh: TriMesh, verts: np.ndarray) -> np.ndarray:
-    chunks = [mesh.v2e_elems[mesh.v2e_indptr[v]:mesh.v2e_indptr[v + 1]] for v in verts]
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(chunks))
+def _touching(mesh: TriMesh, mask: np.ndarray) -> np.ndarray:
+    """Mask of the elements sharing a vertex with an element of ``mask``."""
+    return mesh.incidence @ (mesh.incidence.T @ mask)
 
 
 def grow(mesh: TriMesh, members: np.ndarray, layers: int) -> np.ndarray:
@@ -58,8 +45,9 @@ def grow(mesh: TriMesh, members: np.ndarray, layers: int) -> np.ndarray:
     for _ in range(layers):
         if cur.size == 0 or cur.size == mesh.n_elements:
             break
-        verts = np.unique(mesh.elements[cur].ravel())
-        cur = _vertex_elements(mesh, verts)
+        mask = np.zeros(mesh.n_elements, dtype=bool)
+        mask[cur] = True
+        cur = np.flatnonzero(_touching(mesh, mask))
     return cur
 
 
@@ -75,9 +63,9 @@ def d_minus(mesh: TriMesh, members: np.ndarray) -> np.ndarray:
     outer boundary survive if all their mesh neighbours are members.
     """
     members = np.asarray(members, dtype=np.int64)
-    complement = np.setdiff1d(np.arange(mesh.n_elements, dtype=np.int64), members,
-                              assume_unique=True)
-    return np.setdiff1d(members, d_plus(mesh, complement), assume_unique=True)
+    outside = np.ones(mesh.n_elements, dtype=bool)
+    outside[members] = False
+    return members[~_touching(mesh, outside)[members]]
 
 
 @dataclass(frozen=True)
@@ -140,20 +128,3 @@ def build_decomposition(mesh: TriMesh, m: int, overlap_layers: int,
     return Decomposition(subdomains=subdomains, grid_m=m,
                          overlap_layers=overlap_layers,
                          oversampling_layers=oversampling_layers)
-
-
-def coloring_constant(mesh: TriMesh, sets) -> int:
-    """Maximum number of the given element sets containing any one element."""
-    count = np.zeros(mesh.n_elements, dtype=np.int64)
-    for s in sets:
-        count[s] += 1
-    return int(count.max()) if count.size else 0
-
-
-def export_decomposition(decomp: Decomposition) -> str:
-    """Two lines per subdomain: the overlap set and the oversampling set."""
-    out = []
-    for omega, omega_star in decomp.subdomains:
-        out.append(" ".join(str(e) for e in omega))
-        out.append(" ".join(str(e) for e in omega_star))
-    return "\n".join(out) + "\n"

@@ -31,43 +31,17 @@ exactly by closed-form rules.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "DofMap",
-    "FormMatrix",
     "DGAssembler",
-    "gamma_sq",
-    "weighted_avg_weights",
-    "assemble_B",
-    "assemble_Bplus",
-    "assemble_H",
-    "assemble_load",
-    "energy_norm",
     "subdomain_dofs",
     "nested_dofs",
     "triangle_quadrature",
-    "export_matrix",
 ]
 
 _MASS3 = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-
-
-class DofMap:
-    """Element-to-dof bookkeeping for the discontinuous P1 space."""
-
-    def __init__(self, n_elements: int):
-        self.n_elements = n_elements
-        self.total = 3 * n_elements
-
-    def element_dofs(self, e: int) -> np.ndarray:
-        return np.arange(3 * e, 3 * e + 3)
-
-    def subdomain_dofs(self, members) -> np.ndarray:
-        return subdomain_dofs(members)
 
 
 def subdomain_dofs(members) -> np.ndarray:
@@ -88,35 +62,6 @@ def nested_dofs(inner, outer) -> np.ndarray:
     if np.any(pos >= outer.size) or np.any(outer[np.minimum(pos, outer.size - 1)] != inner):
         raise ValueError("inner element set is not contained in the outer one")
     return (3 * pos[:, None] + np.arange(3)).ravel()
-
-
-def gamma_sq(nu_1: float, nu_2: float, h_F: float, gamma0: float) -> float:
-    """Weighted penalty coefficient ``(gamma0^2/h_F) * 2 nu_1 nu_2 / (nu_1 + nu_2)``."""
-    if nu_1 <= 0 or nu_2 <= 0 or h_F <= 0 or gamma0 <= 0:
-        raise ValueError("penalty inputs must be positive")
-    return (gamma0 * gamma0 / h_F) * 2.0 * nu_1 * nu_2 / (nu_1 + nu_2)
-
-
-def weighted_avg_weights(nu_1: float, nu_2: float):
-    """Coefficient-weighted average weights ``(2 nu_2, 2 nu_1) / (nu_1 + nu_2)``."""
-    if nu_1 <= 0 or nu_2 <= 0:
-        raise ValueError("coefficient values must be positive")
-    s = nu_1 + nu_2
-    return 2.0 * nu_2 / s, 2.0 * nu_1 / s
-
-
-@dataclass(frozen=True)
-class FormMatrix:
-    """Assembled symmetric sparse form over a subdomain's local dofs."""
-
-    matrix: sp.csr_matrix
-    tag: str
-
-    def quad(self, u, v=None) -> float:
-        """Evaluate the (bi)linear form value v^T M u (v defaults to u)."""
-        if v is None:
-            v = u
-        return float(v @ (self.matrix @ u))
 
 
 class DGAssembler:
@@ -290,59 +235,23 @@ class DGAssembler:
         return mat
 
     def load(self, f, D=None, degree: int = 4) -> np.ndarray:
-        """Load vector of the source against all shape functions of the set."""
-        return assemble_load(self.mesh, f, self._members(D), degree=degree)
+        """Source functional against the shape functions of the set.
 
-
-def _assemble(mesh, coefficient, D, gamma0, kind) -> FormMatrix:
-    asm = DGAssembler(mesh, coefficient, gamma0)
-    return FormMatrix(matrix=asm.matrix(D, kind), tag=kind)
-
-
-def assemble_B(mesh, coefficient, D, gamma0: float) -> FormMatrix:
-    """Full weighted interior-penalty form on the element set."""
-    return _assemble(mesh, coefficient, D, gamma0, "B")
-
-
-def assemble_Bplus(mesh, coefficient, D, gamma0: float) -> FormMatrix:
-    """Positive jump-penalty part; kernel is the constants on interior sets."""
-    return _assemble(mesh, coefficient, D, gamma0, "Bplus")
-
-
-def assemble_H(mesh, coefficient, D, gamma0: float) -> FormMatrix:
-    """Local inner product: positive part plus the volume mass matrix."""
-    return _assemble(mesh, coefficient, D, gamma0, "H")
-
-
-def assemble_load(mesh, f, D=None, degree: int = 4) -> np.ndarray:
-    """Source functional against the shape functions, exact for linear sources."""
-    if D is None:
-        D = np.arange(mesh.n_elements, dtype=np.int64)
-    else:
-        D = np.asarray(D, dtype=np.int64)
-    bary, w = triangle_quadrature(degree)
-    pts = np.einsum("qa,ead->eqd", bary, mesh.vertices[mesh.elements[D]])
-    if callable(f):
-        fv = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-        fv = np.broadcast_to(fv, pts.shape[:2])
-    else:
-        fv = np.full(pts.shape[:2], float(f))
-    # shape function i at a quadrature point equals its barycentric coordinate
-    vals = np.einsum("eq,q,qi->ei", fv, w, bary) * mesh.areas[D][:, None]
-    return vals.ravel()
-
-
-def energy_norm(mesh, coefficient, u, D=None, which: str = "Bplus",
-                gamma0: float = 1.0) -> float:
-    """Norm induced by one of the assembled forms (``Bplus``, ``H`` or ``L2``)."""
-    kind = {"Bplus": "Bplus", "H": "H", "L2": "mass"}.get(which)
-    if kind is None:
-        raise ValueError(f"norm kind must be Bplus, H or L2, got {which!r}")
-    mat = DGAssembler(mesh, coefficient, gamma0).matrix(D, kind)
-    val = float(u @ (mat @ u))
-    if val < -1e-10:
-        raise ArithmeticError(f"quadratic form returned {val}; assembly bug")
-    return float(np.sqrt(max(val, 0.0)))
+        ``f`` is a callable of ``(x, y)`` or a constant; the degree-4 default
+        rule is exact for linear sources.
+        """
+        mesh = self.mesh
+        D = self._members(D)
+        bary, w = triangle_quadrature(degree)
+        pts = np.einsum("qa,ead->eqd", bary, mesh.vertices[mesh.elements[D]])
+        if callable(f):
+            fv = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
+            fv = np.broadcast_to(fv, pts.shape[:2])
+        else:
+            fv = np.full(pts.shape[:2], float(f))
+        # shape function i at a quadrature point equals its barycentric coordinate
+        vals = np.einsum("eq,q,qi->ei", fv, w, bary) * mesh.areas[D][:, None]
+        return vals.ravel()
 
 
 _QUAD_RULES = {
@@ -382,10 +291,3 @@ def triangle_quadrature(degree: int):
         if d >= degree:
             return _QUAD_RULES[d]
     raise ValueError(f"no quadrature rule of degree {degree}")
-
-
-def export_matrix(form: FormMatrix) -> str:
-    """Coordinate text format, one ``row col value`` triple per line."""
-    coo = form.matrix.tocoo()
-    lines = [f"{r} {c} {float(v)!r}" for r, c, v in zip(coo.row, coo.col, coo.data)]
-    return "\n".join(lines) + "\n"

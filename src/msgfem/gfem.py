@@ -48,7 +48,7 @@ _RANK_DROP_RTOL = 1e-10
 class GlobalForms:
     """Global matrices and load vector of one problem, each assembled on first use."""
 
-    def __init__(self, asm: DGAssembler, f=None):
+    def __init__(self, asm: DGAssembler, f):
         self.asm = asm
         self.f = f
 
@@ -272,15 +272,13 @@ class ErrorReport:
     max_sqrt_lambda_next: float
 
 
-def error_report(forms, u_G: np.ndarray, u_fine: np.ndarray,
+def error_report(forms: GlobalForms, u_G: np.ndarray, u_fine: np.ndarray,
                  max_sqrt_lambda_next: float = float("nan")) -> ErrorReport:
     """Jump-energy and volume errors of the multiscale solution vs the fine one.
 
-    ``forms`` is a :class:`GlobalForms`, whose two norm matrices are then
-    assembled once for every report that shares it, or a bare assembler.
+    The two norm matrices of ``forms`` are assembled once for every report
+    that shares it.
     """
-    if isinstance(forms, DGAssembler):
-        forms = GlobalForms(forms)
     Bp = forms.Bplus
     Mv = forms.mass
     diff = u_G - u_fine

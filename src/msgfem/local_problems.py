@@ -105,25 +105,21 @@ def _masked_solve(A, b, free):
     return x, lu
 
 
-def particular_solution(mesh: TriMesh, coefficient, f, omega, omega_star,
-                        gamma0: float, asm: DGAssembler | None = None) -> np.ndarray:
+def particular_solution(asm: DGAssembler, f, omega, omega_star) -> np.ndarray:
     """Local source solution on the oversampling domain, restricted back.
 
     The form on the oversampling domain is solved on its masked subspace
     (which imposes the zero contact-layer values and the weak outer-boundary
     condition) and the solution is then cut down to the overlap subdomain.
     """
-    if asm is None:
-        asm = DGAssembler(mesh, coefficient, gamma0)
     A = asm.matrix(omega_star, "B")
     b = asm.load(f, omega_star)
-    free = h0_dofs(mesh, omega_star)
+    free = h0_dofs(asm.mesh, omega_star)
     psi, _ = _masked_solve(A, b, free)
     return restrict(psi, omega_star, omega)
 
 
-def harmonic_basis(mesh: TriMesh, coefficient, omega_star, gamma0: float,
-                   asm: DGAssembler | None = None) -> np.ndarray:
+def harmonic_basis(asm: DGAssembler, omega_star) -> np.ndarray:
     """Column basis of the locally harmonic space of an oversampling domain.
 
     One column per layer dof (a dof of an element in the contact layer): the
@@ -134,13 +130,11 @@ def harmonic_basis(mesh: TriMesh, coefficient, omega_star, gamma0: float,
     """
     omega_star = np.asarray(omega_star, dtype=np.int64)
     ndof = 3 * omega_star.size
-    free = h0_dofs(mesh, omega_star)
+    free = h0_dofs(asm.mesh, omega_star)
     layer = np.setdiff1d(np.arange(ndof), free, assume_unique=True)
     basis = np.zeros((ndof, layer.size))
     if layer.size == 0:
         return basis
-    if asm is None:
-        asm = DGAssembler(mesh, coefficient, gamma0)
     A = asm.matrix(omega_star, "B").tocsc()
     Aff = A[np.ix_(free, free)].tocsc()
     Afl = A[np.ix_(free, layer)]
@@ -192,24 +186,19 @@ def _deflated_pencil(A: np.ndarray, M: np.ndarray, kernel_rtol: float = 1e-10):
     return values, vectors
 
 
-def eigenproblem(mesh: TriMesh, coefficient, pou: PartitionOfUnity, j: int,
-                 omega, omega_star, gamma0: float,
-                 basis: np.ndarray | None = None,
-                 asm: DGAssembler | None = None):
+def eigenproblem(asm: DGAssembler, pou: PartitionOfUnity, j: int, omega, omega_star,
+                 basis: np.ndarray):
     """Spectral problem selecting the locally optimal coarse directions.
 
     Left form: energy of the weight-interpolated restriction to the overlap
     subdomain.  Right form: energy on the oversampling domain.  Both are
     congruence images of the positive form, hence symmetric PSD; kernel
     directions of the right form (the constants, on interior subdomains)
-    come out as leading infinite eigenvalues.
+    come out as leading infinite eigenvalues.  ``basis`` is the harmonic
+    basis of ``omega_star``.
     """
-    if asm is None:
-        asm = DGAssembler(mesh, coefficient, gamma0)
-    if basis is None:
-        basis = harmonic_basis(mesh, coefficient, omega_star, gamma0, asm=asm)
     idx = nested_dofs(omega, omega_star)
-    chi_dof = pou.values[j][mesh.elements[np.asarray(omega, dtype=np.int64)]].ravel()
+    chi_dof = pou.values[j][asm.mesh.elements[np.asarray(omega, dtype=np.int64)]].ravel()
     W = basis[idx, :] * chi_dof[:, None]
     Bp_omega = asm.matrix(omega, "Bplus")
     Bp_star = asm.matrix(omega_star, "Bplus")
@@ -259,11 +248,9 @@ def compute_local_data(mesh: TriMesh, coefficient, f, decomp: Decomposition,
     def one(j: int) -> LocalSpectralData:
         omega = decomp.omega(j)
         omega_star = decomp.omega_star(j)
-        up = particular_solution(mesh, coefficient, f, omega, omega_star,
-                                 gamma0, asm=asm)
-        basis = harmonic_basis(mesh, coefficient, omega_star, gamma0, asm=asm)
-        values, vectors = eigenproblem(mesh, coefficient, pou, j, omega,
-                                       omega_star, gamma0, basis=basis, asm=asm)
+        up = particular_solution(asm, f, omega, omega_star)
+        basis = harmonic_basis(asm, omega_star)
+        values, vectors = eigenproblem(asm, pou, j, omega, omega_star, basis)
         return LocalSpectralData(j=j, particular=up, harmonic_basis=basis,
                                  eigenvalues=values, eigenvectors=vectors)
 

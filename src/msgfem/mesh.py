@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import MeshError
 
@@ -17,9 +18,6 @@ __all__ = [
     "Coefficient",
     "build_structured_mesh",
     "coefficient_field",
-    "face_data",
-    "export_mesh",
-    "export_coefficient",
 ]
 
 
@@ -36,6 +34,9 @@ class TriMesh:
     ``iface_local[k, s]`` gives, for face ``k`` and side ``s`` (0 = element 1,
     1 = element 2), the positions of the two face vertices inside that
     element's vertex triple, in the same vertex order as ``iface_verts[k]``.
+
+    ``incidence`` is the boolean element x vertex matrix; every vertex-contact
+    relation (hulls, vertex graph distances) is a product with it.
     """
 
     vertices: np.ndarray       # (nv, 2) float
@@ -53,8 +54,7 @@ class TriMesh:
     bface_h: np.ndarray        # (nfb,)
     bface_normal: np.ndarray   # (nfb, 2) outward unit normal
     bface_local: np.ndarray    # (nfb, 2)
-    v2e_indptr: np.ndarray     # CSR vertex -> incident elements
-    v2e_elems: np.ndarray
+    incidence: sp.csr_matrix   # (ne, nv) bool, element contains vertex
     structured_n: int | None = field(default=None)
 
     @property
@@ -76,10 +76,6 @@ class TriMesh:
     @property
     def h(self) -> float:
         return float(self.h_T.max())
-
-    def vertex_elements(self, v: int) -> np.ndarray:
-        """Elements incident to vertex ``v``."""
-        return self.v2e_elems[self.v2e_indptr[v]:self.v2e_indptr[v + 1]]
 
     @staticmethod
     def from_arrays(vertices, elements, structured_n=None) -> "TriMesh":
@@ -206,13 +202,9 @@ def _build_mesh(vertices, elements, structured_n):
     iface_normal = outward_normal(iface_elems[:, 0], iface_verts)
     bface_normal = outward_normal(bface_elem, bface_verts)
 
-    # vertex -> incident elements (CSR)
-    flat = elements.ravel()
-    v_order = np.argsort(flat, kind="stable")
-    v2e_elems = np.repeat(np.arange(ne), 3)[v_order]
-    v2e_indptr = np.zeros(vertices.shape[0] + 1, dtype=np.int64)
-    np.add.at(v2e_indptr, flat + 1, 1)
-    v2e_indptr = np.cumsum(v2e_indptr)
+    incidence = sp.csr_matrix(
+        (np.ones(3 * ne, dtype=bool), elements.ravel(), np.arange(0, 3 * ne + 1, 3)),
+        shape=(ne, vertices.shape[0]))
 
     mesh = TriMesh(
         vertices=vertices, elements=elements, areas=areas, grads=grads, h_T=h_T,
@@ -220,7 +212,7 @@ def _build_mesh(vertices, elements, structured_n):
         iface_normal=iface_normal, iface_local=iface_local,
         bface_elem=bface_elem, bface_verts=bface_verts, bface_h=bface_h,
         bface_normal=bface_normal, bface_local=bface_local,
-        v2e_indptr=v2e_indptr, v2e_elems=v2e_elems, structured_n=structured_n,
+        incidence=incidence, structured_n=structured_n,
     )
     if 2 * mesh.n_interior_faces + mesh.n_boundary_faces != 3 * ne:
         raise MeshError("face bookkeeping inconsistent with element count")
@@ -334,45 +326,3 @@ def coefficient_field(mesh: TriMesh, spec: str, seed: int = 0) -> Coefficient:
         vals = np.exp(rng.uniform(np.log(lo), np.log(hi), size=ne))
         return Coefficient.from_values(vals)
     raise ValueError(f"unknown coefficient kind {kind!r}")
-
-
-def face_data(mesh: TriMesh, coefficient: Coefficient, kind: str, k: int):
-    """Per-face data ``(nu_1, nu_2, h_F, normal)``.
-
-    For interior faces the coefficient values come from the two adjacent
-    elements with the smaller element index as side 1; for boundary faces
-    both values equal the single element's coefficient.  The normal is the
-    unit outward normal of side 1.
-    """
-    if kind == "interior":
-        e1, e2 = mesh.iface_elems[k]
-        return (float(coefficient.values[e1]), float(coefficient.values[e2]),
-                float(mesh.iface_h[k]), mesh.iface_normal[k].copy())
-    if kind == "boundary":
-        e = mesh.bface_elem[k]
-        nu = float(coefficient.values[e])
-        return nu, nu, float(mesh.bface_h[k]), mesh.bface_normal[k].copy()
-    raise ValueError(f"face kind must be 'interior' or 'boundary', got {kind!r}")
-
-
-def export_mesh(mesh: TriMesh) -> str:
-    """Plain-text mesh dump: vertices, elements, then face tables (0-based)."""
-    out = []
-    out.append(f"vertices {mesh.n_vertices}")
-    for x, y in mesh.vertices:
-        out.append(f"{x!r} {y!r}")
-    out.append(f"elements {mesh.n_elements}")
-    for a, b, c in mesh.elements:
-        out.append(f"{a} {b} {c}")
-    out.append(f"interior_faces {mesh.n_interior_faces}")
-    for (e1, e2), (p, q) in zip(mesh.iface_elems, mesh.iface_verts):
-        out.append(f"{e1} {e2} {p} {q}")
-    out.append(f"boundary_faces {mesh.n_boundary_faces}")
-    for e, (p, q) in zip(mesh.bface_elem, mesh.bface_verts):
-        out.append(f"{e} {p} {q}")
-    return "\n".join(out) + "\n"
-
-
-def export_coefficient(coefficient: Coefficient) -> str:
-    """One value per element line."""
-    return "\n".join(repr(float(v)) for v in coefficient.values) + "\n"

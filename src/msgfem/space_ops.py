@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from .decomposition import Decomposition, d_minus
-from .dg_forms import assemble_B, nested_dofs, subdomain_dofs
+from .dg_forms import DGAssembler, nested_dofs, subdomain_dofs
 from .mesh import TriMesh
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "interpolate_product",
     "pou_blend",
     "locality_check",
-    "export_pou",
 ]
 
 
@@ -79,26 +79,6 @@ class PartitionOfUnity:
         return self.values.shape[0]
 
 
-def _vertex_graph_distance(mesh: TriMesh, sources: np.ndarray) -> np.ndarray:
-    """Edge-graph distance from a vertex source set; unreachable stays at inf."""
-    nv = mesh.n_vertices
-    dist = np.full(nv, np.inf)
-    dist[sources] = 0.0
-    frontier = sources
-    level = 0
-    # neighbours via incident elements; the structured meshes are small enough
-    # that a python BFS over vertex fronts is fine
-    while frontier.size:
-        level += 1
-        elems = np.unique(np.concatenate(
-            [mesh.vertex_elements(v) for v in frontier]))
-        cand = np.unique(mesh.elements[elems].ravel())
-        new = cand[np.isinf(dist[cand])]
-        dist[new] = level
-        frontier = new
-    return dist
-
-
 def build_pou(mesh: TriMesh, decomp: Decomposition) -> PartitionOfUnity:
     """Distance-graded weights normalized to sum to one at each vertex.
 
@@ -110,16 +90,18 @@ def build_pou(mesh: TriMesh, decomp: Decomposition) -> PartitionOfUnity:
     nv = mesh.n_vertices
     M = decomp.n_subdomains
     raw = np.zeros((M, nv))
-    all_elems = np.arange(mesh.n_elements, dtype=np.int64)
+    # vertices sharing an element are one edge apart
+    adjacency = (mesh.incidence.T @ mesh.incidence).tocsr()
     for j in range(M):
         omega = decomp.omega(j)
         inner = d_minus(mesh, omega)
-        outside = np.setdiff1d(all_elems, inner, assume_unique=True)
-        if outside.size == 0:
+        outside = np.ones(mesh.n_elements, dtype=bool)
+        outside[inner] = False
+        if not outside.any():
             raw[j, :] = 1.0
             continue
-        forbidden = np.unique(mesh.elements[outside].ravel())
-        dist = _vertex_graph_distance(mesh, forbidden)
+        forbidden = np.flatnonzero(mesh.incidence.T @ outside)
+        dist = dijkstra(adjacency, indices=forbidden, unweighted=True, min_only=True)
         core = d_minus(mesh, inner)
         cap = 1.0
         if core.size:
@@ -170,22 +152,15 @@ def pou_blend(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
     return out
 
 
-def locality_check(mesh: TriMesh, coefficient, gamma0: float,
-                   u_star: np.ndarray, v: np.ndarray, D, D_star):
+def locality_check(asm: DGAssembler, u_star: np.ndarray, v: np.ndarray, D, D_star):
     """Evaluate the subdomain form against the enclosing form on a masked vector.
 
     Returns the pair ``(B_D(u|_D, v), B_{D*}(u, E v))`` computed through two
-    independent assemblies; the two numbers agree because the masked vector
+    separate assemblies; the two numbers agree because the masked vector
     kills every face contribution that only one of the forms contains.
     """
     u_D = restrict(u_star, D_star, D)
-    a = assemble_B(mesh, coefficient, D, gamma0).quad(u_D, v)
-    ev = extend_by_zero(mesh, v, D, D_star)
-    b = assemble_B(mesh, coefficient, D_star, gamma0).quad(u_star, ev)
+    a = float(v @ (asm.matrix(D, "B") @ u_D))
+    ev = extend_by_zero(asm.mesh, v, D, D_star)
+    b = float(ev @ (asm.matrix(D_star, "B") @ u_star))
     return a, b
-
-
-def export_pou(pou: PartitionOfUnity) -> str:
-    """One line per subdomain with the vertex values."""
-    lines = [" ".join(repr(float(x)) for x in row) for row in pou.values]
-    return "\n".join(lines) + "\n"

@@ -14,14 +14,14 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
-from .decomposition import build_decomposition, d_minus, d_plus, square_block
+from .decomposition import d_minus, d_plus, square_block
 from .dg_forms import (DGAssembler, nested_dofs, subdomain_dofs,
                        triangle_quadrature)
 from .errors import SolverError
+from .gfem import GlobalForms
 from .local_problems import harmonic_basis, lu_solve_refined, scaled_residual
 from .mesh import TriMesh, build_structured_mesh, coefficient_field
-from .space_ops import (build_pou, extend_by_zero, h0_dofs, locality_check,
-                        pou_blend, restrict)
+from .space_ops import extend_by_zero, h0_dofs, locality_check, pou_blend, restrict
 
 __all__ = [
     "ConvergenceRecord",
@@ -35,13 +35,10 @@ __all__ = [
 ]
 
 
-def fine_solve(mesh: TriMesh, coefficient, f, gamma0: float,
-               asm: DGAssembler | None = None) -> np.ndarray:
+def fine_solve(forms: GlobalForms) -> np.ndarray:
     """Direct solve of the global discrete problem; the reference solution."""
-    if asm is None:
-        asm = DGAssembler(mesh, coefficient, gamma0)
-    B = asm.matrix(None, "B").tocsc()
-    F = asm.load(f)
+    B = forms.B.tocsc()
+    F = forms.F
     try:
         lu = spla.splu(B)
     except RuntimeError as exc:
@@ -82,23 +79,24 @@ def l2_error_vs_function(mesh: TriMesh, u: np.ndarray, g, degree: int = 5) -> fl
     return float(np.sqrt(max(val, 0.0)))
 
 
-def energy_error_vs_function(mesh: TriMesh, coefficient, gamma0: float,
-                             u: np.ndarray, grad_g, degree: int = 5) -> float:
+def energy_error_vs_function(asm: DGAssembler, u: np.ndarray, grad_g,
+                             degree: int = 5) -> float:
     """Jump-energy error against a smooth function vanishing on the boundary.
 
     The volume part compares broken gradients by quadrature; since the target
     is continuous and zero on the outer boundary, all face terms reduce to the
     jump seminorm of the dof vector itself.
     """
+    mesh = asm.mesh
     bary, w = triangle_quadrature(degree)
     pts = np.einsum("qa,ead->eqd", bary, mesh.vertices[mesh.elements])
     grad_h = np.einsum("ei,eid->ed", u.reshape(-1, 3), mesh.grads)
     gx, gy = grad_g(pts[..., 0], pts[..., 1])
     dx = grad_h[:, 0, None] - gx
     dy = grad_h[:, 1, None] - gy
-    vol = np.einsum("eq,q->e", dx ** 2 + dy ** 2, w) * coefficient.values
+    vol = np.einsum("eq,q->e", dx ** 2 + dy ** 2, w) * asm.coefficient.values
     val = float(vol @ mesh.areas)
-    faces = DGAssembler(mesh, coefficient, gamma0).matrix(None, "Bplus_faces")
+    faces = asm.matrix(None, "Bplus_faces")
     val += float(u @ (faces @ u))
     return float(np.sqrt(max(val, 0.0)))
 
@@ -130,18 +128,19 @@ def manufactured_convergence(mesh_sizes, gamma0: float) -> ConvergenceRecord:
     hs, l2s, ens = [], [], []
     for n in mesh_sizes:
         mesh = build_structured_mesh(n)
-        coef = coefficient_field(mesh, "constant:1")
-        u = fine_solve(mesh, coef, _sin_rhs, gamma0)
+        forms = GlobalForms(DGAssembler(mesh, coefficient_field(mesh, "constant:1"),
+                                        gamma0), _sin_rhs)
+        u = fine_solve(forms)
         hs.append(mesh.h)
         l2s.append(l2_error_vs_function(mesh, u, _sin_exact))
-        ens.append(energy_error_vs_function(mesh, coef, gamma0, u, _sin_grad))
+        ens.append(energy_error_vs_function(forms.asm, u, _sin_grad))
     return ConvergenceRecord(h=hs, l2_errors=l2s, energy_errors=ens)
 
 
 # -- decay fits ----------------------------------------------------------------
 
-def decay_fit(values, exponent: float):
-    """Least-squares fit of ``log(values[n])`` against ``(n+1)**exponent``.
+def decay_fit(ns, values, exponent: float):
+    """Least-squares fit of ``log(values)`` against ``ns**exponent``.
 
     Returns ``(slope, intercept, r_squared)``; refuses fewer than five values.
     """
@@ -150,11 +149,12 @@ def decay_fit(values, exponent: float):
         raise ValueError(f"need at least 5 values for a decay fit, got {v.size}")
     if np.any(v <= 0) or not np.all(np.isfinite(v)):
         raise ValueError("decay fit requires positive finite values")
-    x = (np.arange(1, v.size + 1, dtype=float)) ** exponent
+    x = np.asarray(ns, dtype=float) ** exponent
     y = np.log(v)
     A = np.stack([x, np.ones_like(x)], axis=1)
-    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - (slope * x + intercept)
+    coeffs, *_ = np.linalg.lstsq(A, y, rcond=None)
+    slope, intercept = coeffs
+    resid = y - A @ coeffs
     ss_res = float(resid @ resid)
     ss_tot = float(((y - y.mean()) ** 2).sum())
     floor = 1e-20 * max(1.0, float(y @ y))
@@ -182,14 +182,15 @@ def annulus_distance(mesh: TriMesh, omega, omega_star) -> float:
     return float(np.sqrt(d2.min()))
 
 
-def caccioppoli_ratios(mesh: TriMesh, coefficient, gamma0: float, omega,
-                       omega_star, n_samples: int, seed: int):
+def caccioppoli_ratios(asm: DGAssembler, omega, omega_star, n_samples: int,
+                       seed: int):
     """Interior-energy over annulus-mass ratios of random harmonic samples.
 
     Samples are harmonic extensions of random layer data.  Returns the ratio
     array and the separation distance; the mesh condition (separation larger
     than three annulus element diameters) is enforced.
     """
+    mesh = asm.mesh
     omega = np.asarray(omega, dtype=np.int64)
     omega_star = np.asarray(omega_star, dtype=np.int64)
     delta = annulus_distance(mesh, omega, omega_star)
@@ -197,17 +198,16 @@ def caccioppoli_ratios(mesh: TriMesh, coefficient, gamma0: float, omega,
     touching = d_plus(mesh, annulus)
     if delta <= 3.0 * mesh.h_T[touching].max():
         raise ValueError("separation too small for the interior energy bound")
-    basis = harmonic_basis(mesh, coefficient, omega_star, gamma0)
+    basis = harmonic_basis(asm, omega_star)
     if basis.shape[1] == 0:
         raise ValueError("oversampling domain has no harmonic layer")
-    asm = DGAssembler(mesh, coefficient, gamma0)
     Bp_omega = asm.matrix(omega, "Bplus")
     mass_ann = asm.matrix(annulus, "mass")
     idx_omega = nested_dofs(omega, omega_star)
     idx_ann = nested_dofs(annulus, omega_star)
     rng = np.random.Generator(np.random.PCG64(seed))
     ratios = np.empty(n_samples)
-    nu_max = float(coefficient.values[omega_star].max())
+    nu_max = float(asm.coefficient.values[omega_star].max())
     for s in range(n_samples):
         u = basis @ rng.standard_normal(basis.shape[1])
         num = float(np.sqrt(max(u[idx_omega] @ (Bp_omega @ u[idx_omega]), 0.0)))
@@ -263,21 +263,25 @@ def _is_boundary_set(mesh: TriMesh, D) -> bool:
     return bool(np.any(np.isin(mesh.bface_elem, D)))
 
 
-def run_property_suite(config) -> SuiteReport:
-    """Structural invariants of every stage, on the configured problem.
+def run_property_suite(problem) -> SuiteReport:
+    """Structural invariants of every stage, on the problem of one run.
 
     Runs mesh bookkeeping, hull and cover checks, operator identities on a
     nested subdomain pair, kernel characterization, partition-of-unity
     checks, harmonicity of one local basis, the interior-energy bound, dense
     positivity checks, and a dense coercivity probe on a mesh-family
-    representative.  Returns a deterministic, JSON-serializable report.
+    representative.  ``problem`` carries the config, mesh, coefficient,
+    decomposition, partition of unity and global forms of the run.  Returns a
+    deterministic, JSON-serializable report.
     """
     checks = []
     t0 = time.time()
-    mesh = build_structured_mesh(config.mesh_n)
-    coef = coefficient_field(mesh, config.coefficient, seed=config.seed)
-    gamma0 = config.gamma0
-    asm = DGAssembler(mesh, coef, gamma0)
+    config = problem.config
+    mesh = problem.mesh
+    coef = problem.coefficient
+    decomp = problem.decomp
+    pou = problem.pou
+    asm = problem.forms.asm
 
     def record(name, ok, witness, skip=False):
         status = "skip" if skip else ("pass" if ok else "fail")
@@ -298,8 +302,6 @@ def run_property_suite(config) -> SuiteReport:
     record("mesh.unit_area", abs(area - 1.0) <= 1e-12, {"area": area})
 
     # decomposition hulls and cover
-    decomp = build_decomposition(mesh, config.grid_m, config.overlap_layers,
-                                 config.oversampling_layers)
     sample = square_block(mesh, 1, min(3, mesh.structured_n),
                           1, min(3, mesh.structured_n))
     dm = d_minus(mesh, sample)
@@ -341,7 +343,7 @@ def run_property_suite(config) -> SuiteReport:
         u = rng.standard_normal(3 * D_star.size)
         ur = restrict(u, D_star, D)
         nonexp_ok = nonexp_ok and float(ur @ (H_D @ ur)) <= float(u @ (H_Ds @ u)) * (1 + 1e-12)
-        a, b = locality_check(mesh, coef, gamma0, u, v, D, D_star)
+        a, b = locality_check(asm, u, v, D, D_star)
         scale = max(abs(a), abs(b), np.sqrt(float(u @ (H_Ds @ u)) * n1))
         loc_err = max(loc_err, abs(a - b) / scale)
     record("space_ops.extension_isometry", iso_err <= 1e-12, {"max_rel_err": iso_err})
@@ -367,7 +369,6 @@ def run_property_suite(config) -> SuiteReport:
     record("dg_forms.kernel_characterization", kernel_ok, witness)
 
     # partition of unity
-    pou = build_pou(mesh, decomp)
     sums = pou.values.sum(axis=0)
     record("space_ops.pou_sum_to_one", float(np.abs(sums - 1.0).max()) <= 1e-14,
            {"max_dev": float(np.abs(sums - 1.0).max())})
@@ -393,7 +394,7 @@ def run_property_suite(config) -> SuiteReport:
 
     # harmonicity of one local basis
     Ds = decomp.omega_star(j_mid)
-    basis = harmonic_basis(mesh, coef, Ds, gamma0)
+    basis = harmonic_basis(asm, Ds)
     if basis.shape[1]:
         A = asm.matrix(Ds, "B")
         H_s = asm.matrix(Ds, "H")
@@ -416,8 +417,7 @@ def run_property_suite(config) -> SuiteReport:
             om = square_block(mesh, lo + ring, lo + s_out - ring,
                               lo + ring, lo + s_out - ring)
             oms = square_block(mesh, lo, lo + s_out, lo, lo + s_out)
-            ratios, delta = caccioppoli_ratios(mesh, coef, gamma0, om, oms,
-                                               20, config.seed + 3)
+            ratios, delta = caccioppoli_ratios(asm, om, oms, 20, config.seed + 3)
             record("local.interior_energy_bound",
                    bool(np.all(np.isfinite(ratios))),
                    {"max_ratio": float(ratios.max()), "delta": delta})
@@ -437,12 +437,15 @@ def run_property_suite(config) -> SuiteReport:
 
     # coercivity probe on a mesh-family representative
     n_probe = min(n, 12)
-    mesh_p = build_structured_mesh(n_probe)
-    try:
-        coef_p = coefficient_field(mesh_p, config.coefficient, seed=config.seed)
-    except ValueError:
-        coef_p = coefficient_field(mesh_p, "constant:1")
-    B_p = DGAssembler(mesh_p, coef_p, gamma0).matrix(None, "B").toarray()
+    if n_probe == n:
+        B_p = problem.forms.B.toarray()
+    else:
+        mesh_p = build_structured_mesh(n_probe)
+        try:
+            coef_p = coefficient_field(mesh_p, config.coefficient, seed=config.seed)
+        except ValueError:
+            coef_p = coefficient_field(mesh_p, "constant:1")
+        B_p = DGAssembler(mesh_p, coef_p, asm.gamma0).matrix(None, "B").toarray()
     min_eig = float(la.eigvalsh(0.5 * (B_p + B_p.T))[0])
     record("dg_forms.coercivity", min_eig > 0.0,
            {"min_eig": min_eig, "probe_mesh": n_probe})

@@ -1,6 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import msgfem.cli
+import msgfem.verification
 from msgfem.cli import main, run, source_function
 from msgfem.config import RunConfig, parse_config, serialize_config
 from msgfem.errors import ConfigError
@@ -190,3 +194,38 @@ def test_runs_do_not_interfere(tmp_path):
         (tmp_path / "x2" / "errors.csv").read_bytes()
     assert (tmp_path / "x" / "errors.csv").read_bytes() != \
         (tmp_path / "y" / "errors.csv").read_bytes()
+
+
+@pytest.mark.parametrize("text", [
+    "coefficient = bogus:1\n",
+    "mesh_n = 8\ngrid_m = 9\n",
+    "mesh_n = 8\ngrid_m = 4\ncoefficient = checkerboard:10:3\n",
+    "mesh_n = 4\ngrid_m = 2\n",
+])
+def test_unbuildable_problem_is_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "o" / "checks.json").exists()
+
+
+def test_checked_run_builds_mesh_decomposition_and_pou_once(tmp_path, monkeypatch):
+    calls = Counter()
+    for name in ("build_structured_mesh", "build_decomposition", "build_pou"):
+        for module in (msgfem.cli, msgfem.verification):
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    # at mesh_n <= 12 the suite's coercivity probe runs on the problem's own mesh
+    cfg = parse_config(SMALL.replace("mesh_n = 16", "mesh_n = 12"))
+    assert cfg.checks
+    assert run(cfg, out_dir=tmp_path) == 0
+    assert calls == {"build_structured_mesh": 1, "build_decomposition": 1,
+                     "build_pou": 1}

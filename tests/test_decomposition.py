@@ -1,10 +1,46 @@
 import numpy as np
 import pytest
 
-from msgfem.decomposition import (build_decomposition, coloring_constant,
-                                  d_minus, d_plus, element_set,
-                                  export_decomposition, grow, square_block)
+from msgfem.decomposition import (build_decomposition, d_minus, d_plus, grow,
+                                  square_block)
 from msgfem.mesh import build_structured_mesh
+
+# (mesh_n, grid_m, oversampling_layers) of the benchmark workloads
+WORKLOAD_GEOMETRIES = [(40, 4, 4), (32, 8, 2), (60, 6, 4)]
+
+
+def vertex_elements(mesh):
+    """Per-vertex lists of incident elements, by a scan of the element table."""
+    v2e = [[] for _ in range(mesh.n_vertices)]
+    for e, tri in enumerate(mesh.elements):
+        for v in tri:
+            v2e[v].append(e)
+    return [np.array(es, dtype=np.int64) for es in v2e]
+
+
+def grow_loop(mesh, v2e, members, layers):
+    """Oracle: rings of vertex neighbours, one incidence slice per vertex."""
+    cur = np.asarray(members, dtype=np.int64)
+    for _ in range(layers):
+        if cur.size == 0 or cur.size == mesh.n_elements:
+            break
+        verts = np.unique(mesh.elements[cur].ravel())
+        cur = np.unique(np.concatenate([v2e[v] for v in verts]))
+    return cur
+
+
+def d_minus_loop(mesh, v2e, members):
+    """Oracle: the members minus one vertex-contact ring of the complement."""
+    members = np.asarray(members, dtype=np.int64)
+    complement = np.setdiff1d(np.arange(mesh.n_elements, dtype=np.int64), members,
+                              assume_unique=True)
+    return np.setdiff1d(members, grow_loop(mesh, v2e, complement, 1),
+                        assume_unique=True)
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def vertex_neighbors_brute(mesh, members):
@@ -22,11 +58,12 @@ def vertex_neighbors_brute(mesh, members):
 def d_minus_brute(mesh, members):
     """Oracle: keep elements whose every vertex-sharing neighbor is a member."""
     member_set = set(np.asarray(members).tolist())
+    v2e = vertex_elements(mesh)
     out = []
     for e in np.asarray(members):
         ok = True
         for v in mesh.elements[e]:
-            for other in mesh.vertex_elements(v):
+            for other in v2e[v]:
                 if int(other) not in member_set:
                     ok = False
         if ok:
@@ -43,7 +80,7 @@ def test_d_plus_trivial_cases():
 
 def test_d_plus_single_interior_element_vs_brute_force():
     mesh = build_structured_mesh(4)
-    D = element_set(mesh, [2 * (1 * 4 + 1)])  # lower triangle of cell (1, 1)
+    D = np.array([2 * (1 * 4 + 1)], dtype=np.int64)  # lower triangle of cell (1, 1)
     assert np.array_equal(d_plus(mesh, D), vertex_neighbors_brute(mesh, D))
     assert d_plus(mesh, D).size > D.size
 
@@ -52,7 +89,7 @@ def test_d_minus_trivial_cases():
     mesh = build_structured_mesh(4)
     everything = np.arange(mesh.n_elements)
     assert np.array_equal(d_minus(mesh, everything), everything)
-    interior_single = element_set(mesh, [2 * (4 + 1)])
+    interior_single = np.array([2 * (4 + 1)], dtype=np.int64)
     assert d_minus(mesh, interior_single).size == 0
 
 
@@ -110,8 +147,11 @@ def test_m2_decomposition_against_bfs_oracle():
 def test_coloring_constant_four_quadrants():
     mesh = build_structured_mesh(16)
     decomp = build_decomposition(mesh, 2, 2, 4)
-    omegas = [decomp.omega(j) for j in range(4)]
-    assert coloring_constant(mesh, omegas) == 4
+    # the largest number of subdomains holding any one element
+    count = np.zeros(mesh.n_elements, dtype=np.int64)
+    for j in range(4):
+        count[decomp.omega(j)] += 1
+    assert count.max() == 4
 
 
 def test_shrunk_subdomains_still_cover():
@@ -144,22 +184,6 @@ def test_overlap_swallowing_mesh_rejected():
         build_decomposition(mesh, 2, 6, 1)
 
 
-def test_element_set_validation():
-    mesh = build_structured_mesh(2)
-    assert np.array_equal(element_set(mesh, [3, 1, 1]), [1, 3])
-    with pytest.raises(ValueError):
-        element_set(mesh, [99])
-
-
-def test_export_two_lines_per_subdomain():
-    mesh = build_structured_mesh(8)
-    decomp = build_decomposition(mesh, 2, 2, 2)
-    lines = export_decomposition(decomp).strip().split("\n")
-    assert len(lines) == 2 * decomp.n_subdomains
-    first = np.array([int(t) for t in lines[0].split()])
-    assert np.array_equal(first, decomp.omega(0))
-
-
 def test_grow_is_monotone_and_idempotent_at_full_cover():
     mesh = build_structured_mesh(8)
     D = square_block(mesh, 3, 5, 3, 5)
@@ -167,3 +191,22 @@ def test_grow_is_monotone_and_idempotent_at_full_cover():
     g2 = grow(mesh, D, 2)
     assert np.all(np.isin(g1, g2))
     assert grow(mesh, np.arange(mesh.n_elements), 3).size == mesh.n_elements
+
+
+@pytest.mark.parametrize("n,m,ls", WORKLOAD_GEOMETRIES + [(8, 2, 2), (16, 2, 4), (16, 4, 2)])
+def test_hulls_match_per_vertex_loop_on_every_subdomain(n, m, ls):
+    mesh = build_structured_mesh(n)
+    v2e = vertex_elements(mesh)
+    decomp = build_decomposition(mesh, m, 2, ls)
+    cuts = np.rint(np.arange(m + 1) * n / m).astype(np.int64)
+    for j in range(decomp.n_subdomains):
+        gy, gx = divmod(j, m)
+        cell = square_block(mesh, cuts[gx], cuts[gx + 1], cuts[gy], cuts[gy + 1])
+        omega, omega_star = decomp.omega(j), decomp.omega_star(j)
+        assert_same_array(omega, grow_loop(mesh, v2e, cell, 2))
+        assert_same_array(omega_star, grow_loop(mesh, v2e, omega, ls))
+        for D in (cell, omega, omega_star):
+            assert_same_array(d_plus(mesh, D), grow_loop(mesh, v2e, D, 1))
+            inner = d_minus(mesh, D)
+            assert_same_array(inner, d_minus_loop(mesh, v2e, D))
+            assert_same_array(d_minus(mesh, inner), d_minus_loop(mesh, v2e, inner))

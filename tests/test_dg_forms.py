@@ -3,14 +3,52 @@ import pytest
 import scipy.linalg as la
 
 from msgfem.decomposition import square_block
-from msgfem.dg_forms import (DGAssembler, DofMap, assemble_B, assemble_Bplus,
-                             assemble_H, assemble_load, energy_norm,
-                             export_matrix, gamma_sq, subdomain_dofs,
-                             weighted_avg_weights)
-from msgfem.mesh import (Coefficient, TriMesh, build_structured_mesh,
-                         coefficient_field, face_data)
+from msgfem.dg_forms import DGAssembler, subdomain_dofs
+from msgfem.mesh import Coefficient, TriMesh, build_structured_mesh, coefficient_field
 
 G0 = np.sqrt(10.0)
+
+
+# -- scalar oracles of the per-face data the assembler vectorizes ---------------
+
+def gamma_sq(nu_1, nu_2, h_F, gamma0):
+    """Weighted penalty coefficient ``(gamma0^2/h_F) * 2 nu_1 nu_2 / (nu_1 + nu_2)``."""
+    if nu_1 <= 0 or nu_2 <= 0 or h_F <= 0 or gamma0 <= 0:
+        raise ValueError("penalty inputs must be positive")
+    return (gamma0 * gamma0 / h_F) * 2.0 * nu_1 * nu_2 / (nu_1 + nu_2)
+
+
+def weighted_avg_weights(nu_1, nu_2):
+    """Coefficient-weighted average weights ``(2 nu_2, 2 nu_1) / (nu_1 + nu_2)``."""
+    if nu_1 <= 0 or nu_2 <= 0:
+        raise ValueError("coefficient values must be positive")
+    s = nu_1 + nu_2
+    return 2.0 * nu_2 / s, 2.0 * nu_1 / s
+
+
+def face_data(mesh, coefficient, kind, k):
+    """Per-face ``(nu_1, nu_2, h_F, normal)``; side 1 is the smaller element.
+
+    Boundary faces repeat their single element's coefficient value.
+    """
+    if kind == "interior":
+        e1, e2 = mesh.iface_elems[k]
+        return (float(coefficient.values[e1]), float(coefficient.values[e2]),
+                float(mesh.iface_h[k]), mesh.iface_normal[k].copy())
+    e = mesh.bface_elem[k]
+    nu = float(coefficient.values[e])
+    return nu, nu, float(mesh.bface_h[k]), mesh.bface_normal[k].copy()
+
+
+def quad(M, u, v=None):
+    """Form value ``v^T M u`` (``v`` defaults to ``u``)."""
+    return float((u if v is None else v) @ (M @ u))
+
+
+def norm(M, u):
+    val = quad(M, u)
+    assert val >= -1e-10
+    return float(np.sqrt(max(val, 0.0)))
 
 
 def test_gamma_sq_values_and_symmetry():
@@ -34,14 +72,14 @@ def test_weighted_avg_weights():
 def test_constant_energy_equals_boundary_penalty_sum():
     mesh = build_structured_mesh(2)
     coef = coefficient_field(mesh, "constant:1")
-    B = assemble_B(mesh, coef, None, G0)
-    ones = np.ones(B.matrix.shape[0])
+    B = DGAssembler(mesh, coef, G0).matrix(None, "B")
+    ones = np.ones(B.shape[0])
     oracle = 0.0
     for k in range(mesh.n_boundary_faces):
         nu1, nu2, hF, _ = face_data(mesh, coef, "boundary", k)
         oracle += 2.0 * gamma_sq(nu1, nu2, hF, G0) * hF
-    assert B.quad(ones) == pytest.approx(oracle, rel=1e-13)
-    assert B.quad(ones) == pytest.approx(16.0 * G0 ** 2, rel=1e-13)
+    assert quad(B, ones) == pytest.approx(oracle, rel=1e-13)
+    assert quad(B, ones) == pytest.approx(16.0 * G0 ** 2, rel=1e-13)
 
 
 def test_assembled_matrix_is_symmetric():
@@ -56,23 +94,28 @@ def test_coefficient_scaling_is_exact_for_powers_of_two():
     mesh = build_structured_mesh(4)
     coef = coefficient_field(mesh, "checkerboard:100:2")
     D = square_block(mesh, 0, 3, 1, 4)
-    B1 = assemble_B(mesh, coef, D, G0).matrix
-    B2 = assemble_B(mesh, Coefficient.from_values(2.0 * coef.values), D, G0).matrix
+
+    def form(values):
+        return DGAssembler(mesh, Coefficient.from_values(values), G0).matrix(D, "B")
+
+    B1 = form(coef.values)
+    B2 = form(2.0 * coef.values)
     assert np.abs((B2 - 2.0 * B1)).max() == 0.0
-    B3 = assemble_B(mesh, Coefficient.from_values(3.0 * coef.values), D, G0).matrix
+    B3 = form(3.0 * coef.values)
     assert np.abs((B3 - 3.0 * B1)).max() <= 1e-14 * np.abs(B3).max()
 
 
 def test_bplus_kernel_dichotomy():
     mesh = build_structured_mesh(8)
     coef = coefficient_field(mesh, "checkerboard:10000:2")
+    asm = DGAssembler(mesh, coef, G0)
     interior = square_block(mesh, 2, 6, 2, 6)
-    Bp = assemble_Bplus(mesh, coef, interior, G0)
-    ones = np.ones(Bp.matrix.shape[0])
-    assert np.abs(Bp.matrix @ ones).max() <= 1e-12 * coef.nu_max
+    Bp = asm.matrix(interior, "Bplus")
+    ones = np.ones(Bp.shape[0])
+    assert np.abs(Bp @ ones).max() <= 1e-12 * coef.nu_max
     boundary = square_block(mesh, 0, 4, 0, 4)
-    Bpb = assemble_Bplus(mesh, coef, boundary, G0)
-    assert Bpb.quad(np.ones(Bpb.matrix.shape[0])) > 0.0
+    Bpb = asm.matrix(boundary, "Bplus")
+    assert quad(Bpb, np.ones(Bpb.shape[0])) > 0.0
 
 
 def test_bplus_positive_semidefinite_dense():
@@ -81,7 +124,7 @@ def test_bplus_positive_semidefinite_dense():
     rng = np.random.default_rng(1)
     for _ in range(3):
         picks = np.unique(rng.integers(0, mesh.n_elements, size=30))
-        Bp = assemble_Bplus(mesh, coef, picks, G0).matrix.toarray()
+        Bp = DGAssembler(mesh, coef, G0).matrix(picks, "Bplus").toarray()
         assert la.eigvalsh(0.5 * (Bp + Bp.T))[0] >= -1e-12 * coef.nu_max
 
 
@@ -105,32 +148,36 @@ def test_energy_norm_identities():
     mesh = build_structured_mesh(8)
     coef = coefficient_field(mesh, "constant:2")
     D = square_block(mesh, 2, 6, 2, 6)
+    asm = DGAssembler(mesh, coef, G0)
+    Bp, H, mass = (asm.matrix(D, kind) for kind in ("Bplus", "H", "mass"))
     nd = 3 * D.size
-    assert energy_norm(mesh, coef, np.zeros(nd), D, "Bplus", G0) == 0.0
+    assert norm(Bp, np.zeros(nd)) == 0.0
     c = 3.0 * np.ones(nd)
     area = mesh.areas[D].sum()
-    assert energy_norm(mesh, coef, c, D, "Bplus", G0) <= 1e-6
-    assert energy_norm(mesh, coef, c, D, "L2", G0) == pytest.approx(3.0 * np.sqrt(area))
+    assert norm(Bp, c) <= 1e-6
+    assert norm(mass, c) == pytest.approx(3.0 * np.sqrt(area))
     rng = np.random.default_rng(2)
     u = rng.standard_normal(nd)
-    nb = energy_norm(mesh, coef, u, D, "Bplus", G0)
-    nl = energy_norm(mesh, coef, u, D, "L2", G0)
-    nh = energy_norm(mesh, coef, u, D, "H", G0)
+    nb = norm(Bp, u)
+    nl = norm(mass, u)
+    nh = norm(H, u)
     assert nh ** 2 == pytest.approx(nb ** 2 + nl ** 2, rel=1e-12)
     with pytest.raises(ValueError):
-        energy_norm(mesh, coef, u, D, "bogus", G0)
+        asm.matrix(D, "bogus")
 
 
 def test_load_trivial_and_moments():
     mesh = build_structured_mesh(4)
     D = square_block(mesh, 1, 3, 1, 3)
-    assert np.all(assemble_load(mesh, 0.0, D) == 0.0)
-    F = assemble_load(mesh, 1.0, D)
+    asm = DGAssembler(mesh, coefficient_field(mesh, "constant:1"), G0)
+    assert np.all(asm.load(0.0, D) == 0.0)
+    F = asm.load(1.0, D)
     assert F.sum() == pytest.approx(mesh.areas[D].sum(), rel=1e-13)
     # closed-form moments of f = x on the reference triangle:
     # against the vertex functions at (0,0), (1,0), (0,1)
     ref = TriMesh.from_arrays([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-    Fx = assemble_load(ref, lambda x, y: x, None, degree=2)
+    ref_asm = DGAssembler(ref, Coefficient.from_values([1.0]), G0)
+    Fx = ref_asm.load(lambda x, y: x, None, degree=2)
     assert Fx == pytest.approx([1 / 24, 1 / 12, 1 / 24], rel=1e-13)
 
 
@@ -244,26 +291,14 @@ def test_empty_subdomain_rejected():
     mesh = build_structured_mesh(2)
     coef = coefficient_field(mesh, "constant:1")
     with pytest.raises(ValueError):
-        assemble_B(mesh, coef, np.array([], dtype=np.int64), G0)
+        DGAssembler(mesh, coef, G0).matrix(np.array([], dtype=np.int64), "B")
     with pytest.raises(ValueError):
         DGAssembler(mesh, coef, G0).matrix(None, "bogus")
 
 
 def test_dofmap_and_subdomain_dofs():
     mesh = build_structured_mesh(2)
-    dm = DofMap(mesh.n_elements)
-    assert dm.total == 3 * mesh.n_elements
-    assert np.array_equal(dm.element_dofs(3), [9, 10, 11])
+    # element e owns the global dofs 3e, 3e+1, 3e+2
+    assert subdomain_dofs(np.arange(mesh.n_elements)).size == 3 * mesh.n_elements
+    assert np.array_equal(subdomain_dofs([3]), [9, 10, 11])
     assert np.array_equal(subdomain_dofs([1, 4]), [3, 4, 5, 12, 13, 14])
-
-
-def test_matrix_export_round_trip():
-    mesh = build_structured_mesh(2)
-    coef = coefficient_field(mesh, "constant:1")
-    form = assemble_H(mesh, coef, None, G0)
-    text = export_matrix(form)
-    rebuilt = np.zeros(form.matrix.shape)
-    for line in text.strip().split("\n"):
-        r, c, v = line.split()
-        rebuilt[int(r), int(c)] += float(v)
-    assert np.abs(rebuilt - form.matrix.toarray()).max() == 0.0

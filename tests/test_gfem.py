@@ -31,9 +31,8 @@ def problem():
     decomp = build_decomposition(mesh, 2, 2, 4)
     pou = build_pou(mesh, decomp)
     locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0)
-    asm = DGAssembler(mesh, coef, G0)
-    forms = GlobalForms(asm, source_one)
-    u_fine = fine_solve(mesh, coef, source_one, G0, asm=asm)
+    forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
+    u_fine = fine_solve(forms)
     return mesh, coef, decomp, pou, locals_, forms, u_fine
 
 
@@ -102,13 +101,12 @@ def test_single_subdomain_particular_is_exact():
     decomp = build_decomposition(mesh, 1, 2, 2)
     pou = build_pou(mesh, decomp)
     locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0)
-    asm = DGAssembler(mesh, coef, G0)
-    [sol] = solve_msgfem(mesh, decomp, pou, locals_, GlobalForms(asm, source_one),
-                         [("fixed", 0)])
+    forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
+    [sol] = solve_msgfem(mesh, decomp, pou, locals_, forms, [("fixed", 0)])
     assert sol.coarse.n_total == 0
     assert np.all(sol.u_s == 0.0)
-    u_fine = fine_solve(mesh, coef, source_one, G0)
-    H = asm.matrix(None, "H")
+    u_fine = fine_solve(forms)
+    H = forms.H
     diff = sol.u_G - u_fine
     rel = np.sqrt(diff @ (H @ diff)) / np.sqrt(u_fine @ (H @ u_fine))
     assert rel <= 1e-10
@@ -169,7 +167,7 @@ def test_enlarging_coarse_space_never_hurts(problem):
 
 def test_error_report_trivial_and_surrogate(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    rep = error_report(forms.asm, u_fine, u_fine, 0.123)
+    rep = error_report(forms, u_fine, u_fine, 0.123)
     assert rep.bplus_error == 0.0 and rep.l2_error == 0.0
     assert rep.rel_bplus_error == 0.0 and rep.rel_l2_error == 0.0
     assert rep.max_sqrt_lambda_next == 0.123
@@ -183,7 +181,9 @@ def test_error_report_trivial_and_surrogate(problem):
 def test_error_report_reuses_norms_bit_for_bit(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     u = u_fine + np.linspace(-1e-3, 1e-3, u_fine.size)
-    assert error_report(forms, u, u_fine, 0.5) == error_report(forms.asm, u, u_fine, 0.5)
+    fresh = GlobalForms(forms.asm, source_one)
+    assert error_report(forms, u, u_fine, 0.5) == error_report(fresh, u, u_fine, 0.5)
+    assert forms.Bplus is forms.Bplus and forms.mass is forms.mass
 
 
 def test_dependent_columns_are_dropped(problem):

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from msgfem.mesh import (Coefficient, TriMesh, build_structured_mesh,
-                         coefficient_field, export_coefficient, export_mesh,
-                         face_data)
+from msgfem.mesh import Coefficient, TriMesh, build_structured_mesh, coefficient_field
 
 
 def euler_characteristic(mesh):
@@ -125,16 +123,17 @@ def test_face_data_conventions():
     vals = np.full(mesh.n_elements, 3.0)
     vals[mesh.iface_elems[0, 1]] = 4.0
     coef = Coefficient.from_values(vals)
-    nu1, nu2, hF, nrm = face_data(mesh, coef, "interior", 0)
+    # side 1 of an interior face is its smaller element, carrying the normal
     e1, e2 = mesh.iface_elems[0]
-    assert (nu1, nu2) == (coef.values[e1], coef.values[e2])
+    assert e1 < e2
+    assert (coef.values[e1], coef.values[e2]) == (3.0, 4.0)
+    nrm = mesh.iface_normal[0]
     assert abs(np.linalg.norm(nrm) - 1.0) <= 1e-14
     # normal points from element 1 towards element 2
     c1 = mesh.vertices[mesh.elements[e1]].mean(axis=0)
     c2 = mesh.vertices[mesh.elements[e2]].mean(axis=0)
     assert nrm @ (c2 - c1) > 0
-    bnu1, bnu2, bh, bnrm = face_data(mesh, coef, "boundary", 0)
-    assert bnu1 == bnu2 == coef.values[mesh.bface_elem[0]]
+    bnrm = mesh.bface_normal[0]
     assert abs(np.linalg.norm(bnrm) - 1.0) <= 1e-14
 
 
@@ -151,28 +150,6 @@ def test_boundary_normals_point_out_of_square():
     outward = mids + 1e-3 * mesh.bface_normal
     inside = ((outward >= 0) & (outward <= 1)).all(axis=1)
     assert not inside.any()
-
-
-def test_mesh_export_format():
-    mesh = build_structured_mesh(2)
-    text = export_mesh(mesh)
-    lines = text.strip().split("\n")
-    assert lines[0] == f"vertices {mesh.n_vertices}"
-    assert lines[1 + mesh.n_vertices] == f"elements {mesh.n_elements}"
-    total = (2 + mesh.n_vertices + mesh.n_elements + 1
-             + mesh.n_interior_faces + 1 + mesh.n_boundary_faces)
-    assert len(lines) == total
-    # element records are three 0-based indices
-    first_elem = lines[2 + mesh.n_vertices].split()
-    assert [int(v) for v in first_elem] == list(mesh.elements[0])
-
-
-def test_coefficient_export_one_value_per_line():
-    mesh = build_structured_mesh(2)
-    coef = coefficient_field(mesh, "constant:2.5")
-    lines = export_coefficient(coef).strip().split("\n")
-    assert len(lines) == mesh.n_elements
-    assert all(float(s) == 2.5 for s in lines)
 
 
 def test_from_arrays_reference_triangle():

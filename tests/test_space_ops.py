@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from msgfem.decomposition import (Decomposition, build_decomposition, d_minus,
                                   grow, square_block)
 from msgfem.dg_forms import DGAssembler, subdomain_dofs
 from msgfem.mesh import build_structured_mesh, coefficient_field
-from msgfem.space_ops import (build_pou, export_pou, extend_by_zero, h0_dofs,
+from msgfem.space_ops import (build_pou, extend_by_zero, h0_dofs,
                               interpolate_product, locality_check, pou_blend,
                               restrict)
 
@@ -98,11 +99,11 @@ def test_locality_identity(setting):
     H_Ds = asm.matrix(D_star, "H")
     zero = np.zeros(3 * D.size)
     u = rng.standard_normal(3 * D_star.size)
-    assert locality_check(mesh, coef, G0, u, zero, D, D_star) == (0.0, 0.0)
+    assert locality_check(asm, u, zero, D, D_star) == (0.0, 0.0)
     for _ in range(100):
         v = random_h0_vector(mesh, D, rng)
         u = rng.standard_normal(3 * D_star.size)
-        a, b = locality_check(mesh, coef, G0, u, v, D, D_star)
+        a, b = locality_check(asm, u, v, D, D_star)
         scale = max(abs(a), abs(b),
                     np.sqrt(float(u @ (H_Ds @ u)) * float(v @ (H_D @ v))))
         assert abs(a - b) <= 1e-12 * scale
@@ -113,7 +114,7 @@ def test_locality_constant_on_interior_set(setting):
     rng = np.random.default_rng(5)
     v = random_h0_vector(mesh, D, rng)
     u = np.ones(3 * D_star.size)
-    a, b = locality_check(mesh, coef, G0, u, v, D, D_star)
+    a, b = locality_check(DGAssembler(mesh, coef, G0), u, v, D, D_star)
     # constants are in the kernel on interior sets, so both numbers vanish
     assert abs(a) <= 1e-10 and abs(b) <= 1e-10
 
@@ -221,16 +222,6 @@ def test_pou_blend_single_subdomain_identity():
     assert np.array_equal(pou_blend(mesh, decomp, pou, [u]), u)
 
 
-def test_pou_export_line_per_subdomain():
-    mesh = build_structured_mesh(8)
-    decomp = build_decomposition(mesh, 2, 2, 2)
-    pou = build_pou(mesh, decomp)
-    lines = export_pou(pou).strip().split("\n")
-    assert len(lines) == 4
-    row = np.array([float(t) for t in lines[0].split()])
-    assert np.array_equal(row, pou.values[0])
-
-
 def test_contact_band_faces_vanish_from_both_norms(setting):
     # vectors living only on the shrunk-hull elements that touch the contact
     # layer exercise exactly the faces one form has and the other does not
@@ -250,3 +241,61 @@ def test_contact_band_faces_vanish_from_both_norms(setting):
         n1 = float(v @ (H_D @ v))
         n2 = float(ev @ (H_Ds @ ev))
         assert abs(n1 - n2) <= 1e-12 * n1
+
+
+def vertex_graph_distance(mesh, sources):
+    """Oracle: breadth-first search over vertex fronts through incident elements."""
+    v2e = [[] for _ in range(mesh.n_vertices)]
+    for e, tri in enumerate(mesh.elements):
+        for v in tri:
+            v2e[v].append(e)
+    dist = np.full(mesh.n_vertices, np.inf)
+    dist[sources] = 0.0
+    frontier = sources
+    level = 0
+    while frontier.size:
+        level += 1
+        elems = np.unique(np.concatenate([v2e[v] for v in frontier]))
+        cand = np.unique(mesh.elements[elems].ravel())
+        new = cand[np.isinf(dist[cand])]
+        dist[new] = level
+        frontier = new
+    return dist
+
+
+def pou_by_search(mesh, decomp):
+    """Oracle: the distance-graded weights, distances by breadth-first search."""
+    raw = np.zeros((decomp.n_subdomains, mesh.n_vertices))
+    for j in range(decomp.n_subdomains):
+        inner = d_minus(mesh, decomp.omega(j))
+        outside = np.setdiff1d(np.arange(mesh.n_elements), inner)
+        if outside.size == 0:
+            raw[j] = 1.0
+            continue
+        dist = vertex_graph_distance(mesh, np.unique(mesh.elements[outside]))
+        core = d_minus(mesh, inner)
+        cap = max(float(dist[np.unique(mesh.elements[core])].min()), 1.0) if core.size else 1.0
+        raw[j] = np.minimum(dist, cap) / cap
+    return raw / raw.sum(axis=0)
+
+
+@pytest.mark.parametrize("n,m,ls", [(40, 4, 4), (32, 8, 2), (60, 6, 4),
+                                    (8, 1, 2), (8, 2, 2), (16, 2, 4)])
+def test_pou_distances_match_breadth_first_search(n, m, ls):
+    mesh = build_structured_mesh(n)
+    decomp = build_decomposition(mesh, m, 2, ls)
+    adjacency = (mesh.incidence.T @ mesh.incidence).tocsr()
+    for j in range(decomp.n_subdomains):
+        inner = d_minus(mesh, decomp.omega(j))
+        outside = np.setdiff1d(np.arange(mesh.n_elements), inner)
+        if outside.size == 0:
+            continue
+        forbidden = np.unique(mesh.elements[outside])
+        fast = dijkstra(adjacency, indices=forbidden, unweighted=True, min_only=True)
+        slow = vertex_graph_distance(mesh, forbidden)
+        assert fast.dtype == slow.dtype
+        assert np.array_equal(fast, slow)
+    pou = build_pou(mesh, decomp)
+    want = pou_by_search(mesh, decomp)
+    assert pou.values.dtype == want.dtype
+    assert np.array_equal(pou.values, want)

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from msgfem.cli import build_problem
 from msgfem.config import RunConfig, parse_config
 from msgfem.decomposition import square_block
+from msgfem.dg_forms import DGAssembler
 from msgfem.errors import ConfigError, SolverError
+from msgfem.gfem import GlobalForms
 from msgfem.mesh import build_structured_mesh, coefficient_field
 from msgfem.verification import (annulus_distance, caccioppoli_ratios,
                                  decay_fit, fine_solve,
@@ -17,7 +20,7 @@ G0 = np.sqrt(10.0)
 def test_zero_source_zero_solution():
     mesh = build_structured_mesh(4)
     coef = coefficient_field(mesh, "constant:1")
-    u = fine_solve(mesh, coef, 0.0, G0)
+    u = fine_solve(GlobalForms(DGAssembler(mesh, coef, G0), 0.0))
     assert np.all(u == 0.0)
 
 
@@ -29,11 +32,10 @@ def test_manufactured_rates_reach_theory():
 
 
 def test_global_residual_contract_unit_contrast():
-    from msgfem.dg_forms import DGAssembler
     mesh = build_structured_mesh(16)
     coef = coefficient_field(mesh, "constant:1")
     asm = DGAssembler(mesh, coef, G0)
-    u = fine_solve(mesh, coef, lambda x, y: np.ones_like(x), G0, asm=asm)
+    u = fine_solve(GlobalForms(asm, lambda x, y: np.ones_like(x)))
     B = asm.matrix(None, "B")
     F = asm.load(1.0)
     assert np.linalg.norm(B @ u - F) <= 1e-10 * np.linalg.norm(F)
@@ -47,23 +49,23 @@ def test_solver_error_type_names_the_penalty():
 
 def test_decay_fit_exact_exponential():
     n = np.arange(1, 21)
-    slope, intercept, r2 = decay_fit(np.exp(-np.sqrt(n)), 0.5)
+    slope, intercept, r2 = decay_fit(n, np.exp(-np.sqrt(n)), 0.5)
     assert slope == pytest.approx(-1.0, abs=1e-10)
     assert intercept == pytest.approx(0.0, abs=1e-10)
     assert r2 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_decay_fit_constant_sequence():
-    slope, _, r2 = decay_fit(np.full(8, 2.5), 0.5)
+    slope, _, r2 = decay_fit(np.arange(1, 9), np.full(8, 2.5), 0.5)
     assert slope == pytest.approx(0.0, abs=1e-12)
     assert r2 == 1.0
 
 
 def test_decay_fit_input_validation():
     with pytest.raises(ValueError):
-        decay_fit([1.0, 0.5, 0.25, 0.125], 0.5)
+        decay_fit(np.arange(1, 5), [1.0, 0.5, 0.25, 0.125], 0.5)
     with pytest.raises(ValueError):
-        decay_fit([1.0, 0.5, 0.0, 0.1, 0.2], 0.5)
+        decay_fit(np.arange(1, 6), [1.0, 0.5, 0.0, 0.1, 0.2], 0.5)
 
 
 def test_caccioppoli_ratios_finite_and_guarded():
@@ -71,12 +73,12 @@ def test_caccioppoli_ratios_finite_and_guarded():
     coef = coefficient_field(mesh, "constant:1")
     om = square_block(mesh, 13, 19, 13, 19)
     oms = square_block(mesh, 8, 24, 8, 24)
-    ratios, delta = caccioppoli_ratios(mesh, coef, G0, om, oms, 10, 0)
+    asm = DGAssembler(mesh, coef, G0)
+    ratios, delta = caccioppoli_ratios(asm, om, oms, 10, 0)
     assert np.all(np.isfinite(ratios)) and np.all(ratios > 0)
     assert delta == pytest.approx(5 / 32)
     with pytest.raises(ValueError, match="separation"):
-        caccioppoli_ratios(mesh, coef, G0, square_block(mesh, 9, 23, 9, 23),
-                           oms, 5, 0)
+        caccioppoli_ratios(asm, square_block(mesh, 9, 23, 9, 23), oms, 5, 0)
 
 
 def test_annulus_distance_block_geometry():
@@ -97,7 +99,7 @@ def small_config(**overrides):
 
 
 def test_property_suite_passes_on_healthy_config():
-    report = run_property_suite(small_config())
+    report = run_property_suite(build_problem(small_config()))
     assert report.ok, report.first_failure
     names = [c.name for c in report.checks]
     for expected in ("mesh.euler_formula", "decomposition.shrunk_cover",
@@ -112,7 +114,7 @@ def test_property_suite_passes_on_healthy_config():
 
 
 def test_property_suite_flags_tiny_penalty():
-    report = run_property_suite(small_config(gamma0_sq=1e-4))
+    report = run_property_suite(build_problem(small_config(gamma0_sq=1e-4)))
     assert not report.ok
     assert report.first_failure is not None
     failing = [c.name for c in report.checks if c.status == "fail"]
@@ -125,8 +127,8 @@ def test_zero_overlap_rejected_at_parse_time():
 
 
 def test_suite_runs_interior_energy_bound_on_larger_meshes():
-    report = run_property_suite(small_config(mesh_n=32, grid_m=2,
-                                             coefficient="constant:1"))
+    report = run_property_suite(build_problem(small_config(
+        mesh_n=32, grid_m=2, coefficient="constant:1")))
     assert report.ok
     by_name = {c.name: c for c in report.checks}
     assert by_name["local.interior_energy_bound"].status == "pass"
