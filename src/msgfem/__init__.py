@@ -8,12 +8,10 @@ from .errors import CoercivityError, ConfigError, MeshError, SolverError
 from .gfem import (CoarseSpace, GlobalForms, MSGFEMSolution, assemble_coarse,
                    error_report, solve_coarse, solve_msgfem)
 from .local_problems import (LocalSpectralData, compute_local_data,
-                             eigenproblem, harmonic_basis, particular_solution,
-                             select_coarse)
+                             eigenproblem, particular_solution, select_coarse)
 from .mesh import Coefficient, TriMesh, build_structured_mesh, coefficient_field
 from .space_ops import (PartitionOfUnity, build_pou, extend_by_zero, h0_dofs,
-                        interpolate_product, locality_check, pou_blend,
-                        restrict)
+                        interpolate_product, pou_blend, restrict)
 from .verification import (ConvergenceRecord, decay_fit, fine_solve,
                            manufactured_convergence, run_property_suite)
 

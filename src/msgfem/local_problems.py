@@ -1,4 +1,4 @@
-"""Per-subdomain solves: source problem, harmonic basis, spectral coarse modes.
+"""Per-subdomain solves: the masked local system, then the spectral coarse modes.
 
 Everything here happens on one oversampling domain at a time and is
 independent across subdomains, so the driver can fan the work out to a
@@ -22,7 +22,6 @@ from .space_ops import PartitionOfUnity, h0_dofs, restrict
 __all__ = [
     "LocalSpectralData",
     "particular_solution",
-    "harmonic_basis",
     "eigenproblem",
     "select_coarse",
     "compute_local_data",
@@ -61,90 +60,77 @@ def scaled_residual(A, x, b) -> float:
 
     Relative to the right-hand side alone the double-precision floor grows
     with the condition number, which high-contrast coefficients reach; the
-    scaled form stays near machine precision for any healthy solve.
+    scaled form stays near machine precision for any healthy solve.  Matrix
+    right-hand sides are measured column by column and the worst is returned.
     """
-    bn = np.linalg.norm(b)
-    if bn == 0.0 and np.linalg.norm(x) == 0.0:
-        return 0.0
+    num = np.linalg.norm(A @ x - b, axis=0)
     a_inf = float(np.abs(A).sum(axis=1).max())
-    return float(np.linalg.norm(A @ x - b) / (bn + a_inf * np.linalg.norm(x)))
+    den = np.linalg.norm(b, axis=0) + a_inf * np.linalg.norm(x, axis=0)
+    return float(np.max(np.divide(num, den, out=np.zeros_like(num), where=den > 0),
+                        initial=0.0))
 
 
-def lu_solve_refined(lu, A, b, max_refine: int = 3):
-    """LU solve with iterative refinement; handles matrix right-hand sides.
+def solve_checked(lu, A, b, name: str):
+    """LU solve with iterative refinement, then the residual contract.
 
     High-contrast coefficients push plain sparse LU residuals above the
-    solver contract, and one or two refinement sweeps fix that.
+    contract, and one or two refinement sweeps fix that.  Handles matrix
+    right-hand sides; raises :class:`SolverError` naming the ``name`` solve
+    when the scaled residual exceeds the tolerance.
     """
-    x = lu.solve(b)
     bn = np.linalg.norm(b)
     if bn == 0.0:
         return np.zeros_like(b)
-    for _ in range(max_refine):
+    x = lu.solve(b)
+    for _ in range(3):
         r = b - A @ x
         if np.linalg.norm(r) <= 1e-14 * bn:
             break
         x = x + lu.solve(r)
+    res = scaled_residual(A, x, b)
+    if res > _RESIDUAL_TOL:
+        raise SolverError(f"{name} residual {res:.3e} exceeds tolerance")
     return x
 
 
-def _masked_solve(A, b, free):
-    """Solve the form restricted to the free dofs, zero elsewhere."""
-    Aff = A[np.ix_(free, free)].tocsc()
-    try:
-        lu = spla.splu(Aff)
-    except RuntimeError as exc:
-        raise SolverError(
-            "local system is singular; check the face convention or the "
-            "penalty parameter") from exc
-    x = np.zeros(A.shape[0])
-    x[free] = lu_solve_refined(lu, Aff, b[free])
-    res = scaled_residual(Aff, x[free], b[free])
-    if res > _RESIDUAL_TOL:
-        raise SolverError(f"local solve residual {res:.3e} exceeds tolerance")
-    return x, lu
+def particular_solution(asm: DGAssembler, f, omega, omega_star):
+    """Local source solution and harmonic basis of one oversampling domain.
 
+    Both come from the form on ``omega_star`` restricted to its masked
+    subspace, which imposes the zero contact-layer values and the weak
+    outer-boundary condition; the masked block is assembled and factored
+    once.  Returns ``(particular, basis)``:
 
-def particular_solution(asm: DGAssembler, f, omega, omega_star) -> np.ndarray:
-    """Local source solution on the oversampling domain, restricted back.
-
-    The form on the oversampling domain is solved on its masked subspace
-    (which imposes the zero contact-layer values and the weak outer-boundary
-    condition) and the solution is then cut down to the overlap subdomain.
-    """
-    A = asm.matrix(omega_star, "B")
-    b = asm.load(f, omega_star)
-    free = h0_dofs(asm.mesh, omega_star)
-    psi, _ = _masked_solve(A, b, free)
-    return restrict(psi, omega_star, omega)
-
-
-def harmonic_basis(asm: DGAssembler, omega_star) -> np.ndarray:
-    """Column basis of the locally harmonic space of an oversampling domain.
-
-    One column per layer dof (a dof of an element in the contact layer): the
-    column carries a canonical unit value there and the discrete harmonic
-    extension onto the masked interior, obtained from an interior block solve
-    with the coupling column as right-hand side.  The span is exactly the
-    space of vectors whose form residual vanishes against every masked dof.
+    - ``basis`` spans the locally harmonic space, one column per layer dof
+      (a dof of an element in the contact layer).  The column carries a
+      canonical unit value there and the discrete harmonic extension onto
+      the masked interior, solved with the coupling column as right-hand
+      side, so the span is exactly the space of vectors whose form residual
+      vanishes against every masked dof.
+    - ``particular`` is the masked solution for the source ``f``, cut down
+      to the overlap subdomain ``omega``.
     """
     omega_star = np.asarray(omega_star, dtype=np.int64)
     ndof = 3 * omega_star.size
     free = h0_dofs(asm.mesh, omega_star)
     layer = np.setdiff1d(np.arange(ndof), free, assume_unique=True)
     basis = np.zeros((ndof, layer.size))
-    if layer.size == 0:
-        return basis
     A = asm.matrix(omega_star, "B").tocsc()
     Aff = A[np.ix_(free, free)].tocsc()
     Afl = A[np.ix_(free, layer)]
+    del A
     try:
         lu = spla.splu(Aff)
     except RuntimeError as exc:
-        raise SolverError("interior block of the local form is singular") from exc
+        raise SolverError(
+            "local system is singular; check the face convention or the "
+            "penalty parameter") from exc
     basis[layer, np.arange(layer.size)] = 1.0
-    basis[free, :] = lu_solve_refined(lu, Aff, -Afl.toarray())
-    return basis
+    basis[free, :] = solve_checked(lu, Aff, -Afl.toarray(), "local harmonic basis")
+    del Afl
+    psi = np.zeros(ndof)
+    psi[free] = solve_checked(lu, Aff, asm.load(f, omega_star)[free], "local source")
+    return restrict(psi, omega_star, omega), basis
 
 
 def _deflated_pencil(A: np.ndarray, M: np.ndarray, kernel_rtol: float = 1e-10):
@@ -248,8 +234,7 @@ def compute_local_data(mesh: TriMesh, coefficient, f, decomp: Decomposition,
     def one(j: int) -> LocalSpectralData:
         omega = decomp.omega(j)
         omega_star = decomp.omega_star(j)
-        up = particular_solution(asm, f, omega, omega_star)
-        basis = harmonic_basis(asm, omega_star)
+        up, basis = particular_solution(asm, f, omega, omega_star)
         values, vectors = eigenproblem(asm, pou, j, omega, omega_star, basis)
         return LocalSpectralData(j=j, particular=up, harmonic_basis=basis,
                                  eigenvalues=values, eigenvectors=vectors)

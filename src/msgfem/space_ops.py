@@ -25,7 +25,6 @@ __all__ = [
     "build_pou",
     "interpolate_product",
     "pou_blend",
-    "locality_check",
 ]
 
 
@@ -151,16 +150,3 @@ def pou_blend(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
         out[subdomain_dofs(omega)] += loc
     return out
 
-
-def locality_check(asm: DGAssembler, u_star: np.ndarray, v: np.ndarray, D, D_star):
-    """Evaluate the subdomain form against the enclosing form on a masked vector.
-
-    Returns the pair ``(B_D(u|_D, v), B_{D*}(u, E v))`` computed through two
-    separate assemblies; the two numbers agree because the masked vector
-    kills every face contribution that only one of the forms contains.
-    """
-    u_D = restrict(u_star, D_star, D)
-    a = float(v @ (asm.matrix(D, "B") @ u_D))
-    ev = extend_by_zero(asm.mesh, v, D, D_star)
-    b = float(ev @ (asm.matrix(D_star, "B") @ u_star))
-    return a, b

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import msgfem.local_problems as local_problems
 from msgfem.decomposition import build_decomposition, d_minus
 from msgfem.dg_forms import DGAssembler, nested_dofs
+from msgfem.errors import SolverError
 from msgfem.gfem import GlobalForms
 from msgfem.local_problems import (LocalSpectralData, compute_local_data,
                                    eigenproblem, export_eigenvalues,
-                                   harmonic_basis, particular_solution,
-                                   select_coarse)
+                                   particular_solution, select_coarse)
 from msgfem.mesh import Coefficient, build_structured_mesh, coefficient_field
-from msgfem.space_ops import PartitionOfUnity, build_pou, h0_dofs
+from msgfem.space_ops import PartitionOfUnity, build_pou, h0_dofs, restrict
 from msgfem.verification import decay_fit, fine_solve
 
 G0 = np.sqrt(10.0)
@@ -29,16 +30,111 @@ def source_one(x, y):
     return np.ones_like(x)
 
 
+def harmonic_basis(asm, omega_star):
+    """The harmonic basis of an oversampling domain, with a zero source."""
+    return particular_solution(asm, 0.0, omega_star, omega_star)[1]
+
+
 def eigen(mesh, coef, pou, j, omega, omega_star):
     """The spectral problem of one subdomain on its own harmonic basis."""
     asm = DGAssembler(mesh, coef, G0)
     return eigenproblem(asm, pou, j, omega, omega_star, harmonic_basis(asm, omega_star))
 
 
+# -- oracles: the separate source solve and harmonic basis this module replaced
+
+def _oracle_refined(lu, A, b):
+    x = lu.solve(b)
+    bn = np.linalg.norm(b)
+    if bn == 0.0:
+        return np.zeros_like(b)
+    for _ in range(3):
+        r = b - A @ x
+        if np.linalg.norm(r) <= 1e-14 * bn:
+            break
+        x = x + lu.solve(r)
+    return x
+
+
+def _oracle_particular(asm, f, omega, omega_star):
+    A = asm.matrix(omega_star, "B")
+    b = asm.load(f, omega_star)
+    free = h0_dofs(asm.mesh, omega_star)
+    Aff = A[np.ix_(free, free)].tocsc()
+    x = np.zeros(A.shape[0])
+    x[free] = _oracle_refined(spla.splu(Aff), Aff, b[free])
+    return restrict(x, omega_star, omega)
+
+
+def _oracle_harmonic_basis(asm, omega_star):
+    ndof = 3 * omega_star.size
+    free = h0_dofs(asm.mesh, omega_star)
+    layer = np.setdiff1d(np.arange(ndof), free, assume_unique=True)
+    basis = np.zeros((ndof, layer.size))
+    A = asm.matrix(omega_star, "B").tocsc()
+    Aff = A[np.ix_(free, free)].tocsc()
+    basis[layer, np.arange(layer.size)] = 1.0
+    basis[free, :] = _oracle_refined(spla.splu(Aff), Aff,
+                                     -A[np.ix_(free, layer)].toarray())
+    return basis
+
+
+def _assert_matches_oracles(asm, decomp, results=None):
+    for j in range(decomp.n_subdomains):
+        om, oms = decomp.omega(j), decomp.omega_star(j)
+        up, basis = results[j] if results else particular_solution(asm, source_one, om, oms)
+        assert np.array_equal(up, _oracle_particular(asm, source_one, om, oms))
+        assert np.array_equal(basis, _oracle_harmonic_basis(asm, oms))
+
+
+def test_one_factorization_matches_separate_solves_bit_for_bit(setting):
+    mesh, coef, decomp, pou = setting
+    _assert_matches_oracles(DGAssembler(mesh, coef, G0), decomp)
+    rough = coefficient_field(mesh, "log_uniform:1e-3:1e3", seed=0)
+    _assert_matches_oracles(DGAssembler(mesh, rough, G0), decomp)
+    threaded = compute_local_data(mesh, rough, source_one, decomp, pou, G0, threads=2)
+    _assert_matches_oracles(DGAssembler(mesh, rough, G0), decomp,
+                            [(d.particular, d.harmonic_basis) for d in threaded])
+
+
+def test_compute_local_data_factors_once_per_subdomain(setting, monkeypatch):
+    mesh, coef, decomp, pou = setting
+    calls = []
+    splu = local_problems.spla.splu
+
+    def counting(A):
+        calls.append(A.shape)
+        return splu(A)
+
+    monkeypatch.setattr(local_problems.spla, "splu", counting)
+    compute_local_data(mesh, coef, source_one, decomp, pou, G0)
+    assert len(calls) == decomp.n_subdomains
+
+
+class _DoctoredLU:
+    """Solves vectors exactly but offsets every matrix right-hand side."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, b):
+        x = self._lu.solve(b)
+        return x + 1.0 if x.ndim == 2 else x
+
+
+def test_basis_solve_residual_is_checked(setting, monkeypatch):
+    mesh, coef, decomp, _ = setting
+    splu = local_problems.spla.splu
+    monkeypatch.setattr(local_problems.spla, "splu", lambda A: _DoctoredLU(splu(A)))
+    with pytest.raises(SolverError, match="local harmonic basis residual"):
+        particular_solution(DGAssembler(mesh, coef, G0), source_one,
+                            decomp.omega(0), decomp.omega_star(0))
+
+
 def test_zero_source_gives_zero_solution(setting):
     mesh, coef, decomp, _ = setting
-    up = particular_solution(DGAssembler(mesh, coef, G0), 0.0, decomp.omega(0),
-                             decomp.omega_star(0))
+    up, _ = particular_solution(DGAssembler(mesh, coef, G0), 0.0, decomp.omega(0),
+                                decomp.omega_star(0))
     assert np.all(up == 0.0)
 
 
@@ -47,8 +143,8 @@ def test_single_subdomain_particular_equals_fine_solve():
     coef = coefficient_field(mesh, "checkerboard:100:2")
     decomp = build_decomposition(mesh, 1, 2, 2)
     forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
-    up = particular_solution(forms.asm, source_one, decomp.omega(0),
-                             decomp.omega_star(0))
+    up, _ = particular_solution(forms.asm, source_one, decomp.omega(0),
+                                decomp.omega_star(0))
     u = fine_solve(forms)
     assert np.abs(up - u).max() <= 1e-12 * np.abs(u).max()
 
@@ -64,7 +160,7 @@ def test_masked_system_residual_contract(setting):
     b = asm.load(source_one, oms)
     free = h0_dofs(mesh, oms)
     psi = np.zeros(3 * oms.size)
-    psi[nested_dofs(om, oms)] = particular_solution(asm, source_one, om, oms)
+    psi[nested_dofs(om, oms)] = particular_solution(asm, source_one, om, oms)[0]
     # reconstruct the full masked solution for the residual check
     Aff = A[np.ix_(free, free)].tocsc()
     x = spla.splu(Aff).solve(b[free])

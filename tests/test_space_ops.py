@@ -7,8 +7,7 @@ from msgfem.decomposition import (Decomposition, build_decomposition, d_minus,
 from msgfem.dg_forms import DGAssembler, subdomain_dofs
 from msgfem.mesh import build_structured_mesh, coefficient_field
 from msgfem.space_ops import (build_pou, extend_by_zero, h0_dofs,
-                              interpolate_product, locality_check, pou_blend,
-                              restrict)
+                              interpolate_product, pou_blend, restrict)
 
 G0 = np.sqrt(10.0)
 
@@ -20,6 +19,13 @@ def setting():
     D = square_block(mesh, 4, 9, 4, 9)
     D_star = grow(mesh, D, 3)
     return mesh, coef, D, D_star
+
+
+def locality_check(asm, u_star, v, D, D_star):
+    """``(B_D(u|_D, v), B_{D*}(u, E v))`` through two separate assemblies."""
+    a = float(v @ (asm.matrix(D, "B") @ restrict(u_star, D_star, D)))
+    ev = extend_by_zero(asm.mesh, v, D, D_star)
+    return a, float(ev @ (asm.matrix(D_star, "B") @ u_star))
 
 
 def random_h0_vector(mesh, D, rng):
