@@ -36,6 +36,8 @@ def source_function(spec: str):
         if len(parts) != 2:
             raise ConfigError("source constant:c needs one value")
         c = float(parts[1])
+        if not np.isfinite(c):
+            raise ConfigError(f"source value must be finite, got {parts[1]}")
         return lambda x, y: np.full_like(np.asarray(x, dtype=float), c)
     if parts[0] == "sine" and len(parts) == 1:
         return lambda x, y: 2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -119,15 +121,15 @@ def run(config: RunConfig, out_dir=None, checks_only: bool = False) -> int:
 def _pipeline(problem: Problem, out: Path, t0: float) -> int:
     config, mesh, decomp, pou = problem.config, problem.mesh, problem.decomp, problem.pou
     forms = problem.forms
+    rules = config.sweep_values()
     locals_ = compute_local_data(mesh, problem.coefficient, problem.f, decomp, pou,
-                                 config.gamma0, threads=config.threads)
+                                 config.gamma0, rules, threads=config.threads)
     (out / "eigenvalues.csv").write_text(export_eigenvalues(locals_))
     u_fine = fine_solve(forms)
 
     rows = []
     rel_errors = []
     sweep_ns = []
-    rules = config.sweep_values()
     for rule, sol in zip(rules, solve_msgfem(mesh, decomp, pou, locals_, forms, rules)):
         rep = error_report(forms, sol.u_G, u_fine, sol.max_sqrt_lambda_next)
         coarse = sol.coarse

@@ -33,8 +33,8 @@ def _positive(key, text, where):
         v = float(text)
     except ValueError as exc:
         raise ConfigError(f"{where}{key} must be a number") from exc
-    if v <= 0:
-        raise ConfigError(f"{where}{key} must be positive")
+    if not 0 < v < np.inf:
+        raise ConfigError(f"{where}{key} must be positive and finite")
     return v
 
 
@@ -58,8 +58,8 @@ def _rule(key, text, where):
         tau = float(parts[1])
     except ValueError as exc:
         raise ConfigError(f"{where}threshold rule needs a number") from exc
-    if tau < 0:
-        raise ConfigError(f"{where}threshold must be >= 0")
+    if not 0 <= tau < np.inf:
+        raise ConfigError(f"{where}threshold must be finite and >= 0")
     return ("threshold", tau)
 
 

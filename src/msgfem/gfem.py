@@ -2,16 +2,17 @@
 
 The local spectral data of all subdomains is blended through the partition
 of unity into global vectors: the particular parts sum into one source
-approximation, and each selected local mode becomes one coarse basis column.
+approximation, and each kept local mode becomes one coarse basis column.
 The coarse correction is the Galerkin solution of the full form on that
 column span against the source residual.
 
-A sweep builds its columns once, for its largest selection, and reduces
-them straight from the sparse basis to small dense Galerkin data.  Each
-sweep point then takes the index subset of its modes, rank-filters that
-subset on its own Gram block and solves on it.  An entry of a sparse Gram
-product depends only on its own two columns, so every point solves, bit
-for bit, the system that a build of just its columns would give.
+A sweep builds its columns once, from the modes the local stage kept for
+its largest selection, and reduces them straight from the sparse basis to
+small dense Galerkin data.  Each sweep point then takes the index subset
+of its modes, rank-filters that subset on its own Gram block and solves on
+it.  An entry of a sparse Gram product depends only on its own two
+columns, so every point solves, bit for bit, the system that a build of
+just its columns would give.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .dg_forms import DGAssembler, subdomain_dofs
 from .errors import CoercivityError, SolverError
 from .local_problems import select_coarse
 from .mesh import TriMesh
-from .space_ops import PartitionOfUnity, interpolate_product, pou_blend, restrict
+from .space_ops import PartitionOfUnity, interpolate_product, pou_blend
 
 __all__ = [
     "GlobalForms",
@@ -125,49 +126,35 @@ class MSGFEMSolution:
         return self.u_p + self.u_s
 
 
-def _blend_column(mesh, pou, j, omega, vec):
-    col = interpolate_product(mesh, pou.values[j], vec, omega)
-    rows = subdomain_dofs(omega)
-    keep = col != 0.0
-    return rows[keep], col[keep]
-
-
 def assemble_coarse(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
-                    locals_: list, rule, B, F: np.ndarray, H):
-    """Blend the particular parts and the selected modes into global vectors.
+                    locals_: list, B, F: np.ndarray, H):
+    """Blend the particular parts and the kept local modes into global vectors.
 
-    Builds one column per mode that ``rule`` selects and reduces the columns
+    Builds one column per mode each subdomain kept and reduces the columns
     to their Galerkin data in the forms ``B`` (with load ``F``) and ``H``.
     Returns the coarse space and the global particular vector.  Columns that
     are numerically dependent on earlier ones in the ``H`` inner product are
     dropped and recorded; this only triggers when eigenvalue clusters
     concentrate on overlaps.
     """
-    n_sel = np.array([select_coarse(data, rule) for data in locals_], dtype=np.int64)
+    n_sel = np.array([data.modes.shape[1] for data in locals_], dtype=np.int64)
     ndof = 3 * mesh.n_elements
     u_p = pou_blend(mesh, decomp, pou, [d.particular for d in locals_])
 
-    rows_all, cols_all, data_all, offsets = [], [], [], []
-    col = 0
-    for data, n_j in zip(locals_, n_sel):
+    rows, cols, vals, offsets = [], [], [], []
+    for data in locals_:
         omega = decomp.omega(data.j)
-        omega_star = decomp.omega_star(data.j)
-        for k in range(n_j):
-            phi_star = data.harmonic_basis @ data.eigenvectors[:, k]
-            phi = restrict(phi_star, omega_star, omega)
-            r, v = _blend_column(mesh, pou, data.j, omega, phi)
-            rows_all.append(r)
-            cols_all.append(np.full(r.size, col, dtype=np.int64))
-            data_all.append(v)
-            offsets.append((data.j, k))
-            col += 1
-    if col:
-        basis = sp.coo_matrix(
-            (np.concatenate(data_all),
-             (np.concatenate(rows_all), np.concatenate(cols_all))),
-            shape=(ndof, col)).tocsc()
-    else:
-        basis = sp.csc_matrix((ndof, 0))
+        # row k is mode k weighted by the partition of unity
+        blended = interpolate_product(mesh, pou.values[data.j], data.modes.T, omega)
+        k, r = np.nonzero(blended)
+        rows.append(subdomain_dofs(omega)[r])
+        cols.append(len(offsets) + k)
+        vals.append(blended[k, r])
+        offsets += [(data.j, i) for i in range(blended.shape[0])]
+    col = len(offsets)
+    basis = sp.coo_matrix((np.concatenate(vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(ndof, col)).tocsc()
     offsets = np.array(offsets, dtype=np.int64).reshape(col, 2)
 
     G = (basis.T @ (B @ basis)).toarray()
@@ -308,26 +295,16 @@ def max_sqrt_lambda_next(locals_: list, coarse: CoarseSpace) -> float:
     return worst
 
 
-def _largest_rule(rules: list):
-    if all(kind == "fixed" for kind, _ in rules):
-        return ("fixed", max(n for _, n in rules))
-    if len(rules) == 1:
-        return rules[0]
-    raise ValueError("a sweep is a list of fixed rules or a single rule")
-
-
 def solve_msgfem(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
                  locals_: list, forms: GlobalForms, rules) -> list:
     """Assemble the coarse space once and solve it at every sweep point.
 
     ``rules`` is a list of ``("fixed", n)`` rules or a single rule of any
-    kind.  The columns are assembled for the largest rule, which first checks
-    that every subdomain has the modes it asks for; every point is then solved
-    on its subset of them.  Returns one solution per rule.
+    kind.  The columns are assembled from the modes ``locals_`` kept, and
+    every point is solved on its subset of them; a point that asks for more
+    modes than a subdomain kept raises.  Returns one solution per rule.
     """
-    rules = list(rules)
-    coarse, u_p = assemble_coarse(mesh, decomp, pou, locals_, _largest_rule(rules),
-                                  forms.B, forms.F, forms.H)
+    coarse, u_p = assemble_coarse(mesh, decomp, pou, locals_, forms.B, forms.F, forms.H)
     solutions = []
     for rule in rules:
         space, u_s = solve_coarse(coarse, [select_coarse(d, rule) for d in locals_])

@@ -35,24 +35,20 @@ _RESIDUAL_TOL = 1e-10
 class LocalSpectralData:
     """Everything the global stage needs from one subdomain.
 
-    ``eigenvalues`` are sorted descending with kernel modes reported as
-    ``inf`` and listed first; ``eigenvectors`` holds one coefficient column
-    per mode against ``harmonic_basis``.
+    ``eigenvalues`` lists every mode, sorted descending, with kernel modes
+    reported as ``inf`` and listed first.  ``modes`` holds the selected
+    leading modes alone, one dof column on ``omega_j`` per mode; the local
+    approximation space is ``particular`` plus their span.
     """
 
     j: int
     particular: np.ndarray      # dof vector on omega_j
-    harmonic_basis: np.ndarray  # (ndof(omega_star_j), n_layer_dofs)
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray    # (n_layer_dofs, n_modes)
+    modes: np.ndarray           # (ndof(omega_j), n_kept)
 
     @property
     def n_modes(self) -> int:
         return self.eigenvalues.size
-
-    @property
-    def n_kernel(self) -> int:
-        return int(np.sum(np.isinf(self.eigenvalues)))
 
 
 def scaled_residual(A, x, b) -> float:
@@ -207,8 +203,8 @@ def eigenproblem(asm: DGAssembler, pou: PartitionOfUnity, j: int, omega, omega_s
 def select_coarse(data: LocalSpectralData, rule) -> int:
     """Number of leading modes chosen by a ``("fixed", n)`` or ``("threshold", tau)`` rule.
 
-    Kernel modes always count first; a fixed count beyond the available modes
-    is a configuration error that names the subdomain.
+    Kernel modes (``inf``) always count first; a fixed count beyond the
+    available modes is a configuration error that names the subdomain.
     """
     kind, value = rule
     if kind == "fixed":
@@ -216,19 +212,32 @@ def select_coarse(data: LocalSpectralData, rule) -> int:
         if n < 0 or n > data.n_modes:
             raise ConfigError(f"requested {n} coarse modes, but subdomain "
                               f"{data.j} has only {data.n_modes}")
-        return max(n, 0)
+        return n
     if kind == "threshold":
-        tau = float(value)
-        finite = data.eigenvalues[np.isfinite(data.eigenvalues)]
-        return data.n_kernel + int(np.sum(np.sqrt(np.maximum(finite, 0.0)) >= tau))
+        return int(np.sum(np.sqrt(np.maximum(data.eigenvalues, 0.0)) >= float(value)))
     raise ValueError(f"unknown coarse selection rule {kind!r}")
 
 
-def compute_local_data(mesh: TriMesh, coefficient, f, decomp: Decomposition,
-                       pou: PartitionOfUnity, gamma0: float,
-                       threads: int = 1) -> list:
-    """Run all per-subdomain stages; results are ordered by subdomain index."""
+def _largest_rule(rules: list):
+    """The rule of a sweep that selects the most modes on every subdomain."""
+    if all(kind == "fixed" for kind, _ in rules):
+        return ("fixed", max(n for _, n in rules))
+    if len(rules) == 1:
+        return rules[0]
+    raise ValueError("a sweep is a list of fixed rules or a single rule")
 
+
+def compute_local_data(mesh: TriMesh, coefficient, f, decomp: Decomposition,
+                       pou: PartitionOfUnity, gamma0: float, rules,
+                       threads: int = 1) -> list:
+    """Run all per-subdomain stages; results are ordered by subdomain index.
+
+    ``rules`` is the run's sweep, as :func:`msgfem.gfem.solve_msgfem` takes
+    it.  Each subdomain keeps every eigenvalue and the modes of the sweep's
+    largest rule on its overlap subdomain; the dense basis and pencil
+    vectors it computed them from are dropped when its worker returns.
+    """
+    rule = _largest_rule(list(rules))
     asm = DGAssembler(mesh, coefficient, gamma0)
 
     def one(j: int) -> LocalSpectralData:
@@ -236,8 +245,13 @@ def compute_local_data(mesh: TriMesh, coefficient, f, decomp: Decomposition,
         omega_star = decomp.omega_star(j)
         up, basis = particular_solution(asm, f, omega, omega_star)
         values, vectors = eigenproblem(asm, pou, j, omega, omega_star, basis)
-        return LocalSpectralData(j=j, particular=up, harmonic_basis=basis,
-                                 eigenvalues=values, eigenvectors=vectors)
+        data = LocalSpectralData(j=j, particular=up, eigenvalues=values,
+                                 modes=np.empty((up.size, 0)))
+        data.modes = np.empty((up.size, select_coarse(data, rule)))
+        # one matrix-vector product per mode: a matrix product may round differently
+        for k in range(data.modes.shape[1]):
+            data.modes[:, k] = restrict(basis @ vectors[:, k], omega_star, omega)
+        return data
 
     if threads <= 1:
         return [one(j) for j in range(decomp.n_subdomains)]

@@ -276,8 +276,8 @@ def coefficient_field(mesh: TriMesh, spec: str, seed: int = 0) -> Coefficient:
 
     def positive(x, name):
         v = float(x)
-        if v <= 0.0:
-            raise ValueError(f"{name} must be positive, got {x}")
+        if not 0.0 < v < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {x}")
         return v
 
     if kind == "constant":

@@ -128,6 +128,7 @@ def interpolate_product(mesh: TriMesh, chi_vertex_values: np.ndarray,
 
     Every dof of ``u`` is scaled by the weight's value at its vertex, which is
     exactly the vertexwise Lagrange interpolant of the (quadratic) product.
+    Rows of a two-dimensional ``u`` are weighted one by one.
     """
     D = np.asarray(D, dtype=np.int64)
     chi_dof = chi_vertex_values[mesh.elements[D]].ravel()

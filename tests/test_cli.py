@@ -201,6 +201,12 @@ def test_runs_do_not_interfere(tmp_path):
     "mesh_n = 8\ngrid_m = 9\n",
     "mesh_n = 8\ngrid_m = 4\ncoefficient = checkerboard:10:3\n",
     "mesh_n = 4\ngrid_m = 2\n",
+    "coarse_rule = threshold:nan\n",
+    "gamma0_sq = nan\n",
+    "coefficient = constant:inf\n",
+    "coefficient = checkerboard:inf:2\n",
+    "coefficient = log_uniform:1e-3:inf\n",
+    "source = constant:nan\n",
 ])
 def test_unbuildable_problem_is_config_error(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"

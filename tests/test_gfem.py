@@ -1,5 +1,6 @@
 import copy
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from msgfem.gfem import (GlobalForms, _independent_columns, assemble_coarse,
                          solve_msgfem)
 from msgfem.local_problems import compute_local_data, select_coarse
 from msgfem.mesh import build_structured_mesh, coefficient_field
-from msgfem.space_ops import build_pou, interpolate_product, pou_blend, restrict
+from msgfem.space_ops import build_pou, interpolate_product, pou_blend
 from msgfem.verification import fine_solve
 
 G0 = np.sqrt(10.0)
@@ -30,17 +31,21 @@ def problem():
     coef = coefficient_field(mesh, "checkerboard:100:2")
     decomp = build_decomposition(mesh, 2, 2, 4)
     pou = build_pou(mesh, decomp)
-    locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0)
+    locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0, [("fixed", 8)])
     forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
     u_fine = fine_solve(forms)
     return mesh, coef, decomp, pou, locals_, forms, u_fine
 
 
+def _kept(locals_, rule):
+    """Local data as the local stage keeps it for ``rule``: its leading modes."""
+    return [replace(d, modes=d.modes[:, :select_coarse(d, rule)]) for d in locals_]
+
+
 def _doctored(locals_):
     """Local data whose mode 1 on subdomain 0 repeats its mode 0."""
     first = copy.deepcopy(locals_[0])
-    first.eigenvectors = first.eigenvectors.copy()
-    first.eigenvectors[:, 1] = first.eigenvectors[:, 0]
+    first.modes[:, 1] = first.modes[:, 0]
     return [first] + list(locals_[1:])
 
 
@@ -72,9 +77,7 @@ def _oracle_point(mesh, decomp, pou, locals_, rule, B, F, H):
     for data in locals_:
         omega = decomp.omega(data.j)
         for k in range(select_coarse(data, rule)):
-            phi_star = data.harmonic_basis @ data.eigenvectors[:, k]
-            phi = restrict(phi_star, decomp.omega_star(data.j), omega)
-            col = interpolate_product(mesh, pou.values[data.j], phi, omega)
+            col = interpolate_product(mesh, pou.values[data.j], data.modes[:, k], omega)
             nz = col != 0.0
             rows.append(subdomain_dofs(omega)[nz])
             cols.append(np.full(int(nz.sum()), len(offsets), dtype=np.int64))
@@ -100,7 +103,7 @@ def test_single_subdomain_particular_is_exact():
     coef = coefficient_field(mesh, "checkerboard:100:2")
     decomp = build_decomposition(mesh, 1, 2, 2)
     pou = build_pou(mesh, decomp)
-    locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0)
+    locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0, [("fixed", 0)])
     forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
     [sol] = solve_msgfem(mesh, decomp, pou, locals_, forms, [("fixed", 0)])
     assert sol.coarse.n_total == 0
@@ -114,7 +117,7 @@ def test_single_subdomain_particular_is_exact():
 
 def test_empty_selection_returns_particular(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, u_p = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 0),
+    coarse, u_p = assemble_coarse(mesh, decomp, pou, _kept(locals_, ("fixed", 0)),
                                   forms.B, forms.F, forms.H)
     assert coarse.n_total == 0
     _, u_s = solve_coarse(coarse, coarse.n_j)
@@ -124,7 +127,7 @@ def test_empty_selection_returns_particular(problem):
 
 def test_coarse_columns_supported_on_their_subdomain(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, _ = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 3),
+    coarse, _ = assemble_coarse(mesh, decomp, pou, _kept(locals_, ("fixed", 3)),
                                 forms.B, forms.F, forms.H)
     dense = coarse.basis.toarray()
     for col, (j, _k) in enumerate(coarse.offsets):
@@ -139,7 +142,7 @@ def test_zero_data_gives_zero_correction(problem):
     quiet = [copy.copy(d) for d in locals_]
     for d in quiet:
         d.particular = np.zeros_like(d.particular)
-    coarse, u_p = assemble_coarse(mesh, decomp, pou, quiet, ("fixed", 2),
+    coarse, u_p = assemble_coarse(mesh, decomp, pou, _kept(quiet, ("fixed", 2)),
                                   forms.B, np.zeros_like(forms.F), forms.H)
     assert np.all(u_p == 0.0)
     _, u_s = solve_coarse(coarse, coarse.n_j)
@@ -148,7 +151,7 @@ def test_zero_data_gives_zero_correction(problem):
 
 def test_reduced_system_is_symmetric(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, _ = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 4),
+    coarse, _ = assemble_coarse(mesh, decomp, pou, _kept(locals_, ("fixed", 4)),
                                 forms.B, forms.F, forms.H)
     G = (coarse.basis.T @ (forms.B @ coarse.basis)).toarray()
     assert np.abs(G - G.T).max() <= 1e-13 * np.abs(G).max()
@@ -171,7 +174,7 @@ def test_error_report_trivial_and_surrogate(problem):
     assert rep.bplus_error == 0.0 and rep.l2_error == 0.0
     assert rep.rel_bplus_error == 0.0 and rep.rel_l2_error == 0.0
     assert rep.max_sqrt_lambda_next == 0.123
-    coarse, _ = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 2),
+    coarse, _ = assemble_coarse(mesh, decomp, pou, _kept(locals_, ("fixed", 2)),
                                 forms.B, forms.F, forms.H)
     surrogate = max_sqrt_lambda_next(locals_, coarse)
     oracle = max(np.sqrt(d.eigenvalues[2]) for d in locals_)
@@ -189,8 +192,9 @@ def test_error_report_reuses_norms_bit_for_bit(problem):
 def test_dependent_columns_are_dropped(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     with pytest.warns(UserWarning, match="dependent coarse"):
-        coarse, _ = assemble_coarse(mesh, decomp, pou, _doctored(locals_),
-                                    ("fixed", 2), forms.B, forms.F, forms.H)
+        coarse, _ = assemble_coarse(mesh, decomp, pou,
+                                    _doctored(_kept(locals_, ("fixed", 2))),
+                                    forms.B, forms.F, forms.H)
     assert len(coarse.dropped) == 1
     assert coarse.dropped[0] == (0, 1)
     assert coarse.n_total == 2 * decomp.n_subdomains - 1
@@ -198,7 +202,7 @@ def test_dependent_columns_are_dropped(problem):
 
 def test_indefinite_form_reported_as_coercivity_failure(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, _ = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 3),
+    coarse, _ = assemble_coarse(mesh, decomp, pou, _kept(locals_, ("fixed", 3)),
                                 -forms.H, forms.F, forms.H)
     with pytest.raises(CoercivityError):
         solve_coarse(coarse, coarse.n_j)
@@ -206,7 +210,8 @@ def test_indefinite_form_reported_as_coercivity_failure(problem):
 
 def test_solution_container_consistency(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    [sol] = solve_msgfem(mesh, decomp, pou, locals_, forms, [("fixed", 3)])
+    [sol] = solve_msgfem(mesh, decomp, pou, _kept(locals_, ("fixed", 3)), forms,
+                         [("fixed", 3)])
     assert np.array_equal(sol.u_G, sol.u_p + sol.u_s)
     rep = error_report(forms, sol.u_G, u_fine, sol.max_sqrt_lambda_next)
     assert rep.rel_bplus_error < 0.2
@@ -230,14 +235,16 @@ def test_one_pass_sweep_matches_per_point_oracle(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     rules = [("fixed", n) for n in (1, 2, 3, 4)]
     _assert_matches_oracle(problem, locals_, rules,
-                           solve_msgfem(mesh, decomp, pou, locals_, forms, rules))
+                           solve_msgfem(mesh, decomp, pou, _kept(locals_, rules[-1]),
+                                        forms, rules))
     for tau in (0.05, 0.2):
         rule = ("threshold", tau)
         _assert_matches_oracle(problem, locals_, [rule],
-                               solve_msgfem(mesh, decomp, pou, locals_, forms, [rule]))
+                               solve_msgfem(mesh, decomp, pou, _kept(locals_, rule),
+                                            forms, [rule]))
     # uneven threshold selections ([4, 3, 3, 4] and [3, 2, 2, 3]) as subsets
     # of one fixed build
-    coarse, _ = assemble_coarse(mesh, decomp, pou, locals_, ("fixed", 4),
+    coarse, _ = assemble_coarse(mesh, decomp, pou, _kept(locals_, ("fixed", 4)),
                                 forms.B, forms.F, forms.H)
     for tau in (0.05, 0.2):
         rule = ("threshold", tau)
@@ -253,7 +260,7 @@ def test_one_pass_sweep_matches_per_point_oracle(problem):
 
 def test_duplicate_column_dropped_at_exactly_the_points_holding_it(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    doctored = _doctored(locals_)
+    doctored = _doctored(_kept(locals_, ("fixed", 4)))
     rules = [("fixed", n) for n in (1, 2, 3, 4)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

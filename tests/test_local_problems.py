@@ -6,7 +6,7 @@ import msgfem.local_problems as local_problems
 from msgfem.decomposition import build_decomposition, d_minus
 from msgfem.dg_forms import DGAssembler, nested_dofs
 from msgfem.errors import SolverError
-from msgfem.gfem import GlobalForms
+from msgfem.gfem import GlobalForms, solve_msgfem
 from msgfem.local_problems import (LocalSpectralData, compute_local_data,
                                    eigenproblem, export_eigenvalues,
                                    particular_solution, select_coarse)
@@ -15,6 +15,7 @@ from msgfem.space_ops import PartitionOfUnity, build_pou, h0_dofs, restrict
 from msgfem.verification import decay_fit, fine_solve
 
 G0 = np.sqrt(10.0)
+FIXED = [("fixed", 4)]
 
 
 @pytest.fixture(scope="module")
@@ -79,10 +80,16 @@ def _oracle_harmonic_basis(asm, omega_star):
     return basis
 
 
-def _assert_matches_oracles(asm, decomp, results=None):
+def _modes(asm, pou, j, omega, omega_star, basis, n):
+    """The first ``n`` modes on ``omega``, one matrix-vector product each."""
+    _, vectors = eigenproblem(asm, pou, j, omega, omega_star, basis)
+    return [restrict(basis @ vectors[:, k], omega_star, omega) for k in range(n)]
+
+
+def _assert_matches_oracles(asm, decomp):
     for j in range(decomp.n_subdomains):
         om, oms = decomp.omega(j), decomp.omega_star(j)
-        up, basis = results[j] if results else particular_solution(asm, source_one, om, oms)
+        up, basis = particular_solution(asm, source_one, om, oms)
         assert np.array_equal(up, _oracle_particular(asm, source_one, om, oms))
         assert np.array_equal(basis, _oracle_harmonic_basis(asm, oms))
 
@@ -91,10 +98,57 @@ def test_one_factorization_matches_separate_solves_bit_for_bit(setting):
     mesh, coef, decomp, pou = setting
     _assert_matches_oracles(DGAssembler(mesh, coef, G0), decomp)
     rough = coefficient_field(mesh, "log_uniform:1e-3:1e3", seed=0)
-    _assert_matches_oracles(DGAssembler(mesh, rough, G0), decomp)
-    threaded = compute_local_data(mesh, rough, source_one, decomp, pou, G0, threads=2)
-    _assert_matches_oracles(DGAssembler(mesh, rough, G0), decomp,
-                            [(d.particular, d.harmonic_basis) for d in threaded])
+    asm = DGAssembler(mesh, rough, G0)
+    _assert_matches_oracles(asm, decomp)
+    threaded = compute_local_data(mesh, rough, source_one, decomp, pou, G0, FIXED,
+                                  threads=2)
+    for d in threaded:
+        om, oms = decomp.omega(d.j), decomp.omega_star(d.j)
+        assert np.array_equal(d.particular, _oracle_particular(asm, source_one, om, oms))
+        oracle = _modes(asm, pou, d.j, om, oms, _oracle_harmonic_basis(asm, oms), 4)
+        assert np.array_equal(d.modes, np.stack(oracle, axis=1))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("rules, largest", [
+    ([("fixed", 1), ("fixed", 3), ("fixed", 2)], ("fixed", 3)),
+    ([("threshold", 0.05)], ("threshold", 0.05)),
+])
+def test_local_stage_hands_over_the_selected_modes_alone(setting, rules, largest,
+                                                         threads):
+    mesh, coef, decomp, pou = setting
+    asm = DGAssembler(mesh, coef, G0)
+    locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0, rules,
+                                 threads=threads)
+    kept = []
+    for d in locals_:
+        om, oms = decomp.omega(d.j), decomp.omega_star(d.j)
+        n_layer = 3 * oms.size - h0_dofs(mesh, oms).size
+        n = select_coarse(d, largest)
+        kept.append(n)
+        arrays = {k: v for k, v in vars(d).items() if isinstance(v, np.ndarray)}
+        assert set(arrays) == {"particular", "eigenvalues", "modes"}
+        assert d.particular.shape == (3 * om.size,)
+        assert d.modes.shape == (3 * om.size, n)
+        # one eigenvalue per layer dof, for eigenvalues.csv; nothing else that large
+        assert d.eigenvalues.shape == (n_layer,)
+        assert n_layer not in d.modes.shape + d.particular.shape
+        up, basis = particular_solution(asm, source_one, om, oms)
+        values, _ = eigenproblem(asm, pou, d.j, om, oms, basis)
+        assert np.array_equal(d.particular, up)
+        assert np.array_equal(d.eigenvalues, values)
+        for k, mode in enumerate(_modes(asm, pou, d.j, om, oms, basis, n)):
+            assert np.array_equal(d.modes[:, k], mode)
+    assert min(kept) >= 1
+
+
+def test_sweep_beyond_the_kept_modes_raises(setting):
+    mesh, coef, decomp, pou = setting
+    locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0, [("fixed", 2)])
+    forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
+    for rule in (("fixed", 3), ("threshold", 0.0)):
+        with pytest.raises(ValueError, match="exceeds the assembled modes"):
+            solve_msgfem(mesh, decomp, pou, locals_, forms, [rule])
 
 
 def test_compute_local_data_factors_once_per_subdomain(setting, monkeypatch):
@@ -107,7 +161,7 @@ def test_compute_local_data_factors_once_per_subdomain(setting, monkeypatch):
         return splu(A)
 
     monkeypatch.setattr(local_problems.spla, "splu", counting)
-    compute_local_data(mesh, coef, source_one, decomp, pou, G0)
+    compute_local_data(mesh, coef, source_one, decomp, pou, G0, FIXED)
     assert len(calls) == decomp.n_subdomains
 
 
@@ -314,7 +368,7 @@ def test_eigenvalue_decay_fits_per_subdomain():
     coef = coefficient_field(mesh, "constant:1")
     decomp = build_decomposition(mesh, 4, 2, 4)
     pou = build_pou(mesh, decomp)
-    locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0)
+    locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0, FIXED)
     for data in locals_:
         lam = data.eigenvalues[np.isfinite(data.eigenvalues)][:20]
         slope, _, r2 = decay_fit(np.arange(1, lam.size + 1), np.sqrt(lam), 0.5)
@@ -324,19 +378,20 @@ def test_eigenvalue_decay_fits_per_subdomain():
 
 def test_threaded_results_match_serial(setting):
     mesh, coef, decomp, pou = setting
-    serial = compute_local_data(mesh, coef, source_one, decomp, pou, G0, threads=1)
-    threaded = compute_local_data(mesh, coef, source_one, decomp, pou, G0, threads=4)
+    serial = compute_local_data(mesh, coef, source_one, decomp, pou, G0, FIXED,
+                                threads=1)
+    threaded = compute_local_data(mesh, coef, source_one, decomp, pou, G0, FIXED,
+                                  threads=4)
     for a, b in zip(serial, threaded):
         assert np.array_equal(a.particular, b.particular)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        assert np.array_equal(a.modes, b.modes)
 
 
 def test_select_coarse_rules():
     vals = np.array([np.inf, 0.25, 0.04, 0.01])
-    data = LocalSpectralData(j=0, particular=np.zeros(1),
-                             harmonic_basis=np.zeros((1, 4)),
-                             eigenvalues=vals, eigenvectors=np.eye(4))
+    data = LocalSpectralData(j=0, particular=np.zeros(1), eigenvalues=vals,
+                             modes=np.zeros((1, 0)))
     assert select_coarse(data, ("fixed", 1)) == 1
     assert select_coarse(data, ("threshold", 0.0)) == 4
     # threshold on the root: kernel plus the two modes with sqrt >= 0.2
@@ -350,7 +405,7 @@ def test_select_coarse_rules():
 
 def test_eigenvalue_export_format(setting):
     mesh, coef, decomp, pou = setting
-    locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0)
+    locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0, FIXED)
     text = export_eigenvalues(locals_)
     lines = text.strip().split("\n")
     assert lines[0] == "j,k,lambda,is_infinite"
