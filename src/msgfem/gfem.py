@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from .decomposition import Decomposition
 from .dg_forms import DGAssembler, subdomain_dofs
 from .errors import CoercivityError, SolverError
-from .local_problems import select_coarse
+from .local_problems import RESIDUAL_TOL, scaled_residual, select_coarse
 from .mesh import TriMesh
 from .space_ops import PartitionOfUnity, interpolate_product, pou_blend
 
@@ -242,11 +242,9 @@ def solve_coarse(coarse: CoarseSpace, n_j):
             "reduced coarse system is not positive definite; the penalty "
             "parameter is too small for this mesh") from exc
     y = la.cho_solve(cf, rhs)
-    rn = np.linalg.norm(rhs)
-    if rn > 0:
-        res = np.linalg.norm(G @ y - rhs) / rn
-        if res > 1e-10:
-            raise SolverError(f"coarse solve residual {res:.3e} exceeds tolerance")
+    res = scaled_residual(G, y, rhs)
+    if res > RESIDUAL_TOL:
+        raise SolverError(f"coarse solve residual {res:.3e} exceeds tolerance")
     return space, np.asarray(space.basis[:, cols] @ y).ravel()
 
 

@@ -21,6 +21,7 @@ from .space_ops import PartitionOfUnity, h0_dofs, restrict
 
 __all__ = [
     "LocalSpectralData",
+    "MaskedSystem",
     "particular_solution",
     "eigenproblem",
     "select_coarse",
@@ -28,7 +29,7 @@ __all__ = [
     "export_eigenvalues",
 ]
 
-_RESIDUAL_TOL = 1e-10
+RESIDUAL_TOL = 1e-10
 
 
 @dataclass
@@ -67,65 +68,69 @@ def scaled_residual(A, x, b) -> float:
 
 
 def solve_checked(lu, A, b, name: str):
-    """LU solve with iterative refinement, then the residual contract.
+    """One LU solve, then the scaled-residual contract, column by column.
 
-    High-contrast coefficients push plain sparse LU residuals above the
-    contract, and one or two refinement sweeps fix that.  Handles matrix
-    right-hand sides; raises :class:`SolverError` naming the ``name`` solve
-    when the scaled residual exceeds the tolerance.
+    A healthy direct solve meets the scaled residual at roundoff whatever the
+    contrast.  Raises :class:`SolverError` naming the ``name`` solve when it
+    exceeds the tolerance.
     """
-    bn = np.linalg.norm(b)
-    if bn == 0.0:
+    if np.linalg.norm(b) == 0.0:
         return np.zeros_like(b)
     x = lu.solve(b)
-    for _ in range(3):
-        r = b - A @ x
-        if np.linalg.norm(r) <= 1e-14 * bn:
-            break
-        x = x + lu.solve(r)
     res = scaled_residual(A, x, b)
-    if res > _RESIDUAL_TOL:
+    if res > RESIDUAL_TOL:
         raise SolverError(f"{name} residual {res:.3e} exceeds tolerance")
     return x
+
+
+class MaskedSystem:
+    """The form on one oversampling domain, split at its contact layer.
+
+    The masked (free) dofs impose the zero contact-layer values and the weak
+    outer-boundary condition; their block is assembled and factored once.
+    """
+
+    def __init__(self, asm: DGAssembler, omega_star):
+        self.free = h0_dofs(asm.mesh, omega_star)
+        self.layer = np.setdiff1d(np.arange(3 * len(omega_star)), self.free,
+                                  assume_unique=True)
+        A = asm.matrix(omega_star, "B").tocsc()
+        self.Aff = A[np.ix_(self.free, self.free)].tocsc()
+        self.Afl = A[np.ix_(self.free, self.layer)]
+        try:
+            self.lu = spla.splu(self.Aff)
+        except RuntimeError as exc:
+            raise SolverError(
+                "local system is singular; check the face convention or the "
+                "penalty parameter") from exc
+
+    def harmonic_extension(self, layer_values: np.ndarray) -> np.ndarray:
+        """Discrete harmonic extensions of layer data, one row per layer dof.
+
+        Each column keeps its layer data and solves the masked dofs so that
+        its form residual vanishes against every masked dof.
+        """
+        U = np.zeros((self.free.size + self.layer.size, layer_values.shape[1]))
+        U[self.layer] = layer_values
+        U[self.free] = solve_checked(self.lu, self.Aff, -(self.Afl @ layer_values),
+                                     "local harmonic basis")
+        return U
 
 
 def particular_solution(asm: DGAssembler, f, omega, omega_star):
     """Local source solution and harmonic basis of one oversampling domain.
 
-    Both come from the form on ``omega_star`` restricted to its masked
-    subspace, which imposes the zero contact-layer values and the weak
-    outer-boundary condition; the masked block is assembled and factored
-    once.  Returns ``(particular, basis)``:
-
-    - ``basis`` spans the locally harmonic space, one column per layer dof
-      (a dof of an element in the contact layer).  The column carries a
-      canonical unit value there and the discrete harmonic extension onto
-      the masked interior, solved with the coupling column as right-hand
-      side, so the span is exactly the space of vectors whose form residual
-      vanishes against every masked dof.
-    - ``particular`` is the masked solution for the source ``f``, cut down
-      to the overlap subdomain ``omega``.
+    Both are solved on one :class:`MaskedSystem`.  Returns
+    ``(particular, basis)``: ``basis`` holds the harmonic extensions of unit
+    data, one column per layer dof, and so spans the locally harmonic space;
+    ``particular`` is the masked solution for the source ``f``, cut down to
+    the overlap subdomain ``omega``.
     """
-    omega_star = np.asarray(omega_star, dtype=np.int64)
-    ndof = 3 * omega_star.size
-    free = h0_dofs(asm.mesh, omega_star)
-    layer = np.setdiff1d(np.arange(ndof), free, assume_unique=True)
-    basis = np.zeros((ndof, layer.size))
-    A = asm.matrix(omega_star, "B").tocsc()
-    Aff = A[np.ix_(free, free)].tocsc()
-    Afl = A[np.ix_(free, layer)]
-    del A
-    try:
-        lu = spla.splu(Aff)
-    except RuntimeError as exc:
-        raise SolverError(
-            "local system is singular; check the face convention or the "
-            "penalty parameter") from exc
-    basis[layer, np.arange(layer.size)] = 1.0
-    basis[free, :] = solve_checked(lu, Aff, -Afl.toarray(), "local harmonic basis")
-    del Afl
-    psi = np.zeros(ndof)
-    psi[free] = solve_checked(lu, Aff, asm.load(f, omega_star)[free], "local source")
+    system = MaskedSystem(asm, omega_star)
+    basis = system.harmonic_extension(np.eye(system.layer.size))
+    psi = np.zeros(basis.shape[0])
+    psi[system.free] = solve_checked(system.lu, system.Aff,
+                                     asm.load(f, omega_star)[system.free], "local source")
     return restrict(psi, omega_star, omega), basis
 
 
@@ -189,15 +194,10 @@ def eigenproblem(asm: DGAssembler, pou: PartitionOfUnity, j: int, omega, omega_s
     M = basis.T @ (Bp_star @ basis)
     M = 0.5 * (M + M.T)
     values, vectors = _deflated_pencil(A, M)
-    finite = np.isfinite(values)
-    if np.any(values[finite] < -_RESIDUAL_TOL):
+    if np.any(values < -RESIDUAL_TOL):
         raise SolverError("negative eigenvalue beyond tolerance; assembly bug")
-    if finite.any():
-        # roundoff guard: the pencil is PSD so tiny negatives are noise
-        v = values.copy()
-        v[finite] = np.maximum(values[finite], 0.0)
-        values = v
-    return values, vectors
+    # roundoff guard: the pencil is PSD so tiny negatives are noise
+    return np.maximum(values, 0.0), vectors
 
 
 def select_coarse(data: LocalSpectralData, rule) -> int:

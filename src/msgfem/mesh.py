@@ -87,7 +87,7 @@ class TriMesh:
 
 @dataclass(frozen=True)
 class Coefficient:
-    """Piecewise-constant diffusion coefficient, one positive value per element."""
+    """Piecewise-constant diffusion coefficient, one finite positive value per element."""
 
     values: np.ndarray
     nu_min: float
@@ -96,8 +96,8 @@ class Coefficient:
     def __post_init__(self):
         if self.values.ndim != 1:
             raise ValueError("coefficient values must be a flat per-element array")
-        if not np.all(self.values > 0.0):
-            raise ValueError("coefficient values must be strictly positive")
+        if not np.all((self.values > 0.0) & (self.values < np.inf)):
+            raise ValueError("coefficient values must be finite and strictly positive")
 
     @property
     def contrast(self) -> float:
@@ -106,8 +106,8 @@ class Coefficient:
     @staticmethod
     def from_values(values) -> "Coefficient":
         v = np.asarray(values, dtype=float)
-        if v.size == 0 or not np.all(v > 0.0):
-            raise ValueError("coefficient values must be nonempty and strictly positive")
+        if v.size == 0:
+            raise ValueError("coefficient values must be nonempty")
         return Coefficient(values=v, nu_min=float(v.min()), nu_max=float(v.max()))
 
 

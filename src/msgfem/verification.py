@@ -19,7 +19,7 @@ from .dg_forms import (DGAssembler, nested_dofs, subdomain_dofs,
                        triangle_quadrature)
 from .errors import SolverError
 from .gfem import GlobalForms
-from .local_problems import particular_solution, solve_checked
+from .local_problems import MaskedSystem, solve_checked
 from .mesh import TriMesh, build_structured_mesh, coefficient_field
 from .space_ops import extend_by_zero, h0_dofs, pou_blend, restrict
 
@@ -178,9 +178,10 @@ def caccioppoli_ratios(asm: DGAssembler, omega, omega_star, n_samples: int,
                        seed: int):
     """Interior-energy over annulus-mass ratios of random harmonic samples.
 
-    Samples are harmonic extensions of random layer data.  Returns the ratio
-    array and the separation distance; the mesh condition (separation larger
-    than three annulus element diameters) is enforced.
+    Samples are harmonic extensions of random layer data, solved as one
+    block.  Returns the ratio array and the separation distance; the mesh
+    condition (separation larger than three annulus element diameters) is
+    enforced.
     """
     mesh = asm.mesh
     omega = np.asarray(omega, dtype=np.int64)
@@ -190,22 +191,20 @@ def caccioppoli_ratios(asm: DGAssembler, omega, omega_star, n_samples: int,
     touching = d_plus(mesh, annulus)
     if delta <= 3.0 * mesh.h_T[touching].max():
         raise ValueError("separation too small for the interior energy bound")
-    _, basis = particular_solution(asm, 0.0, omega, omega_star)
-    if basis.shape[1] == 0:
+    system = MaskedSystem(asm, omega_star)
+    if system.layer.size == 0:
         raise ValueError("oversampling domain has no harmonic layer")
-    Bp_omega = asm.matrix(omega, "Bplus")
-    mass_ann = asm.matrix(annulus, "mass")
-    idx_omega = nested_dofs(omega, omega_star)
-    idx_ann = nested_dofs(annulus, omega_star)
     rng = np.random.Generator(np.random.PCG64(seed))
-    ratios = np.empty(n_samples)
+    U = system.harmonic_extension(rng.standard_normal((n_samples, system.layer.size)).T)
+
+    def norms(D, kind):
+        u = U[nested_dofs(D, omega_star)]
+        return np.sqrt(np.maximum(np.einsum("is,is->s", u, asm.matrix(D, kind) @ u), 0.0))
+
+    num, den = norms(omega, "Bplus"), norms(annulus, "mass")
     nu_max = float(asm.coefficient.values[omega_star].max())
-    for s in range(n_samples):
-        u = basis @ rng.standard_normal(basis.shape[1])
-        num = float(np.sqrt(max(u[idx_omega] @ (Bp_omega @ u[idx_omega]), 0.0)))
-        den = float(np.sqrt(max(u[idx_ann] @ (mass_ann @ u[idx_ann]), 0.0)))
-        ratios[s] = num * delta / (np.sqrt(nu_max) * den) if den > 0 else np.inf
-    return ratios, delta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0, num * delta / (np.sqrt(nu_max) * den), np.inf), delta
 
 
 # -- the property suite --------------------------------------------------------
@@ -260,11 +259,11 @@ def run_property_suite(problem) -> SuiteReport:
 
     Runs mesh bookkeeping, hull and cover checks, operator identities on a
     nested subdomain pair, kernel characterization, partition-of-unity
-    checks, harmonicity of one local basis, the interior-energy bound, dense
-    positivity checks, and a dense coercivity probe on a mesh-family
-    representative.  ``problem`` carries the config, mesh, coefficient,
-    decomposition, partition of unity and global forms of the run.  Returns a
-    deterministic, JSON-serializable report.
+    checks, harmonicity of sampled local extensions, the interior-energy
+    bound, dense positivity checks, and a dense coercivity probe on a
+    mesh-family representative.  ``problem`` carries the config, mesh,
+    coefficient, decomposition, partition of unity and global forms of the
+    run.  Returns a deterministic, JSON-serializable report.
     """
     checks = []
     t0 = time.time()
@@ -388,15 +387,15 @@ def run_property_suite(problem) -> SuiteReport:
     in_range = bool(np.all(pou.values >= 0.0) and np.all(pou.values <= 1.0 + 1e-15))
     record("space_ops.pou_range", in_range, {})
 
-    # harmonicity of one local basis
+    # harmonicity of the extensions of unit data on a spread of layer dofs
     Ds = decomp.omega_star(j_mid)
-    _, basis = particular_solution(asm, 0.0, Ds, Ds)
-    if basis.shape[1]:
-        A = asm.matrix(Ds, "B")
-        H_s = asm.matrix(Ds, "H")
-        freeS = h0_dofs(mesh, Ds)
-        resid = np.abs((A @ basis)[freeS, :]).max(axis=0)
-        norms = np.sqrt(np.einsum("if,if->f", basis, H_s @ basis))
+    system = MaskedSystem(asm, Ds)
+    if system.layer.size:
+        unit = np.zeros((system.layer.size, 20))
+        unit[np.linspace(0, system.layer.size - 1, 20).astype(np.int64), np.arange(20)] = 1.0
+        U = system.harmonic_extension(unit)
+        resid = np.abs((asm.matrix(Ds, "B") @ U)[system.free, :]).max(axis=0)
+        norms = np.sqrt(np.einsum("if,if->f", U, asm.matrix(Ds, "H") @ U))
         ok = bool(np.all(resid <= 1e-10 * norms))
         record("local.harmonicity", ok, {"max_resid": float((resid / norms).max())})
     else:

@@ -171,6 +171,14 @@ def test_sweep_beyond_available_modes_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o" / "errors.csv").exists()
 
 
+def test_high_contrast_coarse_solve_meets_the_scaled_contract(tmp_path):
+    # relative to the right-hand side alone this coarse residual is 2.6e-9
+    cfg = parse_config("mesh_n = 32\ngrid_m = 4\ncoefficient = channels:1e8:4\n"
+                       "coarse_n_sweep = 2,4,6,8\nchecks = off\n")
+    assert run(cfg, out_dir=tmp_path) == 0
+    assert len((tmp_path / "errors.csv").read_text().strip().splitlines()) == 1 + 4
+
+
 def test_threshold_rule_single_row(tmp_path):
     cfg = parse_config(SMALL.replace("coarse_rule = fixed:3",
                                      "coarse_rule = threshold:0.1")

@@ -7,9 +7,10 @@ from msgfem.decomposition import build_decomposition, d_minus
 from msgfem.dg_forms import DGAssembler, nested_dofs
 from msgfem.errors import SolverError
 from msgfem.gfem import GlobalForms, solve_msgfem
-from msgfem.local_problems import (LocalSpectralData, compute_local_data,
-                                   eigenproblem, export_eigenvalues,
-                                   particular_solution, select_coarse)
+from msgfem.local_problems import (LocalSpectralData, MaskedSystem,
+                                   compute_local_data, eigenproblem,
+                                   export_eigenvalues, particular_solution,
+                                   select_coarse)
 from msgfem.mesh import Coefficient, build_structured_mesh, coefficient_field
 from msgfem.space_ops import PartitionOfUnity, build_pou, h0_dofs, restrict
 from msgfem.verification import decay_fit, fine_solve
@@ -44,17 +45,9 @@ def eigen(mesh, coef, pou, j, omega, omega_star):
 
 # -- oracles: the separate source solve and harmonic basis this module replaced
 
-def _oracle_refined(lu, A, b):
-    x = lu.solve(b)
-    bn = np.linalg.norm(b)
-    if bn == 0.0:
-        return np.zeros_like(b)
-    for _ in range(3):
-        r = b - A @ x
-        if np.linalg.norm(r) <= 1e-14 * bn:
-            break
-        x = x + lu.solve(r)
-    return x
+def _oracle_solve(lu, b):
+    """The solve contract: one LU solve, zeros for a zero right-hand side."""
+    return np.zeros_like(b) if np.linalg.norm(b) == 0.0 else lu.solve(b)
 
 
 def _oracle_particular(asm, f, omega, omega_star):
@@ -63,7 +56,7 @@ def _oracle_particular(asm, f, omega, omega_star):
     free = h0_dofs(asm.mesh, omega_star)
     Aff = A[np.ix_(free, free)].tocsc()
     x = np.zeros(A.shape[0])
-    x[free] = _oracle_refined(spla.splu(Aff), Aff, b[free])
+    x[free] = _oracle_solve(spla.splu(Aff), b[free])
     return restrict(x, omega_star, omega)
 
 
@@ -75,8 +68,7 @@ def _oracle_harmonic_basis(asm, omega_star):
     A = asm.matrix(omega_star, "B").tocsc()
     Aff = A[np.ix_(free, free)].tocsc()
     basis[layer, np.arange(layer.size)] = 1.0
-    basis[free, :] = _oracle_refined(spla.splu(Aff), Aff,
-                                     -A[np.ix_(free, layer)].toarray())
+    basis[free, :] = _oracle_solve(spla.splu(Aff), -A[np.ix_(free, layer)].toarray())
     return basis
 
 
@@ -165,6 +157,37 @@ def test_compute_local_data_factors_once_per_subdomain(setting, monkeypatch):
     assert len(calls) == decomp.n_subdomains
 
 
+class _CountingLU:
+    """Forwards to a SuperLU factor and records the width of each solve."""
+
+    def __init__(self, lu, widths):
+        self._lu = lu
+        self._widths = widths
+
+    def solve(self, b):
+        self._widths.append(1 if b.ndim == 1 else b.shape[1])
+        return self._lu.solve(b)
+
+
+def test_compute_local_data_solves_once_per_right_hand_side(setting, monkeypatch):
+    # every subdomain has a nonzero source block and a nonzero basis block
+    mesh, coef, decomp, pou = setting
+    widths = []
+    splu = local_problems.spla.splu
+    monkeypatch.setattr(local_problems.spla, "splu",
+                        lambda A: _CountingLU(splu(A), widths))
+    rough = coefficient_field(mesh, "log_uniform:1e-3:1e3", seed=0)
+    for c in (coef, rough):
+        widths.clear()
+        compute_local_data(mesh, c, source_one, decomp, pou, G0, FIXED)
+        assert len(widths) == 2 * decomp.n_subdomains
+        assert widths.count(1) == decomp.n_subdomains
+    # a zero source is not solved at all
+    widths.clear()
+    compute_local_data(mesh, coef, 0.0, decomp, pou, G0, FIXED)
+    assert len(widths) == decomp.n_subdomains and 1 not in widths
+
+
 class _DoctoredLU:
     """Solves vectors exactly but offsets every matrix right-hand side."""
 
@@ -244,6 +267,16 @@ def test_harmonic_columns_pass_residual_invariant(setting):
         resid = np.abs((A @ basis)[free, :]).max(axis=0)
         norms = np.sqrt(np.einsum("if,if->f", basis, H @ basis))
         assert np.all(resid <= 1e-10 * norms)
+
+
+def test_harmonic_extension_is_the_basis_applied_to_layer_data(setting):
+    mesh, coef, decomp, _ = setting
+    asm = DGAssembler(mesh, coef, G0)
+    oms = decomp.omega_star(1)
+    system = MaskedSystem(asm, oms)
+    data = np.random.default_rng(0).standard_normal((system.layer.size, 5))
+    U = system.harmonic_extension(data)
+    assert np.abs(U - harmonic_basis(asm, oms) @ data).max() <= 1e-12 * np.abs(U).max()
 
 
 def test_constant_in_span_iff_interior():

@@ -118,6 +118,14 @@ def test_coefficient_type_rejects_nonpositive():
         Coefficient.from_values(np.array([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_coefficient_type_rejects_nonfinite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Coefficient.from_values([1.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        Coefficient(values=np.array([1.0, bad]), nu_min=1.0, nu_max=1.0)
+
+
 def test_face_data_conventions():
     mesh = build_structured_mesh(2)
     vals = np.full(mesh.n_elements, 3.0)

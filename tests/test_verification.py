@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import msgfem.local_problems as local_problems
 from msgfem.cli import build_problem
 from msgfem.config import RunConfig, parse_config
 from msgfem.decomposition import square_block
@@ -133,3 +134,44 @@ def test_suite_runs_interior_energy_bound_on_larger_meshes():
     by_name = {c.name: c for c in report.checks}
     assert by_name["local.interior_energy_bound"].status == "pass"
     assert by_name["local.interior_energy_bound"].witness["max_ratio"] > 0.0
+
+
+SUITE_CHECKS = [
+    "mesh.euler_formula", "mesh.face_identity", "mesh.unit_area",
+    "decomposition.hulls", "decomposition.nesting", "decomposition.shrunk_cover",
+    "space_ops.extension_isometry", "space_ops.restrict_extend_identity",
+    "space_ops.restriction_nonexpansive", "space_ops.locality_identity",
+    "dg_forms.kernel_characterization", "space_ops.pou_sum_to_one",
+    "space_ops.blend_reproduction", "space_ops.pou_support", "space_ops.pou_range",
+    "local.harmonicity", "local.interior_energy_bound", "dg_forms.bplus_psd",
+    "dg_forms.h_positive", "dg_forms.coercivity",
+]
+
+
+@pytest.mark.parametrize("text", [
+    "",   # the default config, (64, 4)
+    "mesh_n = 40\ngrid_m = 4\noversampling_layers = 4\n",
+    "mesh_n = 32\ngrid_m = 8\n",
+    "mesh_n = 60\ngrid_m = 6\noversampling_layers = 4\n"
+    "coefficient = log_uniform:1e-3:1e3\n",
+], ids=["default", "local-40x4", "coarse-32x8", "contrast-60x6-2t"])
+def test_suite_passes_every_check_on_the_benchmark_configs(text):
+    report = run_property_suite(build_problem(parse_config(text)))
+    assert [(c.name, c.status) for c in report.checks] == \
+        [(name, "pass") for name in SUITE_CHECKS]
+
+
+@pytest.mark.parametrize("overrides", [{}, {"mesh_n": 32, "grid_m": 2,
+                                            "coefficient": "constant:1"}])
+def test_suite_solves_no_block_wider_than_its_samples(monkeypatch, overrides):
+    widths = []
+    solve_checked = local_problems.solve_checked
+
+    def recording(lu, A, b, name):
+        widths.append(1 if b.ndim == 1 else b.shape[1])
+        return solve_checked(lu, A, b, name)
+
+    monkeypatch.setattr(local_problems, "solve_checked", recording)
+    report = run_property_suite(build_problem(small_config(**overrides)))
+    assert report.ok
+    assert widths and max(widths) <= 20
