@@ -122,8 +122,8 @@ def _pipeline(problem: Problem, out: Path, t0: float) -> int:
     config, mesh, decomp, pou = problem.config, problem.mesh, problem.decomp, problem.pou
     forms = problem.forms
     rules = config.sweep_values()
-    locals_ = compute_local_data(mesh, problem.coefficient, problem.f, decomp, pou,
-                                 config.gamma0, rules, threads=config.threads)
+    locals_ = compute_local_data(mesh, forms.asm, problem.f, decomp, pou, rules,
+                                 threads=config.threads)
     (out / "eigenvalues.csv").write_text(export_eigenvalues(locals_))
     u_fine = fine_solve(forms)
 

@@ -31,6 +31,8 @@ exactly by closed-form rules.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -64,13 +66,38 @@ def nested_dofs(inner, outer) -> np.ndarray:
     return (3 * pos[:, None] + np.arange(3)).ravel()
 
 
-class DGAssembler:
-    """Caches per-face data for one (mesh, coefficient, gamma0) triple.
+_KINDS = ("B", "Bplus", "H", "mass", "Bplus_faces")
 
-    All matrices returned by :meth:`matrix` are over the local dofs of the
-    requested element set, ordered per element as in ``subdomain_dofs``.
-    Assembly order (volume, then interior faces, then boundary faces, each in
-    table order) is fixed, so repeated assembly is bit-reproducible.
+
+def _edge_mass(P, Q):
+    """Exact edge mass of linear traces times ``6/h``, per face.
+
+    ``P`` and ``Q`` select each trace's values at the two face endpoints.
+    """
+    def outer(a, b):
+        return np.einsum("fi,fj->fij", a, b)
+    return 2.0 * outer(P, P) + outer(P, Q) + outer(Q, P) + 2.0 * outer(Q, Q)
+
+
+def _minus_consistency(pen, scale, jump, flux):
+    """Penalty blocks minus the consistency term ``scale * jump flux^T`` and its transpose."""
+    cons = scale[:, None, None] * np.einsum("fi,fj->fij", jump, flux)
+    return pen - cons - np.swapaxes(cons, 1, 2)
+
+
+class DGAssembler:
+    """The weighted-SIPG forms of one (mesh, coefficient, gamma0) triple.
+
+    Every form is a table of blocks built once, on the first :meth:`matrix`
+    call: per element a 3 x 3 volume block (stiffness, mass), and per
+    interior face (6 x 6, over both elements) and per boundary face (3 x 3)
+    a penalty block and a full-form block (penalty minus the consistency
+    term and its transpose).  :meth:`matrix` gathers the blocks of the
+    elements and faces that lie in the requested set.  All matrices are
+    over the local dofs of that set, ordered per element as in
+    ``subdomain_dofs``.  The gather order (volume, then interior faces, then
+    boundary faces, each in table order) is fixed, so repeated assembly is
+    bit-reproducible.
     """
 
     def __init__(self, mesh, coefficient, gamma0: float):
@@ -82,48 +109,59 @@ class DGAssembler:
         self.coefficient = coefficient
         self.gamma0 = float(gamma0)
 
-        nu = coefficient.values
-        e1 = mesh.iface_elems[:, 0]
-        e2 = mesh.iface_elems[:, 1]
-        nu1 = nu[e1]
-        nu2 = nu[e2]
-        self._int_gamma2 = (gamma0 * gamma0 / mesh.iface_h) * 2.0 * nu1 * nu2 / (nu1 + nu2)
-        # flux-average coefficient per side: w_1 nu_1 = w_2 nu_2 = 2 nu_1 nu_2/(nu_1+nu_2)
-        w1 = 2.0 * nu2 / (nu1 + nu2)
-        w2 = 2.0 * nu1 / (nu1 + nu2)
-        self._int_coef1 = w1 * nu1
-        self._int_coef2 = w2 * nu2
-        nub = nu[mesh.bface_elem]
-        self._bnd_gamma2 = (gamma0 * gamma0 / mesh.bface_h) * nub
+    @cached_property
+    def _tables(self) -> dict:
+        """Per kind, the ``(elements, blocks)`` tables it gathers, in order.
 
-        nfi = mesh.n_interior_faces
+        ``elements`` is an (n, s) array naming the s elements each block
+        couples; ``blocks`` is (n, 3s, 3s) over their dofs.
+        """
+        mesh = self.mesh
+        nu = self.coefficient.values
+        g0sq = self.gamma0 * self.gamma0
+        stiff = (nu * mesh.areas)[:, None, None] * np.einsum("eid,ejd->eij",
+                                                              mesh.grads, mesh.grads)
+        mass = mesh.areas[:, None, None] * _MASS3[None, :, :]
+
+        e1, e2 = mesh.iface_elems[:, 0], mesh.iface_elems[:, 1]
+        nu1, nu2, hF = nu[e1], nu[e2], mesh.iface_h
+        g2 = (g0sq / hF) * 2.0 * nu1 * nu2 / (nu1 + nu2)
         # jump selectors over the 6 local dofs [elem1 | elem2] at both endpoints
-        Sp = np.zeros((nfi, 6))
-        Sq = np.zeros((nfi, 6))
-        rows = np.arange(nfi)
+        Sp = np.zeros((hF.size, 6))
+        Sq = np.zeros((hF.size, 6))
+        rows = np.arange(hF.size)
         Sp[rows, mesh.iface_local[:, 0, 0]] = 1.0
         Sp[rows, 3 + mesh.iface_local[:, 1, 0]] = -1.0
         Sq[rows, mesh.iface_local[:, 0, 1]] = 1.0
         Sq[rows, 3 + mesh.iface_local[:, 1, 1]] = -1.0
-        self._Sp = Sp
-        self._Sq = Sq
-        # normal derivatives of the three shape functions, per side
+        ipen = (g2 * hF / 6.0)[:, None, None] * _edge_mass(Sp, Sq)
+        # flux-average coefficient per side: w_1 nu_1 = w_2 nu_2 = 2 nu_1 nu_2/(nu_1+nu_2)
+        w1 = 2.0 * nu2 / (nu1 + nu2)
+        w2 = 2.0 * nu1 / (nu1 + nu2)
         n = mesh.iface_normal
-        self._dn1 = np.einsum("fid,fd->fi", mesh.grads[e1], n)
-        self._dn2 = np.einsum("fid,fd->fi", mesh.grads[e2], n)
+        flux = np.concatenate([(w1 * nu1)[:, None] * np.einsum("fid,fd->fi", mesh.grads[e1], n),
+                               (w2 * nu2)[:, None] * np.einsum("fid,fd->fi", mesh.grads[e2], n)],
+                              axis=1)
+        ifull = _minus_consistency(ipen, 0.25 * hF, Sp + Sq, flux)
 
-        nfb = mesh.n_boundary_faces
-        Tp = np.zeros((nfb, 3))
-        Tq = np.zeros((nfb, 3))
-        rows = np.arange(nfb)
+        eb, hb = mesh.bface_elem, mesh.bface_h
+        gb = (g0sq / hb) * nu[eb]
+        Tp = np.zeros((hb.size, 3))
+        Tq = np.zeros((hb.size, 3))
+        rows = np.arange(hb.size)
         Tp[rows, mesh.bface_local[:, 0]] = 1.0
         Tq[rows, mesh.bface_local[:, 1]] = 1.0
-        self._Tp = Tp
-        self._Tq = Tq
-        self._dnb = np.einsum("fid,fd->fi", mesh.grads[mesh.bface_elem],
-                              mesh.bface_normal)
+        mf = (hb / 6.0)[:, None, None] * _edge_mass(Tp, Tq)
+        flux = nu[eb, None] * np.einsum("fid,fd->fi", mesh.grads[eb], mesh.bface_normal)
+        bpen = gb[:, None, None] * mf
+        bfull = _minus_consistency(2.0 * gb[:, None, None] * mf, 0.5 * hb, Tp + Tq, flux)
 
-    # -- element selection helpers ------------------------------------------
+        vol, faces, bnd = np.arange(mesh.n_elements)[:, None], mesh.iface_elems, eb[:, None]
+        return {"B": [(vol, stiff), (faces, ifull), (bnd, bfull)],
+                "Bplus": [(vol, stiff), (faces, ipen), (bnd, bpen)],
+                "H": [(vol, stiff + mass), (faces, ipen), (bnd, bpen)],
+                "mass": [(vol, mass)],
+                "Bplus_faces": [(faces, ipen), (bnd, bpen)]}
 
     def _members(self, D) -> np.ndarray:
         if D is None:
@@ -133,104 +171,24 @@ class DGAssembler:
             raise ValueError("empty element set")
         return D
 
-    def interior_face_mask(self, D: np.ndarray) -> np.ndarray:
-        both = np.isin(self.mesh.iface_elems, D)
-        return both[:, 0] & both[:, 1]
-
-    def boundary_face_mask(self, D: np.ndarray) -> np.ndarray:
-        return np.isin(self.mesh.bface_elem, D)
-
-    # -- assembly ------------------------------------------------------------
-
     def matrix(self, D=None, kind: str = "B") -> sp.csr_matrix:
-        if kind not in ("B", "Bplus", "H", "mass", "Bplus_faces"):
+        """The ``kind`` form on the sorted element set ``D`` (the mesh if ``None``)."""
+        if kind not in _KINDS:
             raise ValueError(f"unknown form kind {kind!r}")
-        mesh = self.mesh
         D = self._members(D)
-        ndof = 3 * D.size
-
-        def local_slots(elems):
-            return np.searchsorted(D, elems)
-
-        blocks = []
-        rows_all = []
-        cols_all = []
-
-        def add(block, elems_rows, elems_cols):
-            # block: (nf, a, b); elems_*: (nf, a/b) local dof indices
-            rows_all.append(np.broadcast_to(elems_rows[:, :, None], block.shape).ravel())
-            cols_all.append(np.broadcast_to(elems_cols[:, None, :], block.shape).ravel())
-            blocks.append(block.ravel())
-
-        nu = self.coefficient.values[D]
-        areas = mesh.areas[D]
-        dofs = 3 * local_slots(D)
-        eldofs = dofs[:, None] + np.arange(3)
-
-        if kind != "Bplus_faces":
-            if kind == "mass":
-                vol = areas[:, None, None] * _MASS3[None, :, :]
-            else:
-                stiff = np.einsum("eid,ejd->eij", mesh.grads[D], mesh.grads[D])
-                vol = (nu * areas)[:, None, None] * stiff
-                if kind == "H":
-                    vol = vol + areas[:, None, None] * _MASS3[None, :, :]
-            add(vol, eldofs, eldofs)
-
-        if kind != "mass":
-            imask = self.interior_face_mask(D)
-            if np.any(imask):
-                k = np.flatnonzero(imask)
-                hF = mesh.iface_h[k]
-                g2 = self._int_gamma2[k]
-                Sp = self._Sp[k]
-                Sq = self._Sq[k]
-                pen = (g2 * hF / 6.0)[:, None, None] * (
-                    2.0 * np.einsum("fi,fj->fij", Sp, Sp)
-                    + np.einsum("fi,fj->fij", Sp, Sq)
-                    + np.einsum("fi,fj->fij", Sq, Sp)
-                    + 2.0 * np.einsum("fi,fj->fij", Sq, Sq))
-                if kind == "B":
-                    gvec = np.concatenate([self._int_coef1[k, None] * self._dn1[k],
-                                           self._int_coef2[k, None] * self._dn2[k]], axis=1)
-                    jsum = Sp + Sq
-                    cons = (0.25 * hF)[:, None, None] * np.einsum("fi,fj->fij", jsum, gvec)
-                    blk = pen - cons - np.swapaxes(cons, 1, 2)
-                else:
-                    blk = pen
-                s1 = local_slots(mesh.iface_elems[k, 0])
-                s2 = local_slots(mesh.iface_elems[k, 1])
-                fd = np.concatenate([3 * s1[:, None] + np.arange(3),
-                                     3 * s2[:, None] + np.arange(3)], axis=1)
-                add(blk, fd, fd)
-
-            bmask = self.boundary_face_mask(D)
-            if np.any(bmask):
-                k = np.flatnonzero(bmask)
-                hF = mesh.bface_h[k]
-                g2 = self._bnd_gamma2[k]
-                Tp = self._Tp[k]
-                Tq = self._Tq[k]
-                mf = (hF / 6.0)[:, None, None] * (
-                    2.0 * np.einsum("fi,fj->fij", Tp, Tp)
-                    + np.einsum("fi,fj->fij", Tp, Tq)
-                    + np.einsum("fi,fj->fij", Tq, Tp)
-                    + 2.0 * np.einsum("fi,fj->fij", Tq, Tq))
-                if kind == "B":
-                    gvec = self.coefficient.values[mesh.bface_elem[k], None] * self._dnb[k]
-                    tsum = Tp + Tq
-                    cons = (0.5 * hF)[:, None, None] * np.einsum("fi,fj->fij", tsum, gvec)
-                    blk = 2.0 * g2[:, None, None] * mf - cons - np.swapaxes(cons, 1, 2)
-                else:
-                    blk = g2[:, None, None] * mf
-                se = local_slots(mesh.bface_elem[k])
-                fd = 3 * se[:, None] + np.arange(3)
-                add(blk, fd, fd)
-
-        data = np.concatenate(blocks) if blocks else np.empty(0)
-        rows = np.concatenate(rows_all) if rows_all else np.empty(0, dtype=np.int64)
-        cols = np.concatenate(cols_all) if cols_all else np.empty(0, dtype=np.int64)
-        mat = sp.coo_matrix((data, (rows, cols)), shape=(ndof, ndof)).tocsr()
+        slot = np.full(self.mesh.n_elements, -1, dtype=np.int64)
+        slot[D] = np.arange(D.size)
+        data, rows, cols = [], [], []
+        for elements, blocks in self._tables[kind]:
+            local = slot[elements]
+            keep = np.flatnonzero((local >= 0).all(axis=1))
+            dofs = (3 * local[keep][:, :, None] + np.arange(3)).reshape(keep.size, blocks.shape[1])
+            blk = blocks[keep]
+            rows.append(np.broadcast_to(dofs[:, :, None], blk.shape).ravel())
+            cols.append(np.broadcast_to(dofs[:, None, :], blk.shape).ravel())
+            data.append(blk.ravel())
+        mat = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(3 * D.size, 3 * D.size)).tocsr()
         mat.sum_duplicates()
         return mat
 

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
+_RESIDUAL_BLOCK = 128   # columns per residual evaluation, so no full-width copy is made
 
 
 @dataclass
@@ -58,13 +59,20 @@ def scaled_residual(A, x, b) -> float:
     Relative to the right-hand side alone the double-precision floor grows
     with the condition number, which high-contrast coefficients reach; the
     scaled form stays near machine precision for any healthy solve.  Matrix
-    right-hand sides are measured column by column and the worst is returned.
+    right-hand sides are measured column by column, a block of columns at a
+    time, and the worst is returned.
     """
-    num = np.linalg.norm(A @ x - b, axis=0)
     a_inf = float(np.abs(A).sum(axis=1).max())
-    den = np.linalg.norm(b, axis=0) + a_inf * np.linalg.norm(x, axis=0)
-    return float(np.max(np.divide(num, den, out=np.zeros_like(num), where=den > 0),
-                        initial=0.0))
+    x = x.reshape(x.shape[0], -1)
+    b = b.reshape(b.shape[0], -1)
+    worst = 0.0
+    for s in range(0, x.shape[1], _RESIDUAL_BLOCK):
+        xs, bs = x[:, s:s + _RESIDUAL_BLOCK], b[:, s:s + _RESIDUAL_BLOCK]
+        num = np.linalg.norm(A @ xs - bs, axis=0)
+        den = np.linalg.norm(bs, axis=0) + a_inf * np.linalg.norm(xs, axis=0)
+        worst = max(worst, float(np.max(np.divide(num, den, out=np.zeros_like(num),
+                                                  where=den > 0), initial=0.0)))
+    return worst
 
 
 def solve_checked(lu, A, b, name: str):
@@ -110,10 +118,13 @@ class MaskedSystem:
         Each column keeps its layer data and solves the masked dofs so that
         its form residual vanishes against every masked dof.
         """
+        rhs = np.asfortranarray(self.Afl @ layer_values)
+        np.negative(rhs, out=rhs)
+        x = solve_checked(self.lu, self.Aff, rhs, "local harmonic basis")
+        del rhs
         U = np.zeros((self.free.size + self.layer.size, layer_values.shape[1]))
         U[self.layer] = layer_values
-        U[self.free] = solve_checked(self.lu, self.Aff, -(self.Afl @ layer_values),
-                                     "local harmonic basis")
+        U[self.free] = x
         return U
 
 
@@ -186,12 +197,12 @@ def eigenproblem(asm: DGAssembler, pou: PartitionOfUnity, j: int, omega, omega_s
     """
     idx = nested_dofs(omega, omega_star)
     chi_dof = pou.values[j][asm.mesh.elements[np.asarray(omega, dtype=np.int64)]].ravel()
-    W = basis[idx, :] * chi_dof[:, None]
-    Bp_omega = asm.matrix(omega, "Bplus")
-    Bp_star = asm.matrix(omega_star, "Bplus")
-    A = W.T @ (Bp_omega @ W)
+    W = basis[idx, :]
+    W *= chi_dof[:, None]
+    A = W.T @ (asm.matrix(omega, "Bplus") @ W)
+    del W
     A = 0.5 * (A + A.T)
-    M = basis.T @ (Bp_star @ basis)
+    M = basis.T @ (asm.matrix(omega_star, "Bplus") @ basis)
     M = 0.5 * (M + M.T)
     values, vectors = _deflated_pencil(A, M)
     if np.any(values < -RESIDUAL_TOL):
@@ -227,18 +238,20 @@ def _largest_rule(rules: list):
     raise ValueError("a sweep is a list of fixed rules or a single rule")
 
 
-def compute_local_data(mesh: TriMesh, coefficient, f, decomp: Decomposition,
-                       pou: PartitionOfUnity, gamma0: float, rules,
-                       threads: int = 1) -> list:
+def compute_local_data(mesh: TriMesh, asm: DGAssembler, f, decomp: Decomposition,
+                       pou: PartitionOfUnity, rules, threads: int = 1) -> list:
     """Run all per-subdomain stages; results are ordered by subdomain index.
 
-    ``rules`` is the run's sweep, as :func:`msgfem.gfem.solve_msgfem` takes
-    it.  Each subdomain keeps every eigenvalue and the modes of the sweep's
-    largest rule on its overlap subdomain; the dense basis and pencil
-    vectors it computed them from are dropped when its worker returns.
+    ``asm`` is the run's assembler on ``mesh``, so one set of block tables
+    serves every subdomain.  ``rules`` is the run's sweep, as
+    :func:`msgfem.gfem.solve_msgfem` takes it.  Each subdomain keeps every
+    eigenvalue and the modes of the sweep's largest rule on its overlap
+    subdomain; the dense basis and pencil vectors it computed them from are
+    dropped when its worker returns.
     """
+    if asm.mesh is not mesh:
+        raise ValueError("the assembler is built on another mesh")
     rule = _largest_rule(list(rules))
-    asm = DGAssembler(mesh, coefficient, gamma0)
 
     def one(j: int) -> LocalSpectralData:
         omega = decomp.omega(j)
@@ -248,7 +261,8 @@ def compute_local_data(mesh: TriMesh, coefficient, f, decomp: Decomposition,
         data = LocalSpectralData(j=j, particular=up, eigenvalues=values,
                                  modes=np.empty((up.size, 0)))
         data.modes = np.empty((up.size, select_coarse(data, rule)))
-        # one matrix-vector product per mode: a matrix product may round differently
+        # one full matrix-vector product per mode: a matrix product, or a product
+        # on a subset of the rows, may round differently
         for k in range(data.modes.shape[1]):
             data.modes[:, k] = restrict(basis @ vectors[:, k], omega_star, omega)
         return data

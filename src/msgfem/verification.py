@@ -250,10 +250,6 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
 
-def _is_boundary_set(mesh: TriMesh, D) -> bool:
-    return bool(np.any(np.isin(mesh.bface_elem, D)))
-
-
 def run_property_suite(problem) -> SuiteReport:
     """Structural invariants of every stage, on the problem of one run.
 
@@ -300,14 +296,33 @@ def run_property_suite(problem) -> SuiteReport:
     hulls_ok = (np.all(np.isin(dm, sample)) and np.all(np.isin(sample, dp))
                 and np.all(np.isin(dm, d_minus(mesh, dp))))
     record("decomposition.hulls", hulls_ok, {"sample_size": int(sample.size)})
+    # one pass over the subdomains; a failing check names its first subdomain
+    first_fail = {}
     covered = np.zeros(nE, dtype=bool)
     for j in range(decomp.n_subdomains):
-        covered[d_minus(mesh, decomp.omega(j))] = True
-        if not np.all(np.isin(decomp.omega(j), decomp.omega_star(j))):
-            record("decomposition.nesting", False, {"subdomain": j})
-            break
-    else:
-        record("decomposition.nesting", True, {})
+        omega, omega_star = decomp.omega(j), decomp.omega_star(j)
+        inner = np.zeros(nE, dtype=bool)
+        inner[d_minus(mesh, omega)] = True
+        covered |= inner
+        # Bplus kills the constants exactly when omega* has no boundary face
+        Bp = asm.matrix(omega_star, "Bplus")
+        ones = np.ones(3 * omega_star.size)
+        if np.any(np.isin(mesh.bface_elem, omega_star)):
+            kernel_ok = float(ones @ (Bp @ ones)) > 0.0
+        else:
+            kernel_ok = float(np.abs(Bp @ ones).max()) <= 1e-12 * coef.nu_max
+        support_ok = not np.any(pou.values[j][mesh.elements[~inner]])
+        for name, ok in (("decomposition.nesting", np.all(np.isin(omega, omega_star))),
+                         ("dg_forms.kernel_characterization", kernel_ok),
+                         ("space_ops.pou_support", support_ok)):
+            if not ok:
+                first_fail.setdefault(name, j)
+
+    def record_first_fail(name, witness=True):
+        j = first_fail.get(name)
+        record(name, j is None, {"subdomain": j} if witness and j is not None else {})
+
+    record_first_fail("decomposition.nesting")
     record("decomposition.shrunk_cover", bool(covered.all()),
            {"uncovered": int((~covered).sum())})
 
@@ -346,22 +361,7 @@ def run_property_suite(problem) -> SuiteReport:
     record("space_ops.restriction_nonexpansive", nonexp_ok, {})
     record("space_ops.locality_identity", loc_err <= 1e-12, {"max_rel_err": loc_err})
 
-    # kernel characterization per oversampling domain
-    kernel_ok = True
-    witness = {}
-    for j in range(decomp.n_subdomains):
-        Ds = decomp.omega_star(j)
-        Bp = asm.matrix(Ds, "Bplus")
-        ones = np.ones(3 * Ds.size)
-        if _is_boundary_set(mesh, Ds):
-            ok = float(ones @ (Bp @ ones)) > 0.0
-        else:
-            ok = float(np.abs(Bp @ ones).max()) <= 1e-12 * coef.nu_max
-        if not ok:
-            kernel_ok = False
-            witness = {"subdomain": j}
-            break
-    record("dg_forms.kernel_characterization", kernel_ok, witness)
+    record_first_fail("dg_forms.kernel_characterization")
 
     # partition of unity
     sums = pou.values.sum(axis=0)
@@ -376,14 +376,7 @@ def run_property_suite(problem) -> SuiteReport:
         w = pou_blend(mesh, decomp, pou, locals_)
         blend_ok = blend_ok and float(np.abs(w - u).max()) <= 1e-12 * float(np.abs(u).max())
     record("space_ops.blend_reproduction", blend_ok, {})
-    support_ok = True
-    for j in range(decomp.n_subdomains):
-        inner = d_minus(mesh, decomp.omega(j))
-        outside = np.setdiff1d(np.arange(nE, dtype=np.int64), inner, assume_unique=True)
-        if outside.size and float(np.abs(pou.values[j][np.unique(mesh.elements[outside])]).max()) != 0.0:
-            support_ok = False
-            break
-    record("space_ops.pou_support", support_ok, {})
+    record_first_fail("space_ops.pou_support", witness=False)
     in_range = bool(np.all(pou.values >= 0.0) and np.all(pou.values <= 1.0 + 1e-15))
     record("space_ops.pou_range", in_range, {})
 

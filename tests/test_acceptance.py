@@ -51,8 +51,8 @@ def reference():
     for label, spec in (("constant", "constant:1"), ("checker", CHECKER)):
         coef = coefficient_field(mesh, spec)
         t0 = time.time()
-        out["locals"][label] = compute_local_data(mesh, coef, source_one,
-                                                  decomp, pou, G0, SWEEP)
+        out["locals"][label] = compute_local_data(mesh, DGAssembler(mesh, coef, G0),
+                                                  source_one, decomp, pou, SWEEP)
         out["seconds"][label] = time.time() - t0
         out["coef"][label] = coef
     return out
@@ -266,8 +266,9 @@ def test_criterion_9_single_subdomain_exactness():
     coef = coefficient_field(mesh, "checkerboard:100:4")
     decomp = build_decomposition(mesh, 1, 2, 4)
     pou = build_pou(mesh, decomp)
-    locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0, [("fixed", 0)])
-    forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
+    asm = DGAssembler(mesh, coef, G0)
+    locals_ = compute_local_data(mesh, asm, source_one, decomp, pou, [("fixed", 0)])
+    forms = GlobalForms(asm, source_one)
     [sol] = solve_msgfem(mesh, decomp, pou, locals_, forms, [("fixed", 0)])
     u_G = sol.u_G
     u_fine = fine_solve(forms)

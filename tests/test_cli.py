@@ -7,6 +7,7 @@ import msgfem.cli
 import msgfem.verification
 from msgfem.cli import main, run, source_function
 from msgfem.config import RunConfig, parse_config, serialize_config
+from msgfem.dg_forms import DGAssembler
 from msgfem.errors import ConfigError
 
 SMALL = """
@@ -237,9 +238,16 @@ def test_checked_run_builds_mesh_decomposition_and_pou_once(tmp_path, monkeypatc
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
+    init = DGAssembler.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls["DGAssembler"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DGAssembler, "__init__", counted_init)
     # at mesh_n <= 12 the suite's coercivity probe runs on the problem's own mesh
     cfg = parse_config(SMALL.replace("mesh_n = 16", "mesh_n = 12"))
     assert cfg.checks
     assert run(cfg, out_dir=tmp_path) == 0
     assert calls == {"build_structured_mesh": 1, "build_decomposition": 1,
-                     "build_pou": 1}
+                     "build_pou": 1, "DGAssembler": 1}

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 
-from msgfem.decomposition import square_block
+from msgfem.decomposition import build_decomposition, square_block
 from msgfem.dg_forms import DGAssembler, subdomain_dofs
 from msgfem.mesh import Coefficient, TriMesh, build_structured_mesh, coefficient_field
 
 G0 = np.sqrt(10.0)
+MASS3 = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
 # -- scalar oracles of the per-face data the assembler vectorizes ---------------
@@ -302,3 +304,120 @@ def test_dofmap_and_subdomain_dofs():
     assert subdomain_dofs(np.arange(mesh.n_elements)).size == 3 * mesh.n_elements
     assert np.array_equal(subdomain_dofs([3]), [9, 10, 11])
     assert np.array_equal(subdomain_dofs([1, 4]), [3, 4, 5, 12, 13, 14])
+
+
+# -- the per-call assembly the block tables replace ------------------------------
+
+def per_call_matrix(mesh, coef, gamma0, D, kind):
+    """Every block recomputed from the per-face data on each call, as before the tables."""
+    nu_all = coef.values
+    e1, e2 = mesh.iface_elems[:, 0], mesh.iface_elems[:, 1]
+    nu1, nu2 = nu_all[e1], nu_all[e2]
+    int_gamma2 = (gamma0 * gamma0 / mesh.iface_h) * 2.0 * nu1 * nu2 / (nu1 + nu2)
+    int_coef1 = 2.0 * nu2 / (nu1 + nu2) * nu1
+    int_coef2 = 2.0 * nu1 / (nu1 + nu2) * nu2
+    bnd_gamma2 = (gamma0 * gamma0 / mesh.bface_h) * nu_all[mesh.bface_elem]
+    nfi, nfb = mesh.n_interior_faces, mesh.n_boundary_faces
+    Sp_all, Sq_all = np.zeros((nfi, 6)), np.zeros((nfi, 6))
+    r = np.arange(nfi)
+    Sp_all[r, mesh.iface_local[:, 0, 0]] = 1.0
+    Sp_all[r, 3 + mesh.iface_local[:, 1, 0]] = -1.0
+    Sq_all[r, mesh.iface_local[:, 0, 1]] = 1.0
+    Sq_all[r, 3 + mesh.iface_local[:, 1, 1]] = -1.0
+    dn1 = np.einsum("fid,fd->fi", mesh.grads[e1], mesh.iface_normal)
+    dn2 = np.einsum("fid,fd->fi", mesh.grads[e2], mesh.iface_normal)
+    Tp_all, Tq_all = np.zeros((nfb, 3)), np.zeros((nfb, 3))
+    r = np.arange(nfb)
+    Tp_all[r, mesh.bface_local[:, 0]] = 1.0
+    Tq_all[r, mesh.bface_local[:, 1]] = 1.0
+    dnb = np.einsum("fid,fd->fi", mesh.grads[mesh.bface_elem], mesh.bface_normal)
+
+    D = np.arange(mesh.n_elements) if D is None else np.asarray(D, dtype=np.int64)
+    blocks, rows_all, cols_all = [], [], []
+
+    def add(block, elems_rows, elems_cols):
+        rows_all.append(np.broadcast_to(elems_rows[:, :, None], block.shape).ravel())
+        cols_all.append(np.broadcast_to(elems_cols[:, None, :], block.shape).ravel())
+        blocks.append(block.ravel())
+
+    def outer(a, b):
+        return np.einsum("fi,fj->fij", a, b)
+
+    nu, areas = nu_all[D], mesh.areas[D]
+    eldofs = 3 * np.searchsorted(D, D)[:, None] + np.arange(3)
+    if kind != "Bplus_faces":
+        if kind == "mass":
+            vol = areas[:, None, None] * MASS3[None, :, :]
+        else:
+            stiff = np.einsum("eid,ejd->eij", mesh.grads[D], mesh.grads[D])
+            vol = (nu * areas)[:, None, None] * stiff
+            if kind == "H":
+                vol = vol + areas[:, None, None] * MASS3[None, :, :]
+        add(vol, eldofs, eldofs)
+    if kind != "mass":
+        both = np.isin(mesh.iface_elems, D)
+        k = np.flatnonzero(both[:, 0] & both[:, 1])
+        if k.size:
+            hF, g2, Sp, Sq = mesh.iface_h[k], int_gamma2[k], Sp_all[k], Sq_all[k]
+            pen = (g2 * hF / 6.0)[:, None, None] * (
+                2.0 * outer(Sp, Sp) + outer(Sp, Sq) + outer(Sq, Sp) + 2.0 * outer(Sq, Sq))
+            blk = pen
+            if kind == "B":
+                gvec = np.concatenate([int_coef1[k, None] * dn1[k],
+                                       int_coef2[k, None] * dn2[k]], axis=1)
+                cons = (0.25 * hF)[:, None, None] * outer(Sp + Sq, gvec)
+                blk = pen - cons - np.swapaxes(cons, 1, 2)
+            s1 = np.searchsorted(D, mesh.iface_elems[k, 0])
+            s2 = np.searchsorted(D, mesh.iface_elems[k, 1])
+            fd = np.concatenate([3 * s1[:, None] + np.arange(3),
+                                 3 * s2[:, None] + np.arange(3)], axis=1)
+            add(blk, fd, fd)
+        k = np.flatnonzero(np.isin(mesh.bface_elem, D))
+        if k.size:
+            hF, g2, Tp, Tq = mesh.bface_h[k], bnd_gamma2[k], Tp_all[k], Tq_all[k]
+            mf = (hF / 6.0)[:, None, None] * (
+                2.0 * outer(Tp, Tp) + outer(Tp, Tq) + outer(Tq, Tp) + 2.0 * outer(Tq, Tq))
+            if kind == "B":
+                gvec = nu_all[mesh.bface_elem[k], None] * dnb[k]
+                cons = (0.5 * hF)[:, None, None] * outer(Tp + Tq, gvec)
+                blk = 2.0 * g2[:, None, None] * mf - cons - np.swapaxes(cons, 1, 2)
+            else:
+                blk = g2[:, None, None] * mf
+            fd = 3 * np.searchsorted(D, mesh.bface_elem[k])[:, None] + np.arange(3)
+            add(blk, fd, fd)
+    data = np.concatenate(blocks) if blocks else np.empty(0)
+    rows = np.concatenate(rows_all) if rows_all else np.empty(0, dtype=np.int64)
+    cols = np.concatenate(cols_all) if cols_all else np.empty(0, dtype=np.int64)
+    mat = sp.coo_matrix((data, (rows, cols)), shape=(3 * D.size, 3 * D.size)).tocsr()
+    mat.sum_duplicates()
+    return mat
+
+
+def _face_free_set(mesh):
+    """Elements no two of which share a face, picked greedily in index order."""
+    taken = np.zeros(mesh.n_elements, dtype=bool)
+    for e in range(mesh.n_elements):
+        pair = mesh.iface_elems[(mesh.iface_elems == e).any(axis=1)]
+        taken[e] = not taken[pair.ravel()].any()
+    return np.flatnonzero(taken)
+
+
+@pytest.mark.parametrize("spec", ["constant:1", "checkerboard:1e6:4", "log_uniform:1e-3:1e3"])
+def test_block_tables_match_the_per_call_assembly_bit_for_bit(spec):
+    mesh = build_structured_mesh(24)
+    coef = coefficient_field(mesh, spec, seed=3)
+    decomp = build_decomposition(mesh, 4, 2, 2)
+    interior = decomp.omega_star(5)
+    boundary = decomp.omega_star(0)
+    assert not np.isin(mesh.bface_elem, interior).any()
+    assert np.isin(mesh.bface_elem, boundary).any()
+    free = _face_free_set(mesh)
+    assert free.size > 1 and not np.isin(mesh.iface_elems, free).all(axis=1).any()
+    asm = DGAssembler(mesh, coef, G0)
+    for D in (None, interior, boundary, np.array([37]), free):
+        for kind in ("B", "Bplus", "H", "mass", "Bplus_faces"):
+            got = asm.matrix(D, kind)
+            want = per_call_matrix(mesh, coef, G0, D, kind)
+            assert got.shape == want.shape
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr)), (kind, attr)

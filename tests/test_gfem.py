@@ -31,8 +31,9 @@ def problem():
     coef = coefficient_field(mesh, "checkerboard:100:2")
     decomp = build_decomposition(mesh, 2, 2, 4)
     pou = build_pou(mesh, decomp)
-    locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0, [("fixed", 8)])
-    forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
+    asm = DGAssembler(mesh, coef, G0)
+    locals_ = compute_local_data(mesh, asm, source_one, decomp, pou, [("fixed", 8)])
+    forms = GlobalForms(asm, source_one)
     u_fine = fine_solve(forms)
     return mesh, coef, decomp, pou, locals_, forms, u_fine
 
@@ -103,8 +104,9 @@ def test_single_subdomain_particular_is_exact():
     coef = coefficient_field(mesh, "checkerboard:100:2")
     decomp = build_decomposition(mesh, 1, 2, 2)
     pou = build_pou(mesh, decomp)
-    locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0, [("fixed", 0)])
-    forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
+    asm = DGAssembler(mesh, coef, G0)
+    locals_ = compute_local_data(mesh, asm, source_one, decomp, pou, [("fixed", 0)])
+    forms = GlobalForms(asm, source_one)
     [sol] = solve_msgfem(mesh, decomp, pou, locals_, forms, [("fixed", 0)])
     assert sol.coarse.n_total == 0
     assert np.all(sol.u_s == 0.0)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -92,8 +94,7 @@ def test_one_factorization_matches_separate_solves_bit_for_bit(setting):
     rough = coefficient_field(mesh, "log_uniform:1e-3:1e3", seed=0)
     asm = DGAssembler(mesh, rough, G0)
     _assert_matches_oracles(asm, decomp)
-    threaded = compute_local_data(mesh, rough, source_one, decomp, pou, G0, FIXED,
-                                  threads=2)
+    threaded = compute_local_data(mesh, asm, source_one, decomp, pou, FIXED, threads=2)
     for d in threaded:
         om, oms = decomp.omega(d.j), decomp.omega_star(d.j)
         assert np.array_equal(d.particular, _oracle_particular(asm, source_one, om, oms))
@@ -110,8 +111,7 @@ def test_local_stage_hands_over_the_selected_modes_alone(setting, rules, largest
                                                          threads):
     mesh, coef, decomp, pou = setting
     asm = DGAssembler(mesh, coef, G0)
-    locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0, rules,
-                                 threads=threads)
+    locals_ = compute_local_data(mesh, asm, source_one, decomp, pou, rules, threads=threads)
     kept = []
     for d in locals_:
         om, oms = decomp.omega(d.j), decomp.omega_star(d.j)
@@ -136,11 +136,19 @@ def test_local_stage_hands_over_the_selected_modes_alone(setting, rules, largest
 
 def test_sweep_beyond_the_kept_modes_raises(setting):
     mesh, coef, decomp, pou = setting
-    locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0, [("fixed", 2)])
-    forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
+    asm = DGAssembler(mesh, coef, G0)
+    locals_ = compute_local_data(mesh, asm, source_one, decomp, pou, [("fixed", 2)])
+    forms = GlobalForms(asm, source_one)
     for rule in (("fixed", 3), ("threshold", 0.0)):
         with pytest.raises(ValueError, match="exceeds the assembled modes"):
             solve_msgfem(mesh, decomp, pou, locals_, forms, [rule])
+
+
+def test_compute_local_data_rejects_an_assembler_on_another_mesh(setting):
+    mesh, coef, decomp, pou = setting
+    other = build_structured_mesh(mesh.structured_n)
+    with pytest.raises(ValueError, match="another mesh"):
+        compute_local_data(mesh, DGAssembler(other, coef, G0), source_one, decomp, pou, FIXED)
 
 
 def test_compute_local_data_factors_once_per_subdomain(setting, monkeypatch):
@@ -153,7 +161,7 @@ def test_compute_local_data_factors_once_per_subdomain(setting, monkeypatch):
         return splu(A)
 
     monkeypatch.setattr(local_problems.spla, "splu", counting)
-    compute_local_data(mesh, coef, source_one, decomp, pou, G0, FIXED)
+    compute_local_data(mesh, DGAssembler(mesh, coef, G0), source_one, decomp, pou, FIXED)
     assert len(calls) == decomp.n_subdomains
 
 
@@ -179,12 +187,12 @@ def test_compute_local_data_solves_once_per_right_hand_side(setting, monkeypatch
     rough = coefficient_field(mesh, "log_uniform:1e-3:1e3", seed=0)
     for c in (coef, rough):
         widths.clear()
-        compute_local_data(mesh, c, source_one, decomp, pou, G0, FIXED)
+        compute_local_data(mesh, DGAssembler(mesh, c, G0), source_one, decomp, pou, FIXED)
         assert len(widths) == 2 * decomp.n_subdomains
         assert widths.count(1) == decomp.n_subdomains
     # a zero source is not solved at all
     widths.clear()
-    compute_local_data(mesh, coef, 0.0, decomp, pou, G0, FIXED)
+    compute_local_data(mesh, DGAssembler(mesh, coef, G0), 0.0, decomp, pou, FIXED)
     assert len(widths) == decomp.n_subdomains and 1 not in widths
 
 
@@ -401,7 +409,7 @@ def test_eigenvalue_decay_fits_per_subdomain():
     coef = coefficient_field(mesh, "constant:1")
     decomp = build_decomposition(mesh, 4, 2, 4)
     pou = build_pou(mesh, decomp)
-    locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0, FIXED)
+    locals_ = compute_local_data(mesh, DGAssembler(mesh, coef, G0), source_one, decomp, pou, FIXED)
     for data in locals_:
         lam = data.eigenvalues[np.isfinite(data.eigenvalues)][:20]
         slope, _, r2 = decay_fit(np.arange(1, lam.size + 1), np.sqrt(lam), 0.5)
@@ -411,10 +419,16 @@ def test_eigenvalue_decay_fits_per_subdomain():
 
 def test_threaded_results_match_serial(setting):
     mesh, coef, decomp, pou = setting
-    serial = compute_local_data(mesh, coef, source_one, decomp, pou, G0, FIXED,
-                                threads=1)
-    threaded = compute_local_data(mesh, coef, source_one, decomp, pou, G0, FIXED,
-                                  threads=4)
+    serial = compute_local_data(mesh, DGAssembler(mesh, coef, G0), source_one, decomp, pou,
+                                FIXED, threads=1)
+    # the workers share a fresh assembler, so they race to build its block tables
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = compute_local_data(mesh, DGAssembler(mesh, coef, G0), source_one, decomp,
+                                      pou, FIXED, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
     for a, b in zip(serial, threaded):
         assert np.array_equal(a.particular, b.particular)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
@@ -438,7 +452,7 @@ def test_select_coarse_rules():
 
 def test_eigenvalue_export_format(setting):
     mesh, coef, decomp, pou = setting
-    locals_ = compute_local_data(mesh, coef, source_one, decomp, pou, G0, FIXED)
+    locals_ = compute_local_data(mesh, DGAssembler(mesh, coef, G0), source_one, decomp, pou, FIXED)
     text = export_eigenvalues(locals_)
     lines = text.strip().split("\n")
     assert lines[0] == "j,k,lambda,is_infinite"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import msgfem.local_problems as local_problems
 from msgfem.cli import build_problem
 from msgfem.config import RunConfig, parse_config
-from msgfem.decomposition import square_block
+from msgfem.decomposition import d_minus, square_block
 from msgfem.dg_forms import DGAssembler
 from msgfem.errors import ConfigError, SolverError
 from msgfem.gfem import GlobalForms
@@ -175,3 +176,24 @@ def test_suite_solves_no_block_wider_than_its_samples(monkeypatch, overrides):
     report = run_property_suite(build_problem(small_config(**overrides)))
     assert report.ok
     assert widths and max(widths) <= 20
+
+
+def test_per_subdomain_checks_name_their_first_failing_subdomain():
+    problem = build_problem(small_config())
+    mesh, decomp, pou = problem.mesh, problem.decomp, problem.pou
+    subdomains = list(decomp.subdomains)
+    for j in (1, 3):   # omega_j no longer nests in omega*_j
+        omega, omega_star = subdomains[j]
+        subdomains[j] = (omega, np.setdiff1d(omega_star, omega[-1:]))
+    values = pou.values.copy()   # weight 3 leaks outside its shrunk subdomain
+    outside = np.setdiff1d(np.arange(mesh.n_elements), d_minus(mesh, decomp.omega(3)))
+    values[3, mesh.elements[outside[0], 0]] = 0.5
+    doctored = dataclasses.replace(
+        problem, decomp=dataclasses.replace(decomp, subdomains=subdomains),
+        pou=dataclasses.replace(pou, values=values))
+    by_name = {c.name: (c.status, c.witness) for c in run_property_suite(doctored).checks}
+    assert by_name["decomposition.nesting"] == ("fail", {"subdomain": 1})
+    # the cover is taken over every subdomain, not only up to the first misnested one
+    assert by_name["decomposition.shrunk_cover"] == ("pass", {"uncovered": 0})
+    assert by_name["space_ops.pou_support"] == ("fail", {})
+    assert by_name["dg_forms.kernel_characterization"] == ("pass", {})
