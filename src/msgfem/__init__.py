@@ -12,7 +12,6 @@ from .local_problems import (LocalSpectralData, compute_local_data,
 from .mesh import Coefficient, TriMesh, build_structured_mesh, coefficient_field
 from .space_ops import (PartitionOfUnity, build_pou, extend_by_zero, h0_dofs,
                         interpolate_product, pou_blend, restrict)
-from .verification import (ConvergenceRecord, decay_fit, fine_solve,
-                           manufactured_convergence, run_property_suite)
+from .verification import decay_fit, fine_solve, run_property_suite
 
 __version__ = "0.1.0"

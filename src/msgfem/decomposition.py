@@ -73,9 +73,6 @@ class Decomposition:
     """Overlapping subdomains with oversampling, on an ``m x m`` cell grid."""
 
     subdomains: list          # per j: (omega_j, omega_star_j) sorted element arrays
-    grid_m: int
-    overlap_layers: int
-    oversampling_layers: int
 
     @property
     def n_subdomains(self) -> int:
@@ -125,6 +122,4 @@ def build_decomposition(mesh: TriMesh, m: int, overlap_layers: int,
     covered = np.unique(np.concatenate([om for om, _ in subdomains]))
     if covered.size != mesh.n_elements:
         raise ValueError("subdomains do not cover the mesh")
-    return Decomposition(subdomains=subdomains, grid_m=m,
-                         overlap_layers=overlap_layers,
-                         oversampling_layers=oversampling_layers)
+    return Decomposition(subdomains=subdomains)

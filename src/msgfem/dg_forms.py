@@ -19,8 +19,7 @@ The assembled variants are
 * ``Bplus``  the positive part: volume diffusion plus all jump penalties
   (boundary penalty not doubled, no consistency terms),
 * ``H``      ``Bplus`` plus the volume mass matrix (the local inner product),
-* ``mass``   the volume mass matrix alone,
-* ``Bplus_faces``  the face part of ``Bplus`` (jump seminorm without volume).
+* ``mass``   the volume mass matrix alone.
 
 Face weights: with per-side coefficient values ``nu_1, nu_2`` the penalty
 coefficient is ``gamma_h^2 = (gamma0^2 / h_F) * 2 nu_1 nu_2 / (nu_1 + nu_2)``
@@ -40,10 +39,20 @@ __all__ = [
     "DGAssembler",
     "subdomain_dofs",
     "nested_dofs",
-    "triangle_quadrature",
 ]
 
 _MASS3 = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+
+# barycentric points and unit weights of a six-point rule exact to degree 4
+_LOAD_POINTS = np.array([
+    [0.108103018168070, 0.445948490915965, 0.445948490915965],
+    [0.445948490915965, 0.108103018168070, 0.445948490915965],
+    [0.445948490915965, 0.445948490915965, 0.108103018168070],
+    [0.816847572980459, 0.091576213509771, 0.091576213509771],
+    [0.091576213509771, 0.816847572980459, 0.091576213509771],
+    [0.091576213509771, 0.091576213509771, 0.816847572980459],
+])
+_LOAD_WEIGHTS = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
 
 
 def subdomain_dofs(members) -> np.ndarray:
@@ -66,7 +75,7 @@ def nested_dofs(inner, outer) -> np.ndarray:
     return (3 * pos[:, None] + np.arange(3)).ravel()
 
 
-_KINDS = ("B", "Bplus", "H", "mass", "Bplus_faces")
+_KINDS = ("B", "Bplus", "H", "mass")
 
 
 def _edge_mass(P, Q):
@@ -160,8 +169,7 @@ class DGAssembler:
         return {"B": [(vol, stiff), (faces, ifull), (bnd, bfull)],
                 "Bplus": [(vol, stiff), (faces, ipen), (bnd, bpen)],
                 "H": [(vol, stiff + mass), (faces, ipen), (bnd, bpen)],
-                "mass": [(vol, mass)],
-                "Bplus_faces": [(faces, ipen), (bnd, bpen)]}
+                "mass": [(vol, mass)]}
 
     def _members(self, D) -> np.ndarray:
         if D is None:
@@ -187,65 +195,24 @@ class DGAssembler:
             rows.append(np.broadcast_to(dofs[:, :, None], blk.shape).ravel())
             cols.append(np.broadcast_to(dofs[:, None, :], blk.shape).ravel())
             data.append(blk.ravel())
-        mat = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(3 * D.size, 3 * D.size)).tocsr()
-        mat.sum_duplicates()
-        return mat
+        return sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(3 * D.size, 3 * D.size)).tocsr()
 
-    def load(self, f, D=None, degree: int = 4) -> np.ndarray:
+    def load(self, f, D=None) -> np.ndarray:
         """Source functional against the shape functions of the set.
 
-        ``f`` is a callable of ``(x, y)`` or a constant; the degree-4 default
-        rule is exact for linear sources.
+        ``f`` is a callable of ``(x, y)`` or a constant; the degree-4 rule is
+        exact for sources up to cubic.
         """
         mesh = self.mesh
         D = self._members(D)
-        bary, w = triangle_quadrature(degree)
-        pts = np.einsum("qa,ead->eqd", bary, mesh.vertices[mesh.elements[D]])
+        pts = np.einsum("qa,ead->eqd", _LOAD_POINTS, mesh.vertices[mesh.elements[D]])
         if callable(f):
             fv = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
             fv = np.broadcast_to(fv, pts.shape[:2])
         else:
             fv = np.full(pts.shape[:2], float(f))
         # shape function i at a quadrature point equals its barycentric coordinate
-        vals = np.einsum("eq,q,qi->ei", fv, w, bary) * mesh.areas[D][:, None]
+        vals = np.einsum("eq,q,qi->ei", fv, _LOAD_WEIGHTS, _LOAD_POINTS) * mesh.areas[D][:, None]
         return vals.ravel()
 
-
-_QUAD_RULES = {
-    2: (
-        np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
-        np.array([1.0, 1.0, 1.0]) / 3.0,
-    ),
-    4: (
-        np.array([
-            [0.108103018168070, 0.445948490915965, 0.445948490915965],
-            [0.445948490915965, 0.108103018168070, 0.445948490915965],
-            [0.445948490915965, 0.445948490915965, 0.108103018168070],
-            [0.816847572980459, 0.091576213509771, 0.091576213509771],
-            [0.091576213509771, 0.816847572980459, 0.091576213509771],
-            [0.091576213509771, 0.091576213509771, 0.816847572980459],
-        ]),
-        np.array([0.223381589678011] * 3 + [0.109951743655322] * 3),
-    ),
-    5: (
-        np.array([
-            [1 / 3, 1 / 3, 1 / 3],
-            [0.059715871789770, 0.470142064105115, 0.470142064105115],
-            [0.470142064105115, 0.059715871789770, 0.470142064105115],
-            [0.470142064105115, 0.470142064105115, 0.059715871789770],
-            [0.797426985353087, 0.101286507323456, 0.101286507323456],
-            [0.101286507323456, 0.797426985353087, 0.101286507323456],
-            [0.101286507323456, 0.101286507323456, 0.797426985353087],
-        ]),
-        np.array([0.225] + [0.132394152788506] * 3 + [0.125939180544827] * 3),
-    ),
-}
-
-
-def triangle_quadrature(degree: int):
-    """Barycentric points and unit-weights of a rule exact to the given degree."""
-    for d in sorted(_QUAD_RULES):
-        if d >= degree:
-            return _QUAD_RULES[d]
-    raise ValueError(f"no quadrature rule of degree {degree}")

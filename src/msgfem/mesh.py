@@ -90,14 +90,20 @@ class Coefficient:
     """Piecewise-constant diffusion coefficient, one finite positive value per element."""
 
     values: np.ndarray
-    nu_min: float
-    nu_max: float
 
     def __post_init__(self):
         if self.values.ndim != 1:
             raise ValueError("coefficient values must be a flat per-element array")
         if not np.all((self.values > 0.0) & (self.values < np.inf)):
             raise ValueError("coefficient values must be finite and strictly positive")
+
+    @property
+    def nu_min(self) -> float:
+        return float(self.values.min())
+
+    @property
+    def nu_max(self) -> float:
+        return float(self.values.max())
 
     @property
     def contrast(self) -> float:
@@ -108,7 +114,7 @@ class Coefficient:
         v = np.asarray(values, dtype=float)
         if v.size == 0:
             raise ValueError("coefficient values must be nonempty")
-        return Coefficient(values=v, nu_min=float(v.min()), nu_max=float(v.max()))
+        return Coefficient(values=v)
 
 
 def _element_geometry(vertices, elements):

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from .decomposition import Decomposition, d_minus
-from .dg_forms import DGAssembler, nested_dofs, subdomain_dofs
+from .dg_forms import nested_dofs, subdomain_dofs
 from .mesh import TriMesh
 
 __all__ = [
@@ -66,16 +66,10 @@ class PartitionOfUnity:
 
     Row ``j`` vanishes on every vertex touched by an element outside the
     shrunk subdomain ``d_minus(omega_j)`` and the rows sum to one at every
-    vertex.  ``grad_inf`` records the largest elementwise gradient magnitude
-    of each weight.
+    vertex.
     """
 
     values: np.ndarray    # (n_subdomains, n_vertices)
-    grad_inf: np.ndarray  # (n_subdomains,)
-
-    @property
-    def n_subdomains(self) -> int:
-        return self.values.shape[0]
 
 
 def build_pou(mesh: TriMesh, decomp: Decomposition) -> PartitionOfUnity:
@@ -114,12 +108,7 @@ def build_pou(mesh: TriMesh, decomp: Decomposition) -> PartitionOfUnity:
         raise ValueError(
             f"vertex {int(uncovered[0])} is not interior to any shrunk subdomain; "
             "increase the overlap")
-    values = raw / total[None, :]
-    grad_inf = np.empty(M)
-    for j in range(M):
-        g = np.einsum("ei,eid->ed", values[j][mesh.elements], mesh.grads)
-        grad_inf[j] = float(np.linalg.norm(g, axis=1).max())
-    return PartitionOfUnity(values=values, grad_inf=grad_inf)
+    return PartitionOfUnity(values=raw / total[None, :])
 
 
 def interpolate_product(mesh: TriMesh, chi_vertex_values: np.ndarray,

@@ -1,9 +1,12 @@
 """Independent oracles and the runnable property suite.
 
 The checks here deliberately avoid the multiscale pipeline: the reference
-solution is a direct global solve, errors against manufactured solutions are
-measured by quadrature, and every identity is evaluated through two separate
-assemblies.
+solution is a direct global solve, and every identity is evaluated through
+two separate assemblies.  Each invariant the suite samples is one function
+of explicit inputs (the operator identities on a nested pair, the kernel
+dichotomy of ``Bplus``, blend reproduction, the centred block pair of the
+interior-energy bound), so other callers check the same invariant on their
+own sets and draws.
 """
 from __future__ import annotations
 
@@ -15,8 +18,7 @@ import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 from .decomposition import d_minus, d_plus, square_block
-from .dg_forms import (DGAssembler, nested_dofs, subdomain_dofs,
-                       triangle_quadrature)
+from .dg_forms import DGAssembler, nested_dofs, subdomain_dofs
 from .errors import SolverError
 from .gfem import GlobalForms
 from .local_problems import MaskedSystem, solve_checked
@@ -24,10 +26,12 @@ from .mesh import TriMesh, build_structured_mesh, coefficient_field
 from .space_ops import extend_by_zero, h0_dofs, pou_blend, restrict
 
 __all__ = [
-    "ConvergenceRecord",
     "fine_solve",
-    "manufactured_convergence",
     "decay_fit",
+    "operator_identities",
+    "kernel_dichotomy",
+    "blend_deviation",
+    "centred_blocks",
     "caccioppoli_ratios",
     "CheckResult",
     "SuiteReport",
@@ -44,89 +48,6 @@ def fine_solve(forms: GlobalForms) -> np.ndarray:
         raise SolverError(
             f"global solve broke down ({exc}); the penalty parameter may be "
             "below the coercive range of this mesh family") from exc
-
-
-# -- manufactured-solution convergence ---------------------------------------
-
-def _sin_exact(x, y):
-    return np.sin(np.pi * x) * np.sin(np.pi * y)
-
-
-def _sin_rhs(x, y):
-    return 2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
-
-
-def _sin_grad(x, y):
-    return (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-            np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
-
-
-def l2_error_vs_function(mesh: TriMesh, u: np.ndarray, g, degree: int = 5) -> float:
-    """Quadrature error between a dof vector and a smooth function."""
-    bary, w = triangle_quadrature(degree)
-    pts = np.einsum("qa,ead->eqd", bary, mesh.vertices[mesh.elements])
-    uh = np.einsum("ei,qi->eq", u.reshape(-1, 3), bary)
-    diff = uh - g(pts[..., 0], pts[..., 1])
-    val = np.einsum("eq,q->e", diff ** 2, w) @ mesh.areas
-    return float(np.sqrt(max(val, 0.0)))
-
-
-def energy_error_vs_function(asm: DGAssembler, u: np.ndarray, grad_g,
-                             degree: int = 5) -> float:
-    """Jump-energy error against a smooth function vanishing on the boundary.
-
-    The volume part compares broken gradients by quadrature; since the target
-    is continuous and zero on the outer boundary, all face terms reduce to the
-    jump seminorm of the dof vector itself.
-    """
-    mesh = asm.mesh
-    bary, w = triangle_quadrature(degree)
-    pts = np.einsum("qa,ead->eqd", bary, mesh.vertices[mesh.elements])
-    grad_h = np.einsum("ei,eid->ed", u.reshape(-1, 3), mesh.grads)
-    gx, gy = grad_g(pts[..., 0], pts[..., 1])
-    dx = grad_h[:, 0, None] - gx
-    dy = grad_h[:, 1, None] - gy
-    vol = np.einsum("eq,q->e", dx ** 2 + dy ** 2, w) * asm.coefficient.values
-    val = float(vol @ mesh.areas)
-    faces = asm.matrix(None, "Bplus_faces")
-    val += float(u @ (faces @ u))
-    return float(np.sqrt(max(val, 0.0)))
-
-
-@dataclass
-class ConvergenceRecord:
-    """Mesh sizes, errors and observed rates of a refinement study."""
-
-    h: list
-    l2_errors: list
-    energy_errors: list
-
-    @staticmethod
-    def _rates(h, e):
-        return [float(np.log(e[i] / e[i + 1]) / np.log(h[i] / h[i + 1]))
-                for i in range(len(e) - 1)]
-
-    @property
-    def l2_rates(self):
-        return self._rates(self.h, self.l2_errors)
-
-    @property
-    def energy_rates(self):
-        return self._rates(self.h, self.energy_errors)
-
-
-def manufactured_convergence(mesh_sizes, gamma0: float) -> ConvergenceRecord:
-    """Refinement study for the unit-coefficient sine problem."""
-    hs, l2s, ens = [], [], []
-    for n in mesh_sizes:
-        mesh = build_structured_mesh(n)
-        forms = GlobalForms(DGAssembler(mesh, coefficient_field(mesh, "constant:1"),
-                                        gamma0), _sin_rhs)
-        u = fine_solve(forms)
-        hs.append(mesh.h)
-        l2s.append(l2_error_vs_function(mesh, u, _sin_exact))
-        ens.append(energy_error_vs_function(forms.asm, u, _sin_grad))
-    return ConvergenceRecord(h=hs, l2_errors=l2s, energy_errors=ens)
 
 
 # -- decay fits ----------------------------------------------------------------
@@ -155,6 +76,89 @@ def decay_fit(ns, values, exponent: float):
     else:
         r2 = 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), float(r2)
+
+
+# -- sampled invariants -----------------------------------------------------------
+
+def operator_identities(asm: DGAssembler, D, D_star, rng: np.random.Generator,
+                        n_vectors: int) -> tuple:
+    """The zero-extension and restriction identities on a nested pair ``D`` in ``D_star``.
+
+    Each of ``n_vectors`` rounds draws a masked vector ``v`` on ``D`` and then
+    a vector ``u`` on ``D_star`` from ``rng``.  Returns ``(isometry_err,
+    restrict_extend_exact, nonexpansive, locality_err)``: the largest relative
+    ``H`` norm change under zero-extension, whether restriction undoes it
+    exactly, whether restriction never grows the ``H`` norm, and the largest
+    relative change of ``B(v, u)`` between the two sets.
+    """
+    mesh = asm.mesh
+    H_D = asm.matrix(D, "H")
+    H_Ds = asm.matrix(D_star, "H")
+    B_D = asm.matrix(D, "B")
+    B_Ds = asm.matrix(D_star, "B")
+    free = h0_dofs(mesh, D)
+    iso_err = loc_err = 0.0
+    re_ok = nonexp_ok = True
+    for _ in range(n_vectors):
+        v = np.zeros(3 * D.size)
+        v[free] = rng.standard_normal(free.size)
+        ev = extend_by_zero(mesh, v, D, D_star)
+        n1 = float(v @ (H_D @ v))
+        n2 = float(ev @ (H_Ds @ ev))
+        iso_err = max(iso_err, abs(n1 - n2) / n1)
+        re_ok = re_ok and np.array_equal(restrict(ev, D_star, D), v)
+        u = rng.standard_normal(3 * D_star.size)
+        ur = restrict(u, D_star, D)
+        nonexp_ok = nonexp_ok and float(ur @ (H_D @ ur)) <= float(u @ (H_Ds @ u)) * (1 + 1e-12)
+        # the masked vector kills every face term only one of the forms has
+        a = float(v @ (B_D @ ur))
+        b = float(ev @ (B_Ds @ u))
+        scale = max(abs(a), abs(b), np.sqrt(float(u @ (H_Ds @ u)) * n1))
+        loc_err = max(loc_err, abs(a - b) / scale)
+    return iso_err, bool(re_ok), bool(nonexp_ok), loc_err
+
+
+def kernel_dichotomy(asm: DGAssembler, D) -> tuple:
+    """``Bplus`` on ``D`` kills the constants exactly when ``D`` has no boundary face.
+
+    Returns ``(ok, defect)``.  On a set with no boundary face ``defect`` is
+    ``|Bplus 1|_inf`` and must stay within ``1e-12 nu_max``; on a set with one
+    it is ``None`` and ``1^T Bplus 1`` must be positive.
+    """
+    Bp = asm.matrix(D, "Bplus")
+    ones = np.ones(3 * np.asarray(D).size)
+    if np.any(np.isin(asm.mesh.bface_elem, D)):
+        return float(ones @ (Bp @ ones)) > 0.0, None
+    defect = float(np.abs(Bp @ ones).max())
+    return defect <= 1e-12 * asm.coefficient.nu_max, defect
+
+
+def blend_deviation(mesh: TriMesh, decomp, pou, rng: np.random.Generator,
+                    n_vectors: int) -> float:
+    """Largest relative max-norm error of blending the restrictions of random vectors."""
+    dev = 0.0
+    for _ in range(n_vectors):
+        u = rng.standard_normal(3 * mesh.n_elements)
+        locals_ = [u[subdomain_dofs(decomp.omega(j))] for j in range(decomp.n_subdomains)]
+        w = pou_blend(mesh, decomp, pou, locals_)
+        dev = max(dev, float(np.abs(w - u).max() / np.abs(u).max()))
+    return dev
+
+
+def centred_blocks(mesh: TriMesh):
+    """The centred half-width block and its core inside a ring of ``5 max(n/32, 1)`` cells.
+
+    Returns ``(core, block)``, or ``None`` when the core would be narrower
+    than two cells (every ``n < 24``).
+    """
+    n = mesh.structured_n
+    s = n // 2
+    lo = (n - s) // 2
+    ring = 5 * max(n // 32, 1)
+    if s - 2 * ring < 2:
+        return None
+    return (square_block(mesh, lo + ring, lo + s - ring, lo + ring, lo + s - ring),
+            square_block(mesh, lo, lo + s, lo, lo + s))
 
 
 # -- Caccioppoli sampling ------------------------------------------------------
@@ -224,13 +228,6 @@ class SuiteReport:
     @property
     def ok(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
-
-    @property
-    def first_failure(self):
-        for c in self.checks:
-            if c.status == "fail":
-                return c
-        return None
 
     def to_json_dict(self) -> dict:
         return {
@@ -304,16 +301,10 @@ def run_property_suite(problem) -> SuiteReport:
         inner = np.zeros(nE, dtype=bool)
         inner[d_minus(mesh, omega)] = True
         covered |= inner
-        # Bplus kills the constants exactly when omega* has no boundary face
-        Bp = asm.matrix(omega_star, "Bplus")
-        ones = np.ones(3 * omega_star.size)
-        if np.any(np.isin(mesh.bface_elem, omega_star)):
-            kernel_ok = float(ones @ (Bp @ ones)) > 0.0
-        else:
-            kernel_ok = float(np.abs(Bp @ ones).max()) <= 1e-12 * coef.nu_max
         support_ok = not np.any(pou.values[j][mesh.elements[~inner]])
         for name, ok in (("decomposition.nesting", np.all(np.isin(omega, omega_star))),
-                         ("dg_forms.kernel_characterization", kernel_ok),
+                         ("dg_forms.kernel_characterization",
+                          kernel_dichotomy(asm, omega_star)[0]),
                          ("space_ops.pou_support", support_ok)):
             if not ok:
                 first_fail.setdefault(name, j)
@@ -328,34 +319,9 @@ def run_property_suite(problem) -> SuiteReport:
 
     # operator identities on a nested pair
     j_mid = decomp.n_subdomains // 2
-    D = decomp.omega(j_mid)
-    D_star = decomp.omega_star(j_mid)
-    H_D = asm.matrix(D, "H")
-    H_Ds = asm.matrix(D_star, "H")
-    B_D = asm.matrix(D, "B")
-    B_Ds = asm.matrix(D_star, "B")
-    free = h0_dofs(mesh, D)
-    rng = np.random.Generator(np.random.PCG64(config.seed + 1))
-    iso_err = 0.0
-    loc_err = 0.0
-    re_ok = True
-    nonexp_ok = True
-    for _ in range(20):
-        v = np.zeros(3 * D.size)
-        v[free] = rng.standard_normal(free.size)
-        ev = extend_by_zero(mesh, v, D, D_star)
-        n1 = float(v @ (H_D @ v))
-        n2 = float(ev @ (H_Ds @ ev))
-        iso_err = max(iso_err, abs(n1 - n2) / n1)
-        re_ok = re_ok and np.array_equal(restrict(ev, D_star, D), v)
-        u = rng.standard_normal(3 * D_star.size)
-        ur = restrict(u, D_star, D)
-        nonexp_ok = nonexp_ok and float(ur @ (H_D @ ur)) <= float(u @ (H_Ds @ u)) * (1 + 1e-12)
-        # the masked vector kills every face term only one of the forms has
-        a = float(v @ (B_D @ ur))
-        b = float(ev @ (B_Ds @ u))
-        scale = max(abs(a), abs(b), np.sqrt(float(u @ (H_Ds @ u)) * n1))
-        loc_err = max(loc_err, abs(a - b) / scale)
+    iso_err, re_ok, nonexp_ok, loc_err = operator_identities(
+        asm, decomp.omega(j_mid), decomp.omega_star(j_mid),
+        np.random.Generator(np.random.PCG64(config.seed + 1)), 20)
     record("space_ops.extension_isometry", iso_err <= 1e-12, {"max_rel_err": iso_err})
     record("space_ops.restrict_extend_identity", re_ok, {})
     record("space_ops.restriction_nonexpansive", nonexp_ok, {})
@@ -367,15 +333,9 @@ def run_property_suite(problem) -> SuiteReport:
     sums = pou.values.sum(axis=0)
     record("space_ops.pou_sum_to_one", float(np.abs(sums - 1.0).max()) <= 1e-14,
            {"max_dev": float(np.abs(sums - 1.0).max())})
-    rng2 = np.random.Generator(np.random.PCG64(config.seed + 2))
-    blend_ok = True
-    for _ in range(5):
-        u = rng2.standard_normal(3 * nE)
-        locals_ = [u[subdomain_dofs(decomp.omega(j))]
-                   for j in range(decomp.n_subdomains)]
-        w = pou_blend(mesh, decomp, pou, locals_)
-        blend_ok = blend_ok and float(np.abs(w - u).max()) <= 1e-12 * float(np.abs(u).max())
-    record("space_ops.blend_reproduction", blend_ok, {})
+    blend_dev = blend_deviation(mesh, decomp, pou,
+                                np.random.Generator(np.random.PCG64(config.seed + 2)), 5)
+    record("space_ops.blend_reproduction", blend_dev <= 1e-12, {})
     record_first_fail("space_ops.pou_support", witness=False)
     in_range = bool(np.all(pou.values >= 0.0) and np.all(pou.values <= 1.0 + 1e-15))
     record("space_ops.pou_range", in_range, {})
@@ -395,26 +355,16 @@ def run_property_suite(problem) -> SuiteReport:
         record("local.harmonicity", True, {}, skip=True)
 
     # interior-energy bound for harmonic samples
-    n = mesh.structured_n
-    if n >= 16:
-        s_out = n // 2
-        lo = (n - s_out) // 2
-        ring = 5 * max(n // 32, 1)
-        s_in = s_out - 2 * ring
-        if s_in >= 2:
-            om = square_block(mesh, lo + ring, lo + s_out - ring,
-                              lo + ring, lo + s_out - ring)
-            oms = square_block(mesh, lo, lo + s_out, lo, lo + s_out)
-            ratios, delta = caccioppoli_ratios(asm, om, oms, 20, config.seed + 3)
-            record("local.interior_energy_bound",
-                   bool(np.all(np.isfinite(ratios))),
-                   {"max_ratio": float(ratios.max()), "delta": delta})
-        else:
-            record("local.interior_energy_bound", True, {}, skip=True)
-    else:
+    blocks = centred_blocks(mesh)
+    if blocks is None:
         record("local.interior_energy_bound", True, {}, skip=True)
+    else:
+        ratios, delta = caccioppoli_ratios(asm, *blocks, 20, config.seed + 3)
+        record("local.interior_energy_bound", bool(np.all(np.isfinite(ratios))),
+               {"max_ratio": float(ratios.max()), "delta": delta})
 
     # dense positivity of the positive form and the inner product
+    n = mesh.structured_n
     small = square_block(mesh, 0, min(4, n), 0, min(4, n))
     Bp_small = asm.matrix(small, "Bplus").toarray()
     H_small = asm.matrix(small, "H").toarray()

@@ -12,17 +12,18 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from manufactured import manufactured_convergence
 from msgfem.cli import run as cli_run
 from msgfem.config import parse_config
 from msgfem.decomposition import build_decomposition, grow, square_block
-from msgfem.dg_forms import DGAssembler, subdomain_dofs
+from msgfem.dg_forms import DGAssembler
 from msgfem.gfem import GlobalForms, error_report, solve_msgfem
 from msgfem.local_problems import compute_local_data, particular_solution
 from msgfem.mesh import build_structured_mesh, coefficient_field
-from msgfem.space_ops import (build_pou, extend_by_zero, h0_dofs, pou_blend,
-                              restrict)
-from msgfem.verification import (caccioppoli_ratios, decay_fit, fine_solve,
-                                 manufactured_convergence)
+from msgfem.space_ops import build_pou, h0_dofs
+from msgfem.verification import (blend_deviation, caccioppoli_ratios,
+                                 centred_blocks, decay_fit, fine_solve,
+                                 kernel_dichotomy, operator_identities)
 
 G0 = np.sqrt(10.0)
 REF = dict(n=64, m=4, overlap=2, oversampling=4)
@@ -60,10 +61,9 @@ def reference():
 
 def test_criterion_1_discretization_validity():
     t0 = time.time()
-    rec = manufactured_convergence([8, 16, 32, 64], G0)
+    _, l2_rates, energy_rates = manufactured_convergence([8, 16, 32, 64], G0)
     elapsed = time.time() - t0
-    l2 = rec.l2_rates[-1]
-    en = rec.energy_rates[-1]
+    l2, en = l2_rates[-1], energy_rates[-1]
     ok = l2 >= 1.8 and en >= 0.9 and elapsed < 60.0
     report(1, ok, f"L2 rate {l2:.3f} >= 1.8, energy rate {en:.3f} >= 0.9, "
                   f"runtime {elapsed:.1f}s < 60s")
@@ -79,31 +79,12 @@ def test_criterion_2_framework_identities():
         (square_block(mesh, 3, 7, 0, 5), grow(mesh, square_block(mesh, 3, 7, 0, 5), 3)),
     ]
     rng = np.random.Generator(np.random.PCG64(42))
-    count = 0
-    worst_iso = worst_loc = 0.0
-    for D, D_star in pairs:
-        H_D = asm.matrix(D, "H")
-        H_Ds = asm.matrix(D_star, "H")
-        B_D = asm.matrix(D, "B")
-        B_Ds = asm.matrix(D_star, "B")
-        free = h0_dofs(mesh, D)
-        for _ in range(34):
-            count += 1
-            v = np.zeros(3 * D.size)
-            v[free] = rng.standard_normal(free.size)
-            ev = extend_by_zero(mesh, v, D, D_star)
-            n1 = float(v @ (H_D @ v))
-            n2 = float(ev @ (H_Ds @ ev))
-            worst_iso = max(worst_iso, abs(n1 - n2) / n1)
-            assert np.array_equal(restrict(ev, D_star, D), v)
-            u = rng.standard_normal(3 * D_star.size)
-            ur = restrict(u, D_star, D)
-            assert float(ur @ (H_D @ ur)) <= float(u @ (H_Ds @ u)) * (1 + 1e-12)
-            a = float(v @ (B_D @ ur))
-            b = float(ev @ (B_Ds @ u))
-            scale = max(abs(a), abs(b), np.sqrt(float(u @ (H_Ds @ u)) * n1))
-            worst_loc = max(worst_loc, abs(a - b) / scale)
-    ok = count >= 100 and worst_iso <= 1e-12 and worst_loc <= 1e-12
+    iso, exact, nonexpansive, loc = zip(*(operator_identities(asm, D, D_star, rng, 34)
+                                          for D, D_star in pairs))
+    count = 34 * len(pairs)
+    worst_iso, worst_loc = max(iso), max(loc)
+    ok = (count >= 100 and worst_iso <= 1e-12 and worst_loc <= 1e-12
+          and all(exact) and all(nonexpansive))
     report(2, ok, f"{count} vectors: isometry dev {worst_iso:.2e} <= 1e-12, "
                   f"locality dev {worst_loc:.2e} <= 1e-12, restriction "
                   "non-expansive, restrict-after-extend exact")
@@ -114,18 +95,12 @@ def test_criterion_3_kernel_characterization(reference):
     decomp = reference["decomp"]
     coef = reference["coef"]["constant"]
     asm = DGAssembler(mesh, coef, G0)
-    n_interior = 0
-    worst = 0.0
-    for j in range(decomp.n_subdomains):
-        for D in (decomp.omega(j), decomp.omega_star(j)):
-            Bp = asm.matrix(D, "Bplus")
-            ones = np.ones(Bp.shape[0])
-            if np.any(np.isin(mesh.bface_elem, D)):
-                assert float(ones @ (Bp @ ones)) > 0.0
-            else:
-                n_interior += 1
-                worst = max(worst, float(np.abs(Bp @ ones).max()))
-    ok = n_interior > 0 and worst <= 1e-12
+    holds, defects = zip(*(kernel_dichotomy(asm, D) for j in range(decomp.n_subdomains)
+                           for D in (decomp.omega(j), decomp.omega_star(j))))
+    interior = [d for d in defects if d is not None]
+    n_interior = len(interior)
+    worst = max(interior, default=0.0)
+    ok = n_interior > 0 and worst <= 1e-12 and all(holds)
     report(3, ok, f"{n_interior} interior subdomains with |B+ 1|_inf "
                   f"{worst:.2e} <= 1e-12; all boundary subdomains strictly "
                   "positive at the constant vector")
@@ -143,7 +118,9 @@ def _sharp_stability_constant(n):
     A = (P @ H @ P).tocsc()
     lam = spla.eigsh(A, k=1, M=H, which="LA", return_eigenvectors=False,
                      tol=1e-9)[0]
-    return float(np.sqrt(lam) / np.sqrt(1.0 + pou.grad_inf[0] ** 2))
+    grad = np.einsum("ei,eid->ed", pou.values[0][mesh.elements], mesh.grads)
+    grad_inf = float(np.linalg.norm(grad, axis=1).max())
+    return float(np.sqrt(lam) / np.sqrt(1.0 + grad_inf ** 2))
 
 
 def test_criterion_4_partition_of_unity(reference):
@@ -151,14 +128,7 @@ def test_criterion_4_partition_of_unity(reference):
     decomp = reference["decomp"]
     pou = reference["pou"]
     sum_dev = float(np.abs(pou.values.sum(axis=0) - 1.0).max())
-    rng = np.random.Generator(np.random.PCG64(7))
-    blend_dev = 0.0
-    for _ in range(5):
-        u = rng.standard_normal(3 * mesh.n_elements)
-        locs = [u[subdomain_dofs(decomp.omega(j))]
-                for j in range(decomp.n_subdomains)]
-        w = pou_blend(mesh, decomp, pou, locs)
-        blend_dev = max(blend_dev, float(np.abs(w - u).max() / np.abs(u).max()))
+    blend_dev = blend_deviation(mesh, decomp, pou, np.random.Generator(np.random.PCG64(7)), 5)
     c32 = _sharp_stability_constant(32)
     c64 = _sharp_stability_constant(64)
     factor = max(c32 / c64, c64 / c32)
@@ -246,11 +216,7 @@ def test_criterion_8_interior_energy_bound():
     for n in (32, 64):
         mesh = build_structured_mesh(n)
         coef = coefficient_field(mesh, "constant:1")
-        s = n // 2
-        lo = (n - s) // 2
-        ring = 5 * (n // 32)
-        om = square_block(mesh, lo + ring, lo + s - ring, lo + ring, lo + s - ring)
-        oms = square_block(mesh, lo, lo + s, lo, lo + s)
+        om, oms = centred_blocks(mesh)
         ratios, delta = caccioppoli_ratios(DGAssembler(mesh, coef, G0), om, oms, 50, 2024)
         assert np.all(np.isfinite(ratios))
         maxima[n] = float(ratios.max())

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
+from manufactured import QUAD5_POINTS, QUAD5_WEIGHTS, jump_seminorm_sq, quadrature_points
 from msgfem.decomposition import build_decomposition, square_block
 from msgfem.dg_forms import DGAssembler, subdomain_dofs
 from msgfem.mesh import Coefficient, TriMesh, build_structured_mesh, coefficient_field
@@ -179,7 +180,7 @@ def test_load_trivial_and_moments():
     # against the vertex functions at (0,0), (1,0), (0,1)
     ref = TriMesh.from_arrays([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
     ref_asm = DGAssembler(ref, Coefficient.from_values([1.0]), G0)
-    Fx = ref_asm.load(lambda x, y: x, None, degree=2)
+    Fx = ref_asm.load(lambda x, y: x)
     assert Fx == pytest.approx([1 / 24, 1 / 12, 1 / 24], rel=1e-13)
 
 
@@ -262,11 +263,9 @@ def test_spectral_interval_insensitive_to_contrast():
 
 
 def elementwise_l2_projection(mesh, g):
-    from msgfem.dg_forms import triangle_quadrature
-    bary, w = triangle_quadrature(5)
-    pts = np.einsum("qa,ead->eqd", bary, mesh.vertices[mesh.elements])
+    pts = quadrature_points(mesh)
     gv = g(pts[..., 0], pts[..., 1])
-    b = np.einsum("eq,q,qi->ei", gv, w, bary)
+    b = np.einsum("eq,q,qi->ei", gv, QUAD5_WEIGHTS, QUAD5_POINTS)
     M0 = (np.full((3, 3), 1.0) + np.eye(3)) / 12.0
     return np.einsum("ij,ej->ei", np.linalg.inv(M0), b).ravel()
 
@@ -279,12 +278,12 @@ def test_jump_seminorm_of_elementwise_approximations():
     for n in (8, 16, 32):
         mesh = build_structured_mesh(n)
         coef = coefficient_field(mesh, "constant:1")
-        P = DGAssembler(mesh, coef, G0).matrix(None, "Bplus_faces")
+        asm = DGAssembler(mesh, coef, G0)
         nodal = g(mesh.vertices[mesh.elements][..., 0],
                   mesh.vertices[mesh.elements][..., 1]).ravel()
-        assert abs(nodal @ (P @ nodal)) <= 1e-10
+        assert abs(jump_seminorm_sq(asm, nodal)) <= 1e-10
         proj = elementwise_l2_projection(mesh, g)
-        vals.append(np.sqrt(proj @ (P @ proj)))
+        vals.append(np.sqrt(jump_seminorm_sq(asm, proj)))
     rates = [np.log(vals[i] / vals[i + 1]) / np.log(2.0) for i in range(2)]
     assert min(rates) >= 0.9
 
@@ -345,15 +344,14 @@ def per_call_matrix(mesh, coef, gamma0, D, kind):
 
     nu, areas = nu_all[D], mesh.areas[D]
     eldofs = 3 * np.searchsorted(D, D)[:, None] + np.arange(3)
-    if kind != "Bplus_faces":
-        if kind == "mass":
-            vol = areas[:, None, None] * MASS3[None, :, :]
-        else:
-            stiff = np.einsum("eid,ejd->eij", mesh.grads[D], mesh.grads[D])
-            vol = (nu * areas)[:, None, None] * stiff
-            if kind == "H":
-                vol = vol + areas[:, None, None] * MASS3[None, :, :]
-        add(vol, eldofs, eldofs)
+    if kind == "mass":
+        vol = areas[:, None, None] * MASS3[None, :, :]
+    else:
+        stiff = np.einsum("eid,ejd->eij", mesh.grads[D], mesh.grads[D])
+        vol = (nu * areas)[:, None, None] * stiff
+        if kind == "H":
+            vol = vol + areas[:, None, None] * MASS3[None, :, :]
+    add(vol, eldofs, eldofs)
     if kind != "mass":
         both = np.isin(mesh.iface_elems, D)
         k = np.flatnonzero(both[:, 0] & both[:, 1])
@@ -385,10 +383,9 @@ def per_call_matrix(mesh, coef, gamma0, D, kind):
                 blk = g2[:, None, None] * mf
             fd = 3 * np.searchsorted(D, mesh.bface_elem[k])[:, None] + np.arange(3)
             add(blk, fd, fd)
-    data = np.concatenate(blocks) if blocks else np.empty(0)
-    rows = np.concatenate(rows_all) if rows_all else np.empty(0, dtype=np.int64)
-    cols = np.concatenate(cols_all) if cols_all else np.empty(0, dtype=np.int64)
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(3 * D.size, 3 * D.size)).tocsr()
+    mat = sp.coo_matrix((np.concatenate(blocks),
+                         (np.concatenate(rows_all), np.concatenate(cols_all))),
+                        shape=(3 * D.size, 3 * D.size)).tocsr()
     mat.sum_duplicates()
     return mat
 
@@ -415,7 +412,7 @@ def test_block_tables_match_the_per_call_assembly_bit_for_bit(spec):
     assert free.size > 1 and not np.isin(mesh.iface_elems, free).all(axis=1).any()
     asm = DGAssembler(mesh, coef, G0)
     for D in (None, interior, boundary, np.array([37]), free):
-        for kind in ("B", "Bplus", "H", "mass", "Bplus_faces"):
+        for kind in ("B", "Bplus", "H", "mass"):
             got = asm.matrix(D, kind)
             want = per_call_matrix(mesh, coef, G0, D, kind)
             assert got.shape == want.shape

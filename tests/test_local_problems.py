@@ -371,8 +371,7 @@ def test_trivial_same_domain_eigenproblem_is_psd_symmetric(setting):
     # and positive semidefiniteness are claimed
     mesh, coef, decomp, _ = setting
     oms = decomp.omega_star(0)
-    ones_pou = PartitionOfUnity(values=np.ones((1, mesh.n_vertices)),
-                                grad_inf=np.zeros(1))
+    ones_pou = PartitionOfUnity(values=np.ones((1, mesh.n_vertices)))
     asm = DGAssembler(mesh, coef, G0)
     basis = harmonic_basis(asm, oms)
     Bp = asm.matrix(oms, "Bplus")

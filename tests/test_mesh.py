@@ -74,6 +74,13 @@ def test_constant_coefficient():
     assert coef.nu_min == coef.nu_max == 1.0
 
 
+def test_coefficient_extremes_follow_its_values():
+    values = np.array([3.0, 0.5, 7.0, 2.0])
+    coef = Coefficient(values=values)
+    assert coef.nu_min == values.min() and coef.nu_max == values.max()
+    assert coef.contrast == 14.0
+
+
 def test_checkerboard_parity_oracle():
     mesh = build_structured_mesh(4)
     coef = coefficient_field(mesh, "checkerboard:10000:1")
@@ -123,7 +130,7 @@ def test_coefficient_type_rejects_nonfinite(bad):
     with pytest.raises(ValueError, match="finite"):
         Coefficient.from_values([1.0, bad])
     with pytest.raises(ValueError, match="finite"):
-        Coefficient(values=np.array([1.0, bad]), nu_min=1.0, nu_max=1.0)
+        Coefficient(values=np.array([1.0, bad]))
 
 
 def test_face_data_conventions():
