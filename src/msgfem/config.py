@@ -1,9 +1,10 @@
 """Key = value run configuration with strict validation.
 
 The format is deliberately minimal: UTF-8 lines of ``key = value``, blank
-lines and ``#`` comments allowed, unknown keys rejected with their line
-number.  All randomness in a run flows from the single ``seed`` through
-numpy's PCG64 generator, so equal configs give byte-identical outputs.
+lines and ``#`` comments allowed, unknown and repeated keys rejected with
+their line numbers.  All randomness in a run flows from the single ``seed``
+through numpy's PCG64 generator, so equal configs give byte-identical
+outputs.
 """
 from __future__ import annotations
 
@@ -129,6 +130,8 @@ def parse_config(text: str) -> RunConfig:
         key, value = (s.strip() for s in content.split("=", 1))
         if key not in keys:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in given:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {given[key][0]}")
         given[key] = (lineno, value)
     return RunConfig(**{
         key: keys[key].metadata["parse"](key, value, f"line {lineno}: ")

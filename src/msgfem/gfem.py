@@ -7,12 +7,14 @@ The coarse correction is the Galerkin solution of the full form on that
 column span against the source residual.
 
 A sweep builds its columns once, from the modes the local stage kept for
-its largest selection, and reduces them straight from the sparse basis to
-small dense Galerkin data.  Each sweep point then takes the index subset
-of its modes, rank-filters that subset on its own Gram block and solves on
-it.  An entry of a sparse Gram product depends only on its own two
-columns, so every point solves, bit for bit, the system that a build of
-just its columns would give.
+its largest selection, and reduces them to sparse Gram matrices.  A column
+lives on its subdomain, so it meets only the columns of overlapping
+subdomains and the Gram nonzeros stay in that overlap band.  Each sweep
+point then takes the index subset of its modes, rank-filters that subset on
+its own sparse Gram block, stored by the band, and densifies only the
+block it factors.  An entry of a sparse Gram product depends only on its
+own two columns, so every point solves, bit for bit, the system that a
+build of just its columns would give.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import as_strided
 
 from .decomposition import Decomposition
 from .dg_forms import DGAssembler, subdomain_dofs
@@ -80,16 +83,18 @@ class CoarseSpace:
 
     ``basis`` has one fine-dof column per assembled local mode, ordered by
     subdomain j and then mode k; ``offsets`` holds the (j, k) of each column.
-    ``gram_B`` and ``gram_H`` are the column Gram matrices in the full and in
-    the positive form, and ``rhs`` pairs the columns with the residual of the
-    particular part.  The selection is the modes k < n_j[j]: ``columns`` are
-    its columns that pass the rank filter, ``dropped`` names the others.
+    ``gram_B`` and ``gram_H`` are the sparse (CSR) column Gram matrices in
+    the full and in the positive form, nonzero only between columns of
+    overlapping subdomains, and ``rhs`` pairs the columns with the residual
+    of the particular part.  The selection is the modes k < n_j[j]:
+    ``columns`` are its columns that pass the rank filter, ``dropped`` names
+    the others.
     """
 
     basis: sp.csc_matrix
     offsets: np.ndarray           # (n_columns, 2): subdomain j, local mode k
-    gram_B: np.ndarray
-    gram_H: np.ndarray
+    gram_B: sp.csr_matrix
+    gram_H: sp.csr_matrix
     rhs: np.ndarray
     n_j: np.ndarray               # selected modes per subdomain (before drops)
     columns: np.ndarray
@@ -157,16 +162,18 @@ def assemble_coarse(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
                           shape=(ndof, col)).tocsc()
     offsets = np.array(offsets, dtype=np.int64).reshape(col, 2)
 
-    G = (basis.T @ (B @ basis)).toarray()
-    gram_H = (basis.T @ (H @ basis)).toarray()
+    G = basis.T @ (B @ basis)
+    gram_B = (G + G.T) * 0.5
+    del G
+    gram_H = basis.T @ (H @ basis)
     columns, dropped = _rank_filter(gram_H, np.arange(col), offsets)
-    coarse = CoarseSpace(basis=basis, offsets=offsets, gram_B=0.5 * (G + G.T),
+    coarse = CoarseSpace(basis=basis, offsets=offsets, gram_B=gram_B,
                          gram_H=gram_H, rhs=basis.T @ (F - B @ u_p), n_j=n_sel,
                          columns=columns, dropped=dropped)
     return coarse, u_p
 
 
-def _rank_filter(gram_H: np.ndarray, sel: np.ndarray, offsets: np.ndarray):
+def _rank_filter(gram_H: sp.csr_matrix, sel: np.ndarray, offsets: np.ndarray):
     """Columns of ``sel`` independent in the Gram matrix; warns on drops.
 
     Returns the kept columns and the (j, k) offsets of the dropped ones.
@@ -179,7 +186,7 @@ def _rank_filter(gram_H: np.ndarray, sel: np.ndarray, offsets: np.ndarray):
     return kept, dropped
 
 
-def _independent_columns(G: np.ndarray) -> np.ndarray:
+def _independent_columns(G: sp.csr_matrix) -> np.ndarray:
     """Indices of the columns a Cholesky-style elimination of ``G`` keeps.
 
     Column x is dropped when its residual diagonal (the squared norm of its
@@ -190,36 +197,48 @@ def _independent_columns(G: np.ndarray) -> np.ndarray:
     repeats the floating-point operations of the right-looking row-by-row
     update.  Pivot rows above the first nonzero of column x contribute exact
     zeros and are skipped, so the work follows the profile of ``G``; columns
-    of subdomains that do not overlap are orthogonal.
+    of subdomains that do not overlap are orthogonal.  The profile rows of
+    ``G`` and of the factor are stored by their offset from the diagonal, so
+    each array is n × (band width), and skewed strided views hand the
+    reduction the operands of the full rows without copying them.
     """
     n = G.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    norms0 = np.sqrt(np.maximum(np.diag(G), 0.0))
+    norms0 = np.sqrt(np.maximum(G.diagonal(), 0.0))
     index = np.arange(n)
-    upper = np.triu(G != 0.0)
-    first = np.where(upper.any(axis=0), upper.argmax(axis=0), index)
+    upper = sp.triu(G, format="coo")
+    nz = upper.data != 0.0
+    r, c = upper.row[nz], upper.col[nz]
+    first = index.copy()
+    np.minimum.at(first, c, r)
     # row x of the factor vanishes beyond the last column whose profile starts by x
     reach = np.zeros(n, dtype=np.int64)
     np.maximum.at(reach, first, index)
     reach = np.maximum.accumulate(reach) + 1
-    U = np.zeros((n, n))          # factor rows; zero for dropped columns
-    S = np.zeros((n, n))          # factor rows over their pivot
+    # full-row entry (i, c) sits at [i, c - i]; width >= 2 keeps the skew stride > 0
+    w = max(int((reach - first).max()), 2)
+    Gb, U, S = np.zeros((3, n, w))   # G; factor rows (zero when dropped); over their pivot
+    Gb[r, c - r] = upper.data[nz]
+    u_flat = U.reshape(-1)
     terms = np.empty((int((index - first).max(initial=0)) + 1,
                       int((reach - index).max(initial=0))))
     keep = []
     for x in range(n):
         lo, hi = first[x], reach[x]
         t = terms[:x - lo + 1, :hi - x]
-        t[0] = G[x, x:hi]
-        np.multiply(U[lo:x, x, None], S[lo:x, x:hi], out=t[1:])
+        t[0] = Gb[x, :hi - x]
+        u = u_flat[lo * (w - 1) + x:x * (w - 1) + x:w - 1]          # U[lo:x, x]
+        s = as_strided(S[lo, x - lo:], shape=(x - lo, hi - x),      # S[lo:x, x:hi]
+                       strides=((w - 1) * S.itemsize, S.itemsize))
+        np.multiply(u[:, None], s, out=t[1:])
         row = np.subtract.reduce(t, axis=0)
         d = row[0]
         if d <= (_RANK_DROP_RTOL * norms0[x]) ** 2 or norms0[x] == 0.0:
             continue
         keep.append(x)
-        U[x, x:hi] = row
-        S[x, x + 1:hi] = row[1:] / d
+        U[x, :hi - x] = row
+        S[x, 1:hi - x] = row[1:] / d
     return np.array(keep, dtype=np.int64)
 
 
@@ -236,7 +255,7 @@ def solve_coarse(coarse: CoarseSpace, n_j):
     G = space.gram_B[np.ix_(cols, cols)]
     rhs = space.rhs[cols]
     try:
-        cf = la.cho_factor(G)
+        cf = la.cho_factor(G.toarray(order="F"), overwrite_a=True)
     except la.LinAlgError as exc:
         raise CoercivityError(
             "reduced coarse system is not positive definite; the penalty "

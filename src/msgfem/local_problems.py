@@ -58,11 +58,12 @@ def scaled_residual(A, x, b) -> float:
 
     Relative to the right-hand side alone the double-precision floor grows
     with the condition number, which high-contrast coefficients reach; the
-    scaled form stays near machine precision for any healthy solve.  Matrix
-    right-hand sides are measured column by column, a block of columns at a
-    time, and the worst is returned.
+    scaled form stays near machine precision for any healthy solve.  ``A``
+    is a dense array or a sparse matrix.  Matrix right-hand sides are
+    measured column by column, a block of columns at a time, and the worst
+    is returned.
     """
-    a_inf = float(np.abs(A).sum(axis=1).max())
+    a_inf = float(abs(A).sum(axis=1).max())
     x = x.reshape(x.shape[0], -1)
     b = b.reshape(b.shape[0], -1)
     worst = 0.0
@@ -261,10 +262,11 @@ def compute_local_data(mesh: TriMesh, asm: DGAssembler, f, decomp: Decomposition
         data = LocalSpectralData(j=j, particular=up, eigenvalues=values,
                                  modes=np.empty((up.size, 0)))
         data.modes = np.empty((up.size, select_coarse(data, rule)))
+        idx = nested_dofs(omega, omega_star)
         # one full matrix-vector product per mode: a matrix product, or a product
         # on a subset of the rows, may round differently
         for k in range(data.modes.shape[1]):
-            data.modes[:, k] = restrict(basis @ vectors[:, k], omega_star, omega)
+            data.modes[:, k] = (basis @ vectors[:, k])[idx]
         return data
 
     if threads <= 1:

@@ -42,6 +42,17 @@ def test_unknown_key_reports_line_number():
         parse_config("\n\nbogus_key = 1\n")
 
 
+def test_repeated_key_names_both_lines(tmp_path, capsys):
+    text = "mesh_n = 8\n# a comment\nmesh_n = 16\n"
+    with pytest.raises(ConfigError, match="line 3: key 'mesh_n' repeats line 1"):
+        parse_config(text)
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "repeats line 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_mesh_precondition_cited():
     with pytest.raises(ConfigError, match="mesh_n must be >= 1"):
         parse_config("mesh_n = 0\n")
@@ -148,7 +159,8 @@ def test_main_exit_codes(tmp_path):
 
 def test_main_seed_and_thread_overrides(tmp_path):
     good = tmp_path / "good.cfg"
-    good.write_text(SMALL + "coefficient = log_uniform:1:100\nchecks = off\n")
+    good.write_text(SMALL.replace("checkerboard:100:2", "log_uniform:1:100")
+                    + "checks = off\n")
     assert main(["--config", str(good), "--out", str(tmp_path / "s1"),
                  "--seed", "5", "--threads", "2"]) == 0
     assert main(["--config", str(good), "--out", str(tmp_path / "s2"),

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -157,8 +158,9 @@ def test_reduced_system_is_symmetric(problem):
                                 forms.B, forms.F, forms.H)
     G = (coarse.basis.T @ (forms.B @ coarse.basis)).toarray()
     assert np.abs(G - G.T).max() <= 1e-13 * np.abs(G).max()
-    assert np.array_equal(coarse.gram_B, coarse.gram_B.T)
-    assert np.abs(coarse.gram_B - G).max() <= 1e-13 * np.abs(G).max()
+    assert coarse.gram_B.format == coarse.gram_H.format == "csr"
+    assert (coarse.gram_B != coarse.gram_B.T).nnz == 0
+    assert np.abs(coarse.gram_B.toarray() - G).max() <= 1e-13 * np.abs(G).max()
 
 
 def test_enlarging_coarse_space_never_hurts(problem):
@@ -314,13 +316,37 @@ def test_rank_filter_matches_row_by_row_elimination(local):
     dropped_any = 0
     for _ in range(25):
         G = _planted_gram(rng, local)
-        kept = _independent_columns(G)
+        kept = _independent_columns(sp.csr_matrix(G))
         assert kept.tolist() == _row_loop_filter(G)
         dropped_any += G.shape[0] - kept.size
     assert dropped_any >= 25
 
 
 def test_rank_filter_edge_sizes():
-    assert _independent_columns(np.zeros((0, 0))).size == 0
-    assert _independent_columns(np.zeros((3, 3))).size == 0
-    assert _independent_columns(np.eye(3)).tolist() == [0, 1, 2]
+    assert _independent_columns(sp.csr_matrix((0, 0))).size == 0
+    assert _independent_columns(sp.csr_matrix((3, 3))).size == 0
+    assert _independent_columns(sp.identity(3, format="csr")).tolist() == [0, 1, 2]
+
+
+def test_rank_filter_memory_follows_the_band():
+    """On a banded Gram the filter stores the band, not n × n factors."""
+    n, width = 2000, 30
+    rng = np.random.default_rng(3)
+    # column c lives on rows 2c .. 2c + width - 1, so it meets 14 columns each side
+    rows = 2 * np.arange(n)[:, None] + np.arange(width)
+    vals = rng.standard_normal((n, width))
+    duplicates, zeros = np.arange(50, n, 100), np.arange(99, n, 100)
+    vals[duplicates] = vals[duplicates - 1]
+    rows[duplicates] = rows[duplicates - 1]
+    vals[zeros] = 0.0
+    X = sp.csc_matrix((vals.ravel(), (rows.ravel(), np.repeat(np.arange(n), width))),
+                      shape=(2 * n + width, n))
+    G = (X.T @ X).tocsr()
+    tracemalloc.start()
+    try:
+        kept = _independent_columns(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
+    assert np.setdiff1d(np.arange(n), kept).tolist() == sorted([*duplicates, *zeros])
