@@ -11,7 +11,7 @@ from .local_problems import (LocalSpectralData, compute_local_data,
                              eigenproblem, particular_solution, select_coarse)
 from .mesh import Coefficient, TriMesh, build_structured_mesh, coefficient_field
 from .space_ops import (PartitionOfUnity, build_pou, extend_by_zero, h0_dofs,
-                        interpolate_product, pou_blend, restrict)
+                        pou_blend, restrict)
 from .verification import decay_fit, fine_solve, run_property_suite
 
 __version__ = "0.1.0"

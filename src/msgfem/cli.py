@@ -21,7 +21,7 @@ from .decomposition import Decomposition, build_decomposition
 from .dg_forms import DGAssembler
 from .errors import CoercivityError, ConfigError, SolverError
 from .gfem import GlobalForms, error_report, solve_msgfem
-from .local_problems import compute_local_data, export_eigenvalues
+from .local_problems import compute_local_data
 from .mesh import Coefficient, TriMesh, build_structured_mesh, coefficient_field
 from .space_ops import PartitionOfUnity, build_pou
 from .verification import decay_fit, fine_solve, run_property_suite
@@ -78,15 +78,16 @@ def build_problem(config: RunConfig) -> Problem:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if np.isnan(x):
-            return "nan"
-        if np.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
-    return str(x)
+    # float() first: numpy 2 writes repr(np.float64(x)) as "np.float64(x)"
+    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
 
+def _write_csv(path: Path, columns, rows) -> None:
+    lines = [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+_EIGENVALUE_COLUMNS = ("j", "k", "lambda", "is_infinite")
 _ERROR_COLUMNS = ("m", "l", "lstar", "n_j", "gamma0", "contrast", "n_total",
                   "relBplusErr", "relL2Err", "maxSqrtLambdaNext",
                   "fitSlope", "fitR2")
@@ -124,33 +125,30 @@ def _pipeline(problem: Problem, out: Path, t0: float) -> int:
     rules = config.sweep_values()
     locals_ = compute_local_data(mesh, forms.asm, problem.f, decomp, pou, rules,
                                  threads=config.threads)
-    (out / "eigenvalues.csv").write_text(export_eigenvalues(locals_))
+    # every mode of every subdomain, kernel modes as inf
+    _write_csv(out / "eigenvalues.csv", _EIGENVALUE_COLUMNS,
+               ([data.j, k, lam, int(np.isinf(lam))]
+                for data in locals_ for k, lam in enumerate(data.eigenvalues)))
     u_fine = fine_solve(forms)
 
     rows = []
-    rel_errors = []
-    sweep_ns = []
-    for rule, sol in zip(rules, solve_msgfem(mesh, decomp, pou, locals_, forms, rules)):
+    for sol in solve_msgfem(mesh, decomp, pou, locals_, forms, rules):
         rep = error_report(forms, sol.u_G, u_fine, sol.max_sqrt_lambda_next)
-        coarse = sol.coarse
-        n_label = rule[1] if rule[0] == "fixed" else int(coarse.n_j.max(initial=0))
-        rows.append([config.grid_m, config.overlap_layers,
-                     config.oversampling_layers, n_label, config.gamma0,
-                     problem.coefficient.contrast, coarse.n_total, rep.rel_bplus_error,
+        # a point is labelled by its largest per-subdomain count, a fixed rule's n
+        rows.append([config.grid_m, config.overlap_layers, config.oversampling_layers,
+                     int(sol.coarse.n_j.max(initial=0)), config.gamma0,
+                     problem.coefficient.contrast, sol.coarse.n_total, rep.rel_bplus_error,
                      rep.rel_l2_error, rep.max_sqrt_lambda_next])
-        rel_errors.append(rep.rel_bplus_error)
-        sweep_ns.append(n_label)
 
     # the fit uses the sweep points with a positive finite error, if five or more
-    rel_errors = np.array(rel_errors)
+    sweep = np.array(rows, dtype=float)
+    ns = sweep[:, _ERROR_COLUMNS.index("n_j")]
+    rel_errors = sweep[:, _ERROR_COLUMNS.index("relBplusErr")]
     good = np.isfinite(rel_errors) & (rel_errors > 0)
     slope = r2 = float("nan")
     if good.sum() >= 5:
-        slope, _, r2 = decay_fit(np.array(sweep_ns)[good], rel_errors[good], 0.5)
-    lines = [",".join(_ERROR_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row + [slope, r2]))
-    (out / "errors.csv").write_text("\n".join(lines) + "\n")
+        slope, _, r2 = decay_fit(ns[good], rel_errors[good], 0.5)
+    _write_csv(out / "errors.csv", _ERROR_COLUMNS, (row + [slope, r2] for row in rows))
     sys.stdout.write(
         f"pipeline: {len(rows)} sweep row(s), coarse fit slope {_fmt(slope)}, "
         f"r2 {_fmt(r2)}, elapsed {time.time() - t0:.1f}s\n")

@@ -29,10 +29,10 @@ from numpy.lib.stride_tricks import as_strided
 
 from .decomposition import Decomposition
 from .dg_forms import DGAssembler, subdomain_dofs
-from .errors import CoercivityError, SolverError
-from .local_problems import RESIDUAL_TOL, scaled_residual, select_coarse
+from .errors import CoercivityError
+from .local_problems import select_coarse, solve_checked
 from .mesh import TriMesh
-from .space_ops import PartitionOfUnity, interpolate_product, pou_blend
+from .space_ops import PartitionOfUnity, pou_blend
 
 __all__ = [
     "GlobalForms",
@@ -150,7 +150,7 @@ def assemble_coarse(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
     for data in locals_:
         omega = decomp.omega(data.j)
         # row k is mode k weighted by the partition of unity
-        blended = interpolate_product(mesh, pou.values[data.j], data.modes.T, omega)
+        blended = pou.dof_weights(mesh, data.j, omega) * data.modes.T
         k, r = np.nonzero(blended)
         rows.append(subdomain_dofs(omega)[r])
         cols.append(len(offsets) + k)
@@ -260,10 +260,7 @@ def solve_coarse(coarse: CoarseSpace, n_j):
         raise CoercivityError(
             "reduced coarse system is not positive definite; the penalty "
             "parameter is too small for this mesh") from exc
-    y = la.cho_solve(cf, rhs)
-    res = scaled_residual(G, y, rhs)
-    if res > RESIDUAL_TOL:
-        raise SolverError(f"coarse solve residual {res:.3e} exceeds tolerance")
+    y = solve_checked(lambda b: la.cho_solve(cf, b), G, rhs, "coarse solve")
     return space, np.asarray(space.basis[:, cols] @ y).ravel()
 
 

@@ -26,10 +26,10 @@ __all__ = [
     "eigenproblem",
     "select_coarse",
     "compute_local_data",
-    "export_eigenvalues",
 ]
 
 RESIDUAL_TOL = 1e-10
+_KERNEL_RTOL = 1e-10    # right-form eigenvalues up to this share of the largest span its kernel
 _RESIDUAL_BLOCK = 128   # columns per residual evaluation, so no full-width copy is made
 
 
@@ -76,16 +76,16 @@ def scaled_residual(A, x, b) -> float:
     return worst
 
 
-def solve_checked(lu, A, b, name: str):
-    """One LU solve, then the scaled-residual contract, column by column.
+def solve_checked(solve, A, b, name: str):
+    """``solve(b)`` (an LU, Cholesky or dense solve), then the scaled-residual contract.
 
     A healthy direct solve meets the scaled residual at roundoff whatever the
     contrast.  Raises :class:`SolverError` naming the ``name`` solve when it
-    exceeds the tolerance.
+    exceeds the tolerance, column by column.
     """
     if np.linalg.norm(b) == 0.0:
         return np.zeros_like(b)
-    x = lu.solve(b)
+    x = solve(b)
     res = scaled_residual(A, x, b)
     if res > RESIDUAL_TOL:
         raise SolverError(f"{name} residual {res:.3e} exceeds tolerance")
@@ -121,7 +121,7 @@ class MaskedSystem:
         """
         rhs = np.asfortranarray(self.Afl @ layer_values)
         np.negative(rhs, out=rhs)
-        x = solve_checked(self.lu, self.Aff, rhs, "local harmonic basis")
+        x = solve_checked(self.lu.solve, self.Aff, rhs, "local harmonic basis")
         del rhs
         U = np.zeros((self.free.size + self.layer.size, layer_values.shape[1]))
         U[self.layer] = layer_values
@@ -141,12 +141,12 @@ def particular_solution(asm: DGAssembler, f, omega, omega_star):
     system = MaskedSystem(asm, omega_star)
     basis = system.harmonic_extension(np.eye(system.layer.size))
     psi = np.zeros(basis.shape[0])
-    psi[system.free] = solve_checked(system.lu, system.Aff,
+    psi[system.free] = solve_checked(system.lu.solve, system.Aff,
                                      asm.load(f, omega_star)[system.free], "local source")
     return restrict(psi, omega_star, omega), basis
 
 
-def _deflated_pencil(A: np.ndarray, M: np.ndarray, kernel_rtol: float = 1e-10):
+def _deflated_pencil(A: np.ndarray, M: np.ndarray):
     """Eigenpairs of a symmetric PSD pencil whose right matrix may be singular.
 
     The kernel of ``M`` is split off first (those directions are the
@@ -160,7 +160,7 @@ def _deflated_pencil(A: np.ndarray, M: np.ndarray, kernel_rtol: float = 1e-10):
         return np.empty(0), np.empty((0, 0))
     s, Q = la.eigh(M)
     scale = max(float(s[-1]), 0.0)
-    kern = s <= kernel_rtol * scale if scale > 0 else np.ones_like(s, dtype=bool)
+    kern = s <= _KERNEL_RTOL * scale if scale > 0 else np.ones_like(s, dtype=bool)
     K = Q[:, kern]
     P = Q[:, ~kern]
     sp = s[~kern]
@@ -170,7 +170,8 @@ def _deflated_pencil(A: np.ndarray, M: np.ndarray, kernel_rtol: float = 1e-10):
     if n_inf:
         AK = A @ K
         G = K.T @ AK
-        W = P - K @ la.solve(G, AK.T @ P, assume_a="pos")
+        W = P - K @ solve_checked(lambda b: la.solve(G, b, assume_a="pos"), G,
+                                  AK.T @ P, "kernel Gram")
     else:
         W = P
     Ar = W.T @ A @ W
@@ -197,9 +198,8 @@ def eigenproblem(asm: DGAssembler, pou: PartitionOfUnity, j: int, omega, omega_s
     basis of ``omega_star``.
     """
     idx = nested_dofs(omega, omega_star)
-    chi_dof = pou.values[j][asm.mesh.elements[np.asarray(omega, dtype=np.int64)]].ravel()
     W = basis[idx, :]
-    W *= chi_dof[:, None]
+    W *= pou.dof_weights(asm.mesh, j, omega)[:, None]
     A = W.T @ (asm.matrix(omega, "Bplus") @ W)
     del W
     A = 0.5 * (A + A.T)
@@ -270,18 +270,9 @@ def compute_local_data(mesh: TriMesh, asm: DGAssembler, f, decomp: Decomposition
         return data
 
     if threads <= 1:
+        # a pool worker allocates from its own malloc arena, whose freed blocks the
+        # later stages cannot reuse: +9 MB peak RSS on a 64-subdomain run
         return [one(j) for j in range(decomp.n_subdomains)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(one, range(decomp.n_subdomains)))
 
-
-def export_eigenvalues(locals_: list) -> str:
-    """CSV rows ``j,k,lambda,is_infinite`` over all subdomains and modes."""
-    lines = ["j,k,lambda,is_infinite"]
-    for data in locals_:
-        for k, lam in enumerate(data.eigenvalues):
-            if np.isinf(lam):
-                lines.append(f"{data.j},{k},inf,1")
-            else:
-                lines.append(f"{data.j},{k},{float(lam)!r},0")
-    return "\n".join(lines) + "\n"

@@ -23,7 +23,6 @@ __all__ = [
     "extend_by_zero",
     "PartitionOfUnity",
     "build_pou",
-    "interpolate_product",
     "pou_blend",
 ]
 
@@ -71,6 +70,14 @@ class PartitionOfUnity:
 
     values: np.ndarray    # (n_subdomains, n_vertices)
 
+    def dof_weights(self, mesh: TriMesh, j: int, D) -> np.ndarray:
+        """Weight ``j`` at every dof of ``D``, in ``D``'s local dof layout.
+
+        Scaling a dof vector by it is the vertexwise Lagrange interpolant of
+        the (quadratic) product of the P1 weight with the vector.
+        """
+        return self.values[j][mesh.elements[np.asarray(D, dtype=np.int64)]].ravel()
+
 
 def build_pou(mesh: TriMesh, decomp: Decomposition) -> PartitionOfUnity:
     """Distance-graded weights normalized to sum to one at each vertex.
@@ -111,24 +118,11 @@ def build_pou(mesh: TriMesh, decomp: Decomposition) -> PartitionOfUnity:
     return PartitionOfUnity(values=raw / total[None, :])
 
 
-def interpolate_product(mesh: TriMesh, chi_vertex_values: np.ndarray,
-                        u: np.ndarray, D) -> np.ndarray:
-    """Elementwise nodal interpolation of the product of a P1 weight with u.
-
-    Every dof of ``u`` is scaled by the weight's value at its vertex, which is
-    exactly the vertexwise Lagrange interpolant of the (quadratic) product.
-    Rows of a two-dimensional ``u`` are weighted one by one.
-    """
-    D = np.asarray(D, dtype=np.int64)
-    chi_dof = chi_vertex_values[mesh.elements[D]].ravel()
-    return chi_dof * u
-
-
 def pou_blend(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
               locals_: list) -> np.ndarray:
     """Blend per-subdomain vectors into one global vector.
 
-    Each local contribution is interpolated against its weight and scattered;
+    Each local contribution is scaled by its dof weights and scattered;
     the weight's support condition guarantees the scattered vector vanishes
     outside the shrunk subdomain, so plain accumulation realizes the
     zero-extension.  Restrictions of a single global vector blend back to it.
@@ -136,7 +130,6 @@ def pou_blend(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
     out = np.zeros(3 * mesh.n_elements)
     for j in range(decomp.n_subdomains):
         omega = decomp.omega(j)
-        loc = interpolate_product(mesh, pou.values[j], locals_[j], omega)
-        out[subdomain_dofs(omega)] += loc
+        out[subdomain_dofs(omega)] += pou.dof_weights(mesh, j, omega) * locals_[j]
     return out
 

@@ -16,7 +16,7 @@ from msgfem.gfem import (GlobalForms, _independent_columns, assemble_coarse,
                          solve_msgfem)
 from msgfem.local_problems import compute_local_data, select_coarse
 from msgfem.mesh import build_structured_mesh, coefficient_field
-from msgfem.space_ops import build_pou, interpolate_product, pou_blend
+from msgfem.space_ops import build_pou, pou_blend
 from msgfem.verification import fine_solve
 
 G0 = np.sqrt(10.0)
@@ -79,7 +79,7 @@ def _oracle_point(mesh, decomp, pou, locals_, rule, B, F, H):
     for data in locals_:
         omega = decomp.omega(data.j)
         for k in range(select_coarse(data, rule)):
-            col = interpolate_product(mesh, pou.values[data.j], data.modes[:, k], omega)
+            col = pou.dof_weights(mesh, data.j, omega) * data.modes[:, k]
             nz = col != 0.0
             rows.append(subdomain_dofs(omega)[nz])
             cols.append(np.full(int(nz.sum()), len(offsets), dtype=np.int64))

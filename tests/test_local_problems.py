@@ -1,7 +1,9 @@
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 import msgfem.local_problems as local_problems
@@ -10,8 +12,8 @@ from msgfem.dg_forms import DGAssembler, nested_dofs
 from msgfem.errors import SolverError
 from msgfem.gfem import GlobalForms, solve_msgfem
 from msgfem.local_problems import (LocalSpectralData, MaskedSystem,
-                                   compute_local_data, eigenproblem,
-                                   export_eigenvalues, particular_solution,
+                                   _deflated_pencil, compute_local_data,
+                                   eigenproblem, particular_solution,
                                    select_coarse)
 from msgfem.mesh import Coefficient, build_structured_mesh, coefficient_field
 from msgfem.space_ops import PartitionOfUnity, build_pou, h0_dofs, restrict
@@ -345,6 +347,23 @@ def test_eigenproblem_kernel_modes_and_positivity():
     assert np.abs(M @ np.ones(M.shape[0])).max() <= 1e-10
 
 
+def test_kernel_gram_solve_residual_is_checked(monkeypatch):
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((6, 6))
+    A = X @ X.T + np.eye(6)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    M = Q @ np.diag([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]) @ Q.T   # one kernel direction
+    values, _ = _deflated_pencil(A, M)
+    assert np.isinf(values[0]) and np.all(np.isfinite(values[1:]))
+
+    def doctored(G, b, **kwargs):
+        return la.solve(G, b, **kwargs) + 1.0
+
+    monkeypatch.setattr(local_problems, "la", SimpleNamespace(eigh=la.eigh, solve=doctored))
+    with pytest.raises(SolverError, match="kernel Gram residual"):
+        _deflated_pencil(A, M)
+
+
 def test_eigenproblem_boundary_subdomain_all_finite(setting):
     mesh, coef, decomp, pou = setting
     values, _ = eigen(mesh, coef, pou, 0, decomp.omega(0), decomp.omega_star(0))
@@ -389,8 +408,7 @@ def test_pencil_residuals_within_tolerance(setting):
     asm = DGAssembler(mesh, coef, G0)
     basis = harmonic_basis(asm, oms)
     idx = nested_dofs(om, oms)
-    chi = pou.values[j][mesh.elements[om]].ravel()
-    W = basis[idx, :] * chi[:, None]
+    W = basis[idx, :] * pou.dof_weights(mesh, j, om)[:, None]
     A = W.T @ (asm.matrix(om, "Bplus") @ W)
     M = basis.T @ (asm.matrix(oms, "Bplus") @ basis)
     A = 0.5 * (A + A.T)
@@ -447,15 +465,3 @@ def test_select_coarse_rules():
         select_coarse(data, ("fixed", 5))
     with pytest.raises(ValueError):
         select_coarse(data, ("bogus", 1))
-
-
-def test_eigenvalue_export_format(setting):
-    mesh, coef, decomp, pou = setting
-    locals_ = compute_local_data(mesh, DGAssembler(mesh, coef, G0), source_one, decomp, pou, FIXED)
-    text = export_eigenvalues(locals_)
-    lines = text.strip().split("\n")
-    assert lines[0] == "j,k,lambda,is_infinite"
-    assert len(lines) == 1 + sum(d.n_modes for d in locals_)
-    j, k, lam, isinf = lines[1].split(",")
-    assert (int(j), int(k)) == (0, 0)
-    assert isinf in ("0", "1")

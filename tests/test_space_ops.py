@@ -6,8 +6,8 @@ from msgfem.decomposition import (Decomposition, build_decomposition, d_minus,
                                   grow, square_block)
 from msgfem.dg_forms import DGAssembler, subdomain_dofs
 from msgfem.mesh import build_structured_mesh, coefficient_field
-from msgfem.space_ops import (build_pou, extend_by_zero, h0_dofs,
-                              interpolate_product, pou_blend, restrict)
+from msgfem.space_ops import (PartitionOfUnity, build_pou, extend_by_zero, h0_dofs,
+                              pou_blend, restrict)
 
 G0 = np.sqrt(10.0)
 
@@ -159,15 +159,20 @@ def test_pou_uncovered_vertex_reported():
         build_pou(mesh, decomp)
 
 
-def test_interpolate_product_reproductions(setting):
+def test_dof_weights_reproductions(setting):
     mesh, _, D, _ = setting
     rng = np.random.default_rng(6)
     u = rng.standard_normal(3 * D.size)
-    ones_chi = np.ones(mesh.n_vertices)
-    assert np.array_equal(interpolate_product(mesh, ones_chi, u, D), u)
+    ones = PartitionOfUnity(values=np.ones((1, mesh.n_vertices)))
+    assert np.array_equal(ones.dof_weights(mesh, 0, D) * u, u)
     chi = rng.uniform(0.0, 1.0, size=mesh.n_vertices)
-    out = interpolate_product(mesh, chi, np.ones(3 * D.size), D)
-    assert np.array_equal(out, chi[mesh.elements[D]].ravel())
+    weights = PartitionOfUnity(values=np.stack([np.ones(mesh.n_vertices), chi]))
+    out = weights.dof_weights(mesh, 1, D)
+    assert out.shape == (3 * D.size,)
+    # dof 3e + i of the local layout sits at vertex i of element D[e]
+    for e, elem in enumerate(D):
+        for i in range(3):
+            assert out[3 * e + i] == chi[mesh.elements[elem, i]]
 
 
 def test_interpolated_product_lands_in_masked_subspace():
@@ -178,7 +183,7 @@ def test_interpolated_product_lands_in_masked_subspace():
     for j in range(decomp.n_subdomains):
         om = decomp.omega(j)
         u = rng.standard_normal(3 * om.size)
-        out = interpolate_product(mesh, pou.values[j], u, om)
+        out = pou.dof_weights(mesh, j, om) * u
         free = h0_dofs(mesh, om)
         layer = np.setdiff1d(np.arange(3 * om.size), free)
         assert np.all(out[layer] == 0.0)
@@ -197,7 +202,7 @@ def test_interpolation_stability_constant_reported():
     worst = 0.0
     for _ in range(100):
         u = rng.standard_normal(3 * om.size)
-        pu = interpolate_product(mesh, pou.values[0], u, om)
+        pu = pou.dof_weights(mesh, 0, om) * u
         ratio = np.sqrt(pu @ (H @ pu)) / (denom * np.sqrt(u @ (H @ u)))
         worst = max(worst, ratio)
     # the weight is bounded by one, so the weighted energy cannot blow up

@@ -167,9 +167,9 @@ def test_suite_solves_no_block_wider_than_its_samples(monkeypatch, overrides):
     widths = []
     solve_checked = local_problems.solve_checked
 
-    def recording(lu, A, b, name):
+    def recording(solve, A, b, name):
         widths.append(1 if b.ndim == 1 else b.shape[1])
-        return solve_checked(lu, A, b, name)
+        return solve_checked(solve, A, b, name)
 
     monkeypatch.setattr(local_problems, "solve_checked", recording)
     report = run_property_suite(build_problem(small_config(**overrides)))
