@@ -6,10 +6,11 @@ from scipy.linalg import LinAlgWarning
 
 import msgfem.cli
 import msgfem.verification
-from msgfem.cli import main, run, source_function
+from msgfem.cli import build_problem, main, run, source_function
 from msgfem.config import RunConfig, parse_config, serialize_config
 from msgfem.dg_forms import DGAssembler
 from msgfem.errors import ConfigError
+from msgfem.local_problems import compute_local_data
 
 SMALL = """
 mesh_n = 16
@@ -181,7 +182,13 @@ def test_eigenvalue_export_format(tmp_path):
     lines = (tmp_path / "eigenvalues.csv").read_text().splitlines()
     assert lines[0] == "j,k,lambda,is_infinite"
     rows = [line.split(",") for line in lines[1:]]
-    assert [(int(j), int(k)) for j, k, _, _ in rows[:2]] == [(0, 0), (0, 1)]
+    # one row per eigenvalue of every subdomain, in (j, k) order
+    problem = build_problem(cfg)
+    locals_ = compute_local_data(problem.mesh, problem.forms.asm, problem.f, problem.decomp,
+                                 problem.pou, cfg.sweep_values())
+    assert len(rows) == sum(d.n_modes for d in locals_)
+    assert [(int(j), int(k), float(lam)) for j, k, lam, _ in rows] == \
+        [(d.j, k, lam) for d in locals_ for k, lam in enumerate(d.eigenvalues)]
     for _, _, lam, is_inf in rows:
         # shortest round trip of a plain float, never numpy's repr
         assert is_inf == ("1" if lam == "inf" else "0")

@@ -1,5 +1,4 @@
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -356,10 +355,12 @@ def test_kernel_gram_solve_residual_is_checked(monkeypatch):
     values, _ = _deflated_pencil(A, M)
     assert np.isinf(values[0]) and np.all(np.isfinite(values[1:]))
 
-    def doctored(G, b, **kwargs):
-        return la.solve(G, b, **kwargs) + 1.0
+    solve = la.solve
 
-    monkeypatch.setattr(local_problems, "la", SimpleNamespace(eigh=la.eigh, solve=doctored))
+    def doctored(G, b, **kwargs):
+        return solve(G, b, **kwargs) + 1.0
+
+    monkeypatch.setattr(local_problems.la, "solve", doctored)
     with pytest.raises(SolverError, match="kernel Gram residual"):
         _deflated_pencil(A, M)
 
