@@ -2,19 +2,23 @@
 
 The local spectral data of all subdomains is blended through the partition
 of unity into global vectors: the particular parts sum into one source
-approximation, and each kept local mode becomes one coarse basis column.
-The coarse correction is the Galerkin solution of the full form on that
-column span against the source residual.
+approximation, and each subdomain's kept local modes span its coarse
+columns.  The coarse correction is the Galerkin solution of the full form on
+that column span against the source residual.
 
 A sweep builds its columns once, from the modes the local stage kept for
-its largest selection, and reduces them to sparse Gram matrices.  A column
-lives on its subdomain, so it meets only the columns of overlapping
+its largest selection.  Each subdomain's blended modes are made
+H-orthonormal in mode order on the subdomain's own dofs, and a mode whose
+H-orthogonal part is negligible is dropped, so the drop decision is made
+once per mode (j, k) and the columns are well conditioned within each
+subdomain.  Column k depends only on the modes before it, so the columns of
+a sweep point are, bit for bit, the leading columns of the one build.  A
+column lives on its subdomain, so it meets only the columns of overlapping
 subdomains and the Gram nonzeros stay in that overlap band.  Each sweep
-point then takes the index subset of its modes, rank-filters that subset on
-its own sparse Gram block, stored by the band, and densifies only the
-block it factors.  An entry of a sparse Gram product depends only on its
-own two columns, so every point solves, bit for bit, the system that a
-build of just its columns would give.
+point takes the index subset of its modes and factors its Gram block by a
+Cholesky on LAPACK band storage.  An entry of a sparse Gram product depends
+only on its own two columns, so every point solves, bit for bit, the system
+that a build of just its columns would give.
 """
 from __future__ import annotations
 
@@ -25,7 +29,6 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import as_strided
 
 from .decomposition import Decomposition
 from .dg_forms import DGAssembler, subdomain_dofs
@@ -81,40 +84,45 @@ class GlobalForms:
 class CoarseSpace:
     """Blended coarse columns with their Galerkin data, and one selection of them.
 
-    ``basis`` has one fine-dof column per assembled local mode, ordered by
+    ``basis`` has one fine-dof column per kept local mode, ordered by
     subdomain j and then mode k; ``offsets`` holds the (j, k) of each column.
-    ``gram_B`` and ``gram_H`` are the sparse (CSR) column Gram matrices in
-    the full and in the positive form, nonzero only between columns of
-    overlapping subdomains, and ``rhs`` pairs the columns with the residual
-    of the particular part.  The selection is the modes k < n_j[j]:
-    ``columns`` are its columns that pass the rank filter, ``dropped`` names
-    the others.
+    The columns of one subdomain are H-orthonormal; ``drops`` holds the
+    (j, k) of the modes the build dropped as dependent on earlier modes of
+    their subdomain.  Columns of different subdomains are not tested against
+    each other: a dependence across subdomains would leave the Gram matrix
+    singular, and a singular Gram block fails its factor.  ``gram_B`` is the
+    sparse (CSR) column Gram matrix in the full form, nonzero only between
+    columns of overlapping subdomains, and ``rhs`` pairs the columns with the
+    residual of the particular part.  The selection is the modes k < n_j[j]:
+    ``columns`` are its columns, ``dropped`` names its dropped modes.
     """
 
     basis: sp.csc_matrix
     offsets: np.ndarray           # (n_columns, 2): subdomain j, local mode k
     gram_B: sp.csr_matrix
-    gram_H: sp.csr_matrix
     rhs: np.ndarray
+    drops: np.ndarray             # (n_drops, 2): subdomain j, local mode k
     n_j: np.ndarray               # selected modes per subdomain (before drops)
-    columns: np.ndarray
-    dropped: list
+
+    @property
+    def columns(self) -> np.ndarray:
+        j, k = self.offsets.T
+        return np.flatnonzero(k < self.n_j[j])
+
+    @property
+    def dropped(self) -> list:
+        return [(int(j), int(k)) for j, k in self.drops if k < self.n_j[j]]
 
     @property
     def n_total(self) -> int:
         return self.columns.size
 
     def select(self, n_j) -> CoarseSpace:
-        """The sub-selection of modes k < n_j[j], rank-filtered on its own Gram block."""
+        """The sub-selection of modes k < n_j[j]."""
         n_j = np.asarray(n_j, dtype=np.int64)
-        if np.array_equal(n_j, self.n_j):
-            return self
         if np.any(n_j > self.n_j):
             raise ValueError("selection exceeds the assembled modes")
-        j, k = self.offsets.T
-        columns, dropped = _rank_filter(self.gram_H, np.flatnonzero(k < n_j[j]),
-                                        self.offsets)
-        return replace(self, n_j=n_j, columns=columns, dropped=dropped)
+        return replace(self, n_j=n_j)
 
 
 @dataclass
@@ -135,133 +143,108 @@ def assemble_coarse(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
                     locals_: list, B, F: np.ndarray, H):
     """Blend the particular parts and the kept local modes into global vectors.
 
-    Builds one column per mode each subdomain kept and reduces the columns
-    to their Galerkin data in the forms ``B`` (with load ``F``) and ``H``.
-    Returns the coarse space and the global particular vector.  Columns that
-    are numerically dependent on earlier ones in the ``H`` inner product are
-    dropped and recorded; this only triggers when eigenvalue clusters
-    concentrate on overlaps.
+    Makes each subdomain's blended modes H-orthonormal (see
+    :func:`_h_orthonormal`) and reduces the columns to their Galerkin data
+    in the form ``B`` with load ``F``.  Returns the coarse space and the
+    global particular vector.  Dropped modes are recorded and warned about;
+    a drop only happens when a subdomain's modes are numerically dependent.
     """
     n_sel = np.array([data.modes.shape[1] for data in locals_], dtype=np.int64)
     ndof = 3 * mesh.n_elements
     u_p = pou_blend(mesh, decomp, pou, [d.particular for d in locals_])
 
-    rows, cols, vals, offsets = [], [], [], []
+    rows, cols, vals, offsets, drops = [], [], [], [], []
     for data in locals_:
         omega = decomp.omega(data.j)
-        # row k is mode k weighted by the partition of unity
-        blended = pou.dof_weights(mesh, data.j, omega) * data.modes.T
-        k, r = np.nonzero(blended)
-        rows.append(subdomain_dofs(omega)[r])
+        dofs = subdomain_dofs(omega)
+        blended = pou.dof_weights(mesh, data.j, omega)[:, None] * data.modes
+        Q, kept = _h_orthonormal(blended, H[dofs][:, dofs])
+        r, k = np.nonzero(Q)
+        rows.append(dofs[r])
         cols.append(len(offsets) + k)
-        vals.append(blended[k, r])
-        offsets += [(data.j, i) for i in range(blended.shape[0])]
+        vals.append(Q[r, k])
+        offsets += [(data.j, i) for i in kept]
+        drops += [(data.j, i) for i in np.setdiff1d(np.arange(blended.shape[1]), kept)]
     col = len(offsets)
     basis = sp.coo_matrix((np.concatenate(vals),
                            (np.concatenate(rows), np.concatenate(cols))),
                           shape=(ndof, col)).tocsc()
-    offsets = np.array(offsets, dtype=np.int64).reshape(col, 2)
+    if drops:
+        warnings.warn(f"dropped {len(drops)} dependent coarse columns", stacklevel=2)
 
     G = basis.T @ (B @ basis)
     gram_B = (G + G.T) * 0.5
     del G
-    gram_H = basis.T @ (H @ basis)
-    columns, dropped = _rank_filter(gram_H, np.arange(col), offsets)
-    coarse = CoarseSpace(basis=basis, offsets=offsets, gram_B=gram_B,
-                         gram_H=gram_H, rhs=basis.T @ (F - B @ u_p), n_j=n_sel,
-                         columns=columns, dropped=dropped)
+    coarse = CoarseSpace(basis=basis,
+                         offsets=np.array(offsets, dtype=np.int64).reshape(col, 2),
+                         gram_B=gram_B, rhs=basis.T @ (F - B @ u_p),
+                         drops=np.array(drops, dtype=np.int64).reshape(-1, 2), n_j=n_sel)
     return coarse, u_p
 
 
-def _rank_filter(gram_H: sp.csr_matrix, sel: np.ndarray, offsets: np.ndarray):
-    """Columns of ``sel`` independent in the Gram matrix; warns on drops.
+def _h_orthonormal(V: np.ndarray, H):
+    """H-orthonormal columns spanning those of ``V``, built in column order.
 
-    Returns the kept columns and the (j, k) offsets of the dropped ones.
+    Each column is orthogonalized against the kept ones by classical
+    Gram–Schmidt run twice, and dropped when its H-orthogonal part is at
+    most ``_RANK_DROP_RTOL`` of its H norm: an exact duplicate leaves a part
+    near eps, a zero column none.  Column x reads only the columns kept
+    before it, so the output for the leading columns of ``V`` is, bit for
+    bit, the leading part of the output for all of them.  Returns the
+    orthonormal columns and the indices of the columns of ``V`` they came
+    from.
     """
-    kept = sel[_independent_columns(gram_H[np.ix_(sel, sel)])]
-    dropped = [(int(j), int(k)) for j, k in offsets[np.setdiff1d(sel, kept)]]
-    if dropped:
-        warnings.warn(f"dropped {len(dropped)} dependent coarse columns",
-                      stacklevel=3)
-    return kept, dropped
-
-
-def _independent_columns(G: sp.csr_matrix) -> np.ndarray:
-    """Indices of the columns a Cholesky-style elimination of ``G`` keeps.
-
-    Column x is dropped when its residual diagonal (the squared norm of its
-    part orthogonal to the kept columns before it) is at most
-    ``(_RANK_DROP_RTOL * sqrt(G[x, x]))**2``.  The elimination is
-    left-looking: row x of the factor is one vectorized reduction that
-    subtracts the earlier pivot rows' contributions in pivot order, which
-    repeats the floating-point operations of the right-looking row-by-row
-    update.  Pivot rows above the first nonzero of column x contribute exact
-    zeros and are skipped, so the work follows the profile of ``G``; columns
-    of subdomains that do not overlap are orthogonal.  The profile rows of
-    ``G`` and of the factor are stored by their offset from the diagonal, so
-    each array is n × (band width), and skewed strided views hand the
-    reduction the operands of the full rows without copying them.
-    """
-    n = G.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    norms0 = np.sqrt(np.maximum(G.diagonal(), 0.0))
-    index = np.arange(n)
-    upper = sp.triu(G, format="coo")
-    nz = upper.data != 0.0
-    r, c = upper.row[nz], upper.col[nz]
-    first = index.copy()
-    np.minimum.at(first, c, r)
-    # row x of the factor vanishes beyond the last column whose profile starts by x
-    reach = np.zeros(n, dtype=np.int64)
-    np.maximum.at(reach, first, index)
-    reach = np.maximum.accumulate(reach) + 1
-    # full-row entry (i, c) sits at [i, c - i]; width >= 2 keeps the skew stride > 0
-    w = max(int((reach - first).max()), 2)
-    Gb, U, S = np.zeros((3, n, w))   # G; factor rows (zero when dropped); over their pivot
-    Gb[r, c - r] = upper.data[nz]
-    u_flat = U.reshape(-1)
-    terms = np.empty((int((index - first).max(initial=0)) + 1,
-                      int((reach - index).max(initial=0))))
-    keep = []
-    for x in range(n):
-        lo, hi = first[x], reach[x]
-        t = terms[:x - lo + 1, :hi - x]
-        t[0] = Gb[x, :hi - x]
-        u = u_flat[lo * (w - 1) + x:x * (w - 1) + x:w - 1]          # U[lo:x, x]
-        s = as_strided(S[lo, x - lo:], shape=(x - lo, hi - x),      # S[lo:x, x:hi]
-                       strides=((w - 1) * S.itemsize, S.itemsize))
-        np.multiply(u[:, None], s, out=t[1:])
-        row = np.subtract.reduce(t, axis=0)
-        d = row[0]
-        if d <= (_RANK_DROP_RTOL * norms0[x]) ** 2 or norms0[x] == 0.0:
+    n, m = V.shape
+    # Fortran order keeps every leading block Q[:, :r] one contiguous array
+    Q = np.empty((n, m), order="F")
+    HQ = np.empty((n, m), order="F")
+    kept = []
+    for x in range(m):
+        q = V[:, x].copy()
+        norm0 = np.sqrt(max(q @ (H @ q), 0.0))
+        r = len(kept)
+        for _ in range(2):
+            q -= Q[:, :r] @ (HQ[:, :r].T @ q)
+        Hq = H @ q
+        norm = np.sqrt(max(q @ Hq, 0.0))
+        if norm <= _RANK_DROP_RTOL * norm0:
             continue
-        keep.append(x)
-        U[x, :hi - x] = row
-        S[x, 1:hi - x] = row[1:] / d
-    return np.array(keep, dtype=np.int64)
+        Q[:, r] = q / norm
+        HQ[:, r] = Hq / norm
+        kept.append(x)
+    return Q[:, :len(kept)], np.array(kept, dtype=np.int64)
+
+
+def _lower_band(G: sp.spmatrix) -> np.ndarray:
+    """LAPACK lower band storage of symmetric ``G``: ``ab[i - c, c] = G[i, c]``."""
+    low = sp.tril(G, format="coo")
+    d = low.row - low.col
+    ab = np.zeros((int(d.max(initial=0)) + 1, G.shape[0]))
+    ab[d, low.col] = low.data
+    return ab
 
 
 def solve_coarse(coarse: CoarseSpace, n_j):
     """Galerkin correction on one selection against the source residual.
 
     ``n_j`` picks the sweep point, the modes k < n_j[j] of the assembled
-    space.  Returns the point's coarse space and the correction in fine dofs.
+    space.  The point's Gram block is factored in band storage.  Returns the
+    point's coarse space and the correction in fine dofs.
     """
     space = coarse.select(n_j)
     cols = space.columns
-    if cols.size == 0:
-        return space, np.zeros(space.basis.shape[0])
-    G = space.gram_B[np.ix_(cols, cols)]
-    rhs = space.rhs[cols]
-    try:
-        cf = la.cho_factor(G.toarray(order="F"), overwrite_a=True)
-    except la.LinAlgError as exc:
-        raise CoercivityError(
-            "reduced coarse system is not positive definite; the penalty "
-            "parameter is too small for this mesh") from exc
-    y = solve_checked(lambda b: la.cho_solve(cf, b), G, rhs, "coarse solve")
-    return space, np.asarray(space.basis[:, cols] @ y).ravel()
+    y = np.zeros(space.basis.shape[1])
+    if cols.size:
+        G = space.gram_B[cols][:, cols]
+        try:
+            cb = la.cholesky_banded(_lower_band(G), lower=True)
+        except la.LinAlgError as exc:
+            raise CoercivityError(
+                "reduced coarse system is not positive definite; the penalty "
+                "parameter is too small for this mesh") from exc
+        y[cols] = solve_checked(lambda b: la.cho_solve_banded((cb, True), b),
+                                G, space.rhs[cols], "coarse solve")
+    return space, space.basis @ y
 
 
 @dataclass

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from msgfem.decomposition import build_decomposition
 from msgfem.dg_forms import DGAssembler, subdomain_dofs
 from msgfem.errors import CoercivityError
-from msgfem.gfem import (GlobalForms, _independent_columns, assemble_coarse,
+from msgfem.gfem import (CoarseSpace, GlobalForms, _h_orthonormal, assemble_coarse,
                          error_report, max_sqrt_lambda_next, solve_coarse,
                          solve_msgfem)
 from msgfem.local_problems import compute_local_data, select_coarse
@@ -51,21 +51,16 @@ def _doctored(locals_):
     return [first] + list(locals_[1:])
 
 
-# -- per-point oracle: every column rebuilt, dense Gram, row-by-row filter ----
+# -- per-point oracle: every column rebuilt, dense Gram, band factor ----------
 
-def _row_loop_filter(G, rtol=1e-10):
-    """Kept columns of the right-looking elimination, one rank-one update per row."""
-    norms0 = np.sqrt(np.maximum(np.diag(G), 0.0))
-    keep = []
-    R = G.copy()
-    for i in range(G.shape[0]):
-        d = R[i, i]
-        if d <= (rtol * norms0[i]) ** 2 or norms0[i] == 0.0:
-            continue
-        keep.append(i)
-        r = R[i, i + 1:] / d
-        R[i + 1:, i + 1:] -= np.outer(R[i, i + 1:], r)
-    return keep
+def _band_solve(G, b):
+    """Cholesky solve of dense SPD ``G`` in LAPACK lower band storage."""
+    low = np.tril(G)
+    kd = max(i - c for i, c in zip(*np.nonzero(low)))
+    ab = np.zeros((kd + 1, G.shape[0]))
+    for d in range(kd + 1):
+        ab[d, :G.shape[0] - d] = np.diagonal(G, -d)
+    return la.cho_solve_banded((la.cholesky_banded(ab, lower=True), True), b)
 
 
 def _oracle_point(mesh, decomp, pou, locals_, rule, B, F, H):
@@ -75,29 +70,28 @@ def _oracle_point(mesh, decomp, pou, locals_, rule, B, F, H):
     """
     ndof = 3 * mesh.n_elements
     u_p = pou_blend(mesh, decomp, pou, [d.particular for d in locals_])
-    rows, cols, vals, offsets = [], [], [], []
+    rows, cols, vals, dropped = [], [], [], []
     for data in locals_:
         omega = decomp.omega(data.j)
-        for k in range(select_coarse(data, rule)):
-            col = pou.dof_weights(mesh, data.j, omega) * data.modes[:, k]
-            nz = col != 0.0
-            rows.append(subdomain_dofs(omega)[nz])
-            cols.append(np.full(int(nz.sum()), len(offsets), dtype=np.int64))
-            vals.append(col[nz])
-            offsets.append((data.j, k))
-    if not offsets:
-        return np.zeros(ndof), 0, []
+        dofs = subdomain_dofs(omega)
+        n = select_coarse(data, rule)
+        blended = pou.dof_weights(mesh, data.j, omega)[:, None] * data.modes[:, :n]
+        Q, kept = _h_orthonormal(blended, H[dofs][:, dofs])
+        dropped += [(data.j, k) for k in range(n) if k not in kept]
+        for q in Q.T:
+            nz = q != 0.0
+            rows.append(dofs[nz])
+            cols.append(np.full(int(nz.sum()), len(cols), dtype=np.int64))
+            vals.append(q[nz])
+    if not cols:
+        return np.zeros(ndof), 0, dropped
     C = sp.coo_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(ndof, len(offsets))).tocsc()
-    dense = C.toarray()
-    keep = _row_loop_filter(dense.T @ (H @ dense))
-    dropped = [offsets[i] for i in range(len(offsets)) if i not in keep]
-    C = C[:, keep]
+                      shape=(ndof, len(cols))).tocsc()
     G = (C.T @ (B @ C)).toarray()
     G = 0.5 * (G + G.T)
-    y = la.cho_solve(la.cho_factor(G), C.T @ (F - B @ u_p))
-    return np.asarray(C @ y).ravel(), len(keep), dropped
+    y = _band_solve(G, C.T @ (F - B @ u_p))
+    return np.asarray(C @ y).ravel(), C.shape[1], dropped
 
 
 def test_single_subdomain_particular_is_exact():
@@ -158,7 +152,7 @@ def test_reduced_system_is_symmetric(problem):
                                 forms.B, forms.F, forms.H)
     G = (coarse.basis.T @ (forms.B @ coarse.basis)).toarray()
     assert np.abs(G - G.T).max() <= 1e-13 * np.abs(G).max()
-    assert coarse.gram_B.format == coarse.gram_H.format == "csr"
+    assert coarse.gram_B.format == "csr"
     assert (coarse.gram_B != coarse.gram_B.T).nnz == 0
     assert np.abs(coarse.gram_B.toarray() - G).max() <= 1e-13 * np.abs(G).max()
 
@@ -283,14 +277,22 @@ def test_sweep_beyond_available_modes_names_the_subdomain(problem):
                      [("fixed", 2), ("fixed", fewest.n_modes + 1)])
 
 
-# -- rank filter against the row-by-row elimination ----------------------------
+# -- H-orthonormal subdomain columns -----------------------------------------
 
-def _planted_gram(rng, local: bool):
-    """Gram matrix of random columns with planted dependencies.
+def _spd(rng, m):
+    """A sparse SPD matrix with a spread diagonal, standing in for ``H``."""
+    off = -0.4 * rng.random(m - 1)
+    diag = 1.0 + np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
+    return sp.diags([off, diag * 10.0 ** rng.uniform(0, 3, m), off], [-1, 0, 1],
+                    format="csr")
+
+
+def _planted_columns(rng, local: bool):
+    """Random columns with planted dependencies, and the planted indices.
 
     With ``local`` each column lives on a window of rows that moves down with
-    the column index, as blended coarse columns live on their subdomain, so
-    the Gram matrix has a profile; otherwise it is dense.
+    the column index, as blended modes live on the dofs their weight covers.
+    The planted columns copy, combine or zero the first ten columns.
     """
     m, n = 120, 70
     X = rng.standard_normal((m, n))
@@ -298,55 +300,97 @@ def _planted_gram(rng, local: bool):
         start = np.sort(rng.integers(0, m - 30, n))
         rows = np.arange(m)[:, None]
         X *= (rows >= start) & (rows < start + 30)
-    for i in rng.choice(np.arange(10, n), 6, replace=False):
+    planted = np.sort(rng.choice(np.arange(10, n), 6, replace=False))
+    for i in planted:
         kind = rng.integers(3)
         if kind == 0:        # exact duplicate of an earlier column
-            X[:, i] = X[:, rng.integers(i)]
+            X[:, i] = X[:, rng.integers(10)]
         elif kind == 1:      # dependent up to 1e-12
-            a, b = rng.integers(i, size=2)
+            a, b = rng.choice(10, 2, replace=False)
             X[:, i] = X[:, a] - 0.5 * X[:, b] + 1e-12 * rng.standard_normal(m)
         else:                # zero column
             X[:, i] = 0.0
-    return X.T @ X
+    return X, planted
+
+
+def _assert_h_orthonormal(Q, H):
+    assert np.abs(Q.T @ (H @ Q) - np.eye(Q.shape[1])).max() <= 1e-12
 
 
 @pytest.mark.parametrize("local", [False, True])
-def test_rank_filter_matches_row_by_row_elimination(local):
+def test_orthonormalization_drops_planted_dependencies(local):
     rng = np.random.default_rng(7)
-    dropped_any = 0
     for _ in range(25):
-        G = _planted_gram(rng, local)
-        kept = _independent_columns(sp.csr_matrix(G))
-        assert kept.tolist() == _row_loop_filter(G)
-        dropped_any += G.shape[0] - kept.size
-    assert dropped_any >= 25
+        X, planted = _planted_columns(rng, local)
+        H = _spd(rng, X.shape[0])
+        Q, kept = _h_orthonormal(X, H)
+        assert np.setdiff1d(np.arange(X.shape[1]), kept).tolist() == planted.tolist()
+        _assert_h_orthonormal(Q, H)
+        # same span: each kept column is its H-projection onto Q
+        Xk = X[:, kept]
+        assert np.abs(Q @ (Q.T @ (H @ Xk)) - Xk).max() <= 1e-10 * np.abs(Xk).max()
 
 
-def test_rank_filter_edge_sizes():
-    assert _independent_columns(sp.csr_matrix((0, 0))).size == 0
-    assert _independent_columns(sp.csr_matrix((3, 3))).size == 0
-    assert _independent_columns(sp.identity(3, format="csr")).tolist() == [0, 1, 2]
+def test_orthonormalization_keeps_a_small_genuine_residual():
+    """A column with relative H-residual 1e-7, as modes at contrast 1e8 have, is kept."""
+    rng = np.random.default_rng(5)
+    m = 60
+    H = _spd(rng, m)
+    X = rng.standard_normal((m, 6))
+    # H = Rᵀ R, so the H inner product of x and y is the Euclidean one of R x and R y
+    R = la.cholesky(H.toarray())
+    Z, _ = np.linalg.qr(R @ X[:, :5])
+    w = rng.standard_normal(m)
+    w -= Z @ (Z.T @ w)
+    w = la.solve_triangular(R, w / np.linalg.norm(w))     # H-unit, H-orthogonal to X[:, :5]
+    u = X[:, :5] @ rng.standard_normal(5)
+    X[:, 5] = u + 1e-7 * np.sqrt(u @ (H @ u)) * w
+    Q, kept = _h_orthonormal(X, H)
+    assert kept.tolist() == list(range(6))
+    _assert_h_orthonormal(Q, H)
 
 
-def test_rank_filter_memory_follows_the_band():
-    """On a banded Gram the filter stores the band, not n × n factors."""
-    n, width = 2000, 30
+def test_orthonormal_columns_are_nested():
+    rng = np.random.default_rng(11)
+    X, _ = _planted_columns(rng, True)
+    H = _spd(rng, X.shape[0])
+    Q, kept = _h_orthonormal(X, H)
+    for p in (1, 9, 10, 37, 69):
+        Qp, kept_p = _h_orthonormal(X[:, :p], H)
+        assert kept_p.tolist() == [k for k in kept if k < p]
+        assert np.array_equal(Qp, Q[:, :kept_p.size])
+
+
+def test_orthonormalization_edge_sizes():
+    H = sp.identity(3, format="csr")
+    for X in (np.zeros((3, 0)), np.zeros((3, 3))):
+        Q, kept = _h_orthonormal(X, H)
+        assert Q.shape == (3, 0) and kept.size == 0
+    Q, kept = _h_orthonormal(np.eye(3), H)
+    assert kept.tolist() == [0, 1, 2] and np.array_equal(Q, np.eye(3))
+
+
+def test_coarse_solve_memory_follows_the_band():
+    """On a banded Gram the coarse solve stores the band, not an n × n block."""
+    n, width, per = 2000, 30, 4
     rng = np.random.default_rng(3)
     # column c lives on rows 2c .. 2c + width - 1, so it meets 14 columns each side
     rows = 2 * np.arange(n)[:, None] + np.arange(width)
-    vals = rng.standard_normal((n, width))
-    duplicates, zeros = np.arange(50, n, 100), np.arange(99, n, 100)
-    vals[duplicates] = vals[duplicates - 1]
-    rows[duplicates] = rows[duplicates - 1]
-    vals[zeros] = 0.0
-    X = sp.csc_matrix((vals.ravel(), (rows.ravel(), np.repeat(np.arange(n), width))),
+    X = sp.csc_matrix((rng.standard_normal(n * width),
+                       (rows.ravel(), np.repeat(np.arange(n), width))),
                       shape=(2 * n + width, n))
     G = (X.T @ X).tocsr()
+    rhs = rng.standard_normal(n)
+    offsets = np.stack([np.arange(n) // per, np.arange(n) % per], axis=1)
+    coarse = CoarseSpace(basis=X, offsets=offsets, gram_B=G, rhs=rhs,
+                         drops=np.zeros((0, 2), dtype=np.int64),
+                         n_j=np.full(n // per, per))
     tracemalloc.start()
     try:
-        kept = _independent_columns(G)
+        _, u_s = solve_coarse(coarse, coarse.n_j)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 4
-    assert np.setdiff1d(np.arange(n), kept).tolist() == sorted([*duplicates, *zeros])
+    y = la.solve(G.toarray(), rhs, assume_a="pos")
+    assert np.abs(u_s - X @ y).max() <= 1e-8 * np.abs(X @ y).max()
