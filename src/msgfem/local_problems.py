@@ -113,19 +113,29 @@ class MaskedSystem:
                 "local system is singular; check the face convention or the "
                 "penalty parameter") from exc
 
-    def harmonic_extension(self, layer_values: np.ndarray) -> np.ndarray:
+    def harmonic_extension(self, layer_values=None) -> np.ndarray:
         """Discrete harmonic extensions of layer data, one row per layer dof.
 
         Each column keeps its layer data and solves the masked dofs so that
-        its form residual vanishes against every masked dof.
+        its form residual vanishes against every masked dof.  ``None`` stands
+        for unit data, one column per layer dof: the harmonic basis, bit for
+        bit the extension of ``np.eye(n_layer)``, with no identity formed.
+        Beside the result at most one other dense block of its width is
+        live: the right-hand side is freed before the result is allocated.
         """
-        rhs = np.asfortranarray(self.Afl @ layer_values)
+        if layer_values is None:
+            rhs = self.Afl.toarray(order="F")   # the bits of Afl @ I
+        else:
+            rhs = np.asfortranarray(self.Afl @ layer_values)
         np.negative(rhs, out=rhs)
         x = solve_checked(self.lu.solve, self.Aff, rhs, "local harmonic basis")
         del rhs
-        U = np.zeros((self.free.size + self.layer.size, layer_values.shape[1]))
-        U[self.layer] = layer_values
+        U = np.zeros((self.free.size + self.layer.size, x.shape[1]))
         U[self.free] = x
+        if layer_values is None:
+            U[self.layer, np.arange(self.layer.size)] = 1.0
+        else:
+            U[self.layer] = layer_values
         return U
 
 
@@ -139,51 +149,18 @@ def particular_solution(asm: DGAssembler, f, omega, omega_star):
     the overlap subdomain ``omega``.
     """
     system = MaskedSystem(asm, omega_star)
-    basis = system.harmonic_extension(np.eye(system.layer.size))
+    basis = system.harmonic_extension()
     psi = np.zeros(basis.shape[0])
     psi[system.free] = solve_checked(system.lu.solve, system.Aff,
                                      asm.load(f, omega_star)[system.free], "local source")
     return restrict(psi, omega_star, omega), basis
 
 
-def _deflated_pencil(A: np.ndarray, M: np.ndarray):
-    """Eigenpairs of a symmetric PSD pencil whose right matrix may be singular.
-
-    The kernel of ``M`` is split off first (those directions are the
-    infinite modes); the finite spectrum is computed on the complement that
-    is orthogonal to the kernel in the ``A`` inner product, which makes the
-    raw residual ``A x - lambda M x`` vanish and reproduces the true pencil
-    eigenvalues.
-    """
-    n = A.shape[0]
-    if n == 0:
-        return np.empty(0), np.empty((0, 0))
-    s, Q = la.eigh(M)
-    scale = max(float(s[-1]), 0.0)
-    kern = s <= _KERNEL_RTOL * scale if scale > 0 else np.ones_like(s, dtype=bool)
-    K = Q[:, kern]
-    P = Q[:, ~kern]
-    sp = s[~kern]
-    n_inf = K.shape[1]
-    if P.shape[1] == 0:
-        return np.full(n_inf, np.inf), K
-    if n_inf:
-        AK = A @ K
-        G = K.T @ AK
-        W = P - K @ solve_checked(lambda b: la.solve(G, b, assume_a="pos"), G,
-                                  AK.T @ P, "kernel Gram")
-    else:
-        W = P
-    Ar = W.T @ A @ W
-    Ar = 0.5 * (Ar + Ar.T)
-    Mr = W.T @ M @ W
-    Mr = 0.5 * (Mr + Mr.T)
-    lam, Y = la.eigh(Ar, Mr)
-    lam = lam[::-1]
-    vecs = (W @ Y)[:, ::-1]
-    values = np.concatenate([np.full(n_inf, np.inf), lam])
-    vectors = np.concatenate([K, vecs], axis=1)
-    return values, vectors
+def _symmetrized(X: np.ndarray) -> np.ndarray:
+    """``0.5 * (X + X.T)`` bit for bit, with one temporary fewer; exactly symmetric."""
+    S = X + X.T
+    S *= 0.5
+    return S
 
 
 def eigenproblem(asm: DGAssembler, pou: PartitionOfUnity, j: int, omega, omega_star,
@@ -196,16 +173,53 @@ def eigenproblem(asm: DGAssembler, pou: PartitionOfUnity, j: int, omega, omega_s
     directions of the right form (the constants, on interior subdomains)
     come out as leading infinite eigenvalues.  ``basis`` is the harmonic
     basis of ``omega_star``.
+
+    The kernel of the right form is split off first; the finite spectrum is
+    computed on the complement that is orthogonal to the kernel in the left
+    inner product, which makes the raw residual ``A x - lambda M x`` vanish
+    and reproduces the true pencil eigenvalues.  Beside ``basis`` the widest
+    temporaries are its product with the right form's matrix, then the
+    weighted restriction to ``omega`` and its product; each layer x layer
+    pencil matrix is freed once consumed.
     """
-    idx = nested_dofs(omega, omega_star)
-    W = basis[idx, :]
+    if basis.shape[1] == 0:
+        return np.empty(0), np.empty((0, 0))
+    # the right form first: its product with the basis is the widest temporary
+    M = _symmetrized(basis.T @ (asm.matrix(omega_star, "Bplus") @ basis))
+    W = basis[nested_dofs(omega, omega_star), :]
     W *= pou.dof_weights(asm.mesh, j, omega)[:, None]
-    A = W.T @ (asm.matrix(omega, "Bplus") @ W)
+    A = _symmetrized(W.T @ (asm.matrix(omega, "Bplus") @ W))
     del W
-    A = 0.5 * (A + A.T)
-    M = basis.T @ (asm.matrix(omega_star, "Bplus") @ basis)
-    M = 0.5 * (M + M.T)
-    values, vectors = _deflated_pencil(A, M)
+    s, Q = la.eigh(M)
+    scale = max(float(s[-1]), 0.0)
+    kern = s <= _KERNEL_RTOL * scale if scale > 0 else np.ones_like(s, dtype=bool)
+    K = Q[:, kern]
+    W = Q[:, ~kern]     # the complement, made A-orthogonal to the kernel below
+    del Q
+    n_inf = K.shape[1]
+    if W.shape[1] == 0:
+        return np.full(n_inf, np.inf), K
+    if n_inf:
+        AK = A @ K
+        G = K.T @ AK
+        W -= K @ solve_checked(lambda b: la.solve(G, b, assume_a="pos"), G,
+                               AK.T @ W, "kernel Gram")
+    T = W.T @ A
+    del A
+    Ar = _symmetrized(T @ W)
+    del T
+    T = W.T @ M
+    del M
+    Mr = _symmetrized(T @ W)
+    del T
+    # Ar and Mr are exactly symmetric, so their Fortran-ordered views are
+    # themselves and LAPACK works on them without a copy
+    lam, Y = la.eigh(Ar.T, Mr.T, overwrite_a=True, overwrite_b=True)
+    del Ar, Mr
+    WY = W @ Y
+    del W, Y
+    values = np.concatenate([np.full(n_inf, np.inf), lam[::-1]])
+    vectors = np.concatenate([K, WY[:, ::-1]], axis=1)
     if np.any(values < -RESIDUAL_TOL):
         raise SolverError("negative eigenvalue beyond tolerance; assembly bug")
     # roundoff guard: the pencil is PSD so tiny negatives are noise
@@ -271,7 +285,8 @@ def compute_local_data(mesh: TriMesh, asm: DGAssembler, f, decomp: Decomposition
 
     if threads <= 1:
         # a pool worker allocates from its own malloc arena, whose freed blocks the
-        # later stages cannot reuse: +9 MB peak RSS on a 64-subdomain run
+        # later stages cannot reuse: a one-worker pool costs +7.4 MB peak RSS on
+        # coarse-32x8 and +6.5 MB on local-40x4 (medians of 3 benchmark runs)
         return [one(j) for j in range(decomp.n_subdomains)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(one, range(decomp.n_subdomains)))

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,16 +11,22 @@ from msgfem.decomposition import build_decomposition, d_minus
 from msgfem.dg_forms import DGAssembler, nested_dofs
 from msgfem.errors import SolverError
 from msgfem.gfem import GlobalForms, solve_msgfem
-from msgfem.local_problems import (LocalSpectralData, MaskedSystem,
-                                   _deflated_pencil, compute_local_data,
-                                   eigenproblem, particular_solution,
-                                   select_coarse)
+from msgfem.local_problems import (LocalSpectralData, MaskedSystem, compute_local_data,
+                                   eigenproblem, particular_solution, select_coarse)
 from msgfem.mesh import Coefficient, build_structured_mesh, coefficient_field
 from msgfem.space_ops import PartitionOfUnity, build_pou, h0_dofs, restrict
 from msgfem.verification import decay_fit, fine_solve
 
 G0 = np.sqrt(10.0)
 FIXED = [("fixed", 4)]
+
+
+@pytest.fixture(scope="module")
+def interior():
+    """A 4 x 4 grid whose subdomain 5 has an oversampling domain off the boundary."""
+    mesh = build_structured_mesh(32)
+    decomp = build_decomposition(mesh, 4, 2, 4)
+    return mesh, decomp, build_pou(mesh, decomp)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +80,45 @@ def _oracle_harmonic_basis(asm, omega_star):
     basis[layer, np.arange(layer.size)] = 1.0
     basis[free, :] = _oracle_solve(spla.splu(Aff), -A[np.ix_(free, layer)].toarray())
     return basis
+
+
+def _oracle_deflated_pencil(A, M):
+    """The deflated pencil with every temporary kept and ``eigh`` on copies: the lean path's oracle."""
+    n = A.shape[0]
+    if n == 0:
+        return np.empty(0), np.empty((0, 0))
+    s, Q = la.eigh(M)
+    scale = max(float(s[-1]), 0.0)
+    kern = s <= 1e-10 * scale if scale > 0 else np.ones_like(s, dtype=bool)
+    K = Q[:, kern]
+    P = Q[:, ~kern]
+    n_inf = K.shape[1]
+    if P.shape[1] == 0:
+        return np.full(n_inf, np.inf), K
+    if n_inf:
+        AK = A @ K
+        G = K.T @ AK
+        W = P - K @ la.solve(G, AK.T @ P, assume_a="pos")
+    else:
+        W = P
+    Ar = W.T @ A @ W
+    Ar = 0.5 * (Ar + Ar.T)
+    Mr = W.T @ M @ W
+    Mr = 0.5 * (Mr + Mr.T)
+    lam, Y = la.eigh(Ar, Mr)
+    values = np.concatenate([np.full(n_inf, np.inf), lam[::-1]])
+    return values, np.concatenate([K, (W @ Y)[:, ::-1]], axis=1)
+
+
+def _oracle_eigenproblem(asm, pou, j, omega, omega_star, basis):
+    idx = nested_dofs(omega, omega_star)
+    W = basis[idx, :] * pou.dof_weights(asm.mesh, j, omega)[:, None]
+    A = W.T @ (asm.matrix(omega, "Bplus") @ W)
+    A = 0.5 * (A + A.T)
+    M = basis.T @ (asm.matrix(omega_star, "Bplus") @ basis)
+    M = 0.5 * (M + M.T)
+    values, vectors = _oracle_deflated_pencil(A, M)
+    return np.maximum(values, 0.0), vectors
 
 
 def _modes(asm, pou, j, omega, omega_star, basis, n):
@@ -346,13 +392,13 @@ def test_eigenproblem_kernel_modes_and_positivity():
     assert np.abs(M @ np.ones(M.shape[0])).max() <= 1e-10
 
 
-def test_kernel_gram_solve_residual_is_checked(monkeypatch):
-    rng = np.random.default_rng(11)
-    X = rng.standard_normal((6, 6))
-    A = X @ X.T + np.eye(6)
-    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    M = Q @ np.diag([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]) @ Q.T   # one kernel direction
-    values, _ = _deflated_pencil(A, M)
+def test_kernel_gram_solve_residual_is_checked(interior, monkeypatch):
+    mesh, decomp, pou = interior
+    j = 5   # interior: the constants are the right form's kernel
+    om, oms = decomp.omega(j), decomp.omega_star(j)
+    asm = DGAssembler(mesh, coefficient_field(mesh, "constant:1"), G0)
+    basis = harmonic_basis(asm, oms)
+    values, _ = eigenproblem(asm, pou, j, om, oms, basis)
     assert np.isinf(values[0]) and np.all(np.isfinite(values[1:]))
 
     solve = la.solve
@@ -362,7 +408,60 @@ def test_kernel_gram_solve_residual_is_checked(monkeypatch):
 
     monkeypatch.setattr(local_problems.la, "solve", doctored)
     with pytest.raises(SolverError, match="kernel Gram residual"):
-        _deflated_pencil(A, M)
+        eigenproblem(asm, pou, j, om, oms, basis)
+
+
+@pytest.mark.parametrize("spec", ["constant:1", "log_uniform:1e-3:1e3"])
+def test_lean_local_stage_is_bit_identical(interior, spec):
+    # the harmonic basis against the identity's extension, the eigenpairs
+    # against the copy-everything pencil, byte for byte
+    mesh, decomp, pou = interior
+    asm = DGAssembler(mesh, coefficient_field(mesh, spec, seed=0), G0)
+    for j in (0, 5):    # on the boundary, and interior with a kernel mode
+        om, oms = decomp.omega(j), decomp.omega_star(j)
+        system = MaskedSystem(asm, oms)
+        basis = system.harmonic_extension()
+        assert basis.tobytes() == system.harmonic_extension(np.eye(system.layer.size)).tobytes()
+        assert particular_solution(asm, source_one, om, oms)[1].tobytes() == basis.tobytes()
+        values, vectors = eigenproblem(asm, pou, j, om, oms, basis)
+        oracle_values, oracle_vectors = _oracle_eigenproblem(asm, pou, j, om, oms, basis)
+        assert np.isinf(values[0]) == (j == 5)
+        assert values.tobytes() == oracle_values.tobytes()
+        assert vectors.tobytes() == oracle_vectors.tobytes()
+
+
+def test_local_stage_holds_one_dense_block_beside_the_basis():
+    """Traced allocation peaks of one interior subdomain, per byte of its basis.
+
+    At (40, 4) subdomain 5 the basis is 2688 x 438 (8.98 MiB).  Building it
+    holds the right-hand side and the solution (each 84% of the basis) and
+    then the solution and the basis; the eigenproblem holds the basis and its
+    product with the right form, then the weighted restriction and its
+    product (each 43%), with the small pencil matrices beside them.  A
+    right-hand side formed as a product and then copied, or a pencil that
+    keeps every temporary, shows here.  tracemalloc sees numpy's arrays but
+    not SuperLU's internal work array (n_free x n_layer during the basis
+    solve) or BLAS buffers, so the peak resident set is larger than these.
+    """
+    mesh = build_structured_mesh(40)
+    decomp = build_decomposition(mesh, 4, 2, 4)
+    pou = build_pou(mesh, decomp)
+    asm = DGAssembler(mesh, coefficient_field(mesh, "constant:1"), G0)
+    j = 5
+    om, oms = decomp.omega(j), decomp.omega_star(j)
+    asm.matrix(om, "B")     # the block tables are built once per assembler
+    tracemalloc.start()
+    try:
+        _, basis = particular_solution(asm, source_one, om, oms)
+        particular_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        eigenproblem(asm, pou, j, om, oms, basis)
+        eigen_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.shape == (2688, 438)
+    assert particular_peak <= 2.3 * basis.nbytes
+    assert eigen_peak <= 2.3 * basis.nbytes
 
 
 def test_eigenproblem_boundary_subdomain_all_finite(setting):
