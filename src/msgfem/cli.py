@@ -133,12 +133,12 @@ def _pipeline(problem: Problem, out: Path, t0: float) -> int:
 
     rows = []
     for sol in solve_msgfem(mesh, decomp, pou, locals_, forms, rules):
-        rep = error_report(forms, sol.u_G, u_fine, sol.max_sqrt_lambda_next)
+        rep = error_report(forms, sol.u_G, u_fine)
         # a point is labelled by its largest per-subdomain count, a fixed rule's n
         rows.append([config.grid_m, config.overlap_layers, config.oversampling_layers,
                      int(sol.coarse.n_j.max(initial=0)), config.gamma0,
                      problem.coefficient.contrast, sol.coarse.n_total, rep.rel_bplus_error,
-                     rep.rel_l2_error, rep.max_sqrt_lambda_next])
+                     rep.rel_l2_error, sol.max_sqrt_lambda_next])
 
     # the fit uses the sweep points with a positive finite error, if five or more
     sweep = np.array(rows, dtype=float)

@@ -201,17 +201,14 @@ class DGAssembler:
     def load(self, f, D=None) -> np.ndarray:
         """Source functional against the shape functions of the set.
 
-        ``f`` is a callable of ``(x, y)`` or a constant; the degree-4 rule is
-        exact for sources up to cubic.
+        ``f`` is a callable of ``(x, y)``; the degree-4 rule is exact for
+        sources up to cubic.
         """
         mesh = self.mesh
         D = self._members(D)
         pts = np.einsum("qa,ead->eqd", _LOAD_POINTS, mesh.vertices[mesh.elements[D]])
-        if callable(f):
-            fv = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-            fv = np.broadcast_to(fv, pts.shape[:2])
-        else:
-            fv = np.full(pts.shape[:2], float(f))
+        fv = np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float),
+                             pts.shape[:2])
         # shape function i at a quadrature point equals its barycentric coordinate
         vals = np.einsum("eq,q,qi->ei", fv, _LOAD_WEIGHTS, _LOAD_POINTS) * mesh.areas[D][:, None]
         return vals.ravel()

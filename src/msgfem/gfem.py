@@ -253,15 +253,14 @@ class ErrorReport:
     l2_error: float
     rel_bplus_error: float
     rel_l2_error: float
-    max_sqrt_lambda_next: float
 
 
-def error_report(forms: GlobalForms, u_G: np.ndarray, u_fine: np.ndarray,
-                 max_sqrt_lambda_next: float = float("nan")) -> ErrorReport:
+def error_report(forms: GlobalForms, u_G: np.ndarray, u_fine: np.ndarray) -> ErrorReport:
     """Jump-energy and volume errors of the multiscale solution vs the fine one.
 
     The two norm matrices of ``forms`` are assembled once for every report
-    that shares it.
+    that shares it.  The error surrogate of a sweep point is its solution's
+    ``max_sqrt_lambda_next``.
     """
     Bp = forms.Bplus
     Mv = forms.mass
@@ -278,7 +277,6 @@ def error_report(forms: GlobalForms, u_G: np.ndarray, u_fine: np.ndarray,
         bplus_error=eb, l2_error=el,
         rel_bplus_error=eb / rb if rb > 0 else eb,
         rel_l2_error=el / rl if rl > 0 else el,
-        max_sqrt_lambda_next=max_sqrt_lambda_next,
     )
 
 
@@ -296,10 +294,10 @@ def solve_msgfem(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
                  locals_: list, forms: GlobalForms, rules) -> list:
     """Assemble the coarse space once and solve it at every sweep point.
 
-    ``rules`` is a list of ``("fixed", n)`` rules or a single rule of any
-    kind.  The columns are assembled from the modes ``locals_`` kept, and
-    every point is solved on its subset of them; a point that asks for more
-    modes than a subdomain kept raises.  Returns one solution per rule.
+    ``rules`` is a list of rules of either kind (see :func:`select_coarse`).
+    The columns are assembled from the modes ``locals_`` kept, and every
+    point is solved on its subset of them; a point that asks for more modes
+    than a subdomain kept raises.  Returns one solution per rule.
     """
     coarse, u_p = assemble_coarse(mesh, decomp, pou, locals_, forms.B, forms.F, forms.H)
     solutions = []

@@ -244,15 +244,6 @@ def select_coarse(data: LocalSpectralData, rule) -> int:
     raise ValueError(f"unknown coarse selection rule {kind!r}")
 
 
-def _largest_rule(rules: list):
-    """The rule of a sweep that selects the most modes on every subdomain."""
-    if all(kind == "fixed" for kind, _ in rules):
-        return ("fixed", max(n for _, n in rules))
-    if len(rules) == 1:
-        return rules[0]
-    raise ValueError("a sweep is a list of fixed rules or a single rule")
-
-
 def compute_local_data(mesh: TriMesh, asm: DGAssembler, f, decomp: Decomposition,
                        pou: PartitionOfUnity, rules, threads: int = 1) -> list:
     """Run all per-subdomain stages; results are ordered by subdomain index.
@@ -260,13 +251,13 @@ def compute_local_data(mesh: TriMesh, asm: DGAssembler, f, decomp: Decomposition
     ``asm`` is the run's assembler on ``mesh``, so one set of block tables
     serves every subdomain.  ``rules`` is the run's sweep, as
     :func:`msgfem.gfem.solve_msgfem` takes it.  Each subdomain keeps every
-    eigenvalue and the modes of the sweep's largest rule on its overlap
-    subdomain; the dense basis and pencil vectors it computed them from are
-    dropped when its worker returns.
+    eigenvalue and, on its overlap subdomain, as many leading modes as the
+    sweep's rules select at most (:func:`select_coarse`); the dense basis
+    and pencil vectors it computed them from are dropped when its worker
+    returns.
     """
     if asm.mesh is not mesh:
         raise ValueError("the assembler is built on another mesh")
-    rule = _largest_rule(list(rules))
 
     def one(j: int) -> LocalSpectralData:
         omega = decomp.omega(j)
@@ -275,7 +266,7 @@ def compute_local_data(mesh: TriMesh, asm: DGAssembler, f, decomp: Decomposition
         values, vectors = eigenproblem(asm, pou, j, omega, omega_star, basis)
         data = LocalSpectralData(j=j, particular=up, eigenvalues=values,
                                  modes=np.empty((up.size, 0)))
-        data.modes = np.empty((up.size, select_coarse(data, rule)))
+        data.modes = np.empty((up.size, max(select_coarse(data, r) for r in rules)))
         idx = nested_dofs(omega, omega_star)
         # one full matrix-vector product per mode: a matrix product, or a product
         # on a subset of the rows, may round differently

@@ -73,10 +73,6 @@ class TriMesh:
     def n_boundary_faces(self) -> int:
         return self.bface_elem.shape[0]
 
-    @property
-    def h(self) -> float:
-        return float(self.h_T.max())
-
     @staticmethod
     def from_arrays(vertices, elements, structured_n=None) -> "TriMesh":
         """Build the full connectivity from raw vertex/element arrays."""

@@ -22,7 +22,7 @@ from .dg_forms import DGAssembler, nested_dofs, subdomain_dofs
 from .errors import SolverError
 from .gfem import GlobalForms
 from .local_problems import MaskedSystem, solve_checked
-from .mesh import TriMesh, build_structured_mesh, coefficient_field
+from .mesh import TriMesh
 from .space_ops import extend_by_zero, h0_dofs, pou_blend, restrict
 
 __all__ = [
@@ -271,10 +271,13 @@ def run_property_suite(problem) -> SuiteReport:
     Runs mesh bookkeeping, hull and cover checks, operator identities on a
     nested subdomain pair, kernel characterization, partition-of-unity
     checks, harmonicity of sampled local extensions, the interior-energy
-    bound, dense positivity checks, and a dense coercivity probe on a
-    mesh-family representative.  ``problem`` carries the config, mesh,
-    coefficient, decomposition, partition of unity and global forms of the
-    run.  Returns a deterministic, JSON-serializable report.
+    bound, dense positivity checks, and a dense coercivity probe.  Every
+    check reads the run's own forms: the probe takes the smallest eigenvalue
+    of the symmetric part of ``B`` on the corner block of ``s x s`` cells,
+    ``s = min(n, 12)``, which is the whole mesh when ``n <= 12``.
+    ``problem`` carries the config, mesh, coefficient, decomposition,
+    partition of unity and global forms of the run.  Returns a
+    deterministic, JSON-serializable report.
     """
     checks = []
     t0 = time.time()
@@ -388,25 +391,15 @@ def run_property_suite(problem) -> SuiteReport:
     record("dg_forms.bplus_psd", ev_bp >= -1e-12 * coef.nu_max, {"min_eig": ev_bp})
     record("dg_forms.h_positive", ev_h > 0.0, {"min_eig": ev_h})
 
-    # coercivity probe on a mesh-family representative
-    n_probe = min(n, 12)
-    if n_probe == n:
-        B_p = problem.forms.B.toarray()
-    else:
-        mesh_p = build_structured_mesh(n_probe)
-        try:
-            coef_p = coefficient_field(mesh_p, config.coefficient, seed=config.seed)
-        except ValueError:
-            coef_p = coefficient_field(mesh_p, "constant:1")
-        B_p = DGAssembler(mesh_p, coef_p, asm.gamma0).matrix(None, "B").toarray()
-    # the symmetric part in one dense array: S is exactly symmetric, so its
-    # Fortran-ordered view S.T is S and LAPACK works on it without a copy
-    S = B_p + B_p.T
-    del B_p
+    # coercivity probe on the corner block of the run's own form; the symmetric
+    # part in one dense array: S is exactly symmetric, so its Fortran-ordered
+    # view S.T is S and LAPACK works on it without a copy
+    s = min(n, 12)
+    S = asm.matrix(square_block(mesh, 0, s, 0, s), "B").toarray()
+    S += S.T
     S *= 0.5
     min_eig = float(la.eigvalsh(S.T, overwrite_a=True)[0])
-    record("dg_forms.coercivity", min_eig > 0.0,
-           {"min_eig": min_eig, "probe_mesh": n_probe})
+    record("dg_forms.coercivity", min_eig > 0.0, {"min_eig": min_eig, "probe_cells": s})
 
     report = SuiteReport(checks=checks)
     report.elapsed = time.time() - t0

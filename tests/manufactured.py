@@ -96,7 +96,7 @@ def manufactured_convergence(mesh_sizes, gamma0: float) -> tuple:
         forms = GlobalForms(DGAssembler(mesh, coefficient_field(mesh, "constant:1"),
                                         gamma0), sin_rhs)
         u = fine_solve(forms)
-        hs.append(mesh.h)
+        hs.append(mesh.h_T.max())
         l2s.append(l2_error_vs_function(mesh, u, sin_exact))
         ens.append(energy_error_vs_function(forms.asm, u, sin_grad))
     return hs, rates(hs, l2s), rates(hs, ens)

@@ -327,7 +327,8 @@ def test_unbuildable_problem_is_config_error(tmp_path, capsys, text):
 
 def test_checked_run_builds_mesh_decomposition_and_pou_once(tmp_path, monkeypatch):
     calls = Counter()
-    for name in ("build_structured_mesh", "build_decomposition", "build_pou"):
+    for name in ("build_structured_mesh", "coefficient_field", "build_decomposition",
+                 "build_pou"):
         for module in (msgfem.cli, msgfem.verification):
             original = getattr(module, name, None)
             if original is None:
@@ -345,9 +346,8 @@ def test_checked_run_builds_mesh_decomposition_and_pou_once(tmp_path, monkeypatc
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(DGAssembler, "__init__", counted_init)
-    # at mesh_n <= 12 the suite's coercivity probe runs on the problem's own mesh
-    cfg = parse_config(SMALL.replace("mesh_n = 16", "mesh_n = 12"))
-    assert cfg.checks
+    cfg = parse_config(SMALL)
+    assert cfg.checks and cfg.mesh_n == 16
     assert run(cfg, out_dir=tmp_path) == 0
-    assert calls == {"build_structured_mesh": 1, "build_decomposition": 1,
-                     "build_pou": 1, "DGAssembler": 1}
+    assert calls == {"build_structured_mesh": 1, "coefficient_field": 1,
+                     "build_decomposition": 1, "build_pou": 1, "DGAssembler": 1}

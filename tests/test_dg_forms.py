@@ -173,8 +173,8 @@ def test_load_trivial_and_moments():
     mesh = build_structured_mesh(4)
     D = square_block(mesh, 1, 3, 1, 3)
     asm = DGAssembler(mesh, coefficient_field(mesh, "constant:1"), G0)
-    assert np.all(asm.load(0.0, D) == 0.0)
-    F = asm.load(1.0, D)
+    assert np.all(asm.load(lambda x, y: 0.0, D) == 0.0)
+    F = asm.load(lambda x, y: 1.0, D)
     assert F.sum() == pytest.approx(mesh.areas[D].sum(), rel=1e-13)
     # closed-form moments of f = x on the reference triangle:
     # against the vertex functions at (0,0), (1,0), (0,1)

@@ -168,10 +168,9 @@ def test_enlarging_coarse_space_never_hurts(problem):
 
 def test_error_report_trivial_and_surrogate(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    rep = error_report(forms, u_fine, u_fine, 0.123)
+    rep = error_report(forms, u_fine, u_fine)
     assert rep.bplus_error == 0.0 and rep.l2_error == 0.0
     assert rep.rel_bplus_error == 0.0 and rep.rel_l2_error == 0.0
-    assert rep.max_sqrt_lambda_next == 0.123
     coarse, _ = assemble_coarse(mesh, decomp, pou, _kept(locals_, ("fixed", 2)),
                                 forms.B, forms.F, forms.H)
     surrogate = max_sqrt_lambda_next(locals_, coarse)
@@ -183,7 +182,7 @@ def test_error_report_reuses_norms_bit_for_bit(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     u = u_fine + np.linspace(-1e-3, 1e-3, u_fine.size)
     fresh = GlobalForms(forms.asm, source_one)
-    assert error_report(forms, u, u_fine, 0.5) == error_report(fresh, u, u_fine, 0.5)
+    assert error_report(forms, u, u_fine) == error_report(fresh, u, u_fine)
     assert forms.Bplus is forms.Bplus and forms.mass is forms.mass
 
 
@@ -211,7 +210,7 @@ def test_solution_container_consistency(problem):
     [sol] = solve_msgfem(mesh, decomp, pou, _kept(locals_, ("fixed", 3)), forms,
                          [("fixed", 3)])
     assert np.array_equal(sol.u_G, sol.u_p + sol.u_s)
-    rep = error_report(forms, sol.u_G, u_fine, sol.max_sqrt_lambda_next)
+    rep = error_report(forms, sol.u_G, u_fine)
     assert rep.rel_bplus_error < 0.2
     assert rep.bplus_error >= 0.0 and rep.l2_error >= 0.0
 

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 import msgfem.local_problems as local_problems
 from manufactured import manufactured_convergence
@@ -22,7 +23,7 @@ G0 = np.sqrt(10.0)
 def test_zero_source_zero_solution():
     mesh = build_structured_mesh(4)
     coef = coefficient_field(mesh, "constant:1")
-    u = fine_solve(GlobalForms(DGAssembler(mesh, coef, G0), 0.0))
+    u = fine_solve(GlobalForms(DGAssembler(mesh, coef, G0), lambda x, y: 0.0))
     assert np.all(u == 0.0)
 
 
@@ -39,7 +40,7 @@ def test_global_residual_contract_unit_contrast():
     asm = DGAssembler(mesh, coef, G0)
     u = fine_solve(GlobalForms(asm, lambda x, y: np.ones_like(x)))
     B = asm.matrix(None, "B")
-    F = asm.load(1.0)
+    F = asm.load(lambda x, y: 1.0)
     assert np.linalg.norm(B @ u - F) <= 1e-10 * np.linalg.norm(F)
 
 
@@ -120,6 +121,24 @@ def test_property_suite_flags_tiny_penalty():
     assert not report.ok
     failing = [c.name for c in report.checks if c.status == "fail"]
     assert "dg_forms.coercivity" in failing
+
+
+@pytest.mark.parametrize("text, status", [
+    # a block of 8 does not divide 12 cells: only the run's own mesh carries this spec
+    ("mesh_n = 16\ngrid_m = 2\noversampling_layers = 2\ncoefficient = checkerboard:100:8\n",
+     "pass"),
+    ("mesh_n = 32\ngrid_m = 4\ncoefficient = channels:1e8:4\n", "pass"),
+    ("coefficient = checkerboard:1e8:8\n", "pass"),
+    ("gamma0_sq = 1\n", "fail"),
+], ids=["checkerboard-100-8", "channels-1e8", "checkerboard-1e8", "gamma0_sq-1"])
+def test_coercivity_probe_reads_the_runs_own_corner_block(text, status):
+    problem = build_problem(parse_config(text))
+    probe = next(c for c in run_property_suite(problem).checks
+                 if c.name == "dg_forms.coercivity")
+    B = problem.forms.asm.matrix(square_block(problem.mesh, 0, 12, 0, 12), "B").toarray()
+    assert probe.status == status
+    assert probe.witness == {"min_eig": float(la.eigvalsh(0.5 * (B + B.T))[0]),
+                             "probe_cells": 12}
 
 
 def test_zero_overlap_rejected_at_parse_time():
