@@ -69,9 +69,7 @@ def build_problem(config: RunConfig) -> Problem:
         decomp = build_decomposition(mesh, config.grid_m, config.overlap_layers,
                                      config.oversampling_layers)
         pou = build_pou(mesh, decomp)
-    except ConfigError:
-        raise
-    except ValueError as exc:
+    except ValueError as exc:   # a ConfigError too: every message is kept as it is
         raise ConfigError(str(exc)) from exc
     return Problem(config=config, mesh=mesh, coefficient=coef, f=f, decomp=decomp,
                    pou=pou, forms=GlobalForms(DGAssembler(mesh, coef, config.gamma0), f))
@@ -165,21 +163,17 @@ def main(argv=None) -> int:
                         help="output directory (overrides the config)")
     parser.add_argument("--checks-only", action="store_true",
                         help="run only the property suite")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", default=None,
                         help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", default=None,
                         help="override the config worker-thread count")
     args = parser.parse_args(argv)
 
     try:
         text = args.config.read_text() if args.config else ""
-        config = parse_config(text)
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("threads must be >= 1")
-            config.threads = args.threads
+        # an override is value text, parsed and validated like the key itself
+        config = parse_config(text, **{key: getattr(args, key) for key in ("seed", "threads")
+                                       if getattr(args, key) is not None})
     except (ConfigError, OSError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

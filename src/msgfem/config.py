@@ -117,10 +117,14 @@ class RunConfig:
         return [self.coarse_rule]
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate; defaults apply for every key not present."""
+def parse_config(text: str, **overrides: str) -> RunConfig:
+    """Parse and validate; defaults apply for every key not present.
+
+    ``overrides`` (key -> value text, as the CLI's ``--seed``) replace the
+    file's values and are parsed like their keys; an error names ``--key``.
+    """
     keys = {f.name: f for f in fields(RunConfig)}
-    given = {}                        # key -> (line number, value text)
+    given = {}                        # key -> (where it was given, value text)
     for lineno, line in enumerate(text.splitlines(), start=1):
         content = line.split("#", 1)[0].strip()
         if not content:
@@ -131,11 +135,11 @@ def parse_config(text: str) -> RunConfig:
         if key not in keys:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in given:
-            raise ConfigError(f"line {lineno}: key {key!r} repeats line {given[key][0]}")
-        given[key] = (lineno, value)
-    return RunConfig(**{
-        key: keys[key].metadata["parse"](key, value, f"line {lineno}: ")
-        for key, (lineno, value) in given.items()})
+            raise ConfigError(f"line {lineno}: key {key!r} repeats {given[key][0]}")
+        given[key] = (f"line {lineno}", value)
+    given.update((key, (f"--{key}", value)) for key, value in overrides.items())
+    return RunConfig(**{key: keys[key].metadata["parse"](key, value, f"{where}: ")
+                        for key, (where, value) in given.items()})
 
 
 def _value_text(value) -> str:

@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from .decomposition import Decomposition
 from .dg_forms import DGAssembler, subdomain_dofs
 from .errors import CoercivityError
-from .local_problems import select_coarse, solve_checked
+from .local_problems import select_coarse, solve_checked, symmetric_part
 from .mesh import TriMesh
 from .space_ops import PartitionOfUnity, pou_blend
 
@@ -89,12 +89,13 @@ class CoarseSpace:
     The columns of one subdomain are H-orthonormal; ``drops`` holds the
     (j, k) of the modes the build dropped as dependent on earlier modes of
     their subdomain.  Columns of different subdomains are not tested against
-    each other: a dependence across subdomains would leave the Gram matrix
-    singular, and a singular Gram block fails its factor.  ``gram_B`` is the
-    sparse (CSR) column Gram matrix in the full form, nonzero only between
-    columns of overlapping subdomains, and ``rhs`` pairs the columns with the
-    residual of the particular part.  The selection is the modes k < n_j[j]:
-    ``columns`` are its columns, ``dropped`` names its dropped modes.
+    each other: a dependence across them leaves the Gram block singular, and
+    its factor fails naming both causes, unless roundoff leaves a small
+    positive pivot.  ``gram_B`` is the sparse (CSR) column Gram matrix in the
+    full form, nonzero only between columns of overlapping subdomains, and
+    ``rhs`` pairs the columns with the residual of the particular part.  The
+    selection is the modes k < n_j[j]: ``columns`` are its columns,
+    ``dropped`` names its dropped modes.
     """
 
     basis: sp.csc_matrix
@@ -172,12 +173,10 @@ def assemble_coarse(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
     if drops:
         warnings.warn(f"dropped {len(drops)} dependent coarse columns", stacklevel=2)
 
-    G = basis.T @ (B @ basis)
-    gram_B = (G + G.T) * 0.5
-    del G
     coarse = CoarseSpace(basis=basis,
                          offsets=np.array(offsets, dtype=np.int64).reshape(col, 2),
-                         gram_B=gram_B, rhs=basis.T @ (F - B @ u_p),
+                         gram_B=symmetric_part(basis.T @ (B @ basis)),
+                         rhs=basis.T @ (F - B @ u_p),
                          drops=np.array(drops, dtype=np.int64).reshape(-1, 2), n_j=n_sel)
     return coarse, u_p
 
@@ -241,7 +240,8 @@ def solve_coarse(coarse: CoarseSpace, n_j):
         except la.LinAlgError as exc:
             raise CoercivityError(
                 "reduced coarse system is not positive definite; the penalty "
-                "parameter is too small for this mesh") from exc
+                "parameter is too small for this mesh, or coarse columns of "
+                "different subdomains depend on each other") from exc
         y[cols] = solve_checked(lambda b: la.cho_solve_banded((cb, True), b),
                                 G, space.rhs[cols], "coarse solve")
     return space, space.basis @ y
@@ -249,8 +249,6 @@ def solve_coarse(coarse: CoarseSpace, n_j):
 
 @dataclass
 class ErrorReport:
-    bplus_error: float
-    l2_error: float
     rel_bplus_error: float
     rel_l2_error: float
 
@@ -273,11 +271,8 @@ def error_report(forms: GlobalForms, u_G: np.ndarray, u_fine: np.ndarray) -> Err
     el = norm(Mv, diff)
     rb = norm(Bp, u_fine)
     rl = norm(Mv, u_fine)
-    return ErrorReport(
-        bplus_error=eb, l2_error=el,
-        rel_bplus_error=eb / rb if rb > 0 else eb,
-        rel_l2_error=el / rl if rl > 0 else el,
-    )
+    return ErrorReport(rel_bplus_error=eb / rb if rb > 0 else eb,
+                       rel_l2_error=el / rl if rl > 0 else el)
 
 
 def max_sqrt_lambda_next(locals_: list, coarse: CoarseSpace) -> float:

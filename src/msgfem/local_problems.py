@@ -26,6 +26,7 @@ __all__ = [
     "eigenproblem",
     "select_coarse",
     "compute_local_data",
+    "symmetric_part",
 ]
 
 RESIDUAL_TOL = 1e-10
@@ -81,11 +82,14 @@ def solve_checked(solve, A, b, name: str):
 
     A healthy direct solve meets the scaled residual at roundoff whatever the
     contrast.  Raises :class:`SolverError` naming the ``name`` solve when it
-    exceeds the tolerance, column by column.
+    exceeds the tolerance, column by column, or when ``solve`` breaks down.
     """
     if np.linalg.norm(b) == 0.0:
         return np.zeros_like(b)
-    x = solve(b)
+    try:
+        x = solve(b)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"{name} broke down: {exc}") from exc
     res = scaled_residual(A, x, b)
     if res > RESIDUAL_TOL:
         raise SolverError(f"{name} residual {res:.3e} exceeds tolerance")
@@ -156,8 +160,8 @@ def particular_solution(asm: DGAssembler, f, omega, omega_star):
     return restrict(psi, omega_star, omega), basis
 
 
-def _symmetrized(X: np.ndarray) -> np.ndarray:
-    """``0.5 * (X + X.T)`` bit for bit, with one temporary fewer; exactly symmetric."""
+def symmetric_part(X):
+    """``0.5 * (X + X.T)`` of a dense or sparse ``X``, bit for bit, with one temporary fewer."""
     S = X + X.T
     S *= 0.5
     return S
@@ -185,10 +189,10 @@ def eigenproblem(asm: DGAssembler, pou: PartitionOfUnity, j: int, omega, omega_s
     if basis.shape[1] == 0:
         return np.empty(0), np.empty((0, 0))
     # the right form first: its product with the basis is the widest temporary
-    M = _symmetrized(basis.T @ (asm.matrix(omega_star, "Bplus") @ basis))
+    M = symmetric_part(basis.T @ (asm.matrix(omega_star, "Bplus") @ basis))
     W = basis[nested_dofs(omega, omega_star), :]
     W *= pou.dof_weights(asm.mesh, j, omega)[:, None]
-    A = _symmetrized(W.T @ (asm.matrix(omega, "Bplus") @ W))
+    A = symmetric_part(W.T @ (asm.matrix(omega, "Bplus") @ W))
     del W
     s, Q = la.eigh(M)
     scale = max(float(s[-1]), 0.0)
@@ -206,11 +210,11 @@ def eigenproblem(asm: DGAssembler, pou: PartitionOfUnity, j: int, omega, omega_s
                                AK.T @ W, "kernel Gram")
     T = W.T @ A
     del A
-    Ar = _symmetrized(T @ W)
+    Ar = symmetric_part(T @ W)
     del T
     T = W.T @ M
     del M
-    Mr = _symmetrized(T @ W)
+    Mr = symmetric_part(T @ W)
     del T
     # Ar and Mr are exactly symmetric, so their Fortran-ordered views are
     # themselves and LAPACK works on them without a copy

@@ -88,10 +88,12 @@ class Coefficient:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.ndim != 1:
-            raise ValueError("coefficient values must be a flat per-element array")
-        if not np.all((self.values > 0.0) & (self.values < np.inf)):
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("coefficient values must be a nonempty flat per-element array")
+        if not np.all((values > 0.0) & (values < np.inf)):
             raise ValueError("coefficient values must be finite and strictly positive")
+        object.__setattr__(self, "values", values)
 
     @property
     def nu_min(self) -> float:
@@ -104,13 +106,6 @@ class Coefficient:
     @property
     def contrast(self) -> float:
         return self.nu_max / self.nu_min
-
-    @staticmethod
-    def from_values(values) -> "Coefficient":
-        v = np.asarray(values, dtype=float)
-        if v.size == 0:
-            raise ValueError("coefficient values must be nonempty")
-        return Coefficient(values=v)
 
 
 def _element_geometry(vertices, elements):
@@ -254,7 +249,7 @@ def build_structured_mesh(n: int) -> TriMesh:
 def _square_of_element(mesh: TriMesh, e) -> tuple:
     n = mesh.structured_n
     if n is None:
-        raise ValueError("operation requires a structured mesh")
+        raise ValueError("checkerboard and channels require a structured mesh")
     sq = np.asarray(e) // 2
     return sq % n, sq // n
 
@@ -286,7 +281,7 @@ def coefficient_field(mesh: TriMesh, spec: str, seed: int = 0) -> Coefficient:
         if len(args) != 1:
             raise ValueError("constant coefficient takes one value: constant:c")
         c = positive(args[0], "coefficient value")
-        return Coefficient.from_values(np.full(ne, c))
+        return Coefficient(np.full(ne, c))
     if kind == "checkerboard":
         if len(args) != 2:
             raise ValueError("usage: checkerboard:contrast:block")
@@ -294,14 +289,12 @@ def coefficient_field(mesh: TriMesh, spec: str, seed: int = 0) -> Coefficient:
         if contrast < 1.0:
             raise ValueError("contrast must be >= 1")
         block = int(args[1])
+        sx, sy = _square_of_element(mesh, np.arange(ne))
         n = mesh.structured_n
-        if n is None:
-            raise ValueError("checkerboard requires a structured mesh")
         if block < 1 or n % block != 0:
             raise ValueError(f"block size {block} must divide the mesh size {n}")
-        sx, sy = _square_of_element(mesh, np.arange(ne))
         parity = (sx // block + sy // block) % 2
-        return Coefficient.from_values(np.where(parity == 1, contrast, 1.0))
+        return Coefficient(np.where(parity == 1, contrast, 1.0))
     if kind == "channels":
         if len(args) != 2:
             raise ValueError("usage: channels:contrast:count")
@@ -309,14 +302,12 @@ def coefficient_field(mesh: TriMesh, spec: str, seed: int = 0) -> Coefficient:
         if contrast < 1.0:
             raise ValueError("contrast must be >= 1")
         count = int(args[1])
+        _, sy = _square_of_element(mesh, np.arange(ne))
         n = mesh.structured_n
-        if n is None:
-            raise ValueError("channels requires a structured mesh")
         if count < 1 or n % (2 * count) != 0:
             raise ValueError(f"2*count must divide the mesh size {n}")
-        _, sy = _square_of_element(mesh, np.arange(ne))
         stripe = (sy * 2 * count) // n
-        return Coefficient.from_values(np.where(stripe % 2 == 1, contrast, 1.0))
+        return Coefficient(np.where(stripe % 2 == 1, contrast, 1.0))
     if kind == "log_uniform":
         if len(args) != 2:
             raise ValueError("usage: log_uniform:min:max")
@@ -326,5 +317,5 @@ def coefficient_field(mesh: TriMesh, spec: str, seed: int = 0) -> Coefficient:
             raise ValueError("upper bound below lower bound")
         rng = np.random.Generator(np.random.PCG64(seed))
         vals = np.exp(rng.uniform(np.log(lo), np.log(hi), size=ne))
-        return Coefficient.from_values(vals)
+        return Coefficient(vals)
     raise ValueError(f"unknown coefficient kind {kind!r}")

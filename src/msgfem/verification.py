@@ -21,7 +21,7 @@ from .decomposition import d_minus, d_plus, square_block
 from .dg_forms import DGAssembler, nested_dofs, subdomain_dofs
 from .errors import SolverError
 from .gfem import GlobalForms
-from .local_problems import MaskedSystem, solve_checked
+from .local_problems import MaskedSystem, solve_checked, symmetric_part
 from .mesh import TriMesh
 from .space_ops import extend_by_zero, h0_dofs, pou_blend, restrict
 
@@ -330,9 +330,9 @@ def run_property_suite(problem) -> SuiteReport:
             if not ok:
                 first_fail.setdefault(name, j)
 
-    def record_first_fail(name, witness=True):
+    def record_first_fail(name):
         j = first_fail.get(name)
-        record(name, j is None, {"subdomain": j} if witness and j is not None else {})
+        record(name, j is None, {} if j is None else {"subdomain": j})
 
     record_first_fail("decomposition.nesting")
     record("decomposition.shrunk_cover", bool(covered.all()),
@@ -357,7 +357,7 @@ def run_property_suite(problem) -> SuiteReport:
     blend_dev = blend_deviation(mesh, decomp, pou,
                                 np.random.Generator(np.random.PCG64(config.seed + 2)), 5)
     record("space_ops.blend_reproduction", blend_dev <= 1e-12, {})
-    record_first_fail("space_ops.pou_support", witness=False)
+    record_first_fail("space_ops.pou_support")
     in_range = bool(np.all(pou.values >= 0.0) and np.all(pou.values <= 1.0 + 1e-15))
     record("space_ops.pou_range", in_range, {})
 
@@ -381,25 +381,20 @@ def run_property_suite(problem) -> SuiteReport:
         record("local.interior_energy_bound", bool(np.all(np.isfinite(ratios))),
                {"max_ratio": float(ratios.max()), "delta": delta})
 
-    # dense positivity of the positive form and the inner product
-    n = mesh.structured_n
-    small = square_block(mesh, 0, min(4, n), 0, min(4, n))
-    Bp_small = asm.matrix(small, "Bplus").toarray()
-    H_small = asm.matrix(small, "H").toarray()
-    ev_bp = float(la.eigvalsh(Bp_small)[0])
-    ev_h = float(la.eigvalsh(H_small)[0])
-    record("dg_forms.bplus_psd", ev_bp >= -1e-12 * coef.nu_max, {"min_eig": ev_bp})
-    record("dg_forms.h_positive", ev_h > 0.0, {"min_eig": ev_h})
+    # dense definiteness on the corner s x s cells; S is exactly symmetric (Bplus and H
+    # are their own), so its Fortran-ordered view S.T is S and LAPACK needs no copy
+    def min_eig(s, kind):
+        S = symmetric_part(asm.matrix(square_block(mesh, 0, s, 0, s), kind).toarray())
+        return float(la.eigvalsh(S.T, overwrite_a=True)[0])
 
-    # coercivity probe on the corner block of the run's own form; the symmetric
-    # part in one dense array: S is exactly symmetric, so its Fortran-ordered
-    # view S.T is S and LAPACK works on it without a copy
+    n = mesh.structured_n
+    ev_bp = min_eig(min(n, 4), "Bplus")
+    record("dg_forms.bplus_psd", ev_bp >= -1e-12 * coef.nu_max, {"min_eig": ev_bp})
+    ev_h = min_eig(min(n, 4), "H")
+    record("dg_forms.h_positive", ev_h > 0.0, {"min_eig": ev_h})
     s = min(n, 12)
-    S = asm.matrix(square_block(mesh, 0, s, 0, s), "B").toarray()
-    S += S.T
-    S *= 0.5
-    min_eig = float(la.eigvalsh(S.T, overwrite_a=True)[0])
-    record("dg_forms.coercivity", min_eig > 0.0, {"min_eig": min_eig, "probe_cells": s})
+    ev_b = min_eig(s, "B")
+    record("dg_forms.coercivity", ev_b > 0.0, {"min_eig": ev_b, "probe_cells": s})
 
     report = SuiteReport(checks=checks)
     report.elapsed = time.time() - t0

@@ -182,6 +182,44 @@ def test_main_seed_and_thread_overrides(tmp_path):
     assert a != (tmp_path / "s3" / "eigenvalues.csv").read_bytes()
 
 
+def test_config_txt_parses_back_after_overrides(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL)
+    for seed, code in (("5", 0), ("-1", 2)):
+        assert main(["--config", str(cfg), "--out", str(tmp_path / f"seed{seed}"),
+                     "--checks-only", "--seed", seed, "--threads", "2"]) == code
+    saved = parse_config((tmp_path / "seed5" / "config.txt").read_text())
+    assert saved == parse_config(SMALL, seed="5", threads="2")
+    assert (saved.seed, saved.threads) == (5, 2)
+    assert not (tmp_path / "seed-1").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "--seed: seed must be >= 0 (generator seed), got -1"),
+    ("--seed", "1.5", "--seed: seed must be an integer"),
+    ("--threads", "0", "--threads: threads must be >= 1 (worker threads), got 0"),
+])
+def test_overrides_validated_like_their_keys(tmp_path, capsys, flag, value, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--checks-only",
+                 flag, value]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_kernel_gram_breakdown_is_a_pipeline_failure(tmp_path, capsys):
+    # far below the coercive penalty the kernel Gram of a subdomain's pencil is
+    # singular, and its LAPACK factor breaks down inside the checked solve
+    cfg = tmp_path / "weak.cfg"
+    cfg.write_text("mesh_n = 16\ngrid_m = 2\noversampling_layers = 2\n"
+                   "gamma0_sq = 0.0001\ncoefficient = constant:1\n"
+                   "coarse_n_sweep = 1,2,3\nchecks = off\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "pipeline failure: kernel Gram broke down: " in capsys.readouterr().err
+    assert not (tmp_path / "o" / "errors.csv").exists()
+
+
 def test_eigenvalue_export_format(tmp_path):
     cfg = parse_config("mesh_n = 24\ngrid_m = 3\noversampling_layers = 2\n"
                        "coarse_rule = fixed:2\nchecks = off\n")

@@ -99,7 +99,7 @@ def test_coefficient_scaling_is_exact_for_powers_of_two():
     D = square_block(mesh, 0, 3, 1, 4)
 
     def form(values):
-        return DGAssembler(mesh, Coefficient.from_values(values), G0).matrix(D, "B")
+        return DGAssembler(mesh, Coefficient(values), G0).matrix(D, "B")
 
     B1 = form(coef.values)
     B2 = form(2.0 * coef.values)
@@ -179,7 +179,7 @@ def test_load_trivial_and_moments():
     # closed-form moments of f = x on the reference triangle:
     # against the vertex functions at (0,0), (1,0), (0,1)
     ref = TriMesh.from_arrays([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-    ref_asm = DGAssembler(ref, Coefficient.from_values([1.0]), G0)
+    ref_asm = DGAssembler(ref, Coefficient([1.0]), G0)
     Fx = ref_asm.load(lambda x, y: x)
     assert Fx == pytest.approx([1 / 24, 1 / 12, 1 / 24], rel=1e-13)
 

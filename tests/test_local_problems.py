@@ -476,7 +476,7 @@ def test_eigenvalues_invariant_under_coefficient_scaling(setting):
     mesh, coef, decomp, pou = setting
     om, oms = decomp.omega(0), decomp.omega_star(0)
     lam1, _ = eigen(mesh, coef, pou, 0, om, oms)
-    coef3 = Coefficient.from_values(3.0 * coef.values)
+    coef3 = Coefficient(3.0 * coef.values)
     lam3, _ = eigen(mesh, coef3, pou, 0, om, oms)
     f1 = lam1[np.isfinite(lam1)]
     f3 = lam3[np.isfinite(lam3)]

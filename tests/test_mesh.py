@@ -120,24 +120,42 @@ def test_invalid_coefficient_specs_rejected(spec):
         coefficient_field(mesh, spec)
 
 
+@pytest.mark.parametrize("spec", ["checkerboard:10:1", "channels:10:1"])
+def test_structured_coefficients_reject_an_unstructured_mesh(spec):
+    mesh = TriMesh.from_arrays([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
+    with pytest.raises(ValueError, match="require a structured mesh"):
+        coefficient_field(mesh, spec)
+
+
 def test_coefficient_type_rejects_nonpositive():
     with pytest.raises(ValueError):
-        Coefficient.from_values(np.array([1.0, -1.0]))
+        Coefficient(np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("values", [[], np.ones((2, 2))])
+def test_coefficient_type_rejects_empty_and_nonflat(values):
+    with pytest.raises(ValueError, match="nonempty flat"):
+        Coefficient(values)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_coefficient_type_rejects_nonfinite(bad):
     with pytest.raises(ValueError, match="finite"):
-        Coefficient.from_values([1.0, bad])
+        Coefficient([1.0, bad])
     with pytest.raises(ValueError, match="finite"):
         Coefficient(values=np.array([1.0, bad]))
+
+
+def test_coefficient_type_converts_to_float():
+    coef = Coefficient([1, 2])
+    assert coef.values.dtype == np.float64 and coef.values.tolist() == [1.0, 2.0]
 
 
 def test_face_data_conventions():
     mesh = build_structured_mesh(2)
     vals = np.full(mesh.n_elements, 3.0)
     vals[mesh.iface_elems[0, 1]] = 4.0
-    coef = Coefficient.from_values(vals)
+    coef = Coefficient(vals)
     # side 1 of an interior face is its smaller element, carrying the normal
     e1, e2 = mesh.iface_elems[0]
     assert e1 < e2

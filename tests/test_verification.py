@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg as la
 
 import msgfem.local_problems as local_problems
+import msgfem.verification as verification
 from manufactured import manufactured_convergence
 from msgfem.cli import build_problem
 from msgfem.config import RunConfig, parse_config
@@ -44,10 +45,19 @@ def test_global_residual_contract_unit_contrast():
     assert np.linalg.norm(B @ u - F) <= 1e-10 * np.linalg.norm(F)
 
 
-def test_solver_error_type_names_the_penalty():
-    # breakdown messages carry the penalty hint (the coercivity probe in the
-    # property suite is what actually detects tiny penalties)
-    assert issubclass(SolverError, RuntimeError)
+def test_solver_error_type_names_the_penalty(monkeypatch):
+    # a factor that breaks down is reported with the penalty hint (the
+    # coercivity probe in the property suite is what detects tiny penalties)
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(verification.spla, "splu", singular)
+    mesh = build_structured_mesh(4)
+    forms = GlobalForms(DGAssembler(mesh, coefficient_field(mesh, "constant:1"), G0),
+                        lambda x, y: np.ones_like(x))
+    with pytest.raises(SolverError, match="global solve broke down .*Factor is exactly "
+                       "singular.*penalty parameter may be below the coercive range"):
+        fine_solve(forms)
 
 
 def test_decay_fit_exact_exponential():
@@ -213,5 +223,5 @@ def test_per_subdomain_checks_name_their_first_failing_subdomain():
     assert by_name["decomposition.nesting"] == ("fail", {"subdomain": 1})
     # the cover is taken over every subdomain, not only up to the first misnested one
     assert by_name["decomposition.shrunk_cover"] == ("pass", {"uncovered": 0})
-    assert by_name["space_ops.pou_support"] == ("fail", {})
+    assert by_name["space_ops.pou_support"] == ("fail", {"subdomain": 3})
     assert by_name["dg_forms.kernel_characterization"] == ("pass", {})
