@@ -37,6 +37,7 @@ import scipy.sparse as sp
 
 __all__ = [
     "DGAssembler",
+    "compact",
     "subdomain_dofs",
     "nested_dofs",
 ]
@@ -73,6 +74,20 @@ def nested_dofs(inner, outer) -> np.ndarray:
     if np.any(pos >= outer.size) or np.any(outer[np.minimum(pos, outer.size - 1)] != inner):
         raise ValueError("inner element set is not contained in the outer one")
     return (3 * pos[:, None] + np.arange(3)).ravel()
+
+
+def compact(A):
+    """``A`` (CSR or CSC) with ``data`` and ``indices`` in arrays of exactly ``nnz`` entries.
+
+    scipy leaves a matrix whose duplicates were summed, and a sparse sum, as
+    views of their larger pre-dedupe buffers, which live as long as the
+    matrix does.  Values, index order and dtypes are unchanged.  Worth it
+    only for a matrix that outlives its stage: the copy raises the peak of a
+    short-lived one.
+    """
+    A.data = A.data[:A.nnz].copy()
+    A.indices = A.indices[:A.nnz].copy()
+    return A
 
 
 _KINDS = ("B", "Bplus", "H", "mass")

@@ -31,7 +31,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .decomposition import Decomposition
-from .dg_forms import DGAssembler, subdomain_dofs
+from .dg_forms import DGAssembler, compact, subdomain_dofs
 from .errors import CoercivityError
 from .local_problems import select_coarse, solve_checked, symmetric_part
 from .mesh import TriMesh
@@ -53,7 +53,10 @@ _RANK_DROP_RTOL = 1e-10
 
 
 class GlobalForms:
-    """Global matrices and load vector of one problem, each assembled on first use."""
+    """Global matrices and load vector of one problem, each assembled on first use.
+
+    The matrices live for the whole run, so each is stored compact.
+    """
 
     def __init__(self, asm: DGAssembler, f):
         self.asm = asm
@@ -61,19 +64,19 @@ class GlobalForms:
 
     @cached_property
     def B(self):
-        return self.asm.matrix(None, "B")
+        return compact(self.asm.matrix(None, "B"))
 
     @cached_property
     def H(self):
-        return self.asm.matrix(None, "H")
+        return compact(self.asm.matrix(None, "H"))
 
     @cached_property
     def Bplus(self):
-        return self.asm.matrix(None, "Bplus")
+        return compact(self.asm.matrix(None, "Bplus"))
 
     @cached_property
     def mass(self):
-        return self.asm.matrix(None, "mass")
+        return compact(self.asm.matrix(None, "mass"))
 
     @cached_property
     def F(self) -> np.ndarray:
@@ -89,11 +92,12 @@ class CoarseSpace:
     The columns of one subdomain are H-orthonormal; ``drops`` holds the
     (j, k) of the modes the build dropped as dependent on earlier modes of
     their subdomain.  Columns of different subdomains are not tested against
-    each other: a dependence across them leaves the Gram block singular, and
-    its factor fails naming both causes, unless roundoff leaves a small
-    positive pivot.  ``gram_B`` is the sparse (CSR) column Gram matrix in the
-    full form, nonzero only between columns of overlapping subdomains, and
-    ``rhs`` pairs the columns with the residual of the particular part.  The
+    each other here: a dependence across them leaves the Gram block
+    singular, and :func:`solve_coarse` fails naming the later column and
+    both possible causes.  ``gram_B`` is the sparse (CSR) column Gram matrix
+    in the full form, nonzero only between columns of overlapping
+    subdomains and stored compact, as it lives for the whole sweep; ``rhs``
+    pairs the columns with the residual of the particular part.  The
     selection is the modes k < n_j[j]: ``columns`` are its columns,
     ``dropped`` names its dropped modes.
     """
@@ -175,7 +179,7 @@ def assemble_coarse(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
 
     coarse = CoarseSpace(basis=basis,
                          offsets=np.array(offsets, dtype=np.int64).reshape(col, 2),
-                         gram_B=symmetric_part(basis.T @ (B @ basis)),
+                         gram_B=compact(symmetric_part(basis.T @ (B @ basis))),
                          rhs=basis.T @ (F - B @ u_p),
                          drops=np.array(drops, dtype=np.int64).reshape(-1, 2), n_j=n_sel)
     return coarse, u_p
@@ -227,21 +231,33 @@ def solve_coarse(coarse: CoarseSpace, n_j):
     """Galerkin correction on one selection against the source residual.
 
     ``n_j`` picks the sweep point, the modes k < n_j[j] of the assembled
-    space.  The point's Gram block is factored in band storage.  Returns the
-    point's coarse space and the correction in fine dofs.
+    space.  The point's Gram block is factored in band storage.  A column
+    whose pivot is not positive, or whose squared pivot is at most
+    ``_RANK_DROP_RTOL`` of its Gram diagonal, raises a ``CoercivityError``
+    naming its (j, k): the factor's squared pivot is the column's squared
+    B-norm left after the columns before it, and rounding leaves that near
+    eps of the diagonal, of either sign, when the column depends on them.
+    Returns the point's coarse space and the correction in fine dofs.
     """
     space = coarse.select(n_j)
     cols = space.columns
     y = np.zeros(space.basis.shape[1])
     if cols.size:
         G = space.gram_B[cols][:, cols]
-        try:
-            cb = la.cholesky_banded(_lower_band(G), lower=True)
-        except la.LinAlgError as exc:
+        ab = _lower_band(G)
+        pbtrf, = la.get_lapack_funcs(("pbtrf",), (ab,))
+        # info: the 1-based column of the first pivot that is not positive, or else
+        # of the first at roundoff
+        cb, info = pbtrf(ab, lower=1, overwrite_ab=1)
+        if info == 0:
+            small = np.flatnonzero(cb[0] ** 2 <= _RANK_DROP_RTOL * G.diagonal())
+            info = small[0] + 1 if small.size else 0
+        if info > 0:
+            j, k = space.offsets[cols[info - 1]]
             raise CoercivityError(
-                "reduced coarse system is not positive definite; the penalty "
-                "parameter is too small for this mesh, or coarse columns of "
-                "different subdomains depend on each other") from exc
+                f"reduced coarse system is not positive definite at coarse column "
+                f"({j}, {k}); the penalty parameter is too small for this mesh, or "
+                "coarse columns of different subdomains depend on each other")
         y[cols] = solve_checked(lambda b: la.cho_solve_banded((cb, True), b),
                                 G, space.rhs[cols], "coarse solve")
     return space, space.basis @ y

@@ -33,6 +33,7 @@ __all__ = [
     "harmonicity_defect",
     "blend_deviation",
     "centred_blocks",
+    "coercivity_block",
     "caccioppoli_ratios",
     "CheckResult",
     "SuiteReport",
@@ -179,6 +180,21 @@ def centred_blocks(mesh: TriMesh):
             square_block(mesh, lo, lo + s, lo, lo + s))
 
 
+def coercivity_block(mesh: TriMesh, coefficient, s: int) -> np.ndarray:
+    """The ``s x s`` cell block on the bottom or left edge with the largest coefficient jump.
+
+    Candidates are the corner block, then the blocks along the bottom edge,
+    then those along the left edge; the first with the largest max/min
+    coefficient ratio wins, so a constant coefficient keeps the corner.
+    Returns the block's elements.
+    """
+    shifts = range(1, mesh.structured_n - s + 1)
+    origins = [(0, 0)] + [(i, 0) for i in shifts] + [(0, i) for i in shifts]
+    blocks = [square_block(mesh, x, x + s, y, y + s) for x, y in origins]
+    ratios = [coefficient.values[b].max() / coefficient.values[b].min() for b in blocks]
+    return blocks[int(np.argmax(ratios))]
+
+
 # -- Caccioppoli sampling ------------------------------------------------------
 
 def annulus_distance(mesh: TriMesh, omega, omega_star) -> float:
@@ -273,8 +289,9 @@ def run_property_suite(problem) -> SuiteReport:
     checks, harmonicity of sampled local extensions, the interior-energy
     bound, dense positivity checks, and a dense coercivity probe.  Every
     check reads the run's own forms: the probe takes the smallest eigenvalue
-    of the symmetric part of ``B`` on the corner block of ``s x s`` cells,
-    ``s = min(n, 12)``, which is the whole mesh when ``n <= 12``.
+    of the symmetric part of ``B`` on the block of ``s x s`` cells,
+    ``s = min(n, 12)``, that :func:`coercivity_block` picks, which is the
+    whole mesh when ``n <= 12``.
     ``problem`` carries the config, mesh, coefficient, decomposition,
     partition of unity and global forms of the run.  Returns a
     deterministic, JSON-serializable report.
@@ -381,19 +398,20 @@ def run_property_suite(problem) -> SuiteReport:
         record("local.interior_energy_bound", bool(np.all(np.isfinite(ratios))),
                {"max_ratio": float(ratios.max()), "delta": delta})
 
-    # dense definiteness on the corner s x s cells; S is exactly symmetric (Bplus and H
-    # are their own), so its Fortran-ordered view S.T is S and LAPACK needs no copy
-    def min_eig(s, kind):
-        S = symmetric_part(asm.matrix(square_block(mesh, 0, s, 0, s), kind).toarray())
+    # dense definiteness on blocks of cells; S is exactly symmetric (Bplus and H are
+    # their own), so its Fortran-ordered view S.T is S and LAPACK needs no copy
+    def min_eig(block, kind):
+        S = symmetric_part(asm.matrix(block, kind).toarray())
         return float(la.eigvalsh(S.T, overwrite_a=True)[0])
 
     n = mesh.structured_n
-    ev_bp = min_eig(min(n, 4), "Bplus")
+    corner = square_block(mesh, 0, min(n, 4), 0, min(n, 4))
+    ev_bp = min_eig(corner, "Bplus")
     record("dg_forms.bplus_psd", ev_bp >= -1e-12 * coef.nu_max, {"min_eig": ev_bp})
-    ev_h = min_eig(min(n, 4), "H")
+    ev_h = min_eig(corner, "H")
     record("dg_forms.h_positive", ev_h > 0.0, {"min_eig": ev_h})
     s = min(n, 12)
-    ev_b = min_eig(s, "B")
+    ev_b = min_eig(coercivity_block(mesh, coef, s), "B")
     record("dg_forms.coercivity", ev_b > 0.0, {"min_eig": ev_b, "probe_cells": s})
 
     report = SuiteReport(checks=checks)

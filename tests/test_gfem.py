@@ -14,7 +14,7 @@ from msgfem.errors import CoercivityError
 from msgfem.gfem import (CoarseSpace, GlobalForms, _h_orthonormal, assemble_coarse,
                          error_report, max_sqrt_lambda_next, solve_coarse,
                          solve_msgfem)
-from msgfem.local_problems import compute_local_data, select_coarse
+from msgfem.local_problems import compute_local_data, select_coarse, symmetric_part
 from msgfem.mesh import build_structured_mesh, coefficient_field
 from msgfem.space_ops import build_pou, pou_blend
 from msgfem.verification import fine_solve
@@ -214,6 +214,55 @@ def test_dependence_across_subdomains_fails_the_factor_naming_it():
     with pytest.raises(CoercivityError, match="penalty parameter is too small for this "
                        "mesh, or coarse columns of different subdomains depend on each other"):
         solve_coarse(coarse, coarse.n_j)
+
+
+def _planted(coarse, u_p, forms, c):
+    """``coarse`` with column ``c`` repeated as an extra mode of the next subdomain."""
+    j = coarse.offsets[c, 0]
+    t = (j + 1) % coarse.n_j.size
+    at = int(np.flatnonzero(coarse.offsets[:, 0] <= t)[-1]) + 1
+    basis = sp.hstack([coarse.basis[:, :at], coarse.basis[:, [c]],
+                       coarse.basis[:, at:]], format="csc")
+    n_j = coarse.n_j.copy()
+    n_j[t] += 1
+    offsets = np.insert(coarse.offsets, at, [t, n_j[t] - 1], axis=0)
+    return CoarseSpace(basis=basis, offsets=offsets,
+                       gram_B=symmetric_part(basis.T @ (forms.B @ basis)),
+                       rhs=basis.T @ (forms.F - forms.B @ u_p),
+                       drops=coarse.drops, n_j=n_j), at
+
+
+def test_dependence_across_subdomains_fails_at_every_placement(problem):
+    # whichever column is repeated under the next subdomain, the later copy's
+    # pivot is roundoff of either sign, and the factor names that copy
+    mesh, coef, decomp, pou, locals_, forms, u_fine = problem
+    coarse, u_p = assemble_coarse(mesh, decomp, pou, _kept(locals_, ("fixed", 3)),
+                                  forms.B, forms.F, forms.H)
+    assert coarse.n_total == 12
+    for c in range(coarse.n_total):
+        planted, at = _planted(coarse, u_p, forms, c)
+        later = planted.offsets[max(at, c + (c >= at))]
+        with pytest.raises(CoercivityError, match=rf"at coarse column \({later[0]}, "
+                           rf"{later[1]}\); the penalty parameter is too small"):
+            solve_coarse(planted, planted.n_j)
+
+
+def test_long_lived_matrices_are_stored_compact(problem):
+    """The run-long forms and the sweep-long Gram own arrays of exactly nnz entries."""
+    mesh, coef, decomp, pou, locals_, forms, u_fine = problem
+    fresh = GlobalForms(forms.asm, source_one)
+    coarse, _ = assemble_coarse(mesh, decomp, pou, _kept(locals_, ("fixed", 3)),
+                                fresh.B, fresh.F, fresh.H)
+    pairs = [(getattr(fresh, kind), forms.asm.matrix(None, kind))
+             for kind in ("B", "H", "Bplus", "mass")]
+    pairs.append((coarse.gram_B, symmetric_part(coarse.basis.T @ (fresh.B @ coarse.basis))))
+    for M, ref in pairs:
+        assert M.format == ref.format == "csr"
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(M, name), getattr(ref, name)
+            assert a.flags.owndata
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert M.data.size == M.indices.size == M.nnz
 
 
 def test_solution_container_consistency(problem):

@@ -133,19 +133,30 @@ def test_property_suite_flags_tiny_penalty():
     assert "dg_forms.coercivity" in failing
 
 
-@pytest.mark.parametrize("text, status", [
+@pytest.mark.parametrize("text, status, origin", [
     # a block of 8 does not divide 12 cells: only the run's own mesh carries this spec
     ("mesh_n = 16\ngrid_m = 2\noversampling_layers = 2\ncoefficient = checkerboard:100:8\n",
-     "pass"),
-    ("mesh_n = 32\ngrid_m = 4\ncoefficient = channels:1e8:4\n", "pass"),
-    ("coefficient = checkerboard:1e8:8\n", "pass"),
-    ("gamma0_sq = 1\n", "fail"),
-], ids=["checkerboard-100-8", "channels-1e8", "checkerboard-1e8", "gamma0_sq-1"])
-def test_coercivity_probe_reads_the_runs_own_corner_block(text, status):
+     "pass", (0, 0)),
+    ("mesh_n = 32\ngrid_m = 4\ncoefficient = channels:1e8:4\n", "pass", (0, 0)),
+    ("coefficient = checkerboard:1e8:8\n", "pass", (0, 0)),
+    ("gamma0_sq = 1\n", "fail", (0, 0)),
+    # the corner lies in one checkerboard cell; bottom-edge block 21 is the first to
+    # reach column 32
+    ("coefficient = checkerboard:10000:32\n", "pass", (21, 0)),
+    # the corner lies in one 16-cell stripe; left-edge block 5 is the first to reach row 16
+    ("coefficient = channels:100:2\n", "pass", (0, 5)),
+], ids=["checkerboard-100-8", "channels-1e8", "checkerboard-1e8", "gamma0_sq-1",
+        "checkerboard-1e4-32", "channels-100-2"])
+def test_coercivity_probe_reads_the_runs_own_corner_block(text, status, origin):
+    """The probe reads the edge block with the largest coefficient jump, the corner on ties."""
     problem = build_problem(parse_config(text))
     probe = next(c for c in run_property_suite(problem).checks
                  if c.name == "dg_forms.coercivity")
-    B = problem.forms.asm.matrix(square_block(problem.mesh, 0, 12, 0, 12), "B").toarray()
+    x, y = origin
+    block = square_block(problem.mesh, x, x + 12, y, y + 12)
+    values = problem.coefficient.values[block]
+    assert values.max() / values.min() == problem.coefficient.contrast
+    B = problem.forms.asm.matrix(block, "B").toarray()
     assert probe.status == status
     assert probe.witness == {"min_eig": float(la.eigvalsh(0.5 * (B + B.T))[0]),
                              "probe_cells": 12}
