@@ -43,7 +43,6 @@ class TriMesh:
     elements: np.ndarray       # (ne, 3) int, CCW
     areas: np.ndarray          # (ne,)
     grads: np.ndarray          # (ne, 3, 2) gradient of the P1 basis per element
-    h_T: np.ndarray            # (ne,) element diameters
     iface_elems: np.ndarray    # (nfi, 2) adjacent elements, first < second
     iface_verts: np.ndarray    # (nfi, 2) shared vertex pair
     iface_h: np.ndarray        # (nfi,) face lengths
@@ -126,13 +125,7 @@ def _element_geometry(vertices, elements):
         grads[:, i, 0] = -e[:, 1]
         grads[:, i, 1] = e[:, 0]
     grads /= twice_area[:, None, None]
-    edge_len = np.stack([
-        np.linalg.norm(p1 - p2, axis=1),
-        np.linalg.norm(p2 - p0, axis=1),
-        np.linalg.norm(p0 - p1, axis=1),
-    ])
-    h_T = edge_len.max(axis=0)
-    return areas, grads, h_T
+    return areas, grads
 
 
 def _build_mesh(vertices, elements, structured_n):
@@ -163,7 +156,7 @@ def _build_mesh(vertices, elements, structured_n):
     bface_verts = es[bnd_rows]
     bface_elem = own[bnd_rows]
 
-    areas, grads, h_T = _element_geometry(vertices, elements)
+    areas, grads = _element_geometry(vertices, elements)
 
     def face_lengths(verts):
         d = vertices[verts[:, 0]] - vertices[verts[:, 1]]
@@ -204,7 +197,7 @@ def _build_mesh(vertices, elements, structured_n):
         shape=(ne, vertices.shape[0]))
 
     mesh = TriMesh(
-        vertices=vertices, elements=elements, areas=areas, grads=grads, h_T=h_T,
+        vertices=vertices, elements=elements, areas=areas, grads=grads,
         iface_elems=iface_elems, iface_verts=iface_verts, iface_h=iface_h,
         iface_normal=iface_normal, iface_local=iface_local,
         bface_elem=bface_elem, bface_verts=bface_verts, bface_h=bface_h,

@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from caccioppoli import caccioppoli_ratios, centred_blocks
 from manufactured import manufactured_convergence
 from msgfem.cli import run as cli_run
 from msgfem.config import parse_config
@@ -21,8 +22,7 @@ from msgfem.gfem import GlobalForms, error_report, solve_msgfem
 from msgfem.local_problems import MaskedSystem, compute_local_data
 from msgfem.mesh import build_structured_mesh, coefficient_field
 from msgfem.space_ops import build_pou
-from msgfem.verification import (blend_deviation, caccioppoli_ratios,
-                                 centred_blocks, decay_fit, fine_solve,
+from msgfem.verification import (blend_deviation, decay_fit, fine_solve,
                                  harmonicity_defect, kernel_dichotomy,
                                  operator_identities)
 
@@ -162,7 +162,7 @@ def test_criterion_5_harmonicity(reference):
                 worst_const = max(worst_const, float(
                     np.linalg.norm(misfit) / np.sqrt(basis.shape[0])))
     ok = all_harmonic and worst_const <= 1e-10 and n_interior > 0
-    report(5, ok, f"max harmonicity residual {worst_resid:.2e} <= 1e-10 over "
+    report(5, ok, f"max scaled harmonicity residual {worst_resid:.2e} <= 1e-10 over "
                   f"all columns/subdomains/coefficients; constant lies in the "
                   f"span of {n_interior} interior bases to {worst_const:.2e}")
 
@@ -200,28 +200,31 @@ def test_criterion_7_global_error_decay(reference):
             lams.append(sol.max_sqrt_lambda_next)
         errs = np.array(errs)
         slope, _, r2 = decay_fit(np.arange(1, errs.size + 1), errs, 0.5)
-        ratio = max(e / l for e, l in zip(errs, lams))
+        ratio = max(e / l for e, l in zip(errs, lams) if np.isfinite(l))
         strict = errs[9] < errs[1]
-        ok = ok and strict and r2 >= 0.85 and np.isfinite(ratio)
+        ok = ok and strict and r2 >= 0.85 and ratio <= 1.0
         details.append(f"{label}: err(2)={errs[1]:.2e} > err(10)={errs[9]:.2e}, "
-                       f"fit R2 {r2:.3f} >= 0.85, error/spectrum ratio <= {ratio:.2f}")
+                       f"fit R2 {r2:.3f} >= 0.85, error/spectrum ratio {ratio:.2f} <= 1")
     report(7, ok, "; ".join(details))
 
 
 def test_criterion_8_interior_energy_bound():
     maxima = {}
-    for n in (32, 64):
+    for n, spec in ((32, "constant:1"), (64, "constant:1"), (32, "checkerboard:10000:8"),
+                    (32, "channels:100:2"), (32, "log_uniform:1e-3:1e3"),
+                    (32, "checkerboard:1e8:8")):
         mesh = build_structured_mesh(n)
-        coef = coefficient_field(mesh, "constant:1")
+        coef = coefficient_field(mesh, spec)
         om, oms = centred_blocks(mesh)
         ratios, delta = caccioppoli_ratios(DGAssembler(mesh, coef, G0), om, oms, 50, 2024)
-        assert np.all(np.isfinite(ratios))
-        maxima[n] = float(ratios.max())
-    factor = max(maxima[32] / maxima[64], maxima[64] / maxima[32])
-    ok = factor <= 3.0
-    report(8, ok, f"50 harmonic samples per mesh, max scaled ratio "
-                  f"{maxima[32]:.3f} (n=32) vs {maxima[64]:.3f} (n=64), "
-                  f"factor {factor:.2f} <= 3")
+        maxima[n, spec] = float(ratios.max())
+    c32, c64 = maxima[32, "constant:1"], maxima[64, "constant:1"]
+    factor = max(c32 / c64, c64 / c32)
+    worst = max(maxima.values())
+    ok = factor <= 3.0 and worst <= 1.0
+    report(8, ok, f"50 harmonic samples per mesh and coefficient, max scaled ratio "
+                  f"{worst:.3f} <= 1; unit coefficient {c32:.3f} (n=32) vs "
+                  f"{c64:.3f} (n=64), factor {factor:.2f} <= 3")
 
 
 def test_criterion_9_single_subdomain_exactness():

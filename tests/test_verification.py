@@ -7,6 +7,7 @@ import scipy.linalg as la
 
 import msgfem.local_problems as local_problems
 import msgfem.verification as verification
+from caccioppoli import annulus_distance, caccioppoli_ratios
 from manufactured import manufactured_convergence
 from msgfem.cli import build_problem
 from msgfem.config import RunConfig, parse_config
@@ -14,9 +15,10 @@ from msgfem.decomposition import d_minus, square_block
 from msgfem.dg_forms import DGAssembler
 from msgfem.errors import ConfigError, SolverError
 from msgfem.gfem import GlobalForms
+from msgfem.local_problems import MaskedSystem
 from msgfem.mesh import build_structured_mesh, coefficient_field
-from msgfem.verification import (annulus_distance, caccioppoli_ratios,
-                                 decay_fit, fine_solve, run_property_suite)
+from msgfem.verification import (decay_fit, fine_solve, harmonicity_defect,
+                                 run_property_suite)
 
 G0 = np.sqrt(10.0)
 
@@ -167,15 +169,6 @@ def test_zero_overlap_rejected_at_parse_time():
         parse_config("overlap_layers = 0\n")
 
 
-def test_suite_runs_interior_energy_bound_on_larger_meshes():
-    report = run_property_suite(build_problem(small_config(
-        mesh_n=32, grid_m=2, coefficient="constant:1")))
-    assert report.ok
-    by_name = {c.name: c for c in report.checks}
-    assert by_name["local.interior_energy_bound"].status == "pass"
-    assert by_name["local.interior_energy_bound"].witness["max_ratio"] > 0.0
-
-
 SUITE_CHECKS = [
     "mesh.euler_formula", "mesh.face_identity", "mesh.unit_area",
     "decomposition.hulls", "decomposition.nesting", "decomposition.shrunk_cover",
@@ -183,8 +176,8 @@ SUITE_CHECKS = [
     "space_ops.restriction_nonexpansive", "space_ops.locality_identity",
     "dg_forms.kernel_characterization", "space_ops.pou_sum_to_one",
     "space_ops.blend_reproduction", "space_ops.pou_support", "space_ops.pou_range",
-    "local.harmonicity", "local.interior_energy_bound", "dg_forms.bplus_psd",
-    "dg_forms.h_positive", "dg_forms.coercivity",
+    "local.harmonicity", "dg_forms.bplus_psd", "dg_forms.h_positive",
+    "dg_forms.coercivity",
 ]
 
 
@@ -194,11 +187,35 @@ SUITE_CHECKS = [
     "mesh_n = 32\ngrid_m = 8\n",
     "mesh_n = 60\ngrid_m = 6\noversampling_layers = 4\n"
     "coefficient = log_uniform:1e-3:1e3\n",
-], ids=["default", "local-40x4", "coarse-32x8", "contrast-60x6-2t"])
+    # the default size at the highest contrast the run supports
+    "coefficient = checkerboard:1e8:8\n",
+    "coefficient = channels:1e8:4\n",
+], ids=["default", "local-40x4", "coarse-32x8", "contrast-60x6-2t", "checkerboard-1e8-8",
+        "channels-1e8-4"])
 def test_suite_passes_every_check_on_the_benchmark_configs(text):
     report = run_property_suite(build_problem(parse_config(text)))
     assert [(c.name, c.status) for c in report.checks] == \
         [(name, "pass") for name in SUITE_CHECKS]
+
+
+@pytest.mark.parametrize("spec", ["constant:1", "checkerboard:10000:32",
+                                  "checkerboard:1e8:8", "channels:1e8:4"])
+def test_harmonicity_defect_holds_the_solve_contract_and_rejects_planted_defects(spec):
+    """Extensions pass at any contrast; a masked or a coupled layer value moved by 1e-8 fails."""
+    problem = build_problem(parse_config(f"coefficient = {spec}\n"))
+    asm = problem.forms.asm
+    D = problem.decomp.omega_star(problem.decomp.n_subdomains // 2)
+    system = MaskedSystem(asm, D)
+    U = system.harmonic_extension()
+    assert harmonicity_defect(asm, D, U)[0]
+    # the masked dof with the stiffest row, and the layer dof that couples most
+    # strongly to the masked dofs (the first layer dof couples to none)
+    masked = system.free[np.argmax(asm.matrix(D, "B").diagonal()[system.free])]
+    layer = system.layer[np.argmax(abs(system.Afl).sum(axis=0))]
+    for dof in (masked, layer):
+        planted = U[:, :1].copy()
+        planted[dof] += 1e-8 * np.abs(planted).max()
+        assert not harmonicity_defect(asm, D, planted)[0], dof
 
 
 @pytest.mark.parametrize("overrides", [{}, {"mesh_n": 32, "grid_m": 2,
