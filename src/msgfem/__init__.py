@@ -4,7 +4,7 @@ from .config import RunConfig, parse_config, serialize_config
 from .decomposition import (Decomposition, build_decomposition, d_minus,
                             d_plus, grow, square_block)
 from .dg_forms import DGAssembler
-from .errors import CoercivityError, ConfigError, MeshError, SolverError
+from .errors import CoercivityError, ConfigError, SolverError
 from .gfem import (CoarseSpace, GlobalForms, MSGFEMSolution, assemble_coarse,
                    error_report, solve_coarse, solve_msgfem)
 from .local_problems import (LocalSpectralData, compute_local_data,

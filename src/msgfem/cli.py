@@ -92,11 +92,15 @@ _ERROR_COLUMNS = ("m", "l", "lstar", "n_j", "gamma0", "contrast", "n_total",
 
 
 def run(config: RunConfig, out_dir=None, checks_only: bool = False) -> int:
-    """Execute one configuration; writes artifacts and returns the exit code."""
+    """Execute one configuration; writes artifacts and returns the exit code.
+
+    The problem is built before anything is written, so a configuration
+    error leaves no output behind.
+    """
+    problem = build_problem(config)
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(serialize_config(config))
-    problem = build_problem(config)
 
     if config.checks or checks_only:
         report = run_property_suite(problem)

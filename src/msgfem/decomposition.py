@@ -26,8 +26,6 @@ __all__ = [
 def square_block(mesh: TriMesh, ix0: int, ix1: int, iy0: int, iy1: int) -> np.ndarray:
     """Elements of the structured-mesh cells ``[ix0, ix1) x [iy0, iy1)``."""
     n = mesh.structured_n
-    if n is None:
-        raise ValueError("square_block requires a structured mesh")
     ix = np.arange(max(ix0, 0), min(ix1, n))
     iy = np.arange(max(iy0, 0), min(iy1, n))
     sq = (iy[:, None] * n + ix[None, :]).ravel()
@@ -95,8 +93,6 @@ def build_decomposition(mesh: TriMesh, m: int, overlap_layers: int,
     the partition of unity needs.
     """
     n = mesh.structured_n
-    if n is None:
-        raise ValueError("build_decomposition requires a structured mesh")
     if m < 1:
         raise ValueError(f"grid size must be >= 1, got {m}")
     if overlap_layers < 2:

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class MeshError(ValueError):
-    """Raised when mesh construction or validation fails."""
-
-
 class ConfigError(ValueError):
     """Raised for malformed or out-of-range run configurations."""
 

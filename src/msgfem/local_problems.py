@@ -117,29 +117,26 @@ class MaskedSystem:
                 "local system is singular; check the face convention or the "
                 "penalty parameter") from exc
 
-    def harmonic_extension(self, layer_values=None) -> np.ndarray:
-        """Discrete harmonic extensions of layer data, one row per layer dof.
+    def harmonic_extension(self, columns=None) -> np.ndarray:
+        """Discrete harmonic extensions of unit layer data, one column per given layer dof.
 
-        Each column keeps its layer data and solves the masked dofs so that
-        its form residual vanishes against every masked dof.  ``None`` stands
-        for unit data, one column per layer dof: the harmonic basis, bit for
-        bit the extension of ``np.eye(n_layer)``, with no identity formed.
-        Beside the result at most one other dense block of its width is
-        live: the right-hand side is freed before the result is allocated.
+        ``columns`` indexes ``layer``; ``None`` stands for every layer dof, which
+        gives the harmonic basis.  Column ``k`` is one at layer dof
+        ``layer[columns[k]]`` and zero at every other layer dof, and its
+        masked dofs are solved so that its form residual vanishes against
+        every masked dof.  A layer dof may be named more than once.  Beside
+        the result at most one other dense block of its width is live: the
+        right-hand side is freed before the result is allocated.
         """
-        if layer_values is None:
-            rhs = self.Afl.toarray(order="F")   # the bits of Afl @ I
-        else:
-            rhs = np.asfortranarray(self.Afl @ layer_values)
+        cols = (np.arange(self.layer.size) if columns is None
+                else np.asarray(columns, dtype=np.int64))
+        rhs = self.Afl[:, cols].toarray(order="F")   # the bits of Afl @ (unit data)
         np.negative(rhs, out=rhs)
         x = solve_checked(self.lu.solve, self.Aff, rhs, "local harmonic basis")
         del rhs
-        U = np.zeros((self.free.size + self.layer.size, x.shape[1]))
+        U = np.zeros((self.free.size + self.layer.size, cols.size))
         U[self.free] = x
-        if layer_values is None:
-            U[self.layer, np.arange(self.layer.size)] = 1.0
-        else:
-            U[self.layer] = layer_values
+        U[self.layer[cols], np.arange(cols.size)] = 1.0
         return U
 
 

@@ -1,4 +1,4 @@
-"""Conforming triangular meshes of the unit square and per-element coefficient fields.
+"""The structured triangular mesh of the unit square and per-element coefficient fields.
 
 The mesh is the single geometric data structure of the package: every other
 module addresses it through element indices, face tables and the per-element
@@ -6,12 +6,10 @@ linear shape-function gradients that are precomputed here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-from .errors import MeshError
 
 __all__ = [
     "TriMesh",
@@ -23,17 +21,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TriMesh:
-    """Conforming simplicial mesh with full face connectivity.
+    """The structured triangulation of the unit square, with full face connectivity.
 
-    Vertices live on the closed unit square.  Elements are triples of vertex
-    indices in counterclockwise order.  Interior faces store their two
-    adjacent elements with the smaller element index first ("element 1" of
-    the face); the stored unit normal points out of element 1.  Boundary
-    faces store their single adjacent element and its outward unit normal.
+    :func:`build_structured_mesh` is its one constructor; ``structured_n`` is
+    its number of cells per side.  Elements are triples of vertex indices in
+    counterclockwise order.  Interior faces store their two adjacent elements
+    with the smaller element index first ("element 1" of the face); the
+    stored unit normal points out of element 1.  Boundary faces store their
+    single adjacent element and its outward unit normal.
 
     ``iface_local[k, s]`` gives, for face ``k`` and side ``s`` (0 = element 1,
     1 = element 2), the positions of the two face vertices inside that
-    element's vertex triple, in the same vertex order as ``iface_verts[k]``.
+    element's vertex triple, smaller vertex index first, so both sides name
+    the same vertex pair in the same order; ``bface_local`` does the same
+    for the boundary faces.
 
     ``incidence`` is the boolean element x vertex matrix; every vertex-contact
     relation (hulls, vertex graph distances) is a product with it.
@@ -44,17 +45,15 @@ class TriMesh:
     areas: np.ndarray          # (ne,)
     grads: np.ndarray          # (ne, 3, 2) gradient of the P1 basis per element
     iface_elems: np.ndarray    # (nfi, 2) adjacent elements, first < second
-    iface_verts: np.ndarray    # (nfi, 2) shared vertex pair
     iface_h: np.ndarray        # (nfi,) face lengths
     iface_normal: np.ndarray   # (nfi, 2) unit normal out of the first element
     iface_local: np.ndarray    # (nfi, 2, 2) local vertex positions per side
     bface_elem: np.ndarray     # (nfb,)
-    bface_verts: np.ndarray    # (nfb, 2)
     bface_h: np.ndarray        # (nfb,)
     bface_normal: np.ndarray   # (nfb, 2) outward unit normal
     bface_local: np.ndarray    # (nfb, 2)
     incidence: sp.csr_matrix   # (ne, nv) bool, element contains vertex
-    structured_n: int | None = field(default=None)
+    structured_n: int          # cells per side
 
     @property
     def n_vertices(self) -> int:
@@ -71,13 +70,6 @@ class TriMesh:
     @property
     def n_boundary_faces(self) -> int:
         return self.bface_elem.shape[0]
-
-    @staticmethod
-    def from_arrays(vertices, elements, structured_n=None) -> "TriMesh":
-        """Build the full connectivity from raw vertex/element arrays."""
-        return _build_mesh(np.asarray(vertices, dtype=float),
-                           np.asarray(elements, dtype=np.int64),
-                           structured_n)
 
 
 @dataclass(frozen=True)
@@ -114,9 +106,6 @@ def _element_geometry(vertices, elements):
     d1 = p1 - p0
     d2 = p2 - p0
     twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    if np.any(twice_area <= 0.0):
-        bad = int(np.argmax(twice_area <= 0.0))
-        raise MeshError(f"element {bad} has nonpositive area (not counterclockwise?)")
     areas = 0.5 * twice_area
     # grad of barycentric basis: rotated opposite edges over twice the area
     grads = np.empty((elements.shape[0], 3, 2))
@@ -142,18 +131,16 @@ def _build_mesh(vertices, elements, structured_n):
     new_group[1:] = np.any(es[1:] != es[:-1], axis=1)
     group_ids = np.cumsum(new_group) - 1
     counts = np.bincount(group_ids)
-    if np.any(counts > 2):
-        raise MeshError("non-conforming mesh: an edge is shared by more than two elements")
 
     starts = np.flatnonzero(new_group)
     int_rows = starts[counts == 2]
     bnd_rows = starts[counts == 1]
 
-    iface_verts = es[int_rows]
+    iface_pairs = es[int_rows]
     pair = np.stack([own[int_rows], own[int_rows + 1]], axis=1)
     pair.sort(axis=1)                                        # smaller element first
     iface_elems = pair
-    bface_verts = es[bnd_rows]
+    bface_pairs = es[bnd_rows]
     bface_elem = own[bnd_rows]
 
     areas, grads = _element_geometry(vertices, elements)
@@ -162,22 +149,19 @@ def _build_mesh(vertices, elements, structured_n):
         d = vertices[verts[:, 0]] - vertices[verts[:, 1]]
         return np.linalg.norm(d, axis=1)
 
-    iface_h = face_lengths(iface_verts)
-    bface_h = face_lengths(bface_verts)
+    iface_h = face_lengths(iface_pairs)
+    bface_h = face_lengths(bface_pairs)
 
     def local_positions(elems, verts):
         loc = np.empty(verts.shape, dtype=np.int64)
         tri = elements[elems]
         for c in range(2):
-            match = tri == verts[:, c, None]
-            if not np.all(match.sum(axis=1) == 1):
-                raise MeshError("face vertex not found in adjacent element")
-            loc[:, c] = np.argmax(match, axis=1)
+            loc[:, c] = np.argmax(tri == verts[:, c, None], axis=1)
         return loc
 
-    iface_local = np.stack([local_positions(iface_elems[:, 0], iface_verts),
-                            local_positions(iface_elems[:, 1], iface_verts)], axis=1)
-    bface_local = local_positions(bface_elem, bface_verts)
+    iface_local = np.stack([local_positions(iface_elems[:, 0], iface_pairs),
+                            local_positions(iface_elems[:, 1], iface_pairs)], axis=1)
+    bface_local = local_positions(bface_elem, bface_pairs)
 
     def outward_normal(elems, verts):
         t = vertices[verts[:, 1]] - vertices[verts[:, 0]]
@@ -189,24 +173,20 @@ def _build_mesh(vertices, elements, structured_n):
         nrm[flip] *= -1.0
         return nrm
 
-    iface_normal = outward_normal(iface_elems[:, 0], iface_verts)
-    bface_normal = outward_normal(bface_elem, bface_verts)
+    iface_normal = outward_normal(iface_elems[:, 0], iface_pairs)
+    bface_normal = outward_normal(bface_elem, bface_pairs)
 
     incidence = sp.csr_matrix(
         (np.ones(3 * ne, dtype=bool), elements.ravel(), np.arange(0, 3 * ne + 1, 3)),
         shape=(ne, vertices.shape[0]))
 
-    mesh = TriMesh(
+    return TriMesh(
         vertices=vertices, elements=elements, areas=areas, grads=grads,
-        iface_elems=iface_elems, iface_verts=iface_verts, iface_h=iface_h,
-        iface_normal=iface_normal, iface_local=iface_local,
-        bface_elem=bface_elem, bface_verts=bface_verts, bface_h=bface_h,
+        iface_elems=iface_elems, iface_h=iface_h, iface_normal=iface_normal,
+        iface_local=iface_local, bface_elem=bface_elem, bface_h=bface_h,
         bface_normal=bface_normal, bface_local=bface_local,
         incidence=incidence, structured_n=structured_n,
     )
-    if 2 * mesh.n_interior_faces + mesh.n_boundary_faces != 3 * ne:
-        raise MeshError("face bookkeeping inconsistent with element count")
-    return mesh
 
 
 def build_structured_mesh(n: int) -> TriMesh:
@@ -236,13 +216,11 @@ def build_structured_mesh(n: int) -> TriMesh:
     elements = np.empty((2 * n * n, 3), dtype=np.int64)
     elements[0::2] = lower
     elements[1::2] = upper
-    return TriMesh.from_arrays(vertices, elements, structured_n=n)
+    return _build_mesh(vertices, elements, n)
 
 
 def _square_of_element(mesh: TriMesh, e) -> tuple:
     n = mesh.structured_n
-    if n is None:
-        raise ValueError("checkerboard and channels require a structured mesh")
     sq = np.asarray(e) // 2
     return sq % n, sq // n
 
@@ -256,8 +234,6 @@ def coefficient_field(mesh: TriMesh, spec: str, seed: int = 0) -> Coefficient:
         checkerboard:contrast:block     alternating {1, contrast} on block x block cells
         channels:contrast:count         horizontal stripes of value contrast
         log_uniform:min:max             iid per element, log-uniform, PCG64(seed)
-
-    ``checkerboard`` and ``channels`` require the structured mesh layout.
     """
     parts = spec.strip().split(":")
     kind = parts[0]

@@ -11,7 +11,7 @@ import numpy as np
 from manufactured import element_diameters
 from msgfem.decomposition import d_plus, square_block
 from msgfem.dg_forms import DGAssembler, nested_dofs
-from msgfem.local_problems import MaskedSystem
+from msgfem.local_problems import MaskedSystem, solve_checked
 from msgfem.mesh import TriMesh
 
 
@@ -51,9 +51,9 @@ def caccioppoli_ratios(asm: DGAssembler, omega, omega_star, n_samples: int,
     """Interior-energy over annulus-mass ratios of random harmonic samples.
 
     Samples are harmonic extensions of random layer data, solved as one
-    block.  Returns the ratio array and the separation distance; the mesh
-    condition (separation larger than three annulus element diameters) is
-    enforced.
+    block on the masked system's factor through the checked solve.  Returns
+    the ratio array and the separation distance; the mesh condition
+    (separation larger than three annulus element diameters) is enforced.
     """
     mesh = asm.mesh
     omega = np.asarray(omega, dtype=np.int64)
@@ -67,7 +67,11 @@ def caccioppoli_ratios(asm: DGAssembler, omega, omega_star, n_samples: int,
     if system.layer.size == 0:
         raise ValueError("oversampling domain has no harmonic layer")
     rng = np.random.Generator(np.random.PCG64(seed))
-    U = system.harmonic_extension(rng.standard_normal((n_samples, system.layer.size)).T)
+    data = rng.standard_normal((n_samples, system.layer.size)).T
+    U = np.zeros((system.free.size + system.layer.size, n_samples))
+    U[system.free] = solve_checked(system.lu.solve, system.Aff,
+                                   np.asfortranarray(-(system.Afl @ data)), "harmonic samples")
+    U[system.layer] = data
 
     def norms(D, kind):
         u = U[nested_dofs(D, omega_star)]

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -361,6 +362,30 @@ def test_unbuildable_problem_is_config_error(tmp_path, capsys, text):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "o" / "checks.json").exists()
+
+
+@pytest.mark.parametrize("checks_only", [[], ["--checks-only"]])
+@pytest.mark.parametrize("text", [
+    "coefficient = bogus:1\n",
+    "mesh_n = 16\ngrid_m = 2\ncoefficient = checkerboard:10:3\n",
+])
+def test_config_error_found_while_building_writes_nothing(tmp_path, text, checks_only):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")] + checks_only) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_one_subdomain_suite_skips_harmonicity(tmp_path):
+    # the whole mesh is the one oversampling domain, so it has no layer to extend
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("mesh_n = 8\ngrid_m = 1\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--checks-only"]) == 0
+    report = json.loads((tmp_path / "o" / "checks.json").read_text())
+    assert report["all_pass"] is True
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert status["local.harmonicity"] == "skip"
+    assert [name for name, st in status.items() if st != "pass"] == ["local.harmonicity"]
 
 
 def test_checked_run_builds_mesh_decomposition_and_pou_once(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from manufactured import QUAD5_POINTS, QUAD5_WEIGHTS, jump_seminorm_sq, quadrature_points
 from msgfem.decomposition import build_decomposition, square_block
 from msgfem.dg_forms import DGAssembler, subdomain_dofs
-from msgfem.mesh import Coefficient, TriMesh, build_structured_mesh, coefficient_field
+from msgfem.mesh import Coefficient, build_structured_mesh, coefficient_field
 
 G0 = np.sqrt(10.0)
 MASS3 = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -176,12 +176,12 @@ def test_load_trivial_and_moments():
     assert np.all(asm.load(lambda x, y: 0.0, D) == 0.0)
     F = asm.load(lambda x, y: 1.0, D)
     assert F.sum() == pytest.approx(mesh.areas[D].sum(), rel=1e-13)
-    # closed-form moments of f = x on the reference triangle:
-    # against the vertex functions at (0,0), (1,0), (0,1)
-    ref = TriMesh.from_arrays([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-    ref_asm = DGAssembler(ref, Coefficient([1.0]), G0)
-    Fx = ref_asm.load(lambda x, y: x)
-    assert Fx == pytest.approx([1 / 24, 1 / 12, 1 / 24], rel=1e-13)
+    # closed-form moments of f = x on the reference triangle, element 0 of the
+    # one-cell mesh: against the vertex functions at (0,0), (1,0), (1,1)
+    ref = build_structured_mesh(1)
+    ref_asm = DGAssembler(ref, coefficient_field(ref, "constant:1"), G0)
+    Fx = ref_asm.load(lambda x, y: x, np.array([0]))
+    assert Fx == pytest.approx([1 / 12, 1 / 8, 1 / 8], rel=1e-13)
 
 
 def face_block_oracle(mesh, coef, gamma0, kind):

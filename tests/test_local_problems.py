@@ -325,14 +325,30 @@ def test_harmonic_columns_pass_residual_invariant(setting):
         assert np.all(resid <= 1e-10 * norms)
 
 
-def test_harmonic_extension_is_the_basis_applied_to_layer_data(setting):
-    mesh, coef, decomp, _ = setting
-    asm = DGAssembler(mesh, coef, G0)
-    oms = decomp.omega_star(1)
-    system = MaskedSystem(asm, oms)
-    data = np.random.default_rng(0).standard_normal((system.layer.size, 5))
-    U = system.harmonic_extension(data)
-    assert np.abs(U - harmonic_basis(asm, oms) @ data).max() <= 1e-12 * np.abs(U).max()
+@pytest.mark.parametrize("grid_m, layers", [(1, 2), (2, 3)])
+def test_harmonic_extension_of_chosen_columns_is_those_columns_of_the_basis(grid_m, layers):
+    # at (8, 2) with 3 overlap and 3 oversampling layers the corner oversampling
+    # domains cover the mesh and the others have 15 layer dofs; at grid_m = 1 the
+    # one oversampling domain is the mesh, so it has no layer dofs
+    mesh = build_structured_mesh(8)
+    decomp = build_decomposition(mesh, grid_m, layers, layers)
+    asm = DGAssembler(mesh, coefficient_field(mesh, "checkerboard:100:2"), G0)
+    sizes = set()
+    for j in range(decomp.n_subdomains):
+        system = MaskedSystem(asm, decomp.omega_star(j))
+        basis = system.harmonic_extension()
+        n_layer = system.layer.size
+        sizes.add(n_layer)
+        assert basis.shape == (3 * decomp.omega_star(j).size, n_layer)
+        chosen = [np.arange(n_layer), np.arange(n_layer)[::-1], np.arange(0)]
+        if n_layer:
+            # the property suite's spread repeats dofs on a layer of fewer than 20
+            chosen.append(np.linspace(0, n_layer - 1, 20).astype(np.int64))
+            chosen.append([n_layer - 1, 0, n_layer - 1])
+        for columns in chosen:
+            U = system.harmonic_extension(columns)
+            assert U.tobytes() == np.ascontiguousarray(basis[:, columns]).tobytes()
+    assert sizes == ({0} if grid_m == 1 else {0, 15})
 
 
 def test_constant_in_span_iff_interior():
@@ -422,7 +438,6 @@ def test_lean_local_stage_is_bit_identical(interior, spec):
         om, oms = decomp.omega(j), decomp.omega_star(j)
         system = MaskedSystem(asm, oms)
         basis = system.harmonic_extension()
-        assert basis.tobytes() == system.harmonic_extension(np.eye(system.layer.size)).tobytes()
         assert particular_solution(asm, source_one, om, oms)[1].tobytes() == basis.tobytes()
         values, vectors = eigenproblem(asm, pou, j, om, oms, basis)
         oracle_values, oracle_vectors = _oracle_eigenproblem(asm, pou, j, om, oms, basis)

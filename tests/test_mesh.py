@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from manufactured import element_diameters
-from msgfem.mesh import Coefficient, TriMesh, build_structured_mesh, coefficient_field
+from msgfem.mesh import Coefficient, build_structured_mesh, coefficient_field
 
 
 def euler_characteristic(mesh):
@@ -44,13 +44,23 @@ def test_rejects_zero_subdivisions():
 
 
 def test_adjacency_symmetry_brute_force():
+    # each face's vertex pair, read from its elements through the local positions
     mesh = build_structured_mesh(4)
-    for (e1, e2), (p, q) in zip(mesh.iface_elems, mesh.iface_verts):
-        for e in (e1, e2):
-            assert p in mesh.elements[e] and q in mesh.elements[e]
+    pairs = []
+    for k, (e1, e2) in enumerate(mesh.iface_elems):
+        p1 = mesh.elements[e1, mesh.iface_local[k, 0]]
+        p2 = mesh.elements[e2, mesh.iface_local[k, 1]]
+        assert np.array_equal(p1, p2) and p1[0] < p1[1]
         assert e1 < e2
-    for e, (p, q) in zip(mesh.bface_elem, mesh.bface_verts):
-        assert p in mesh.elements[e] and q in mesh.elements[e]
+        pairs.append(tuple(p1))
+    for e, loc in zip(mesh.bface_elem, mesh.bface_local):
+        p = mesh.elements[e, loc]
+        assert p[0] < p[1]
+        pairs.append(tuple(p))
+    # every element edge is exactly one face
+    edges = {tuple(sorted(mesh.elements[e, [a, b]])) for e in range(mesh.n_elements)
+             for a, b in ((0, 1), (1, 2), (2, 0))}
+    assert len(pairs) == len(set(pairs)) and set(pairs) == edges
 
 
 def test_shape_regularity_of_family():
@@ -122,13 +132,6 @@ def test_invalid_coefficient_specs_rejected(spec):
         coefficient_field(mesh, spec)
 
 
-@pytest.mark.parametrize("spec", ["checkerboard:10:1", "channels:10:1"])
-def test_structured_coefficients_reject_an_unstructured_mesh(spec):
-    mesh = TriMesh.from_arrays([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-    with pytest.raises(ValueError, match="require a structured mesh"):
-        coefficient_field(mesh, spec)
-
-
 def test_coefficient_type_rejects_nonpositive():
     with pytest.raises(ValueError):
         Coefficient(np.array([1.0, -1.0]))
@@ -180,21 +183,19 @@ def test_every_normal_is_unit():
 
 def test_boundary_normals_point_out_of_square():
     mesh = build_structured_mesh(3)
-    mids = 0.5 * (mesh.vertices[mesh.bface_verts[:, 0]]
-                  + mesh.vertices[mesh.bface_verts[:, 1]])
+    ends = mesh.elements[mesh.bface_elem[:, None], mesh.bface_local]
+    mids = mesh.vertices[ends].mean(axis=1)
     outward = mids + 1e-3 * mesh.bface_normal
     inside = ((outward >= 0) & (outward <= 1)).all(axis=1)
     assert not inside.any()
 
 
-def test_from_arrays_reference_triangle():
-    mesh = TriMesh.from_arrays([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-    assert mesh.n_elements == 1
-    assert mesh.n_boundary_faces == 3
-    assert mesh.n_interior_faces == 0
+def test_reference_triangle():
+    # element 0 of the one-cell mesh: vertices (0,0), (1,0), (1,1) below the diagonal
+    mesh = build_structured_mesh(1)
+    assert mesh.vertices[mesh.elements[0]].tolist() == [[0, 0], [1, 0], [1, 1]]
     assert abs(mesh.areas[0] - 0.5) <= 1e-15
-
-
-def test_from_arrays_rejects_clockwise():
-    with pytest.raises(ValueError):
-        TriMesh.from_arrays([[0, 0], [0, 1], [1, 0]], [[0, 1, 2]])
+    assert mesh.iface_elems.tolist() == [[0, 1]]
+    assert np.sum(mesh.bface_elem == 0) == 2
+    # the vertex functions 1 - x, x - y and y
+    assert np.abs(mesh.grads[0] - [[-1, 0], [1, -1], [0, 1]]).max() <= 1e-15
