@@ -91,25 +91,28 @@ _ERROR_COLUMNS = ("m", "l", "lstar", "n_j", "gamma0", "contrast", "n_total",
                   "fitSlope", "fitR2")
 
 
-def run(config: RunConfig, out_dir=None, checks_only: bool = False) -> int:
+def run(config: RunConfig, out_dir) -> int:
     """Execute one configuration; writes artifacts and returns the exit code.
 
     The problem is built before anything is written, so a configuration
     error leaves no output behind.
     """
     problem = build_problem(config)
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory: {exc}") from exc
     (out / "config.txt").write_text(serialize_config(config))
 
-    if config.checks or checks_only:
+    if config.checks != "off":
         report = run_property_suite(problem)
         (out / "checks.json").write_text(
             json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
         sys.stdout.write(report.to_text())
         if not report.ok:
             return 1
-    if checks_only:
+    if config.checks == "only":
         return 0
 
     t0 = time.time()
@@ -163,26 +166,17 @@ def main(argv=None) -> int:
         description="Multiscale spectral GFEM experiments on DG discretizations")
     parser.add_argument("--config", type=Path, default=None,
                         help="key = value config file (defaults when omitted)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="output directory (overrides the config)")
-    parser.add_argument("--checks-only", action="store_true",
-                        help="run only the property suite")
-    parser.add_argument("--seed", default=None,
-                        help="override the config seed")
-    parser.add_argument("--threads", default=None,
-                        help="override the config worker-thread count")
+    parser.add_argument("--out", type=Path, default=Path("out"),
+                        help="output directory (default: out)")
     args = parser.parse_args(argv)
 
     try:
-        text = args.config.read_text() if args.config else ""
-        # an override is value text, parsed and validated like the key itself
-        config = parse_config(text, **{key: getattr(args, key) for key in ("seed", "threads")
-                                       if getattr(args, key) is not None})
+        config = parse_config(args.config.read_text() if args.config else "")
     except (ConfigError, OSError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     try:
-        return run(config, out_dir=args.out, checks_only=args.checks_only)
+        return run(config, args.out)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

@@ -78,10 +78,10 @@ def _sweep(key, text, where):
     return sweep
 
 
-def _on_off(key, text, where):
-    if text not in ("on", "off"):
-        raise ConfigError(f"{where}checks must be on or off")
-    return text == "on"
+def _checks(key, text, where):
+    if text not in ("on", "off", "only"):
+        raise ConfigError(f"{where}checks must be on, off or only")
+    return text
 
 
 def _key(default, parse):
@@ -102,9 +102,8 @@ class RunConfig:
     source: str = _key("constant:1", _text)
     coarse_rule: tuple = _key(("fixed", 4), _rule)
     coarse_n_sweep: list = field(default_factory=list, metadata={"parse": _sweep})
-    out_dir: str = _key("out", _text)
     threads: int = _key(1, _int(1, "worker threads"))
-    checks: bool = _key(True, _on_off)
+    checks: str = _key("on", _checks)   # "only": the property suite alone
 
     @property
     def gamma0(self) -> float:
@@ -117,12 +116,8 @@ class RunConfig:
         return [self.coarse_rule]
 
 
-def parse_config(text: str, **overrides: str) -> RunConfig:
-    """Parse and validate; defaults apply for every key not present.
-
-    ``overrides`` (key -> value text, as the CLI's ``--seed``) replace the
-    file's values and are parsed like their keys; an error names ``--key``.
-    """
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate; defaults apply for every key not present."""
     keys = {f.name: f for f in fields(RunConfig)}
     given = {}                        # key -> (where it was given, value text)
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -137,14 +132,11 @@ def parse_config(text: str, **overrides: str) -> RunConfig:
         if key in given:
             raise ConfigError(f"line {lineno}: key {key!r} repeats {given[key][0]}")
         given[key] = (f"line {lineno}", value)
-    given.update((key, (f"--{key}", value)) for key, value in overrides.items())
     return RunConfig(**{key: keys[key].metadata["parse"](key, value, f"{where}: ")
                         for key, (where, value) in given.items()})
 
 
 def _value_text(value) -> str:
-    if isinstance(value, bool):
-        return "on" if value else "off"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):

@@ -114,8 +114,4 @@ def build_decomposition(mesh: TriMesh, m: int, overlap_layers: int,
                     f"subdomain {gy * m + gx} swallows the whole mesh; "
                     f"reduce overlap ({overlap_layers}) or refine the mesh")
             subdomains.append((omega, omega_star))
-
-    covered = np.unique(np.concatenate([om for om, _ in subdomains]))
-    if covered.size != mesh.n_elements:
-        raise ValueError("subdomains do not cover the mesh")
     return Decomposition(subdomains=subdomains)

@@ -39,7 +39,7 @@ def test_empty_config_is_all_defaults():
     assert cfg.gamma0_sq == 10.0
     assert cfg.gamma0 == pytest.approx(np.sqrt(10.0))
     assert cfg.coarse_rule == ("fixed", 4)
-    assert cfg.checks is True
+    assert cfg.checks == "on"
 
 
 def test_comments_and_blanks_ignored():
@@ -143,8 +143,8 @@ def test_true_default_config_smoke(tmp_path):
 
 
 def test_checks_only_writes_only_report(tmp_path):
-    cfg = parse_config(SMALL)
-    assert run(cfg, out_dir=tmp_path, checks_only=True) == 0
+    cfg = parse_config(SMALL + "checks = only\n")
+    assert run(cfg, out_dir=tmp_path) == 0
     assert (tmp_path / "checks.json").exists()
     assert not (tmp_path / "errors.csv").exists()
 
@@ -162,51 +162,59 @@ def test_main_exit_codes(tmp_path):
     assert main(["--config", str(bad)]) == 2
     assert main(["--config", str(tmp_path / "missing.cfg")]) == 2
     good = tmp_path / "good.cfg"
-    good.write_text(SMALL)
-    assert main(["--config", str(good), "--out", str(tmp_path / "o"),
-                 "--checks-only"]) == 0
+    good.write_text(SMALL + "checks = only\n")
+    assert main(["--config", str(good), "--out", str(tmp_path / "o")]) == 0
 
 
-def test_main_seed_and_thread_overrides(tmp_path):
-    good = tmp_path / "good.cfg"
-    good.write_text(SMALL.replace("checkerboard:100:2", "log_uniform:1:100"))
-    assert main(["--config", str(good), "--out", str(tmp_path / "s1"),
-                 "--seed", "5", "--threads", "2"]) == 0
-    assert main(["--config", str(good), "--out", str(tmp_path / "s2"),
-                 "--seed", "5"]) == 0
-    assert main(["--config", str(good), "--out", str(tmp_path / "s3"),
-                 "--seed", "6"]) == 0
-    for name in ("eigenvalues.csv", "errors.csv", "checks.json"):
-        a = (tmp_path / "s1" / name).read_bytes()
-        assert a == (tmp_path / "s2" / name).read_bytes(), name
-    a = (tmp_path / "s1" / "eigenvalues.csv").read_bytes()
-    assert a != (tmp_path / "s3" / "eigenvalues.csv").read_bytes()
-
-
-def test_config_txt_parses_back_after_overrides(tmp_path):
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--threads", "2"], ["--checks-only"]],
+                         ids=["seed", "threads", "checks-only"])
+def test_run_values_are_config_keys_not_flags(tmp_path, capsys, flag):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL)
-    for seed, code in (("5", 0), ("-1", 2)):
-        assert main(["--config", str(cfg), "--out", str(tmp_path / f"seed{seed}"),
-                     "--checks-only", "--seed", seed, "--threads", "2"]) == code
-    saved = parse_config((tmp_path / "seed5" / "config.txt").read_text())
-    assert saved == parse_config(SMALL, seed="5", threads="2")
-    assert (saved.seed, saved.threads) == (5, 2)
-    assert not (tmp_path / "seed-1").exists()
-
-
-@pytest.mark.parametrize("flag, value, message", [
-    ("--seed", "-1", "--seed: seed must be >= 0 (generator seed), got -1"),
-    ("--seed", "1.5", "--seed: seed must be an integer"),
-    ("--threads", "0", "--threads: threads must be >= 1 (worker threads), got 0"),
-])
-def test_overrides_validated_like_their_keys(tmp_path, capsys, flag, value, message):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(SMALL)
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--checks-only",
-                 flag, value]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "--out", str(tmp_path / "o")] + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_output_directory_is_not_a_config_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL + f"out_dir = {tmp_path / 'k'}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'out_dir'" in capsys.readouterr().err
+    assert not (tmp_path / "k").exists() and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["existing-file", "below-a-file"])
+def test_uncreatable_output_directory_is_config_error(tmp_path, capsys, below):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / "o" if below else blocker
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: cannot create the output directory: ")
+    assert blocker.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "run.cfg"]
+
+
+@pytest.mark.parametrize("text", [
+    SMALL + "checks = only\n",
+    SMALL + "coarse_n_sweep = 1,2,3\nchecks = off\n",
+    SMALL.replace("checkerboard:100:2", "log_uniform:1:100") + "seed = 5\nthreads = 2\n",
+], ids=["checks-only", "sweep", "log-uniform-seed-threads"])
+def test_run_reproduces_from_its_config_txt(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["--config", str(cfg), "--out", str(first)]) == 0
+    assert main(["--config", str(first / "config.txt"), "--out", str(again)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def test_kernel_gram_breakdown_is_a_pipeline_failure(tmp_path, capsys):
@@ -364,23 +372,23 @@ def test_unbuildable_problem_is_config_error(tmp_path, capsys, text):
     assert not (tmp_path / "o" / "checks.json").exists()
 
 
-@pytest.mark.parametrize("checks_only", [[], ["--checks-only"]])
+@pytest.mark.parametrize("checks", ["on", "only"])
 @pytest.mark.parametrize("text", [
     "coefficient = bogus:1\n",
     "mesh_n = 16\ngrid_m = 2\ncoefficient = checkerboard:10:3\n",
 ])
-def test_config_error_found_while_building_writes_nothing(tmp_path, text, checks_only):
+def test_config_error_found_while_building_writes_nothing(tmp_path, text, checks):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text)
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")] + checks_only) == 2
+    cfg.write_text(text + f"checks = {checks}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
 
 
 def test_one_subdomain_suite_skips_harmonicity(tmp_path):
     # the whole mesh is the one oversampling domain, so it has no layer to extend
     cfg = tmp_path / "one.cfg"
-    cfg.write_text("mesh_n = 8\ngrid_m = 1\n")
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--checks-only"]) == 0
+    cfg.write_text("mesh_n = 8\ngrid_m = 1\nchecks = only\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     report = json.loads((tmp_path / "o" / "checks.json").read_text())
     assert report["all_pass"] is True
     status = {c["name"]: c["status"] for c in report["checks"]}
@@ -410,7 +418,7 @@ def test_checked_run_builds_mesh_decomposition_and_pou_once(tmp_path, monkeypatc
 
     monkeypatch.setattr(DGAssembler, "__init__", counted_init)
     cfg = parse_config(SMALL)
-    assert cfg.checks and cfg.mesh_n == 16
+    assert cfg.checks == "on" and cfg.mesh_n == 16
     assert run(cfg, out_dir=tmp_path) == 0
     assert calls == {"build_structured_mesh": 1, "coefficient_field": 1,
                      "build_decomposition": 1, "build_pou": 1, "DGAssembler": 1}

@@ -39,9 +39,9 @@ nested_pairs = st.fixed_dictionaries({
 
 def _run(keys: dict, out: Path, threads: int = 1) -> int:
     cfg = out.with_suffix(".cfg")
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items())
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**keys, "threads": threads}.items())
                    + "grid_m = 2\ncoarse_n_sweep = 1,2,3\nchecks = off\n")
-    return main(["--config", str(cfg), "--out", str(out), "--threads", str(threads)])
+    return main(["--config", str(cfg), "--out", str(out)])
 
 
 # near the coercivity limit an ill-conditioned dense solve and a dropped
