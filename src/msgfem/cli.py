@@ -1,7 +1,7 @@
 """Experiment driver: property suite, local spectra, error sweeps, artifacts.
 
-Exit codes: 0 on success, 1 when an enabled check or sweep assertion fails,
-2 on configuration errors.  All artifact files are plain text with
+Exit codes: 0 on success, 1 when an enabled check fails or a solve breaks
+down, 2 on configuration errors.  All artifact files are plain text with
 shortest-round-trip float formatting, so identical configs reproduce
 byte-identical outputs.
 """
@@ -19,7 +19,7 @@ import numpy as np
 from .config import RunConfig, parse_config, serialize_config
 from .decomposition import Decomposition, build_decomposition
 from .dg_forms import DGAssembler
-from .errors import CoercivityError, ConfigError, SolverError
+from .errors import ConfigError, SolverError
 from .gfem import GlobalForms, error_report, solve_msgfem
 from .local_problems import compute_local_data
 from .mesh import Coefficient, TriMesh, build_structured_mesh, coefficient_field
@@ -105,26 +105,27 @@ def run(config: RunConfig, out_dir) -> int:
         raise ConfigError(f"cannot create the output directory: {exc}") from exc
     (out / "config.txt").write_text(serialize_config(config))
 
-    if config.checks != "off":
-        report = run_property_suite(problem)
-        (out / "checks.json").write_text(
-            json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
-        sys.stdout.write(report.to_text())
-        if not report.ok:
-            return 1
-    if config.checks == "only":
-        return 0
-
-    t0 = time.time()
+    stage = "property suite"
     try:
-        return _pipeline(problem, out, t0)
-    except (SolverError, CoercivityError) as exc:
+        if config.checks != "off":
+            report = run_property_suite(problem)
+            (out / "checks.json").write_text(
+                json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+            sys.stdout.write(report.to_text())
+            if not report.ok:
+                return 1
+        if config.checks == "only":
+            return 0
+        stage = "pipeline"
+        return _pipeline(problem, out)
+    except SolverError as exc:
         # artifacts produced so far stay on disk
-        sys.stderr.write(f"pipeline failure: {exc}\n")
+        sys.stderr.write(f"{stage} failure: {exc}\n")
         return 1
 
 
-def _pipeline(problem: Problem, out: Path, t0: float) -> int:
+def _pipeline(problem: Problem, out: Path) -> int:
+    t0 = time.time()
     config, mesh, decomp, pou = problem.config, problem.mesh, problem.decomp, problem.pou
     forms = problem.forms
     rules = config.sweep_values()
@@ -145,14 +146,9 @@ def _pipeline(problem: Problem, out: Path, t0: float) -> int:
                      problem.coefficient.contrast, sol.coarse.n_total, rep.rel_bplus_error,
                      rep.rel_l2_error, sol.max_sqrt_lambda_next])
 
-    # the fit uses the sweep points with a positive finite error, if five or more
     sweep = np.array(rows, dtype=float)
-    ns = sweep[:, _ERROR_COLUMNS.index("n_j")]
-    rel_errors = sweep[:, _ERROR_COLUMNS.index("relBplusErr")]
-    good = np.isfinite(rel_errors) & (rel_errors > 0)
-    slope = r2 = float("nan")
-    if good.sum() >= 5:
-        slope, _, r2 = decay_fit(ns[good], rel_errors[good], 0.5)
+    slope, _, r2 = decay_fit(sweep[:, _ERROR_COLUMNS.index("n_j")],
+                             sweep[:, _ERROR_COLUMNS.index("relBplusErr")])
     _write_csv(out / "errors.csv", _ERROR_COLUMNS, (row + [slope, r2] for row in rows))
     sys.stdout.write(
         f"pipeline: {len(rows)} sweep row(s), coarse fit slope {_fmt(slope)}, "

@@ -17,7 +17,6 @@ __all__ = [
     "Decomposition",
     "square_block",
     "grow",
-    "d_plus",
     "d_minus",
     "build_decomposition",
 ]
@@ -47,11 +46,6 @@ def grow(mesh: TriMesh, members: np.ndarray, layers: int) -> np.ndarray:
         mask[cur] = True
         cur = np.flatnonzero(_touching(mesh, mask))
     return cur
-
-
-def d_plus(mesh: TriMesh, members: np.ndarray) -> np.ndarray:
-    """All elements whose closure meets the subdomain: one vertex-contact ring."""
-    return grow(mesh, members, 1)
 
 
 def d_minus(mesh: TriMesh, members: np.ndarray) -> np.ndarray:

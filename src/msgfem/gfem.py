@@ -32,7 +32,7 @@ import scipy.sparse as sp
 
 from .decomposition import Decomposition
 from .dg_forms import DGAssembler, compact, subdomain_dofs
-from .errors import CoercivityError
+from .errors import SolverError
 from .local_problems import select_coarse, solve_checked, symmetric_part
 from .mesh import TriMesh
 from .space_ops import PartitionOfUnity, pou_blend
@@ -233,7 +233,7 @@ def solve_coarse(coarse: CoarseSpace, n_j):
     ``n_j`` picks the sweep point, the modes k < n_j[j] of the assembled
     space.  The point's Gram block is factored in band storage.  A column
     whose pivot is not positive, or whose squared pivot is at most
-    ``_RANK_DROP_RTOL`` of its Gram diagonal, raises a ``CoercivityError``
+    ``_RANK_DROP_RTOL`` of its Gram diagonal, raises a ``SolverError``
     naming its (j, k): the factor's squared pivot is the column's squared
     B-norm left after the columns before it, and rounding leaves that near
     eps of the diagonal, of either sign, when the column depends on them.
@@ -254,7 +254,7 @@ def solve_coarse(coarse: CoarseSpace, n_j):
             info = small[0] + 1 if small.size else 0
         if info > 0:
             j, k = space.offsets[cols[info - 1]]
-            raise CoercivityError(
+            raise SolverError(
                 f"reduced coarse system is not positive definite at coarse column "
                 f"({j}, {k}); the penalty parameter is too small for this mesh, or "
                 "coarse columns of different subdomains depend on each other")

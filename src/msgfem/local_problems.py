@@ -17,7 +17,7 @@ from .decomposition import Decomposition
 from .dg_forms import DGAssembler, nested_dofs
 from .errors import ConfigError, SolverError
 from .mesh import TriMesh
-from .space_ops import PartitionOfUnity, h0_dofs, restrict
+from .space_ops import PartitionOfUnity, h0_dofs
 
 __all__ = [
     "LocalSpectralData",
@@ -154,7 +154,7 @@ def particular_solution(asm: DGAssembler, f, omega, omega_star):
     psi = np.zeros(basis.shape[0])
     psi[system.free] = solve_checked(system.lu.solve, system.Aff,
                                      asm.load(f, omega_star)[system.free], "local source")
-    return restrict(psi, omega_star, omega), basis
+    return psi[nested_dofs(omega, omega_star)], basis
 
 
 def symmetric_part(X):
@@ -192,14 +192,12 @@ def eigenproblem(asm: DGAssembler, pou: PartitionOfUnity, j: int, omega, omega_s
     A = symmetric_part(W.T @ (asm.matrix(omega, "Bplus") @ W))
     del W
     s, Q = la.eigh(M)
-    scale = max(float(s[-1]), 0.0)
-    kern = s <= _KERNEL_RTOL * scale if scale > 0 else np.ones_like(s, dtype=bool)
+    # s[-1] > 0: a basis column is nonconstant on the layer element of its unit dof
+    kern = s <= _KERNEL_RTOL * s[-1]
     K = Q[:, kern]
     W = Q[:, ~kern]     # the complement, made A-orthogonal to the kernel below
     del Q
     n_inf = K.shape[1]
-    if W.shape[1] == 0:
-        return np.full(n_inf, np.inf), K
     if n_inf:
         AK = A @ K
         G = K.T @ AK

@@ -1,10 +1,10 @@
-"""Subspace masks, restriction/extension operators and the partition of unity.
+"""Masked dofs and the partition of unity.
 
 Functions on a subdomain ``D`` are dof vectors over ``D``'s local layout.
 The masked subspace of ``D`` consists of the vectors that vanish on the
-contact layer ``D minus d_minus(D)``; extension by zero maps it isometrically
-into the masked subspace of any enclosing set, and restriction simply slices
-dofs, so the pair is an exact one-sided inverse.
+contact layer ``D minus d_minus(D)``.  Restriction to a subset and
+extension by zero from it both go through the subset's dofs in the
+enclosing layout, :func:`~msgfem.dg_forms.nested_dofs`.
 """
 from __future__ import annotations
 
@@ -19,8 +19,6 @@ from .mesh import TriMesh
 
 __all__ = [
     "h0_dofs",
-    "restrict",
-    "extend_by_zero",
     "PartitionOfUnity",
     "build_pou",
     "pou_blend",
@@ -34,29 +32,6 @@ def h0_dofs(mesh: TriMesh, D: np.ndarray) -> np.ndarray:
     """
     D = np.asarray(D, dtype=np.int64)
     return nested_dofs(d_minus(mesh, D), D)
-
-
-def restrict(u: np.ndarray, D_star, D) -> np.ndarray:
-    """Restrict a dof vector from an enclosing set to a subset (dof slicing)."""
-    return u[nested_dofs(D, D_star)]
-
-
-def extend_by_zero(mesh: TriMesh, v: np.ndarray, D, D_star) -> np.ndarray:
-    """Zero-extension of a masked vector on ``D`` into the layout of ``D_star``.
-
-    Rejects vectors that are nonzero on the contact layer of ``D`` since those
-    are not members of the masked subspace and the extension would not be an
-    isometry for them.
-    """
-    D = np.asarray(D, dtype=np.int64)
-    idx = nested_dofs(D, D_star)
-    free = h0_dofs(mesh, D)
-    layer = np.setdiff1d(np.arange(3 * D.size), free, assume_unique=True)
-    if np.any(v[layer] != 0.0):
-        raise ValueError("vector has nonzero dofs on the contact layer of the subdomain")
-    out = np.zeros(3 * np.asarray(D_star).size)
-    out[idx] = v
-    return out
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ scaled ratios.  Imported by the tests that assert the bound's constant.
 import numpy as np
 
 from manufactured import element_diameters
-from msgfem.decomposition import d_plus, square_block
+from msgfem.decomposition import grow, square_block
 from msgfem.dg_forms import DGAssembler, nested_dofs
 from msgfem.local_problems import MaskedSystem, solve_checked
 from msgfem.mesh import TriMesh
@@ -60,7 +60,7 @@ def caccioppoli_ratios(asm: DGAssembler, omega, omega_star, n_samples: int,
     omega_star = np.asarray(omega_star, dtype=np.int64)
     delta = annulus_distance(mesh, omega, omega_star)
     annulus = np.setdiff1d(omega_star, omega, assume_unique=True)
-    touching = d_plus(mesh, annulus)
+    touching = grow(mesh, annulus, 1)
     if delta <= 3.0 * element_diameters(mesh)[touching].max():
         raise ValueError("separation too small for the interior energy bound")
     system = MaskedSystem(asm, omega_star)

@@ -174,7 +174,7 @@ def test_criterion_6_eigenvalue_decay(reference):
     for label in ("constant", "checker"):
         for data in reference["locals"][label]:
             lam = data.eigenvalues[np.isfinite(data.eigenvalues)][:20]
-            slope, _, r2 = decay_fit(np.arange(1, lam.size + 1), np.sqrt(lam), 0.5)
+            slope, _, r2 = decay_fit(np.arange(1, lam.size + 1), np.sqrt(lam))
             worst_r2 = min(worst_r2, r2)
             worst_slope = max(worst_slope, slope)
     ok = worst_slope < 0.0 and worst_r2 >= 0.9 and elapsed < 300.0
@@ -199,7 +199,7 @@ def test_criterion_7_global_error_decay(reference):
             errs.append(error_report(forms, sol.u_G, u_fine).rel_bplus_error)
             lams.append(sol.max_sqrt_lambda_next)
         errs = np.array(errs)
-        slope, _, r2 = decay_fit(np.arange(1, errs.size + 1), errs, 0.5)
+        slope, _, r2 = decay_fit(np.arange(1, errs.size + 1), errs)
         ratio = max(e / l for e, l in zip(errs, lams) if np.isfinite(l))
         strict = errs[9] < errs[1]
         ok = ok and strict and r2 >= 0.85 and ratio <= 1.0

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -79,6 +80,12 @@ def test_mesh_precondition_cited():
 def test_malformed_configs_rejected(text):
     with pytest.raises(ConfigError):
         parse_config(text)
+
+
+def test_readme_config_block_is_the_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert parse_config(block) == RunConfig()
 
 
 def test_serialize_round_trip():
@@ -227,6 +234,29 @@ def test_kernel_gram_breakdown_is_a_pipeline_failure(tmp_path, capsys):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "pipeline failure: kernel Gram broke down: " in capsys.readouterr().err
     assert not (tmp_path / "o" / "errors.csv").exists()
+
+
+def test_solve_breakdown_in_the_suite_is_one_stderr_line(tmp_path, capsys):
+    # the face weight 2 nu1 nu2 overflows at this coefficient, which leaves the
+    # masked system of the suite's harmonicity sample singular
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("mesh_n = 8\ngrid_m = 2\noversampling_layers = 1\n"
+                   "coefficient = constant:1e200\nchecks = only\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "property suite failure: local system is singular" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "checks.json").exists()
+
+
+def test_repeated_sweep_value_leaves_no_fit(tmp_path):
+    # five rows at one n give the fit a constant abscissa
+    cfg = parse_config("mesh_n = 16\ngrid_m = 2\noversampling_layers = 2\n"
+                       "coarse_n_sweep = 4,4,4,4,4\nchecks = off\n")
+    assert run(cfg, out_dir=tmp_path) == 0
+    rows = (tmp_path / "errors.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 5
+    assert all(row.endswith(",nan,nan") for row in rows)
 
 
 def test_eigenvalue_export_format(tmp_path):

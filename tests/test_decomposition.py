@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from msgfem.decomposition import (build_decomposition, d_minus, d_plus, grow,
-                                  square_block)
+from msgfem.decomposition import build_decomposition, d_minus, grow, square_block
 from msgfem.mesh import build_structured_mesh
 
 # (mesh_n, grid_m, oversampling_layers) of the benchmark workloads
@@ -71,18 +70,18 @@ def d_minus_brute(mesh, members):
     return np.array(sorted(out), dtype=np.int64)
 
 
-def test_d_plus_trivial_cases():
+def test_one_ring_grow_trivial_cases():
     mesh = build_structured_mesh(4)
     everything = np.arange(mesh.n_elements)
-    assert np.array_equal(d_plus(mesh, everything), everything)
-    assert d_plus(mesh, np.array([], dtype=np.int64)).size == 0
+    assert np.array_equal(grow(mesh, everything, 1), everything)
+    assert grow(mesh, np.array([], dtype=np.int64), 1).size == 0
 
 
-def test_d_plus_single_interior_element_vs_brute_force():
+def test_one_ring_grow_single_interior_element_vs_brute_force():
     mesh = build_structured_mesh(4)
     D = np.array([2 * (1 * 4 + 1)], dtype=np.int64)  # lower triangle of cell (1, 1)
-    assert np.array_equal(d_plus(mesh, D), vertex_neighbors_brute(mesh, D))
-    assert d_plus(mesh, D).size > D.size
+    assert np.array_equal(grow(mesh, D, 1), vertex_neighbors_brute(mesh, D))
+    assert grow(mesh, D, 1).size > D.size
 
 
 def test_d_minus_trivial_cases():
@@ -108,7 +107,7 @@ def test_hull_sandwich_and_composition(box):
     mesh = build_structured_mesh(8)
     D = square_block(mesh, *box)
     dm = d_minus(mesh, D)
-    dp = d_plus(mesh, D)
+    dp = grow(mesh, D, 1)
     assert np.all(np.isin(dm, D)) and np.all(np.isin(D, dp))
     assert np.array_equal(dm, d_minus_brute(mesh, D))
     assert np.array_equal(dp, vertex_neighbors_brute(mesh, D))
@@ -206,7 +205,7 @@ def test_hulls_match_per_vertex_loop_on_every_subdomain(n, m, ls):
         assert_same_array(omega, grow_loop(mesh, v2e, cell, 2))
         assert_same_array(omega_star, grow_loop(mesh, v2e, omega, ls))
         for D in (cell, omega, omega_star):
-            assert_same_array(d_plus(mesh, D), grow_loop(mesh, v2e, D, 1))
+            assert_same_array(grow(mesh, D, 1), grow_loop(mesh, v2e, D, 1))
             inner = d_minus(mesh, D)
             assert_same_array(inner, d_minus_loop(mesh, v2e, D))
             assert_same_array(d_minus(mesh, inner), d_minus_loop(mesh, v2e, inner))

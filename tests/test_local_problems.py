@@ -14,7 +14,7 @@ from msgfem.gfem import GlobalForms, solve_msgfem
 from msgfem.local_problems import (LocalSpectralData, MaskedSystem, compute_local_data,
                                    eigenproblem, particular_solution, select_coarse)
 from msgfem.mesh import Coefficient, build_structured_mesh, coefficient_field
-from msgfem.space_ops import PartitionOfUnity, build_pou, h0_dofs, restrict
+from msgfem.space_ops import PartitionOfUnity, build_pou, h0_dofs
 from msgfem.verification import decay_fit, fine_solve
 
 G0 = np.sqrt(10.0)
@@ -67,7 +67,7 @@ def _oracle_particular(asm, f, omega, omega_star):
     Aff = A[np.ix_(free, free)].tocsc()
     x = np.zeros(A.shape[0])
     x[free] = _oracle_solve(spla.splu(Aff), b[free])
-    return restrict(x, omega_star, omega)
+    return x[nested_dofs(omega, omega_star)]
 
 
 def _oracle_harmonic_basis(asm, omega_star):
@@ -124,7 +124,8 @@ def _oracle_eigenproblem(asm, pou, j, omega, omega_star, basis):
 def _modes(asm, pou, j, omega, omega_star, basis, n):
     """The first ``n`` modes on ``omega``, one matrix-vector product each."""
     _, vectors = eigenproblem(asm, pou, j, omega, omega_star, basis)
-    return [restrict(basis @ vectors[:, k], omega_star, omega) for k in range(n)]
+    idx = nested_dofs(omega, omega_star)
+    return [(basis @ vectors[:, k])[idx] for k in range(n)]
 
 
 def _assert_matches_oracles(asm, decomp):
@@ -545,7 +546,7 @@ def test_eigenvalue_decay_fits_per_subdomain():
     locals_ = compute_local_data(mesh, DGAssembler(mesh, coef, G0), source_one, decomp, pou, FIXED)
     for data in locals_:
         lam = data.eigenvalues[np.isfinite(data.eigenvalues)][:20]
-        slope, _, r2 = decay_fit(np.arange(1, lam.size + 1), np.sqrt(lam), 0.5)
+        slope, _, r2 = decay_fit(np.arange(1, lam.size + 1), np.sqrt(lam))
         assert slope < 0.0
         assert r2 >= 0.9
 

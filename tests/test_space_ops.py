@@ -4,10 +4,9 @@ from scipy.sparse.csgraph import dijkstra
 
 from msgfem.decomposition import (Decomposition, build_decomposition, d_minus,
                                   grow, square_block)
-from msgfem.dg_forms import DGAssembler, subdomain_dofs
+from msgfem.dg_forms import DGAssembler, nested_dofs, subdomain_dofs
 from msgfem.mesh import build_structured_mesh, coefficient_field
-from msgfem.space_ops import (PartitionOfUnity, build_pou, extend_by_zero, h0_dofs,
-                              pou_blend, restrict)
+from msgfem.space_ops import PartitionOfUnity, build_pou, h0_dofs, pou_blend
 
 G0 = np.sqrt(10.0)
 
@@ -21,11 +20,17 @@ def setting():
     return mesh, coef, D, D_star
 
 
+def extend(v, D, D_star):
+    """Zero-extension of a dof vector on ``D`` into the layout of ``D_star``."""
+    ev = np.zeros(3 * D_star.size)
+    ev[nested_dofs(D, D_star)] = v
+    return ev
+
+
 def locality_check(asm, u_star, v, D, D_star):
     """``(B_D(u|_D, v), B_{D*}(u, E v))`` through two separate assemblies."""
-    a = float(v @ (asm.matrix(D, "B") @ restrict(u_star, D_star, D)))
-    ev = extend_by_zero(asm.mesh, v, D, D_star)
-    return a, float(ev @ (asm.matrix(D_star, "B") @ u_star))
+    a = float(v @ (asm.matrix(D, "B") @ u_star[nested_dofs(D, D_star)]))
+    return a, float(extend(v, D, D_star) @ (asm.matrix(D_star, "B") @ u_star))
 
 
 def random_h0_vector(mesh, D, rng):
@@ -43,16 +48,16 @@ def test_h0_mask_is_the_shrunk_hull(setting):
     assert np.array_equal(free, oracle)
 
 
-def test_restrict_identity_and_off_support(setting):
-    mesh, _, D, D_star = setting
+def test_nested_dofs_identity_and_off_support(setting):
+    _, _, D, D_star = setting
     rng = np.random.default_rng(0)
     u = rng.standard_normal(3 * D_star.size)
-    assert np.array_equal(restrict(u, D_star, D_star), u)
+    assert np.array_equal(u[nested_dofs(D_star, D_star)], u)
     outside_only = u.copy()
     outside_only[np.flatnonzero(np.isin(np.repeat(D_star, 3), D))] = 0.0
-    assert np.all(restrict(outside_only, D_star, D) == 0.0)
-    with pytest.raises(ValueError):
-        restrict(u, D, D_star)
+    assert np.all(outside_only[nested_dofs(D, D_star)] == 0.0)
+    with pytest.raises(ValueError, match="not contained"):
+        nested_dofs(D_star, D)
 
 
 def test_restriction_nonexpansive_independent_assemblies(setting):
@@ -63,7 +68,7 @@ def test_restriction_nonexpansive_independent_assemblies(setting):
     rng = np.random.default_rng(1)
     for _ in range(20):
         u = rng.standard_normal(3 * D_star.size)
-        ur = restrict(u, D_star, D)
+        ur = u[nested_dofs(D, D_star)]
         assert ur @ (H_D @ ur) <= (u @ (H_Ds @ u)) * (1 + 1e-12)
 
 
@@ -75,26 +80,12 @@ def test_extension_isometry_hundred_vectors(setting):
     rng = np.random.default_rng(2)
     for _ in range(100):
         v = random_h0_vector(mesh, D, rng)
-        ev = extend_by_zero(mesh, v, D, D_star)
+        ev = extend(v, D, D_star)
         n1 = v @ (H_D @ v)
         n2 = ev @ (H_Ds @ ev)
         assert abs(n1 - n2) <= 1e-12 * n1
-        assert np.array_equal(restrict(ev, D_star, D), v)
-    assert np.all(extend_by_zero(mesh, np.zeros(3 * D.size), D, D_star) == 0.0)
-
-
-def test_extension_on_equal_sets_is_identity(setting):
-    mesh, _, D, _ = setting
-    rng = np.random.default_rng(3)
-    v = random_h0_vector(mesh, D, rng)
-    assert np.array_equal(extend_by_zero(mesh, v, D, D), v)
-
-
-def test_extension_rejects_contact_layer_values(setting):
-    mesh, _, D, D_star = setting
-    v = np.ones(3 * D.size)
-    with pytest.raises(ValueError, match="contact layer"):
-        extend_by_zero(mesh, v, D, D_star)
+        assert np.array_equal(ev[nested_dofs(D, D_star)], v)
+    assert np.all(extend(np.zeros(3 * D.size), D, D_star) == 0.0)
 
 
 def test_locality_identity(setting):
@@ -248,7 +239,7 @@ def test_contact_band_faces_vanish_from_both_norms(setting):
     for _ in range(20):
         v = np.zeros(3 * D.size)
         v[band_dofs] = rng.standard_normal(band_dofs.size)
-        ev = extend_by_zero(mesh, v, D, D_star)
+        ev = extend(v, D, D_star)
         n1 = float(v @ (H_D @ v))
         n2 = float(ev @ (H_Ds @ ev))
         assert abs(n1 - n2) <= 1e-12 * n1

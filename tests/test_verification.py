@@ -64,23 +64,34 @@ def test_solver_error_type_names_the_penalty(monkeypatch):
 
 def test_decay_fit_exact_exponential():
     n = np.arange(1, 21)
-    slope, intercept, r2 = decay_fit(n, np.exp(-np.sqrt(n)), 0.5)
+    slope, intercept, r2 = decay_fit(n, np.exp(-np.sqrt(n)))
     assert slope == pytest.approx(-1.0, abs=1e-10)
     assert intercept == pytest.approx(0.0, abs=1e-10)
     assert r2 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_decay_fit_constant_sequence():
-    slope, _, r2 = decay_fit(np.arange(1, 9), np.full(8, 2.5), 0.5)
+    slope, _, r2 = decay_fit(np.arange(1, 9), np.full(8, 2.5))
     assert slope == pytest.approx(0.0, abs=1e-12)
     assert r2 == 1.0
 
 
 def test_decay_fit_input_validation():
-    with pytest.raises(ValueError):
-        decay_fit(np.arange(1, 5), [1.0, 0.5, 0.25, 0.125], 0.5)
-    with pytest.raises(ValueError):
-        decay_fit(np.arange(1, 6), [1.0, 0.5, 0.0, 0.1, 0.2], 0.5)
+    # fewer than five points, or five with one not positive, leave no fit
+    assert np.isnan(decay_fit(np.arange(1, 5), [1.0, 0.5, 0.25, 0.125])).all()
+    assert np.isnan(decay_fit(np.arange(1, 6), [1.0, 0.5, 0.0, 0.1, 0.2])).all()
+
+
+def test_decay_fit_needs_five_distinct_points():
+    # a repeated n gives lstsq a constant abscissa, which it would split arbitrarily
+    assert np.isnan(decay_fit(np.full(5, 4), np.full(5, 0.0026))).all()
+    n = np.arange(1, 7)
+    values = np.exp(-2.0 * np.sqrt(n))
+    values[2] = np.nan
+    slope, intercept, r2 = decay_fit(n, values)
+    assert slope == pytest.approx(-2.0, abs=1e-10)
+    assert intercept == pytest.approx(0.0, abs=1e-10)
+    assert r2 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_caccioppoli_ratios_finite_and_guarded():
