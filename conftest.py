@@ -17,8 +17,10 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 def pytest_configure(config):
     # a silently dropped coarse column can move the error by an order of magnitude;
     # a sparse Gram path that densifies or assigns into CSR should fail, not warn;
-    # an ill-conditioned dense solve should fail unless a test expects it
+    # an ill-conditioned dense solve should fail unless a test expects it;
+    # an overflow, a division by zero or an invalid operation in numpy should fail
     for line in ("error:dropped [0-9]+ dependent coarse columns:UserWarning",
                  "error::scipy.sparse.SparseEfficiencyWarning",
-                 "error::scipy.linalg.LinAlgWarning"):
+                 "error::scipy.linalg.LinAlgWarning",
+                 "error::RuntimeWarning"):
         config.addinivalue_line("filterwarnings", line)

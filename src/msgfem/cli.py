@@ -30,7 +30,7 @@ __all__ = ["Problem", "build_problem", "run", "main", "source_function"]
 
 
 def source_function(spec: str):
-    """Source terms: ``constant:c`` or ``sine`` (the separable sine load)."""
+    """Source terms: ``constant:c``."""
     parts = spec.strip().split(":")
     if parts[0] == "constant":
         if len(parts) != 2:
@@ -39,8 +39,6 @@ def source_function(spec: str):
         if not np.isfinite(c):
             raise ConfigError(f"source value must be finite, got {parts[1]}")
         return lambda x, y: np.full_like(np.asarray(x, dtype=float), c)
-    if parts[0] == "sine" and len(parts) == 1:
-        return lambda x, y: 2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
     raise ConfigError(f"unknown source spec {spec!r}")
 
 
@@ -69,10 +67,11 @@ def build_problem(config: RunConfig) -> Problem:
         decomp = build_decomposition(mesh, config.grid_m, config.overlap_layers,
                                      config.oversampling_layers)
         pou = build_pou(mesh, decomp)
+        asm = DGAssembler(mesh, coef, config.gamma0)
     except ValueError as exc:   # a ConfigError too: every message is kept as it is
         raise ConfigError(str(exc)) from exc
     return Problem(config=config, mesh=mesh, coefficient=coef, f=f, decomp=decomp,
-                   pou=pou, forms=GlobalForms(DGAssembler(mesh, coef, config.gamma0), f))
+                   pou=pou, forms=GlobalForms(asm, f))
 
 
 def _fmt(x) -> str:

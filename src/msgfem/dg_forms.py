@@ -103,6 +103,11 @@ def _edge_mass(P, Q):
     return 2.0 * outer(P, P) + outer(P, Q) + outer(Q, P) + 2.0 * outer(Q, Q)
 
 
+def _weight_numerator(g0sq, h, nu1, nu2):
+    """``(g0sq / h) * 2 nu1 nu2``, a face weight times ``nu1 + nu2``; arrays or floats."""
+    return (g0sq / h) * 2.0 * nu1 * nu2
+
+
 def _minus_consistency(pen, scale, jump, flux):
     """Penalty blocks minus the consistency term ``scale * jump flux^T`` and its transpose."""
     cons = scale[:, None, None] * np.einsum("fi,fj->fij", jump, flux)
@@ -121,7 +126,7 @@ class DGAssembler:
     over the local dofs of that set, ordered per element as in
     ``subdomain_dofs``.  The gather order (volume, then interior faces, then
     boundary faces, each in table order) is fixed, so repeated assembly is
-    bit-reproducible.
+    bit-reproducible.  A face weight numerator outside [1e-150, 1e150] raises.
     """
 
     def __init__(self, mesh, coefficient, gamma0: float):
@@ -132,6 +137,15 @@ class DGAssembler:
         self.mesh = mesh
         self.coefficient = coefficient
         self.gamma0 = float(gamma0)
+        # every face's numerator lies between these two, since rounding is monotone;
+        # inside [1e-150, 1e150] the row sums and squared norms stay finite
+        g0sq, nu, h = self.gamma0 * self.gamma0, coefficient.values, mesh.iface_h
+        lo = _weight_numerator(g0sq, float(h.max()), float(nu.min()), float(nu.min()))
+        hi = _weight_numerator(g0sq, float(h.min()), float(nu.max()), float(nu.max()))
+        if not 1e-150 <= lo <= hi <= 1e150:
+            raise ValueError(f"face weight numerator (gamma0_sq / h_F) * 2 nu_1 nu_2 spans "
+                             f"[{lo:.3g}, {hi:.3g}], outside [1e-150, 1e150]: the "
+                             f"coefficient or gamma0_sq is out of range for this mesh")
 
     @cached_property
     def _tables(self) -> dict:
@@ -149,7 +163,7 @@ class DGAssembler:
 
         e1, e2 = mesh.iface_elems[:, 0], mesh.iface_elems[:, 1]
         nu1, nu2, hF = nu[e1], nu[e2], mesh.iface_h
-        g2 = (g0sq / hF) * 2.0 * nu1 * nu2 / (nu1 + nu2)
+        g2 = _weight_numerator(g0sq, hF, nu1, nu2) / (nu1 + nu2)
         # jump selectors over the 6 local dofs [elem1 | elem2] at both endpoints
         Sp = np.zeros((hF.size, 6))
         Sq = np.zeros((hF.size, 6))

@@ -274,19 +274,17 @@ def error_report(forms: GlobalForms, u_G: np.ndarray, u_fine: np.ndarray) -> Err
 
     The two norm matrices of ``forms`` are assembled once for every report
     that shares it.  The error surrogate of a sweep point is its solution's
-    ``max_sqrt_lambda_next``.
+    ``max_sqrt_lambda_next``.  A norm that is not finite is a :class:`SolverError`.
     """
-    Bp = forms.Bplus
-    Mv = forms.mass
-    diff = u_G - u_fine
+    Bp, Mv, diff = forms.Bplus, forms.mass, u_G - u_fine
 
     def norm(mat, v):
-        return float(np.sqrt(max(float(v @ (mat @ v)), 0.0)))
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflow raises below
+            return float(np.sqrt(max(float(v @ (mat @ v)), 0.0)))
 
-    eb = norm(Bp, diff)
-    el = norm(Mv, diff)
-    rb = norm(Bp, u_fine)
-    rl = norm(Mv, u_fine)
+    eb, el, rb, rl = norm(Bp, diff), norm(Mv, diff), norm(Bp, u_fine), norm(Mv, u_fine)
+    if not np.isfinite([eb, el, rb, rl]).all():
+        raise SolverError(f"error report norms are not finite: {eb}, {el}, {rb}, {rl}")
     return ErrorReport(rel_bplus_error=eb / rb if rb > 0 else eb,
                        rel_l2_error=el / rl if rl > 0 else el)
 

@@ -62,7 +62,8 @@ def scaled_residual(A, x, b) -> float:
     scaled form stays near machine precision for any healthy solve.  ``A``
     is a dense array or a sparse matrix.  Matrix right-hand sides are
     measured column by column, a block of columns at a time, and the worst
-    is returned.
+    is returned.  A non-finite ``x``, or an overflow, gives a NaN ratio,
+    which counts as infinite.
     """
     a_inf = float(abs(A).sum(axis=1).max())
     x = x.reshape(x.shape[0], -1)
@@ -70,10 +71,11 @@ def scaled_residual(A, x, b) -> float:
     worst = 0.0
     for s in range(0, x.shape[1], _RESIDUAL_BLOCK):
         xs, bs = x[:, s:s + _RESIDUAL_BLOCK], b[:, s:s + _RESIDUAL_BLOCK]
-        num = np.linalg.norm(A @ xs - bs, axis=0)
-        den = np.linalg.norm(bs, axis=0) + a_inf * np.linalg.norm(xs, axis=0)
-        worst = max(worst, float(np.max(np.divide(num, den, out=np.zeros_like(num),
-                                                  where=den > 0), initial=0.0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            num = np.linalg.norm(A @ xs - bs, axis=0)
+            den = np.linalg.norm(bs, axis=0) + a_inf * np.linalg.norm(xs, axis=0)
+            ratio = np.divide(num, den, out=np.zeros_like(num), where=den != 0)  # NaN den: NaN
+        worst = max(worst, float(np.max(np.where(np.isnan(ratio), np.inf, ratio), initial=0.0)))
     return worst
 
 
@@ -84,7 +86,7 @@ def solve_checked(solve, A, b, name: str):
     contrast.  Raises :class:`SolverError` naming the ``name`` solve when it
     exceeds the tolerance, column by column, or when ``solve`` breaks down.
     """
-    if np.linalg.norm(b) == 0.0:
+    if not np.any(b):
         return np.zeros_like(b)
     try:
         x = solve(b)

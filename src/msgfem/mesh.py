@@ -87,16 +87,12 @@ class Coefficient:
         object.__setattr__(self, "values", values)
 
     @property
-    def nu_min(self) -> float:
-        return float(self.values.min())
-
-    @property
     def nu_max(self) -> float:
         return float(self.values.max())
 
     @property
     def contrast(self) -> float:
-        return self.nu_max / self.nu_min
+        return self.nu_max / float(self.values.min())
 
 
 def _element_geometry(vertices, elements):
@@ -163,18 +159,16 @@ def _build_mesh(vertices, elements, structured_n):
                             local_positions(iface_elems[:, 1], iface_pairs)], axis=1)
     bface_local = local_positions(bface_elem, bface_pairs)
 
-    def outward_normal(elems, verts):
+    def outward_normal(loc, verts):
         t = vertices[verts[:, 1]] - vertices[verts[:, 0]]
         nrm = np.stack([t[:, 1], -t[:, 0]], axis=1)
         nrm /= np.linalg.norm(nrm, axis=1)[:, None]
-        centroid = vertices[elements[elems]].mean(axis=1)
-        mid = 0.5 * (vertices[verts[:, 0]] + vertices[verts[:, 1]])
-        flip = np.sum(nrm * (mid - centroid), axis=1) < 0.0
-        nrm[flip] *= -1.0
+        # CCW elements: (t_y, -t_x) points out exactly when the pair runs CCW
+        nrm[(loc[:, 1] - loc[:, 0]) % 3 != 1] *= -1.0
         return nrm
 
-    iface_normal = outward_normal(iface_elems[:, 0], iface_pairs)
-    bface_normal = outward_normal(bface_elem, bface_pairs)
+    iface_normal = outward_normal(iface_local[:, 0], iface_pairs)
+    bface_normal = outward_normal(bface_local, bface_pairs)
 
     incidence = sp.csr_matrix(
         (np.ones(3 * ne, dtype=bool), elements.ravel(), np.arange(0, 3 * ne + 1, 3)),

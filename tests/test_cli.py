@@ -98,9 +98,6 @@ def test_serialize_round_trip():
 def test_source_functions():
     f = source_function("constant:2.5")
     assert np.all(f(np.zeros(3), np.zeros(3)) == 2.5)
-    g = source_function("sine")
-    x = np.array([0.25])
-    assert g(x, x) == pytest.approx(2 * np.pi ** 2 * np.sin(np.pi / 4) ** 2)
     with pytest.raises(ConfigError):
         source_function("ramp:1")
 
@@ -236,17 +233,37 @@ def test_kernel_gram_breakdown_is_a_pipeline_failure(tmp_path, capsys):
     assert not (tmp_path / "o" / "errors.csv").exists()
 
 
-def test_solve_breakdown_in_the_suite_is_one_stderr_line(tmp_path, capsys):
-    # the face weight 2 nu1 nu2 overflows at this coefficient, which leaves the
-    # masked system of the suite's harmonicity sample singular
-    cfg = tmp_path / "huge.cfg"
-    cfg.write_text("mesh_n = 8\ngrid_m = 2\noversampling_layers = 1\n"
-                   "coefficient = constant:1e200\nchecks = only\n")
+def test_solve_breakdown_in_the_suite_is_one_stderr_line(tmp_path, capsys, monkeypatch):
+    # a factorization that fails leaves the masked system of the suite's
+    # harmonicity sample singular
+    def singular(A):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(msgfem.local_problems.spla, "splu", singular)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("mesh_n = 8\ngrid_m = 2\noversampling_layers = 1\nchecks = only\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "property suite failure: local system is singular" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o" / "checks.json").exists()
+
+
+@pytest.mark.parametrize("keys", [
+    "coefficient = constant:1e200\nchecks = only\n",
+    "coefficient = log_uniform:1:1e200\nchecks = off\n",
+    "gamma0_sq = 1e307\nchecks = off\n",
+    "coefficient = constant:1e-200\ncoarse_n_sweep = 1,2,3,4,5\n",
+    "coefficient = constant:1e-160\ncoarse_n_sweep = 1,2,3,4,5\n",
+], ids=["huge", "huge-spread", "huge-penalty", "tiny", "tiny-subnormal"])
+def test_face_weight_out_of_range_is_config_error(tmp_path, capsys, keys):
+    # the penalty's 2 nu_1 nu_2 overflows, or underflows, or gamma0_sq leaves
+    # no headroom for the row sums
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text("mesh_n = 8\ngrid_m = 2\noversampling_layers = 1\n" + keys)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "face weight" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_repeated_sweep_value_leaves_no_fit(tmp_path):

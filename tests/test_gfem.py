@@ -185,6 +185,13 @@ def test_error_report_reuses_norms_bit_for_bit(problem):
     assert forms.Bplus is forms.Bplus and forms.mass is forms.mass
 
 
+def test_error_report_rejects_a_non_finite_norm(problem):
+    # the squared norms of a solution scaled this far overflow
+    forms, u_fine = problem[5], problem[6]
+    with pytest.raises(SolverError, match="not finite"):
+        error_report(forms, u_fine, 1e200 * u_fine)
+
+
 def test_dependent_columns_are_dropped(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     with pytest.warns(UserWarning, match="dependent coarse"):

@@ -12,7 +12,8 @@ from msgfem.dg_forms import DGAssembler, nested_dofs
 from msgfem.errors import SolverError
 from msgfem.gfem import GlobalForms, solve_msgfem
 from msgfem.local_problems import (LocalSpectralData, MaskedSystem, compute_local_data,
-                                   eigenproblem, particular_solution, select_coarse)
+                                   eigenproblem, particular_solution, scaled_residual,
+                                   select_coarse, solve_checked)
 from msgfem.mesh import Coefficient, build_structured_mesh, coefficient_field
 from msgfem.space_ops import PartitionOfUnity, build_pou, h0_dofs
 from msgfem.verification import decay_fit, fine_solve
@@ -263,6 +264,14 @@ def test_basis_solve_residual_is_checked(setting, monkeypatch):
     with pytest.raises(SolverError, match="local harmonic basis residual"):
         particular_solution(DGAssembler(mesh, coef, G0), source_one,
                             decomp.omega(0), decomp.omega_star(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_solution_fails_the_checked_solve(bad):
+    A = np.eye(2)
+    with pytest.raises(SolverError, match="residual inf exceeds"):
+        solve_checked(lambda b: np.array([bad, 1.0]), A, np.ones(2), "probe")
+    assert scaled_residual(A, np.array([bad, 1.0]), np.array([bad, 1.0])) == np.inf
 
 
 def test_zero_source_gives_zero_solution(setting):

@@ -83,14 +83,14 @@ def test_constant_coefficient():
     mesh = build_structured_mesh(4)
     coef = coefficient_field(mesh, "constant:1")
     assert np.all(coef.values == 1.0)
-    assert coef.nu_min == coef.nu_max == 1.0
+    assert coef.nu_max == coef.contrast == 1.0
 
 
 def test_coefficient_extremes_follow_its_values():
     values = np.array([3.0, 0.5, 7.0, 2.0])
     coef = Coefficient(values=values)
-    assert coef.nu_min == values.min() and coef.nu_max == values.max()
-    assert coef.contrast == 14.0
+    assert coef.nu_max == values.max()
+    assert coef.contrast == values.max() / values.min() == 14.0
 
 
 def test_checkerboard_parity_oracle():
@@ -188,6 +188,24 @@ def test_boundary_normals_point_out_of_square():
     outward = mids + 1e-3 * mesh.bface_normal
     inside = ((outward >= 0) & (outward <= 1)).all(axis=1)
     assert not inside.any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_normals_point_out_of_their_element(n):
+    mesh = build_structured_mesh(n)
+    verts = mesh.vertices[mesh.elements]
+    e1, e2 = mesh.iface_elems[:, 0], mesh.iface_elems[:, 1]
+    mid = mesh.vertices[mesh.elements[e1[:, None], mesh.iface_local[:, 0]]].mean(axis=1)
+    nrm = mesh.iface_normal
+    assert (np.einsum("fd,fd->f", nrm, mid - verts[e1].mean(axis=1)) > 0).all()
+    assert (np.einsum("fd,fd->f", nrm, mid - verts[e2].mean(axis=1)) < 0).all()
+    bmid = mesh.vertices[mesh.elements[mesh.bface_elem[:, None], mesh.bface_local]].mean(axis=1)
+    # the side of the square a boundary face lies on: x = 0, x = 1, y = 0, y = 1
+    side = np.select([bmid[:, 0] == 0, bmid[:, 0] == 1, bmid[:, 1] == 0, bmid[:, 1] == 1],
+                     [0, 1, 2, 3], -1)
+    assert (side >= 0).all()
+    axes = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+    assert np.array_equal(mesh.bface_normal, axes[side])
 
 
 def test_reference_triangle():
