@@ -30,7 +30,7 @@ __all__ = ["Problem", "build_problem", "run", "main", "source_function"]
 
 
 def source_function(spec: str):
-    """Source terms: ``constant:c``."""
+    """Source terms: ``constant:c``, with ``c`` zero or ``|c|`` in [1e-150, 1e150]."""
     parts = spec.strip().split(":")
     if parts[0] == "constant":
         if len(parts) != 2:
@@ -38,6 +38,9 @@ def source_function(spec: str):
         c = float(parts[1])
         if not np.isfinite(c):
             raise ConfigError(f"source value must be finite, got {parts[1]}")
+        # outside it the load vector and the error norms overflow or underflow
+        if c != 0 and not 1e-150 <= abs(c) <= 1e150:
+            raise ConfigError(f"source {spec} is outside [1e-150, 1e150] in magnitude")
         return lambda x, y: np.full_like(np.asarray(x, dtype=float), c)
     raise ConfigError(f"unknown source spec {spec!r}")
 

@@ -293,7 +293,7 @@ def max_sqrt_lambda_next(locals_: list, coarse: CoarseSpace) -> float:
     """Largest next-eigenvalue root over the subdomains, the error surrogate."""
     worst = 0.0
     for data, n_j in zip(locals_, coarse.n_j):
-        if n_j < data.n_modes:
+        if n_j < data.eigenvalues.size:
             lam = data.eigenvalues[n_j]
             worst = max(worst, float(np.sqrt(lam)) if np.isfinite(lam) else np.inf)
     return worst
@@ -311,7 +311,8 @@ def solve_msgfem(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
     coarse, u_p = assemble_coarse(mesh, decomp, pou, locals_, forms.B, forms.F, forms.H)
     solutions = []
     for rule in rules:
-        space, u_s = solve_coarse(coarse, [select_coarse(d, rule) for d in locals_])
+        n_j = [select_coarse(d.eigenvalues, rule, d.j) for d in locals_]
+        space, u_s = solve_coarse(coarse, n_j)
         solutions.append(MSGFEMSolution(
             u_p=u_p, u_s=u_s, coarse=space,
             max_sqrt_lambda_next=max_sqrt_lambda_next(locals_, space)))

@@ -49,10 +49,6 @@ class LocalSpectralData:
     eigenvalues: np.ndarray
     modes: np.ndarray           # (ndof(omega_j), n_kept)
 
-    @property
-    def n_modes(self) -> int:
-        return self.eigenvalues.size
-
 
 def scaled_residual(A, x, b) -> float:
     """Backward-error style residual ``|Ax-b| / (|b| + |A| |x|)``.
@@ -84,13 +80,14 @@ def solve_checked(solve, A, b, name: str):
 
     A healthy direct solve meets the scaled residual at roundoff whatever the
     contrast.  Raises :class:`SolverError` naming the ``name`` solve when it
-    exceeds the tolerance, column by column, or when ``solve`` breaks down.
+    exceeds the tolerance, column by column, or when ``solve`` breaks down,
+    an ill-conditioning warning raised as an error included.
     """
     if not np.any(b):
         return np.zeros_like(b)
     try:
         x = solve(b)
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, la.LinAlgWarning) as exc:
         raise SolverError(f"{name} broke down: {exc}") from exc
     res = scaled_residual(A, x, b)
     if res > RESIDUAL_TOL:
@@ -143,20 +140,18 @@ class MaskedSystem:
 
 
 def particular_solution(asm: DGAssembler, f, omega, omega_star):
-    """Local source solution and harmonic basis of one oversampling domain.
+    """Local source solution of one oversampling domain, and the system it is solved on.
 
-    Both are solved on one :class:`MaskedSystem`.  Returns
-    ``(particular, basis)``: ``basis`` holds the harmonic extensions of unit
-    data, one column per layer dof, and so spans the locally harmonic space;
-    ``particular`` is the masked solution for the source ``f``, cut down to
-    the overlap subdomain ``omega``.
+    Returns ``(particular, system)``: ``system`` is the domain's factored
+    :class:`MaskedSystem`, on which :func:`eigenproblem` builds the harmonic
+    basis; ``particular`` is the masked solution for the source ``f``, cut
+    down to the overlap subdomain ``omega``.
     """
     system = MaskedSystem(asm, omega_star)
-    basis = system.harmonic_extension()
-    psi = np.zeros(basis.shape[0])
+    psi = np.zeros(3 * len(omega_star))
     psi[system.free] = solve_checked(system.lu.solve, system.Aff,
                                      asm.load(f, omega_star)[system.free], "local source")
-    return psi[nested_dofs(omega, omega_star)], basis
+    return psi[nested_dofs(omega, omega_star)], system
 
 
 def symmetric_part(X):
@@ -167,29 +162,34 @@ def symmetric_part(X):
 
 
 def eigenproblem(asm: DGAssembler, pou: PartitionOfUnity, j: int, omega, omega_star,
-                 basis: np.ndarray):
+                 system: MaskedSystem, rules):
     """Spectral problem selecting the locally optimal coarse directions.
 
     Left form: energy of the weight-interpolated restriction to the overlap
     subdomain.  Right form: energy on the oversampling domain.  Both are
     congruence images of the positive form, hence symmetric PSD; kernel
     directions of the right form (the constants, on interior subdomains)
-    come out as leading infinite eigenvalues.  ``basis`` is the harmonic
-    basis of ``omega_star``.
+    come out as leading infinite eigenvalues.  The pencil is posed on the
+    harmonic basis of ``omega_star``, built here on the factored ``system``.
+    Returns every eigenvalue, sorted descending with the kernel's ``inf``
+    first, and on ``omega`` the most leading modes any of the ``rules`` keeps.
 
     The kernel of the right form is split off first; the finite spectrum is
     computed on the complement that is orthogonal to the kernel in the left
     inner product, which makes the raw residual ``A x - lambda M x`` vanish
-    and reproduces the true pencil eigenvalues.  Beside ``basis`` the widest
+    and reproduces the true pencil eigenvalues.  Beside the basis the widest
     temporaries are its product with the right form's matrix, then the
     weighted restriction to ``omega`` and its product; each layer x layer
     pencil matrix is freed once consumed.
     """
+    basis = system.harmonic_extension()
+    idx = nested_dofs(omega, omega_star)
     if basis.shape[1] == 0:
-        return np.empty(0), np.empty((0, 0))
+        values = np.empty(0)
+        return values, np.empty((idx.size, max(select_coarse(values, r, j) for r in rules)))
     # the right form first: its product with the basis is the widest temporary
     M = symmetric_part(basis.T @ (asm.matrix(omega_star, "Bplus") @ basis))
-    W = basis[nested_dofs(omega, omega_star), :]
+    W = basis[idx, :]
     W *= pou.dof_weights(asm.mesh, j, omega)[:, None]
     A = symmetric_part(W.T @ (asm.matrix(omega, "Bplus") @ W))
     del W
@@ -224,24 +224,30 @@ def eigenproblem(asm: DGAssembler, pou: PartitionOfUnity, j: int, omega, omega_s
     if np.any(values < -RESIDUAL_TOL):
         raise SolverError("negative eigenvalue beyond tolerance; assembly bug")
     # roundoff guard: the pencil is PSD so tiny negatives are noise
-    return np.maximum(values, 0.0), vectors
+    values = np.maximum(values, 0.0)
+    modes = np.empty((idx.size, max(select_coarse(values, r, j) for r in rules)))
+    # one full matrix-vector product per mode: a matrix product, or a product
+    # on a subset of the rows, may round differently
+    for k in range(modes.shape[1]):
+        modes[:, k] = (basis @ vectors[:, k])[idx]
+    return values, modes
 
 
-def select_coarse(data: LocalSpectralData, rule) -> int:
+def select_coarse(eigenvalues: np.ndarray, rule, j: int) -> int:
     """Number of leading modes chosen by a ``("fixed", n)`` or ``("threshold", tau)`` rule.
 
     Kernel modes (``inf``) always count first; a fixed count beyond the
-    available modes is a configuration error that names the subdomain.
+    available modes is a configuration error that names subdomain ``j``.
     """
     kind, value = rule
     if kind == "fixed":
         n = int(value)
-        if n < 0 or n > data.n_modes:
+        if n < 0 or n > eigenvalues.size:
             raise ConfigError(f"requested {n} coarse modes, but subdomain "
-                              f"{data.j} has only {data.n_modes}")
+                              f"{j} has only {eigenvalues.size}")
         return n
     if kind == "threshold":
-        return int(np.sum(np.sqrt(np.maximum(data.eigenvalues, 0.0)) >= float(value)))
+        return int(np.sum(np.sqrt(np.maximum(eigenvalues, 0.0)) >= float(value)))
     raise ValueError(f"unknown coarse selection rule {kind!r}")
 
 
@@ -253,9 +259,9 @@ def compute_local_data(mesh: TriMesh, asm: DGAssembler, f, decomp: Decomposition
     serves every subdomain.  ``rules`` is the run's sweep, as
     :func:`msgfem.gfem.solve_msgfem` takes it.  Each subdomain keeps every
     eigenvalue and, on its overlap subdomain, as many leading modes as the
-    sweep's rules select at most (:func:`select_coarse`); the dense basis
-    and pencil vectors it computed them from are dropped when its worker
-    returns.
+    sweep's rules select at most (:func:`select_coarse`); the factored
+    system, the dense basis and the pencil vectors it computed them from are
+    dropped when its worker returns.
     """
     if asm.mesh is not mesh:
         raise ValueError("the assembler is built on another mesh")
@@ -263,17 +269,9 @@ def compute_local_data(mesh: TriMesh, asm: DGAssembler, f, decomp: Decomposition
     def one(j: int) -> LocalSpectralData:
         omega = decomp.omega(j)
         omega_star = decomp.omega_star(j)
-        up, basis = particular_solution(asm, f, omega, omega_star)
-        values, vectors = eigenproblem(asm, pou, j, omega, omega_star, basis)
-        data = LocalSpectralData(j=j, particular=up, eigenvalues=values,
-                                 modes=np.empty((up.size, 0)))
-        data.modes = np.empty((up.size, max(select_coarse(data, r) for r in rules)))
-        idx = nested_dofs(omega, omega_star)
-        # one full matrix-vector product per mode: a matrix product, or a product
-        # on a subset of the rows, may round differently
-        for k in range(data.modes.shape[1]):
-            data.modes[:, k] = (basis @ vectors[:, k])[idx]
-        return data
+        up, system = particular_solution(asm, f, omega, omega_star)
+        values, modes = eigenproblem(asm, pou, j, omega, omega_star, system, rules)
+        return LocalSpectralData(j=j, particular=up, eigenvalues=values, modes=modes)
 
     if threads <= 1:
         # a pool worker allocates from its own malloc arena, whose freed blocks the

@@ -98,8 +98,24 @@ def test_serialize_round_trip():
 def test_source_functions():
     f = source_function("constant:2.5")
     assert np.all(f(np.zeros(3), np.zeros(3)) == 2.5)
+    # zero has the exact zero solution; the range's ends are admitted
+    for c in (0.0, 1e150, -1e150, 1e-150, -1e-150):
+        assert np.all(source_function(f"constant:{c!r}")(np.zeros(3), np.zeros(3)) == c)
     with pytest.raises(ConfigError):
         source_function("ramp:1")
+
+
+@pytest.mark.parametrize("c", ["1e300", "-1e300", "1e160", "1e-160", "1e-200", "1e-300"])
+def test_source_outside_the_double_range_is_config_error(tmp_path, capsys, c):
+    # unchecked, these either overflowed in a local solve or an error norm, or
+    # underflowed to error rows of exactly 0.0 that claimed an exact solution
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"mesh_n = 8\ngrid_m = 2\noversampling_layers = 1\n"
+                   f"coarse_n_sweep = 1,2,3,4,5\nchecks = off\nsource = constant:{c}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (f"config error: source constant:{c} is outside "
+                                       f"[1e-150, 1e150] in magnitude\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_produces_all_artifacts(tmp_path):
@@ -287,7 +303,7 @@ def test_eigenvalue_export_format(tmp_path):
     problem = build_problem(cfg)
     locals_ = compute_local_data(problem.mesh, problem.forms.asm, problem.f, problem.decomp,
                                  problem.pou, cfg.sweep_values())
-    assert len(rows) == sum(d.n_modes for d in locals_)
+    assert len(rows) == sum(d.eigenvalues.size for d in locals_)
     assert [(int(j), int(k), float(lam)) for j, k, lam, _ in rows] == \
         [(d.j, k, lam) for d in locals_ for k, lam in enumerate(d.eigenvalues)]
     for _, _, lam, is_inf in rows:
@@ -321,6 +337,17 @@ def test_high_contrast_coarse_solve_meets_the_scaled_contract(tmp_path):
     with pytest.warns(LinAlgWarning):
         assert run(cfg, out_dir=tmp_path) == 0
     assert len((tmp_path / "errors.csv").read_text().strip().splitlines()) == 1 + 4
+
+
+def test_ill_conditioned_kernel_gram_raised_as_an_error_is_a_pipeline_failure(tmp_path,
+                                                                             capsys):
+    # the test session raises LinAlgWarning, as PYTHONWARNINGS=error::RuntimeWarning
+    # does for the CLI: the kernel Gram's rcond here is about 1.8e-18
+    assert run(parse_config(HIGH_CONTRAST), out_dir=tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline failure: kernel Gram broke down: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "errors.csv").exists()
 
 
 def test_high_contrast_rows_match_the_b_best_approximation(tmp_path):
@@ -362,7 +389,7 @@ def test_high_contrast_rows_match_the_b_best_approximation(tmp_path):
         blocks = []
         for data in locals_:
             omega = decomp.omega(data.j)
-            block = np.zeros((e.size, select_coarse(data, rule)))
+            block = np.zeros((e.size, select_coarse(data.eigenvalues, rule, data.j)))
             block[subdomain_dofs(omega)] = (pou.dof_weights(mesh, data.j, omega)[:, None]
                                             * data.modes[:, :block.shape[1]])
             blocks.append(block)

@@ -41,7 +41,7 @@ def problem():
 
 def _kept(locals_, rule):
     """Local data as the local stage keeps it for ``rule``: its leading modes."""
-    return [replace(d, modes=d.modes[:, :select_coarse(d, rule)]) for d in locals_]
+    return [replace(d, modes=d.modes[:, :select_coarse(d.eigenvalues, rule, d.j)]) for d in locals_]
 
 
 def _doctored(locals_):
@@ -74,7 +74,7 @@ def _oracle_point(mesh, decomp, pou, locals_, rule, B, F, H):
     for data in locals_:
         omega = decomp.omega(data.j)
         dofs = subdomain_dofs(omega)
-        n = select_coarse(data, rule)
+        n = select_coarse(data.eigenvalues, rule, data.j)
         blended = pou.dof_weights(mesh, data.j, omega)[:, None] * data.modes[:, :n]
         Q, kept = _h_orthonormal(blended, H[dofs][:, dofs])
         dropped += [(data.j, k) for k in range(n) if k not in kept]
@@ -291,7 +291,7 @@ def _assert_matches_oracle(problem, locals_, rules, solutions):
         assert np.array_equal(sol.u_s, u_s), rule
         assert sol.coarse.n_total == n_total, rule
         assert sol.coarse.dropped == dropped, rule
-        assert sol.coarse.n_j.tolist() == [select_coarse(d, rule) for d in locals_]
+        assert sol.coarse.n_j.tolist() == [select_coarse(d.eigenvalues, rule, d.j) for d in locals_]
 
 
 def test_one_pass_sweep_matches_per_point_oracle(problem):
@@ -311,7 +311,7 @@ def test_one_pass_sweep_matches_per_point_oracle(problem):
                                 forms.B, forms.F, forms.H)
     for tau in (0.05, 0.2):
         rule = ("threshold", tau)
-        n_j = [select_coarse(d, rule) for d in locals_]
+        n_j = [select_coarse(d.eigenvalues, rule, d.j) for d in locals_]
         assert len(set(n_j)) == 2
         space, u_s = solve_coarse(coarse, n_j)
         assert np.array_equal(
@@ -336,11 +336,35 @@ def test_duplicate_column_dropped_at_exactly_the_points_holding_it(problem):
 
 def test_sweep_beyond_available_modes_names_the_subdomain(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    fewest = min(locals_, key=lambda d: d.n_modes)
+    fewest = min(locals_, key=lambda d: d.eigenvalues.size)
     with pytest.raises(ValueError, match=f"subdomain {fewest.j} has only"):
         solve_msgfem(mesh, decomp, pou, locals_, forms,
-                     [("fixed", 2), ("fixed", fewest.n_modes + 1)])
+                     [("fixed", 2), ("fixed", fewest.eigenvalues.size + 1)])
 
+
+
+@pytest.mark.parametrize("spec", ["constant:1", "checkerboard:10000:8", "channels:100:4",
+                                  "log_uniform:1e-3:1e3"])
+def test_threshold_rule_certifies_its_accuracy(spec):
+    """``threshold:tau`` bounds the relative error by ``tau``.
+
+    The rule keeps every mode with ``sqrt(lambda) >= tau``, so the surrogate
+    ``max sqrt(lambda_{n+1})`` is below ``tau``, and criterion 7 (error at
+    most the surrogate) then bounds the error.  At (32, 4) with 3
+    oversampling layers the largest error-to-surrogate ratio of these eight
+    rows is 0.46 (the checkerboard at tau = 0.03).
+    """
+    mesh = build_structured_mesh(32)
+    decomp = build_decomposition(mesh, 4, 2, 3)
+    pou = build_pou(mesh, decomp)
+    asm = DGAssembler(mesh, coefficient_field(mesh, spec, seed=0), G0)
+    rules = [("threshold", 0.1), ("threshold", 0.03)]
+    locals_ = compute_local_data(mesh, asm, source_one, decomp, pou, rules)
+    forms = GlobalForms(asm, source_one)
+    u_fine = fine_solve(forms)
+    for (_, tau), sol in zip(rules, solve_msgfem(mesh, decomp, pou, locals_, forms, rules)):
+        err = error_report(forms, sol.u_G, u_fine).rel_bplus_error
+        assert err <= sol.max_sqrt_lambda_next < tau, (tau, err, sol.max_sqrt_lambda_next)
 
 # -- H-orthonormal subdomain columns -----------------------------------------
 

@@ -11,9 +11,9 @@ from msgfem.decomposition import build_decomposition, d_minus
 from msgfem.dg_forms import DGAssembler, nested_dofs
 from msgfem.errors import SolverError
 from msgfem.gfem import GlobalForms, solve_msgfem
-from msgfem.local_problems import (LocalSpectralData, MaskedSystem, compute_local_data,
-                                   eigenproblem, particular_solution, scaled_residual,
-                                   select_coarse, solve_checked)
+from msgfem.local_problems import (MaskedSystem, compute_local_data, eigenproblem,
+                                   particular_solution, scaled_residual, select_coarse,
+                                   solve_checked)
 from msgfem.mesh import Coefficient, build_structured_mesh, coefficient_field
 from msgfem.space_ops import PartitionOfUnity, build_pou, h0_dofs
 from msgfem.verification import decay_fit, fine_solve
@@ -49,9 +49,9 @@ def harmonic_basis(asm, omega_star):
 
 
 def eigen(mesh, coef, pou, j, omega, omega_star):
-    """The spectral problem of one subdomain on its own harmonic basis."""
+    """The spectral problem of one subdomain on its own masked system."""
     asm = DGAssembler(mesh, coef, G0)
-    return eigenproblem(asm, pou, j, omega, omega_star, harmonic_basis(asm, omega_star))
+    return eigenproblem(asm, pou, j, omega, omega_star, MaskedSystem(asm, omega_star), FIXED)
 
 
 # -- oracles: the separate source solve and harmonic basis this module replaced
@@ -123,8 +123,8 @@ def _oracle_eigenproblem(asm, pou, j, omega, omega_star, basis):
 
 
 def _modes(asm, pou, j, omega, omega_star, basis, n):
-    """The first ``n`` modes on ``omega``, one matrix-vector product each."""
-    _, vectors = eigenproblem(asm, pou, j, omega, omega_star, basis)
+    """The first ``n`` oracle modes on ``omega``, one matrix-vector product each."""
+    _, vectors = _oracle_eigenproblem(asm, pou, j, omega, omega_star, basis)
     idx = nested_dofs(omega, omega_star)
     return [(basis @ vectors[:, k])[idx] for k in range(n)]
 
@@ -132,9 +132,9 @@ def _modes(asm, pou, j, omega, omega_star, basis, n):
 def _assert_matches_oracles(asm, decomp):
     for j in range(decomp.n_subdomains):
         om, oms = decomp.omega(j), decomp.omega_star(j)
-        up, basis = particular_solution(asm, source_one, om, oms)
+        up, system = particular_solution(asm, source_one, om, oms)
         assert np.array_equal(up, _oracle_particular(asm, source_one, om, oms))
-        assert np.array_equal(basis, _oracle_harmonic_basis(asm, oms))
+        assert np.array_equal(system.harmonic_extension(), _oracle_harmonic_basis(asm, oms))
 
 
 def test_one_factorization_matches_separate_solves_bit_for_bit(setting):
@@ -165,7 +165,7 @@ def test_local_stage_hands_over_the_selected_modes_alone(setting, rules, largest
     for d in locals_:
         om, oms = decomp.omega(d.j), decomp.omega_star(d.j)
         n_layer = 3 * oms.size - h0_dofs(mesh, oms).size
-        n = select_coarse(d, largest)
+        n = select_coarse(d.eigenvalues, largest, d.j)
         kept.append(n)
         arrays = {k: v for k, v in vars(d).items() if isinstance(v, np.ndarray)}
         assert set(arrays) == {"particular", "eigenvalues", "modes"}
@@ -174,10 +174,11 @@ def test_local_stage_hands_over_the_selected_modes_alone(setting, rules, largest
         # one eigenvalue per layer dof, for eigenvalues.csv; nothing else that large
         assert d.eigenvalues.shape == (n_layer,)
         assert n_layer not in d.modes.shape + d.particular.shape
-        up, basis = particular_solution(asm, source_one, om, oms)
-        values, _ = eigenproblem(asm, pou, d.j, om, oms, basis)
+        up, system = particular_solution(asm, source_one, om, oms)
+        values, _ = eigenproblem(asm, pou, d.j, om, oms, system, rules)
         assert np.array_equal(d.particular, up)
         assert np.array_equal(d.eigenvalues, values)
+        basis = harmonic_basis(asm, oms)
         for k, mode in enumerate(_modes(asm, pou, d.j, om, oms, basis, n)):
             assert np.array_equal(d.modes[:, k], mode)
     assert min(kept) >= 1
@@ -258,12 +259,11 @@ class _DoctoredLU:
 
 
 def test_basis_solve_residual_is_checked(setting, monkeypatch):
-    mesh, coef, decomp, _ = setting
+    mesh, coef, decomp, pou = setting
     splu = local_problems.spla.splu
     monkeypatch.setattr(local_problems.spla, "splu", lambda A: _DoctoredLU(splu(A)))
     with pytest.raises(SolverError, match="local harmonic basis residual"):
-        particular_solution(DGAssembler(mesh, coef, G0), source_one,
-                            decomp.omega(0), decomp.omega_star(0))
+        eigen(mesh, coef, pou, 0, decomp.omega(0), decomp.omega_star(0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -404,15 +404,15 @@ def test_eigenproblem_kernel_modes_and_positivity():
     decomp = build_decomposition(mesh, 4, 2, 4)
     pou = build_pou(mesh, decomp)
     j = 5  # interior subdomain
-    values, vectors = eigen(mesh, coef, pou, j, decomp.omega(j), decomp.omega_star(j))
+    values, modes = eigen(mesh, coef, pou, j, decomp.omega(j), decomp.omega_star(j))
     assert np.isinf(values[0]) and not np.any(np.isinf(values[1:]))
     finite = values[np.isfinite(values)]
     assert np.all(finite >= 0.0)
     assert np.all(np.diff(finite) <= 1e-12)
-    # kernel coefficient vector reproduces the constant through the basis
-    basis = harmonic_basis(DGAssembler(mesh, coef, G0), decomp.omega_star(j))
-    kvec = basis @ vectors[:, 0]
+    # the kernel mode is the constant on omega
+    kvec = modes[:, 0]
     assert np.abs(kvec - kvec[0]).max() <= 1e-8 * abs(kvec[0])
+    basis = harmonic_basis(DGAssembler(mesh, coef, G0), decomp.omega_star(j))
     # the oversampled energy annihilates the constant's coefficient vector
     Bp = DGAssembler(mesh, coef, G0).matrix(decomp.omega_star(j), "Bplus")
     M = basis.T @ (Bp @ basis)
@@ -424,8 +424,8 @@ def test_kernel_gram_solve_residual_is_checked(interior, monkeypatch):
     j = 5   # interior: the constants are the right form's kernel
     om, oms = decomp.omega(j), decomp.omega_star(j)
     asm = DGAssembler(mesh, coefficient_field(mesh, "constant:1"), G0)
-    basis = harmonic_basis(asm, oms)
-    values, _ = eigenproblem(asm, pou, j, om, oms, basis)
+    system = MaskedSystem(asm, oms)
+    values, _ = eigenproblem(asm, pou, j, om, oms, system, FIXED)
     assert np.isinf(values[0]) and np.all(np.isfinite(values[1:]))
 
     solve = la.solve
@@ -435,39 +435,45 @@ def test_kernel_gram_solve_residual_is_checked(interior, monkeypatch):
 
     monkeypatch.setattr(local_problems.la, "solve", doctored)
     with pytest.raises(SolverError, match="kernel Gram residual"):
-        eigenproblem(asm, pou, j, om, oms, basis)
+        eigenproblem(asm, pou, j, om, oms, system, FIXED)
 
 
 @pytest.mark.parametrize("spec", ["constant:1", "log_uniform:1e-3:1e3"])
 def test_lean_local_stage_is_bit_identical(interior, spec):
-    # the harmonic basis against the identity's extension, the eigenpairs
-    # against the copy-everything pencil, byte for byte
+    # the harmonic basis against the identity's extension, the eigenvalues
+    # and every mode against the copy-everything pencil, byte for byte
     mesh, decomp, pou = interior
     asm = DGAssembler(mesh, coefficient_field(mesh, spec, seed=0), G0)
     for j in (0, 5):    # on the boundary, and interior with a kernel mode
         om, oms = decomp.omega(j), decomp.omega_star(j)
-        system = MaskedSystem(asm, oms)
+        _, system = particular_solution(asm, source_one, om, oms)
         basis = system.harmonic_extension()
-        assert particular_solution(asm, source_one, om, oms)[1].tobytes() == basis.tobytes()
-        values, vectors = eigenproblem(asm, pou, j, om, oms, basis)
+        assert basis.tobytes() == _oracle_harmonic_basis(asm, oms).tobytes()
+        n_layer = system.layer.size
+        values, modes = eigenproblem(asm, pou, j, om, oms, system, [("fixed", n_layer)])
         oracle_values, oracle_vectors = _oracle_eigenproblem(asm, pou, j, om, oms, basis)
         assert np.isinf(values[0]) == (j == 5)
         assert values.tobytes() == oracle_values.tobytes()
-        assert vectors.tobytes() == oracle_vectors.tobytes()
+        idx = nested_dofs(om, oms)
+        assert modes.shape == (idx.size, n_layer)
+        for k in range(n_layer):
+            assert modes[:, k].tobytes() == (basis @ oracle_vectors[:, k])[idx].tobytes()
 
 
 def test_local_stage_holds_one_dense_block_beside_the_basis():
     """Traced allocation peaks of one interior subdomain, per byte of its basis.
 
-    At (40, 4) subdomain 5 the basis is 2688 x 438 (8.98 MiB).  Building it
-    holds the right-hand side and the solution (each 84% of the basis) and
-    then the solution and the basis; the eigenproblem holds the basis and its
-    product with the right form, then the weighted restriction and its
-    product (each 43%), with the small pencil matrices beside them.  A
-    right-hand side formed as a product and then copied, or a pencil that
-    keeps every temporary, shows here.  tracemalloc sees numpy's arrays but
-    not SuperLU's internal work array (n_free x n_layer during the basis
-    solve) or BLAS buffers, so the peak resident set is larger than these.
+    At (40, 4) subdomain 5 the basis is 2688 x 438 (8.98 MiB).  The
+    eigenproblem builds it and then solves the pencil on it, so one peak
+    covers both.  Building it holds the right-hand side and the solution
+    (each 84% of the basis) and then the solution and the basis; the pencil
+    holds the basis and its product with the right form, then the weighted
+    restriction and its product (each 43%), with the small pencil matrices
+    beside them.  A right-hand side formed as a product and then copied, or
+    a pencil that keeps every temporary, shows here.  tracemalloc sees
+    numpy's arrays but not SuperLU's internal work array (n_free x n_layer
+    during the basis solve) or BLAS buffers, so the peak resident set is
+    larger than these.
     """
     mesh = build_structured_mesh(40)
     decomp = build_decomposition(mesh, 4, 2, 4)
@@ -476,18 +482,16 @@ def test_local_stage_holds_one_dense_block_beside_the_basis():
     j = 5
     om, oms = decomp.omega(j), decomp.omega_star(j)
     asm.matrix(om, "B")     # the block tables are built once per assembler
+    _, system = particular_solution(asm, source_one, om, oms)
+    shape = (3 * oms.size, system.layer.size)   # the basis
     tracemalloc.start()
     try:
-        _, basis = particular_solution(asm, source_one, om, oms)
-        particular_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        eigenproblem(asm, pou, j, om, oms, basis)
-        eigen_peak = tracemalloc.get_traced_memory()[1]
+        eigenproblem(asm, pou, j, om, oms, system, FIXED)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert basis.shape == (2688, 438)
-    assert particular_peak <= 2.3 * basis.nbytes
-    assert eigen_peak <= 2.3 * basis.nbytes
+    assert shape == (2688, 438)
+    assert peak <= 2.3 * 8 * shape[0] * shape[1]
 
 
 def test_eigenproblem_boundary_subdomain_all_finite(setting):
@@ -539,7 +543,7 @@ def test_pencil_residuals_within_tolerance(setting):
     M = basis.T @ (asm.matrix(oms, "Bplus") @ basis)
     A = 0.5 * (A + A.T)
     M = 0.5 * (M + M.T)
-    values, vectors = eigenproblem(asm, pou, j, om, oms, basis)
+    values, vectors = _oracle_eigenproblem(asm, pou, j, om, oms, basis)
     nrm = np.linalg.norm(A, 2)
     for k in np.flatnonzero(np.isfinite(values)):
         c = vectors[:, k]
@@ -580,14 +584,12 @@ def test_threaded_results_match_serial(setting):
 
 def test_select_coarse_rules():
     vals = np.array([np.inf, 0.25, 0.04, 0.01])
-    data = LocalSpectralData(j=0, particular=np.zeros(1), eigenvalues=vals,
-                             modes=np.zeros((1, 0)))
-    assert select_coarse(data, ("fixed", 1)) == 1
-    assert select_coarse(data, ("threshold", 0.0)) == 4
+    assert select_coarse(vals, ("fixed", 1), 0) == 1
+    assert select_coarse(vals, ("threshold", 0.0), 0) == 4
     # threshold on the root: kernel plus the two modes with sqrt >= 0.2
-    assert select_coarse(data, ("threshold", 0.2)) == 3
-    assert select_coarse(data, ("threshold", 0.45)) == 2
+    assert select_coarse(vals, ("threshold", 0.2), 0) == 3
+    assert select_coarse(vals, ("threshold", 0.45), 0) == 2
+    with pytest.raises(ValueError, match="subdomain 0 has only 4"):
+        select_coarse(vals, ("fixed", 5), 0)
     with pytest.raises(ValueError):
-        select_coarse(data, ("fixed", 5))
-    with pytest.raises(ValueError):
-        select_coarse(data, ("bogus", 1))
+        select_coarse(vals, ("bogus", 1), 0)
