@@ -21,9 +21,9 @@ from .decomposition import Decomposition, build_decomposition
 from .dg_forms import DGAssembler
 from .errors import ConfigError, SolverError
 from .gfem import GlobalForms, error_report, solve_msgfem
-from .local_problems import compute_local_data
+from .local_problems import compute_local_data, select_coarse
 from .mesh import Coefficient, TriMesh, build_structured_mesh, coefficient_field
-from .space_ops import PartitionOfUnity, build_pou
+from .space_ops import PartitionOfUnity, build_pou, h0_dofs
 from .verification import decay_fit, fine_solve, run_property_suite
 
 __all__ = ["Problem", "build_problem", "run", "main", "source_function"]
@@ -52,7 +52,6 @@ class Problem:
     config: RunConfig
     mesh: TriMesh
     coefficient: Coefficient
-    f: object
     decomp: Decomposition
     pou: PartitionOfUnity
     forms: GlobalForms
@@ -73,8 +72,25 @@ def build_problem(config: RunConfig) -> Problem:
         asm = DGAssembler(mesh, coef, config.gamma0)
     except ValueError as exc:   # a ConfigError too: every message is kept as it is
         raise ConfigError(str(exc)) from exc
-    return Problem(config=config, mesh=mesh, coefficient=coef, f=f, decomp=decomp,
-                   pou=pou, forms=GlobalForms(asm, f))
+    return Problem(config=config, mesh=mesh, coefficient=coef, decomp=decomp, pou=pou,
+                   forms=GlobalForms(asm, f))
+
+
+def _check_mode_counts(problem: Problem) -> None:
+    """Reject a fixed coarse count above a subdomain's mode count before any output.
+
+    A subdomain has one mode per layer dof of its oversampling domain, which
+    the geometry alone gives, so the error :func:`select_coarse` raises once
+    the spectra are computed is raised here, for the same subdomain and rule.
+    """
+    fixed = [rule for rule in problem.config.sweep_values() if rule[0] == "fixed"]
+    if not fixed:
+        return
+    for j in range(problem.decomp.n_subdomains):
+        omega_star = problem.decomp.omega_star(j)
+        n_modes = 3 * omega_star.size - h0_dofs(problem.mesh, omega_star).size
+        for rule in fixed:
+            select_coarse(np.empty(n_modes), rule, j)
 
 
 def _fmt(x) -> str:
@@ -96,10 +112,13 @@ _ERROR_COLUMNS = ("m", "l", "lstar", "n_j", "gamma0", "contrast", "n_total",
 def run(config: RunConfig, out_dir) -> int:
     """Execute one configuration; writes artifacts and returns the exit code.
 
-    The problem is built before anything is written, so a configuration
-    error leaves no output behind.
+    The problem is built, and the fixed mode counts checked against every
+    subdomain unless only the property suite runs, before anything is
+    written, so a configuration error leaves no output behind.
     """
     problem = build_problem(config)
+    if config.checks != "only":
+        _check_mode_counts(problem)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -131,8 +150,7 @@ def _pipeline(problem: Problem, out: Path) -> int:
     config, mesh, decomp, pou = problem.config, problem.mesh, problem.decomp, problem.pou
     forms = problem.forms
     rules = config.sweep_values()
-    locals_ = compute_local_data(mesh, forms.asm, problem.f, decomp, pou, rules,
-                                 threads=config.threads)
+    locals_ = compute_local_data(mesh, forms, decomp, pou, rules, threads=config.threads)
     # every mode of every subdomain, kernel modes as inf
     _write_csv(out / "eigenvalues.csv", _EIGENVALUE_COLUMNS,
                ([data.j, k, lam, int(np.isinf(lam))]
@@ -169,8 +187,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = parse_config(args.config.read_text() if args.config else "")
-    except (ConfigError, OSError) as exc:
+        config = parse_config(args.config.read_text(encoding="utf-8") if args.config else "")
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     try:

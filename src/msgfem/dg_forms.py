@@ -200,19 +200,15 @@ class DGAssembler:
                 "H": [(vol, stiff + mass), (faces, ipen), (bnd, bpen)],
                 "mass": [(vol, mass)]}
 
-    def _members(self, D) -> np.ndarray:
-        if D is None:
-            return np.arange(self.mesh.n_elements, dtype=np.int64)
-        D = np.asarray(D, dtype=np.int64)
-        if D.size == 0:
-            raise ValueError("empty element set")
-        return D
-
     def matrix(self, D=None, kind: str = "B") -> sp.csr_matrix:
         """The ``kind`` form on the sorted element set ``D`` (the mesh if ``None``)."""
         if kind not in _KINDS:
             raise ValueError(f"unknown form kind {kind!r}")
-        D = self._members(D)
+        if D is None:
+            D = np.arange(self.mesh.n_elements, dtype=np.int64)
+        D = np.asarray(D, dtype=np.int64)
+        if D.size == 0:
+            raise ValueError("empty element set")
         slot = np.full(self.mesh.n_elements, -1, dtype=np.int64)
         slot[D] = np.arange(D.size)
         data, rows, cols = [], [], []
@@ -227,18 +223,18 @@ class DGAssembler:
         return sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
                              shape=(3 * D.size, 3 * D.size)).tocsr()
 
-    def load(self, f, D=None) -> np.ndarray:
-        """Source functional against the shape functions of the set.
+    def load(self, f) -> np.ndarray:
+        """Source functional against the shape functions of the mesh.
 
         ``f`` is a callable of ``(x, y)``; the degree-4 rule is exact for
-        sources up to cubic.
+        sources up to cubic.  The entries of an element depend on that
+        element alone, so a set's load is this vector at the set's
+        ``subdomain_dofs``.
         """
         mesh = self.mesh
-        D = self._members(D)
-        pts = np.einsum("qa,ead->eqd", _LOAD_POINTS, mesh.vertices[mesh.elements[D]])
+        pts = np.einsum("qa,ead->eqd", _LOAD_POINTS, mesh.vertices[mesh.elements])
         fv = np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float),
                              pts.shape[:2])
         # shape function i at a quadrature point equals its barycentric coordinate
-        vals = np.einsum("eq,q,qi->ei", fv, _LOAD_WEIGHTS, _LOAD_POINTS) * mesh.areas[D][:, None]
+        vals = np.einsum("eq,q,qi->ei", fv, _LOAD_WEIGHTS, _LOAD_POINTS) * mesh.areas[:, None]
         return vals.ravel()
-

@@ -8,16 +8,20 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 from .decomposition import Decomposition
-from .dg_forms import DGAssembler, nested_dofs
+from .dg_forms import DGAssembler, nested_dofs, subdomain_dofs
 from .errors import ConfigError, SolverError
 from .mesh import TriMesh
 from .space_ops import PartitionOfUnity, h0_dofs
+
+if TYPE_CHECKING:   # gfem imports this module
+    from .gfem import GlobalForms
 
 __all__ = [
     "LocalSpectralData",
@@ -99,16 +103,22 @@ class MaskedSystem:
     """The form on one oversampling domain, split at its contact layer.
 
     The masked (free) dofs impose the zero contact-layer values and the weak
-    outer-boundary condition; their block is assembled and factored once.
+    outer-boundary condition.  Every face of a masked dof's element lies in
+    ``omega_star`` under the face convention, so the masked rows of the
+    local form are rows of the global ``B``: both blocks are sliced out of
+    ``forms.B`` at ``rows``, the masked dofs' global numbers, bit for bit
+    the blocks a local assembly gives.  The masked block is factored once.
     """
 
-    def __init__(self, asm: DGAssembler, omega_star):
-        self.free = h0_dofs(asm.mesh, omega_star)
+    def __init__(self, forms: GlobalForms, omega_star):
+        self.free = h0_dofs(forms.asm.mesh, omega_star)
         self.layer = np.setdiff1d(np.arange(3 * len(omega_star)), self.free,
                                   assume_unique=True)
-        A = asm.matrix(omega_star, "B").tocsc()
-        self.Aff = A[np.ix_(self.free, self.free)].tocsc()
-        self.Afl = A[np.ix_(self.free, self.layer)]
+        dofs = subdomain_dofs(omega_star)
+        self.rows = dofs[self.free]
+        masked = forms.B[self.rows]
+        self.Aff = masked[:, self.rows].tocsc()
+        self.Afl = masked[:, dofs[self.layer]]
         try:
             self.lu = spla.splu(self.Aff)
         except RuntimeError as exc:
@@ -139,18 +149,18 @@ class MaskedSystem:
         return U
 
 
-def particular_solution(asm: DGAssembler, f, omega, omega_star):
+def particular_solution(forms: GlobalForms, omega, omega_star):
     """Local source solution of one oversampling domain, and the system it is solved on.
 
     Returns ``(particular, system)``: ``system`` is the domain's factored
     :class:`MaskedSystem`, on which :func:`eigenproblem` builds the harmonic
-    basis; ``particular`` is the masked solution for the source ``f``, cut
-    down to the overlap subdomain ``omega``.
+    basis; ``particular`` is the masked solution for the run's load
+    ``forms.F``, cut down to the overlap subdomain ``omega``.
     """
-    system = MaskedSystem(asm, omega_star)
+    system = MaskedSystem(forms, omega_star)
     psi = np.zeros(3 * len(omega_star))
-    psi[system.free] = solve_checked(system.lu.solve, system.Aff,
-                                     asm.load(f, omega_star)[system.free], "local source")
+    psi[system.free] = solve_checked(system.lu.solve, system.Aff, forms.F[system.rows],
+                                     "local source")
     return psi[nested_dofs(omega, omega_star)], system
 
 
@@ -251,26 +261,30 @@ def select_coarse(eigenvalues: np.ndarray, rule, j: int) -> int:
     raise ValueError(f"unknown coarse selection rule {kind!r}")
 
 
-def compute_local_data(mesh: TriMesh, asm: DGAssembler, f, decomp: Decomposition,
+def compute_local_data(mesh: TriMesh, forms: GlobalForms, decomp: Decomposition,
                        pou: PartitionOfUnity, rules, threads: int = 1) -> list:
     """Run all per-subdomain stages; results are ordered by subdomain index.
 
-    ``asm`` is the run's assembler on ``mesh``, so one set of block tables
-    serves every subdomain.  ``rules`` is the run's sweep, as
-    :func:`msgfem.gfem.solve_msgfem` takes it.  Each subdomain keeps every
-    eigenvalue and, on its overlap subdomain, as many leading modes as the
-    sweep's rules select at most (:func:`select_coarse`); the factored
-    system, the dense basis and the pencil vectors it computed them from are
-    dropped when its worker returns.
+    ``forms`` holds the run's assembler on ``mesh``, so one set of block
+    tables serves every subdomain, and its global ``B`` and load, whose
+    masked rows are every subdomain's system and source.  ``rules`` is the
+    run's sweep, as :func:`msgfem.gfem.solve_msgfem` takes it.  Each
+    subdomain keeps every eigenvalue and, on its overlap subdomain, as many
+    leading modes as the sweep's rules select at most (:func:`select_coarse`);
+    the factored system, the dense basis and the pencil vectors it computed
+    them from are dropped when its worker returns.
     """
-    if asm.mesh is not mesh:
+    if forms.asm.mesh is not mesh:
         raise ValueError("the assembler is built on another mesh")
+    # built here, once: a cached_property takes no lock from Python 3.12 on,
+    # so racing workers would each assemble them
+    forms.B, forms.F
 
     def one(j: int) -> LocalSpectralData:
         omega = decomp.omega(j)
         omega_star = decomp.omega_star(j)
-        up, system = particular_solution(asm, f, omega, omega_star)
-        values, modes = eigenproblem(asm, pou, j, omega, omega_star, system, rules)
+        up, system = particular_solution(forms, omega, omega_star)
+        values, modes = eigenproblem(forms.asm, pou, j, omega, omega_star, system, rules)
         return LocalSpectralData(j=j, particular=up, eigenvalues=values, modes=modes)
 
     if threads <= 1:

@@ -318,7 +318,7 @@ def run_property_suite(problem) -> SuiteReport:
 
     # harmonicity of the extensions of unit data on a spread of layer dofs
     Ds = decomp.omega_star(j_mid)
-    system = MaskedSystem(asm, Ds)
+    system = MaskedSystem(problem.forms, Ds)
     if system.layer.size:
         spread = np.linspace(0, system.layer.size - 1, 20).astype(np.int64)
         ok, worst = harmonicity_defect(asm, Ds, system.harmonic_extension(spread))

@@ -10,7 +10,8 @@ import numpy as np
 
 from manufactured import element_diameters
 from msgfem.decomposition import grow, square_block
-from msgfem.dg_forms import DGAssembler, nested_dofs
+from msgfem.dg_forms import nested_dofs
+from msgfem.gfem import GlobalForms
 from msgfem.local_problems import MaskedSystem, solve_checked
 from msgfem.mesh import TriMesh
 
@@ -46,7 +47,7 @@ def annulus_distance(mesh: TriMesh, omega, omega_star) -> float:
     return float(np.sqrt(d2.min()))
 
 
-def caccioppoli_ratios(asm: DGAssembler, omega, omega_star, n_samples: int,
+def caccioppoli_ratios(forms: GlobalForms, omega, omega_star, n_samples: int,
                        seed: int):
     """Interior-energy over annulus-mass ratios of random harmonic samples.
 
@@ -55,6 +56,7 @@ def caccioppoli_ratios(asm: DGAssembler, omega, omega_star, n_samples: int,
     the ratio array and the separation distance; the mesh condition
     (separation larger than three annulus element diameters) is enforced.
     """
+    asm = forms.asm
     mesh = asm.mesh
     omega = np.asarray(omega, dtype=np.int64)
     omega_star = np.asarray(omega_star, dtype=np.int64)
@@ -63,7 +65,7 @@ def caccioppoli_ratios(asm: DGAssembler, omega, omega_star, n_samples: int,
     touching = grow(mesh, annulus, 1)
     if delta <= 3.0 * element_diameters(mesh)[touching].max():
         raise ValueError("separation too small for the interior energy bound")
-    system = MaskedSystem(asm, omega_star)
+    system = MaskedSystem(forms, omega_star)
     if system.layer.size == 0:
         raise ValueError("oversampling domain has no harmonic layer")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -53,8 +53,8 @@ def reference():
     for label, spec in (("constant", "constant:1"), ("checker", CHECKER)):
         coef = coefficient_field(mesh, spec)
         t0 = time.time()
-        out["locals"][label] = compute_local_data(mesh, DGAssembler(mesh, coef, G0),
-                                                  source_one, decomp, pou, SWEEP)
+        out["locals"][label] = compute_local_data(
+            mesh, GlobalForms(DGAssembler(mesh, coef, G0), source_one), decomp, pou, SWEEP)
         out["seconds"][label] = time.time() - t0
         out["coef"][label] = coef
     return out
@@ -147,10 +147,11 @@ def test_criterion_5_harmonicity(reference):
     n_interior = 0
     for label in ("constant", "checker"):
         coef = reference["coef"][label]
-        asm = DGAssembler(mesh, coef, G0)
+        forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
+        asm = forms.asm
         for j in range(decomp.n_subdomains):
             D = decomp.omega_star(j)
-            basis = MaskedSystem(asm, D).harmonic_extension()
+            basis = MaskedSystem(forms, D).harmonic_extension()
             ok, defect = harmonicity_defect(asm, D, basis)
             all_harmonic = all_harmonic and ok
             worst_resid = max(worst_resid, defect)
@@ -216,7 +217,8 @@ def test_criterion_8_interior_energy_bound():
         mesh = build_structured_mesh(n)
         coef = coefficient_field(mesh, spec)
         om, oms = centred_blocks(mesh)
-        ratios, delta = caccioppoli_ratios(DGAssembler(mesh, coef, G0), om, oms, 50, 2024)
+        ratios, delta = caccioppoli_ratios(GlobalForms(DGAssembler(mesh, coef, G0), source_one),
+                                           om, oms, 50, 2024)
         maxima[n, spec] = float(ratios.max())
     c32, c64 = maxima[32, "constant:1"], maxima[64, "constant:1"]
     factor = max(c32 / c64, c64 / c32)
@@ -232,9 +234,8 @@ def test_criterion_9_single_subdomain_exactness():
     coef = coefficient_field(mesh, "checkerboard:100:4")
     decomp = build_decomposition(mesh, 1, 2, 4)
     pou = build_pou(mesh, decomp)
-    asm = DGAssembler(mesh, coef, G0)
-    locals_ = compute_local_data(mesh, asm, source_one, decomp, pou, [("fixed", 0)])
-    forms = GlobalForms(asm, source_one)
+    forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
+    locals_ = compute_local_data(mesh, forms, decomp, pou, [("fixed", 0)])
     [sol] = solve_msgfem(mesh, decomp, pou, locals_, forms, [("fixed", 0)])
     u_G = sol.u_G
     u_fine = fine_solve(forms)

@@ -301,8 +301,8 @@ def test_eigenvalue_export_format(tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     # one row per eigenvalue of every subdomain, in (j, k) order
     problem = build_problem(cfg)
-    locals_ = compute_local_data(problem.mesh, problem.forms.asm, problem.f, problem.decomp,
-                                 problem.pou, cfg.sweep_values())
+    locals_ = compute_local_data(problem.mesh, problem.forms, problem.decomp, problem.pou,
+                                 cfg.sweep_values())
     assert len(rows) == sum(d.eigenvalues.size for d in locals_)
     assert [(int(j), int(k), float(lam)) for j, k, lam, _ in rows] == \
         [(d.j, k, lam) for d in locals_ for k, lam in enumerate(d.eigenvalues)]
@@ -315,13 +315,30 @@ def test_eigenvalue_export_format(tmp_path):
 
 
 def test_sweep_beyond_available_modes_is_config_error(tmp_path, capsys):
-    cfg = tmp_path / "big.cfg"
-    cfg.write_text(SMALL + "coarse_n_sweep = 2,5000\nchecks = off\n")
+    # a subdomain's mode count follows from its geometry, so the error comes
+    # before the output directory, the suite's checks.json included; at one
+    # subdomain the oversampling domain is the mesh and has no mode at all
+    cases = [(SMALL + "coarse_n_sweep = 2,5000\n", 5000, 138),
+             ("mesh_n = 8\ngrid_m = 1\ncoarse_n_sweep = 1\n", 1, 0)]
+    for k, (text, n, available) in enumerate(cases):
+        for checks in ("on", "off"):
+            cfg = tmp_path / f"big-{k}-{checks}.cfg"
+            cfg.write_text(text + f"checks = {checks}\n")
+            out = tmp_path / f"o-{k}-{checks}"
+            assert main(["--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: requested {n} coarse modes, but subdomain 0 has only "
+                f"{available}\n")
+            assert not out.exists()
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"mesh_n = 8\n\xff\xfegrid_m = 1\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "config error: requested 5000 coarse modes" in err
-    assert "subdomain 0 has only" in err
-    assert not (tmp_path / "o" / "errors.csv").exists()
+    assert err.startswith("config error: ") and "can't decode byte 0xff" in err
+    assert not (tmp_path / "o").exists()
 
 
 HIGH_CONTRAST = ("mesh_n = 32\ngrid_m = 4\ncoefficient = channels:1e8:4\n"
@@ -377,7 +394,7 @@ def test_high_contrast_rows_match_the_b_best_approximation(tmp_path):
     mesh, decomp, pou, forms = problem.mesh, problem.decomp, problem.pou, problem.forms
     rules = cfg.sweep_values()
     with pytest.warns(LinAlgWarning):
-        locals_ = compute_local_data(mesh, forms.asm, problem.f, decomp, pou, rules)
+        locals_ = compute_local_data(mesh, forms, decomp, pou, rules)
     u_fine = fine_solve(forms)
     e = u_fine - pou_blend(mesh, decomp, pou, [d.particular for d in locals_])
     L = la.cholesky(forms.B.toarray(order="F"), lower=True, overwrite_a=True)

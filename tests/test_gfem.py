@@ -32,9 +32,8 @@ def problem():
     coef = coefficient_field(mesh, "checkerboard:100:2")
     decomp = build_decomposition(mesh, 2, 2, 4)
     pou = build_pou(mesh, decomp)
-    asm = DGAssembler(mesh, coef, G0)
-    locals_ = compute_local_data(mesh, asm, source_one, decomp, pou, [("fixed", 8)])
-    forms = GlobalForms(asm, source_one)
+    forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
+    locals_ = compute_local_data(mesh, forms, decomp, pou, [("fixed", 8)])
     u_fine = fine_solve(forms)
     return mesh, coef, decomp, pou, locals_, forms, u_fine
 
@@ -99,9 +98,8 @@ def test_single_subdomain_particular_is_exact():
     coef = coefficient_field(mesh, "checkerboard:100:2")
     decomp = build_decomposition(mesh, 1, 2, 2)
     pou = build_pou(mesh, decomp)
-    asm = DGAssembler(mesh, coef, G0)
-    locals_ = compute_local_data(mesh, asm, source_one, decomp, pou, [("fixed", 0)])
-    forms = GlobalForms(asm, source_one)
+    forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
+    locals_ = compute_local_data(mesh, forms, decomp, pou, [("fixed", 0)])
     [sol] = solve_msgfem(mesh, decomp, pou, locals_, forms, [("fixed", 0)])
     assert sol.coarse.n_total == 0
     assert np.all(sol.u_s == 0.0)
@@ -357,10 +355,9 @@ def test_threshold_rule_certifies_its_accuracy(spec):
     mesh = build_structured_mesh(32)
     decomp = build_decomposition(mesh, 4, 2, 3)
     pou = build_pou(mesh, decomp)
-    asm = DGAssembler(mesh, coefficient_field(mesh, spec, seed=0), G0)
+    forms = GlobalForms(DGAssembler(mesh, coefficient_field(mesh, spec, seed=0), G0), source_one)
     rules = [("threshold", 0.1), ("threshold", 0.03)]
-    locals_ = compute_local_data(mesh, asm, source_one, decomp, pou, rules)
-    forms = GlobalForms(asm, source_one)
+    locals_ = compute_local_data(mesh, forms, decomp, pou, rules)
     u_fine = fine_solve(forms)
     for (_, tau), sol in zip(rules, solve_msgfem(mesh, decomp, pou, locals_, forms, rules)):
         err = error_report(forms, sol.u_G, u_fine).rel_bplus_error

@@ -8,7 +8,8 @@ import scipy.sparse.linalg as spla
 
 import msgfem.local_problems as local_problems
 from msgfem.decomposition import build_decomposition, d_minus
-from msgfem.dg_forms import DGAssembler, nested_dofs
+from msgfem.dg_forms import (_LOAD_POINTS, _LOAD_WEIGHTS, DGAssembler, nested_dofs,
+                             subdomain_dofs)
 from msgfem.errors import SolverError
 from msgfem.gfem import GlobalForms, solve_msgfem
 from msgfem.local_problems import (MaskedSystem, compute_local_data, eigenproblem,
@@ -43,15 +44,21 @@ def source_one(x, y):
     return np.ones_like(x)
 
 
-def harmonic_basis(asm, omega_star):
+def forms_of(mesh, coef, f=source_one):
+    """Fresh global forms of the coefficient, with the penalty parameter of this module."""
+    return GlobalForms(DGAssembler(mesh, coef, G0), f)
+
+
+def harmonic_basis(forms, omega_star):
     """The harmonic basis of an oversampling domain."""
-    return MaskedSystem(asm, omega_star).harmonic_extension()
+    return MaskedSystem(forms, omega_star).harmonic_extension()
 
 
 def eigen(mesh, coef, pou, j, omega, omega_star):
     """The spectral problem of one subdomain on its own masked system."""
-    asm = DGAssembler(mesh, coef, G0)
-    return eigenproblem(asm, pou, j, omega, omega_star, MaskedSystem(asm, omega_star), FIXED)
+    forms = forms_of(mesh, coef)
+    return eigenproblem(forms.asm, pou, j, omega, omega_star,
+                        MaskedSystem(forms, omega_star), FIXED)
 
 
 # -- oracles: the separate source solve and harmonic basis this module replaced
@@ -61,9 +68,19 @@ def _oracle_solve(lu, b):
     return np.zeros_like(b) if np.linalg.norm(b) == 0.0 else lu.solve(b)
 
 
+def _oracle_load(asm, f, D):
+    """The load assembled on the element set ``D`` alone, by the library's rule."""
+    mesh = asm.mesh
+    pts = np.einsum("qa,ead->eqd", _LOAD_POINTS, mesh.vertices[mesh.elements[D]])
+    fv = np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float),
+                         pts.shape[:2])
+    vals = np.einsum("eq,q,qi->ei", fv, _LOAD_WEIGHTS, _LOAD_POINTS) * mesh.areas[D][:, None]
+    return vals.ravel()
+
+
 def _oracle_particular(asm, f, omega, omega_star):
     A = asm.matrix(omega_star, "B")
-    b = asm.load(f, omega_star)
+    b = _oracle_load(asm, f, omega_star)
     free = h0_dofs(asm.mesh, omega_star)
     Aff = A[np.ix_(free, free)].tocsc()
     x = np.zeros(A.shape[0])
@@ -129,21 +146,23 @@ def _modes(asm, pou, j, omega, omega_star, basis, n):
     return [(basis @ vectors[:, k])[idx] for k in range(n)]
 
 
-def _assert_matches_oracles(asm, decomp):
+def _assert_matches_oracles(forms, decomp):
     for j in range(decomp.n_subdomains):
         om, oms = decomp.omega(j), decomp.omega_star(j)
-        up, system = particular_solution(asm, source_one, om, oms)
-        assert np.array_equal(up, _oracle_particular(asm, source_one, om, oms))
-        assert np.array_equal(system.harmonic_extension(), _oracle_harmonic_basis(asm, oms))
+        up, system = particular_solution(forms, om, oms)
+        assert np.array_equal(up, _oracle_particular(forms.asm, source_one, om, oms))
+        assert np.array_equal(system.harmonic_extension(),
+                              _oracle_harmonic_basis(forms.asm, oms))
 
 
 def test_one_factorization_matches_separate_solves_bit_for_bit(setting):
     mesh, coef, decomp, pou = setting
-    _assert_matches_oracles(DGAssembler(mesh, coef, G0), decomp)
+    _assert_matches_oracles(forms_of(mesh, coef), decomp)
     rough = coefficient_field(mesh, "log_uniform:1e-3:1e3", seed=0)
-    asm = DGAssembler(mesh, rough, G0)
-    _assert_matches_oracles(asm, decomp)
-    threaded = compute_local_data(mesh, asm, source_one, decomp, pou, FIXED, threads=2)
+    forms = forms_of(mesh, rough)
+    asm = forms.asm
+    _assert_matches_oracles(forms, decomp)
+    threaded = compute_local_data(mesh, forms, decomp, pou, FIXED, threads=2)
     for d in threaded:
         om, oms = decomp.omega(d.j), decomp.omega_star(d.j)
         assert np.array_equal(d.particular, _oracle_particular(asm, source_one, om, oms))
@@ -159,8 +178,9 @@ def test_one_factorization_matches_separate_solves_bit_for_bit(setting):
 def test_local_stage_hands_over_the_selected_modes_alone(setting, rules, largest,
                                                          threads):
     mesh, coef, decomp, pou = setting
-    asm = DGAssembler(mesh, coef, G0)
-    locals_ = compute_local_data(mesh, asm, source_one, decomp, pou, rules, threads=threads)
+    forms = forms_of(mesh, coef)
+    asm = forms.asm
+    locals_ = compute_local_data(mesh, forms, decomp, pou, rules, threads=threads)
     kept = []
     for d in locals_:
         om, oms = decomp.omega(d.j), decomp.omega_star(d.j)
@@ -174,11 +194,11 @@ def test_local_stage_hands_over_the_selected_modes_alone(setting, rules, largest
         # one eigenvalue per layer dof, for eigenvalues.csv; nothing else that large
         assert d.eigenvalues.shape == (n_layer,)
         assert n_layer not in d.modes.shape + d.particular.shape
-        up, system = particular_solution(asm, source_one, om, oms)
+        up, system = particular_solution(forms, om, oms)
         values, _ = eigenproblem(asm, pou, d.j, om, oms, system, rules)
         assert np.array_equal(d.particular, up)
         assert np.array_equal(d.eigenvalues, values)
-        basis = harmonic_basis(asm, oms)
+        basis = harmonic_basis(forms, oms)
         for k, mode in enumerate(_modes(asm, pou, d.j, om, oms, basis, n)):
             assert np.array_equal(d.modes[:, k], mode)
     assert min(kept) >= 1
@@ -186,9 +206,8 @@ def test_local_stage_hands_over_the_selected_modes_alone(setting, rules, largest
 
 def test_sweep_beyond_the_kept_modes_raises(setting):
     mesh, coef, decomp, pou = setting
-    asm = DGAssembler(mesh, coef, G0)
-    locals_ = compute_local_data(mesh, asm, source_one, decomp, pou, [("fixed", 2)])
-    forms = GlobalForms(asm, source_one)
+    forms = forms_of(mesh, coef)
+    locals_ = compute_local_data(mesh, forms, decomp, pou, [("fixed", 2)])
     for rule in (("fixed", 3), ("threshold", 0.0)):
         with pytest.raises(ValueError, match="exceeds the assembled modes"):
             solve_msgfem(mesh, decomp, pou, locals_, forms, [rule])
@@ -198,7 +217,7 @@ def test_compute_local_data_rejects_an_assembler_on_another_mesh(setting):
     mesh, coef, decomp, pou = setting
     other = build_structured_mesh(mesh.structured_n)
     with pytest.raises(ValueError, match="another mesh"):
-        compute_local_data(mesh, DGAssembler(other, coef, G0), source_one, decomp, pou, FIXED)
+        compute_local_data(mesh, forms_of(other, coef), decomp, pou, FIXED)
 
 
 def test_compute_local_data_factors_once_per_subdomain(setting, monkeypatch):
@@ -211,7 +230,7 @@ def test_compute_local_data_factors_once_per_subdomain(setting, monkeypatch):
         return splu(A)
 
     monkeypatch.setattr(local_problems.spla, "splu", counting)
-    compute_local_data(mesh, DGAssembler(mesh, coef, G0), source_one, decomp, pou, FIXED)
+    compute_local_data(mesh, forms_of(mesh, coef), decomp, pou, FIXED)
     assert len(calls) == decomp.n_subdomains
 
 
@@ -237,13 +256,12 @@ def test_compute_local_data_solves_once_per_right_hand_side(setting, monkeypatch
     rough = coefficient_field(mesh, "log_uniform:1e-3:1e3", seed=0)
     for c in (coef, rough):
         widths.clear()
-        compute_local_data(mesh, DGAssembler(mesh, c, G0), source_one, decomp, pou, FIXED)
+        compute_local_data(mesh, forms_of(mesh, c), decomp, pou, FIXED)
         assert len(widths) == 2 * decomp.n_subdomains
         assert widths.count(1) == decomp.n_subdomains
     # a zero source is not solved at all
     widths.clear()
-    compute_local_data(mesh, DGAssembler(mesh, coef, G0), lambda x, y: 0.0, decomp, pou,
-                       FIXED)
+    compute_local_data(mesh, forms_of(mesh, coef, lambda x, y: 0.0), decomp, pou, FIXED)
     assert len(widths) == decomp.n_subdomains and 1 not in widths
 
 
@@ -276,7 +294,7 @@ def test_non_finite_solution_fails_the_checked_solve(bad):
 
 def test_zero_source_gives_zero_solution(setting):
     mesh, coef, decomp, _ = setting
-    up, _ = particular_solution(DGAssembler(mesh, coef, G0), lambda x, y: 0.0,
+    up, _ = particular_solution(forms_of(mesh, coef, lambda x, y: 0.0),
                                 decomp.omega(0), decomp.omega_star(0))
     assert np.all(up == 0.0)
 
@@ -285,9 +303,8 @@ def test_single_subdomain_particular_equals_fine_solve():
     mesh = build_structured_mesh(8)
     coef = coefficient_field(mesh, "checkerboard:100:2")
     decomp = build_decomposition(mesh, 1, 2, 2)
-    forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
-    up, _ = particular_solution(forms.asm, source_one, decomp.omega(0),
-                                decomp.omega_star(0))
+    forms = forms_of(mesh, coef)
+    up, _ = particular_solution(forms, decomp.omega(0), decomp.omega_star(0))
     u = fine_solve(forms)
     assert np.abs(up - u).max() <= 1e-12 * np.abs(u).max()
 
@@ -298,12 +315,12 @@ def test_masked_system_residual_contract(setting):
     coef = coefficient_field(mesh, "constant:1")
     decomp = build_decomposition(mesh, 2, 2, 3)
     om, oms = decomp.omega(0), decomp.omega_star(0)
-    asm = DGAssembler(mesh, coef, G0)
-    A = asm.matrix(oms, "B")
-    b = asm.load(source_one, oms)
+    forms = forms_of(mesh, coef)
+    A = forms.asm.matrix(oms, "B")
+    b = forms.F[subdomain_dofs(oms)]
     free = h0_dofs(mesh, oms)
     psi = np.zeros(3 * oms.size)
-    psi[nested_dofs(om, oms)] = particular_solution(asm, source_one, om, oms)[0]
+    psi[nested_dofs(om, oms)] = particular_solution(forms, om, oms)[0]
     # reconstruct the full masked solution for the residual check
     Aff = A[np.ix_(free, free)].tocsc()
     x = spla.splu(Aff).solve(b[free])
@@ -313,7 +330,7 @@ def test_masked_system_residual_contract(setting):
 def test_harmonic_basis_dimension_oracle(setting):
     mesh, coef, decomp, _ = setting
     oms = decomp.omega_star(0)
-    basis = harmonic_basis(DGAssembler(mesh, coef, G0), oms)
+    basis = harmonic_basis(forms_of(mesh, coef), oms)
     layer_elems = np.setdiff1d(oms, d_minus(mesh, oms))
     assert basis.shape == (3 * oms.size, 3 * layer_elems.size)
     # columns are independent: unit block at the layer rows
@@ -323,10 +340,11 @@ def test_harmonic_basis_dimension_oracle(setting):
 
 def test_harmonic_columns_pass_residual_invariant(setting):
     mesh, coef, decomp, _ = setting
-    asm = DGAssembler(mesh, coef, G0)
+    forms = forms_of(mesh, coef)
+    asm = forms.asm
     for j in range(decomp.n_subdomains):
         oms = decomp.omega_star(j)
-        basis = harmonic_basis(asm, oms)
+        basis = harmonic_basis(forms, oms)
         A = asm.matrix(oms, "B")
         H = asm.matrix(oms, "H")
         free = h0_dofs(mesh, oms)
@@ -342,10 +360,10 @@ def test_harmonic_extension_of_chosen_columns_is_those_columns_of_the_basis(grid
     # one oversampling domain is the mesh, so it has no layer dofs
     mesh = build_structured_mesh(8)
     decomp = build_decomposition(mesh, grid_m, layers, layers)
-    asm = DGAssembler(mesh, coefficient_field(mesh, "checkerboard:100:2"), G0)
+    forms = forms_of(mesh, coefficient_field(mesh, "checkerboard:100:2"))
     sizes = set()
     for j in range(decomp.n_subdomains):
-        system = MaskedSystem(asm, decomp.omega_star(j))
+        system = MaskedSystem(forms, decomp.omega_star(j))
         basis = system.harmonic_extension()
         n_layer = system.layer.size
         sizes.add(n_layer)
@@ -365,10 +383,11 @@ def test_constant_in_span_iff_interior():
     mesh = build_structured_mesh(32)
     coef = coefficient_field(mesh, "checkerboard:100:4")
     decomp = build_decomposition(mesh, 4, 2, 4)
+    forms = forms_of(mesh, coef)
     for j, interior in ((5, True), (0, False)):
         oms = decomp.omega_star(j)
         assert bool(np.any(np.isin(mesh.bface_elem, oms))) != interior
-        basis = harmonic_basis(DGAssembler(mesh, coef, G0), oms)
+        basis = harmonic_basis(forms, oms)
         # the layer rows pin the coefficients, so the constant lies in the
         # span exactly when the all-ones layer data extends to the constant
         misfit = np.linalg.norm(basis @ np.ones(basis.shape[1]) - 1.0)
@@ -412,7 +431,7 @@ def test_eigenproblem_kernel_modes_and_positivity():
     # the kernel mode is the constant on omega
     kvec = modes[:, 0]
     assert np.abs(kvec - kvec[0]).max() <= 1e-8 * abs(kvec[0])
-    basis = harmonic_basis(DGAssembler(mesh, coef, G0), decomp.omega_star(j))
+    basis = harmonic_basis(forms_of(mesh, coef), decomp.omega_star(j))
     # the oversampled energy annihilates the constant's coefficient vector
     Bp = DGAssembler(mesh, coef, G0).matrix(decomp.omega_star(j), "Bplus")
     M = basis.T @ (Bp @ basis)
@@ -423,8 +442,9 @@ def test_kernel_gram_solve_residual_is_checked(interior, monkeypatch):
     mesh, decomp, pou = interior
     j = 5   # interior: the constants are the right form's kernel
     om, oms = decomp.omega(j), decomp.omega_star(j)
-    asm = DGAssembler(mesh, coefficient_field(mesh, "constant:1"), G0)
-    system = MaskedSystem(asm, oms)
+    forms = forms_of(mesh, coefficient_field(mesh, "constant:1"))
+    asm = forms.asm
+    system = MaskedSystem(forms, oms)
     values, _ = eigenproblem(asm, pou, j, om, oms, system, FIXED)
     assert np.isinf(values[0]) and np.all(np.isfinite(values[1:]))
 
@@ -443,10 +463,11 @@ def test_lean_local_stage_is_bit_identical(interior, spec):
     # the harmonic basis against the identity's extension, the eigenvalues
     # and every mode against the copy-everything pencil, byte for byte
     mesh, decomp, pou = interior
-    asm = DGAssembler(mesh, coefficient_field(mesh, spec, seed=0), G0)
+    forms = forms_of(mesh, coefficient_field(mesh, spec, seed=0))
+    asm = forms.asm
     for j in (0, 5):    # on the boundary, and interior with a kernel mode
         om, oms = decomp.omega(j), decomp.omega_star(j)
-        _, system = particular_solution(asm, source_one, om, oms)
+        _, system = particular_solution(forms, om, oms)
         basis = system.harmonic_extension()
         assert basis.tobytes() == _oracle_harmonic_basis(asm, oms).tobytes()
         n_layer = system.layer.size
@@ -478,11 +499,11 @@ def test_local_stage_holds_one_dense_block_beside_the_basis():
     mesh = build_structured_mesh(40)
     decomp = build_decomposition(mesh, 4, 2, 4)
     pou = build_pou(mesh, decomp)
-    asm = DGAssembler(mesh, coefficient_field(mesh, "constant:1"), G0)
+    forms = forms_of(mesh, coefficient_field(mesh, "constant:1"))
+    asm = forms.asm
     j = 5
     om, oms = decomp.omega(j), decomp.omega_star(j)
-    asm.matrix(om, "B")     # the block tables are built once per assembler
-    _, system = particular_solution(asm, source_one, om, oms)
+    _, system = particular_solution(forms, om, oms)   # builds the block tables, B and F
     shape = (3 * oms.size, system.layer.size)   # the basis
     tracemalloc.start()
     try:
@@ -521,9 +542,9 @@ def test_trivial_same_domain_eigenproblem_is_psd_symmetric(setting):
     mesh, coef, decomp, _ = setting
     oms = decomp.omega_star(0)
     ones_pou = PartitionOfUnity(values=np.ones((1, mesh.n_vertices)))
-    asm = DGAssembler(mesh, coef, G0)
-    basis = harmonic_basis(asm, oms)
-    Bp = asm.matrix(oms, "Bplus")
+    forms = forms_of(mesh, coef)
+    basis = harmonic_basis(forms, oms)
+    Bp = forms.asm.matrix(oms, "Bplus")
     A = basis.T @ (Bp @ basis)
     M = A.copy()
     assert np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
@@ -535,8 +556,9 @@ def test_pencil_residuals_within_tolerance(setting):
     mesh, coef, decomp, pou = setting
     j = 1
     om, oms = decomp.omega(j), decomp.omega_star(j)
-    asm = DGAssembler(mesh, coef, G0)
-    basis = harmonic_basis(asm, oms)
+    forms = forms_of(mesh, coef)
+    asm = forms.asm
+    basis = harmonic_basis(forms, oms)
     idx = nested_dofs(om, oms)
     W = basis[idx, :] * pou.dof_weights(mesh, j, om)[:, None]
     A = W.T @ (asm.matrix(om, "Bplus") @ W)
@@ -556,7 +578,7 @@ def test_eigenvalue_decay_fits_per_subdomain():
     coef = coefficient_field(mesh, "constant:1")
     decomp = build_decomposition(mesh, 4, 2, 4)
     pou = build_pou(mesh, decomp)
-    locals_ = compute_local_data(mesh, DGAssembler(mesh, coef, G0), source_one, decomp, pou, FIXED)
+    locals_ = compute_local_data(mesh, forms_of(mesh, coef), decomp, pou, FIXED)
     for data in locals_:
         lam = data.eigenvalues[np.isfinite(data.eigenvalues)][:20]
         slope, _, r2 = decay_fit(np.arange(1, lam.size + 1), np.sqrt(lam))
@@ -566,20 +588,63 @@ def test_eigenvalue_decay_fits_per_subdomain():
 
 def test_threaded_results_match_serial(setting):
     mesh, coef, decomp, pou = setting
-    serial = compute_local_data(mesh, DGAssembler(mesh, coef, G0), source_one, decomp, pou,
-                                FIXED, threads=1)
-    # the workers share a fresh assembler, so they race to build its block tables
+    serial = compute_local_data(mesh, forms_of(mesh, coef), decomp, pou, FIXED, threads=1)
+    # the workers share fresh forms and switch often, so an unguarded lazy build races
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = compute_local_data(mesh, DGAssembler(mesh, coef, G0), source_one, decomp,
-                                      pou, FIXED, threads=4)
+        threaded = compute_local_data(mesh, forms_of(mesh, coef), decomp, pou, FIXED,
+                                      threads=4)
     finally:
         sys.setswitchinterval(interval)
     for a, b in zip(serial, threaded):
         assert np.array_equal(a.particular, b.particular)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.modes, b.modes)
+
+
+@pytest.mark.parametrize("n, m, layers, spec", [
+    (32, 8, 2, "constant:1"),             # the coarse-32x8 geometry
+    (40, 4, 4, "constant:1"),             # the local-40x4 geometry
+    (32, 4, 4, "channels:1e8:4"),
+    (32, 4, 4, "checkerboard:1e8:8"),
+])
+def test_masked_blocks_are_rows_of_the_global_system(n, m, layers, spec):
+    # every face of a masked element lies in the oversampling domain, so the
+    # masked rows of the local form and load are those of the global ones
+    mesh = build_structured_mesh(n)
+    decomp = build_decomposition(mesh, m, 2, layers)
+    forms = forms_of(mesh, coefficient_field(mesh, spec), lambda x, y: 3.7 + x * y)
+    asm = forms.asm
+    for j in range(decomp.n_subdomains):
+        oms = decomp.omega_star(j)
+        system = MaskedSystem(forms, oms)
+        masked = asm.matrix(oms, "B")[system.free]
+        for sliced, local in ((system.Aff, masked[:, system.free].tocsc()),
+                              (system.Afl, masked[:, system.layer])):
+            assert sliced.format == local.format
+            for name in ("indptr", "indices", "data"):
+                assert getattr(sliced, name).tobytes() == getattr(local, name).tobytes()
+        local_load = _oracle_load(asm, forms.f, oms)[system.free]
+        assert forms.F[system.rows].tobytes() == local_load.tobytes()
+
+
+def test_local_stage_assembles_the_global_system_once(setting, monkeypatch):
+    mesh, coef, decomp, pou = setting
+    calls = []
+    matrix = DGAssembler.matrix
+
+    def counting(self, D=None, kind="B"):
+        calls.append(("mesh" if D is None else "subset", kind))
+        return matrix(self, D, kind)
+
+    monkeypatch.setattr(DGAssembler, "matrix", counting)
+    forms = forms_of(mesh, coef)
+    locals_ = compute_local_data(mesh, forms, decomp, pou, FIXED, threads=2)
+    solve_msgfem(mesh, decomp, pou, locals_, forms, FIXED)
+    fine_solve(forms)
+    # one global assembly, and none on a subdomain
+    assert [D for D, kind in calls if kind == "B"] == ["mesh"]
 
 
 def test_select_coarse_rules():

@@ -14,8 +14,8 @@ from msgfem.config import RunConfig, parse_config
 from msgfem.decomposition import d_minus, square_block
 from msgfem.dg_forms import DGAssembler
 from msgfem.errors import ConfigError, SolverError
-from msgfem.gfem import GlobalForms
-from msgfem.local_problems import MaskedSystem
+from msgfem.gfem import GlobalForms, error_report, solve_msgfem
+from msgfem.local_problems import MaskedSystem, compute_local_data
 from msgfem.mesh import build_structured_mesh, coefficient_field
 from msgfem.verification import (decay_fit, fine_solve, harmonicity_defect,
                                  run_property_suite)
@@ -94,17 +94,39 @@ def test_decay_fit_needs_five_distinct_points():
     assert r2 == pytest.approx(1.0, abs=1e-10)
 
 
+def _fitted_rate(spec: str, oversampling: int) -> float:
+    """The errors.csv ``fitSlope`` of a 1..12 sweep at (32, 4) with overlap 2."""
+    problem = build_problem(RunConfig(mesh_n=32, grid_m=4, oversampling_layers=oversampling,
+                                      coefficient=spec, coarse_n_sweep=list(range(1, 13))))
+    mesh, decomp, pou, forms = problem.mesh, problem.decomp, problem.pou, problem.forms
+    rules = problem.config.sweep_values()
+    locals_ = compute_local_data(mesh, forms, decomp, pou, rules)
+    u_fine = fine_solve(forms)
+    errors = [error_report(forms, sol.u_G, u_fine).rel_bplus_error
+              for sol in solve_msgfem(mesh, decomp, pou, locals_, forms, rules)]
+    return decay_fit(range(1, 13), errors)[0]
+
+
+@pytest.mark.parametrize("spec", ["constant:1", "checkerboard:10000:8"])
+def test_decay_rate_grows_with_oversampling(spec):
+    # the rate depends on the oversampling ratio; R^2 does not tell exponents
+    # apart, so the claim tested is the strictly monotone slope (measured:
+    # -1.86, -2.18, -2.46 and -3.13, -3.41, -3.61)
+    slopes = [_fitted_rate(spec, layers) for layers in (1, 2, 3)]
+    assert slopes[0] > slopes[1] > slopes[2], slopes
+
+
 def test_caccioppoli_ratios_finite_and_guarded():
     mesh = build_structured_mesh(32)
     coef = coefficient_field(mesh, "constant:1")
     om = square_block(mesh, 13, 19, 13, 19)
     oms = square_block(mesh, 8, 24, 8, 24)
-    asm = DGAssembler(mesh, coef, G0)
-    ratios, delta = caccioppoli_ratios(asm, om, oms, 10, 0)
+    forms = GlobalForms(DGAssembler(mesh, coef, G0), lambda x, y: np.ones_like(x))
+    ratios, delta = caccioppoli_ratios(forms, om, oms, 10, 0)
     assert np.all(np.isfinite(ratios)) and np.all(ratios > 0)
     assert delta == pytest.approx(5 / 32)
     with pytest.raises(ValueError, match="separation"):
-        caccioppoli_ratios(asm, square_block(mesh, 9, 23, 9, 23), oms, 5, 0)
+        caccioppoli_ratios(forms, square_block(mesh, 9, 23, 9, 23), oms, 5, 0)
 
 
 def test_annulus_distance_block_geometry():
@@ -216,7 +238,7 @@ def test_harmonicity_defect_holds_the_solve_contract_and_rejects_planted_defects
     problem = build_problem(parse_config(f"coefficient = {spec}\n"))
     asm = problem.forms.asm
     D = problem.decomp.omega_star(problem.decomp.n_subdomains // 2)
-    system = MaskedSystem(asm, D)
+    system = MaskedSystem(problem.forms, D)
     U = system.harmonic_extension()
     assert harmonicity_defect(asm, D, U)[0]
     # the masked dof with the stiffest row, and the layer dof that couples most
