@@ -187,7 +187,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = parse_config(args.config.read_text(encoding="utf-8") if args.config else "")
+        # utf-8-sig strips the byte-order mark some editors write at the start
+        config = parse_config(args.config.read_text(encoding="utf-8-sig") if args.config else "")
     except (ConfigError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

@@ -1,10 +1,10 @@
 """Key = value run configuration with strict validation.
 
-The format is deliberately minimal: UTF-8 lines of ``key = value``, blank
-lines and ``#`` comments allowed, unknown and repeated keys rejected with
-their line numbers.  All randomness in a run flows from the single ``seed``
-through numpy's PCG64 generator, so equal configs give byte-identical
-outputs.
+The format is deliberately minimal: UTF-8 lines of ``key = value`` (the CLI
+skips a leading byte-order mark), blank lines and ``#`` comments allowed,
+unknown and repeated keys rejected with their line numbers.  All randomness
+in a run flows from the single ``seed`` through numpy's PCG64 generator, so
+equal configs give byte-identical outputs.
 """
 from __future__ import annotations
 

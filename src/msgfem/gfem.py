@@ -8,21 +8,20 @@ that column span against the source residual.
 
 A sweep builds its columns once, from the modes the local stage kept for
 its largest selection.  Each subdomain's blended modes are made
-H-orthonormal in mode order on the subdomain's own dofs, and a mode whose
-H-orthogonal part is negligible is dropped, so the drop decision is made
-once per mode (j, k) and the columns are well conditioned within each
-subdomain.  Column k depends only on the modes before it, so the columns of
-a sweep point are, bit for bit, the leading columns of the one build.  A
-column lives on its subdomain, so it meets only the columns of overlapping
-subdomains and the Gram nonzeros stay in that overlap band.  Each sweep
-point takes the index subset of its modes and factors its Gram block by a
-Cholesky on LAPACK band storage.  An entry of a sparse Gram product depends
-only on its own two columns, so every point solves, bit for bit, the system
-that a build of just its columns would give.
+H-orthonormal in mode order on the subdomain's own dofs, so the columns are
+well conditioned within each subdomain.  A mode that depends on the modes
+before it raises an error naming its (j, k), whether those modes are of its
+own subdomain or of others.  Column k depends only on the modes before it,
+so the columns of a sweep point are, bit for bit, the leading columns of
+the one build.  A column lives on its subdomain, so it meets only the
+columns of overlapping subdomains and the Gram nonzeros stay in that
+overlap band.  Each sweep point takes the index subset of its modes and
+factors its Gram block by a Cholesky on LAPACK band storage.  An entry of a
+sparse Gram product depends only on its own two columns, so every point
+solves, bit for bit, the system that a build of just its columns would give.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -49,7 +48,9 @@ __all__ = [
     "solve_msgfem",
 ]
 
-_RANK_DROP_RTOL = 1e-10
+# the one dependence test of a coarse column, inside its subdomain (its
+# H-orthogonal part) and across subdomains (its squared Cholesky pivot)
+_DEPENDENCE_RTOL = 1e-10
 
 
 class GlobalForms:
@@ -89,25 +90,23 @@ class CoarseSpace:
 
     ``basis`` has one fine-dof column per kept local mode, ordered by
     subdomain j and then mode k; ``offsets`` holds the (j, k) of each column.
-    The columns of one subdomain are H-orthonormal; ``drops`` holds the
-    (j, k) of the modes the build dropped as dependent on earlier modes of
-    their subdomain.  Columns of different subdomains are not tested against
-    each other here: a dependence across them leaves the Gram block
+    The columns of one subdomain are H-orthonormal; a mode that depends on
+    earlier modes of its subdomain fails the build (see
+    :func:`_h_orthonormal`).  Columns of different subdomains are not tested
+    against each other here: a dependence across them leaves the Gram block
     singular, and :func:`solve_coarse` fails naming the later column and
     both possible causes.  ``gram_B`` is the sparse (CSR) column Gram matrix
     in the full form, nonzero only between columns of overlapping
     subdomains and stored compact, as it lives for the whole sweep; ``rhs``
     pairs the columns with the residual of the particular part.  The
-    selection is the modes k < n_j[j]: ``columns`` are its columns,
-    ``dropped`` names its dropped modes.
+    selection is the modes k < n_j[j], and ``columns`` are its columns.
     """
 
     basis: sp.csc_matrix
     offsets: np.ndarray           # (n_columns, 2): subdomain j, local mode k
     gram_B: sp.csr_matrix
     rhs: np.ndarray
-    drops: np.ndarray             # (n_drops, 2): subdomain j, local mode k
-    n_j: np.ndarray               # selected modes per subdomain (before drops)
+    n_j: np.ndarray               # selected modes per subdomain
 
     @property
     def columns(self) -> np.ndarray:
@@ -116,11 +115,12 @@ class CoarseSpace:
 
     @property
     def dropped(self) -> list:
-        return [(int(j), int(k)) for j, k in self.drops if k < self.n_j[j]]
+        # always empty, as a dependent mode raises; perfbench/tracer.py reads its length
+        return []
 
     @property
     def n_total(self) -> int:
-        return self.columns.size
+        return int(self.n_j.sum())
 
     def select(self, n_j) -> CoarseSpace:
         """The sub-selection of modes k < n_j[j]."""
@@ -151,71 +151,64 @@ def assemble_coarse(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
     Makes each subdomain's blended modes H-orthonormal (see
     :func:`_h_orthonormal`) and reduces the columns to their Galerkin data
     in the form ``B`` with load ``F``.  Returns the coarse space and the
-    global particular vector.  Dropped modes are recorded and warned about;
-    a drop only happens when a subdomain's modes are numerically dependent.
+    global particular vector.  A mode that depends on the modes before it
+    in its subdomain raises a ``SolverError`` naming its (j, k).
     """
     n_sel = np.array([data.modes.shape[1] for data in locals_], dtype=np.int64)
     ndof = 3 * mesh.n_elements
     u_p = pou_blend(mesh, decomp, pou, [d.particular for d in locals_])
 
-    rows, cols, vals, offsets, drops = [], [], [], [], []
+    rows, cols, vals, offsets = [], [], [], []
     for data in locals_:
         omega = decomp.omega(data.j)
         dofs = subdomain_dofs(omega)
         blended = pou.dof_weights(mesh, data.j, omega)[:, None] * data.modes
-        Q, kept = _h_orthonormal(blended, H[dofs][:, dofs])
+        Q = _h_orthonormal(blended, H[dofs][:, dofs], data.j)
         r, k = np.nonzero(Q)
         rows.append(dofs[r])
         cols.append(len(offsets) + k)
         vals.append(Q[r, k])
-        offsets += [(data.j, i) for i in kept]
-        drops += [(data.j, i) for i in np.setdiff1d(np.arange(blended.shape[1]), kept)]
+        offsets += [(data.j, i) for i in range(Q.shape[1])]
     col = len(offsets)
     basis = sp.coo_matrix((np.concatenate(vals),
                            (np.concatenate(rows), np.concatenate(cols))),
                           shape=(ndof, col)).tocsc()
-    if drops:
-        warnings.warn(f"dropped {len(drops)} dependent coarse columns", stacklevel=2)
 
     coarse = CoarseSpace(basis=basis,
                          offsets=np.array(offsets, dtype=np.int64).reshape(col, 2),
                          gram_B=compact(symmetric_part(basis.T @ (B @ basis))),
-                         rhs=basis.T @ (F - B @ u_p),
-                         drops=np.array(drops, dtype=np.int64).reshape(-1, 2), n_j=n_sel)
+                         rhs=basis.T @ (F - B @ u_p), n_j=n_sel)
     return coarse, u_p
 
 
-def _h_orthonormal(V: np.ndarray, H):
-    """H-orthonormal columns spanning those of ``V``, built in column order.
+def _h_orthonormal(V: np.ndarray, H, j: int) -> np.ndarray:
+    """H-orthonormal columns spanning those of ``V``, the modes of subdomain ``j``.
 
-    Each column is orthogonalized against the kept ones by classical
-    Gram–Schmidt run twice, and dropped when its H-orthogonal part is at
-    most ``_RANK_DROP_RTOL`` of its H norm: an exact duplicate leaves a part
-    near eps, a zero column none.  Column x reads only the columns kept
-    before it, so the output for the leading columns of ``V`` is, bit for
-    bit, the leading part of the output for all of them.  Returns the
-    orthonormal columns and the indices of the columns of ``V`` they came
-    from.
+    Column k is orthogonalized against the columns before it by classical
+    Gram–Schmidt run twice.  When its H-orthogonal part is at most
+    ``_DEPENDENCE_RTOL`` of its H norm (an exact duplicate leaves a part
+    near eps, a zero column none) it depends on them, and a ``SolverError``
+    names its (j, k).  Column k reads only the columns before it, so the
+    output for the leading columns of ``V`` is, bit for bit, the leading
+    part of the output for all of them.
     """
     n, m = V.shape
-    # Fortran order keeps every leading block Q[:, :r] one contiguous array
+    # Fortran order keeps every leading block Q[:, :k] one contiguous array
     Q = np.empty((n, m), order="F")
     HQ = np.empty((n, m), order="F")
-    kept = []
-    for x in range(m):
-        q = V[:, x].copy()
+    for k in range(m):
+        q = V[:, k].copy()
         norm0 = np.sqrt(max(q @ (H @ q), 0.0))
-        r = len(kept)
         for _ in range(2):
-            q -= Q[:, :r] @ (HQ[:, :r].T @ q)
+            q -= Q[:, :k] @ (HQ[:, :k].T @ q)
         Hq = H @ q
         norm = np.sqrt(max(q @ Hq, 0.0))
-        if norm <= _RANK_DROP_RTOL * norm0:
-            continue
-        Q[:, r] = q / norm
-        HQ[:, r] = Hq / norm
-        kept.append(x)
-    return Q[:, :len(kept)], np.array(kept, dtype=np.int64)
+        if norm <= _DEPENDENCE_RTOL * norm0:
+            raise SolverError(f"coarse mode ({j}, {k}) depends on the modes before it "
+                              "in its subdomain")
+        Q[:, k] = q / norm
+        HQ[:, k] = Hq / norm
+    return Q
 
 
 def _lower_band(G: sp.spmatrix) -> np.ndarray:
@@ -233,7 +226,7 @@ def solve_coarse(coarse: CoarseSpace, n_j):
     ``n_j`` picks the sweep point, the modes k < n_j[j] of the assembled
     space.  The point's Gram block is factored in band storage.  A column
     whose pivot is not positive, or whose squared pivot is at most
-    ``_RANK_DROP_RTOL`` of its Gram diagonal, raises a ``SolverError``
+    ``_DEPENDENCE_RTOL`` of its Gram diagonal, raises a ``SolverError``
     naming its (j, k): the factor's squared pivot is the column's squared
     B-norm left after the columns before it, and rounding leaves that near
     eps of the diagonal, of either sign, when the column depends on them.
@@ -250,7 +243,7 @@ def solve_coarse(coarse: CoarseSpace, n_j):
         # of the first at roundoff
         cb, info = pbtrf(ab, lower=1, overwrite_ab=1)
         if info == 0:
-            small = np.flatnonzero(cb[0] ** 2 <= _RANK_DROP_RTOL * G.diagonal())
+            small = np.flatnonzero(cb[0] ** 2 <= _DEPENDENCE_RTOL * G.diagonal())
             info = small[0] + 1 if small.size else 0
         if info > 0:
             j, k = space.offsets[cols[info - 1]]

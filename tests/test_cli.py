@@ -341,6 +341,17 @@ def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_config_with_a_byte_order_mark_reads_as_without_it(tmp_path):
+    text = b"mesh_n = 8\ngrid_m = 1\nchecks = only\n"
+    (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + text)
+    (tmp_path / "plain.cfg").write_bytes(text)
+    for name in ("bom", "plain"):
+        assert main(["--config", str(tmp_path / f"{name}.cfg"),
+                     "--out", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "bom" / "config.txt").read_bytes()
+            == (tmp_path / "plain" / "config.txt").read_bytes())
+
+
 HIGH_CONTRAST = ("mesh_n = 32\ngrid_m = 4\ncoefficient = channels:1e8:4\n"
                  "coarse_n_sweep = 2,4,6,8\nchecks = off\n")
 
@@ -428,6 +439,34 @@ def test_threshold_rule_single_row(tmp_path):
     row = lines[1].split(",")
     assert int(row[3]) >= 1          # largest per-subdomain count
     assert int(row[6]) >= int(row[3])
+
+
+def test_sweep_row_is_the_run_of_its_own_rule(tmp_path):
+    # every column but the two fit columns, byte for byte: the kept modes of
+    # row n are the leading n modes of the sweep's largest selection
+    base = ("mesh_n = 16\ngrid_m = 2\noversampling_layers = 2\n"
+            "coefficient = log_uniform:1e-2:1e2\nseed = 3\nchecks = off\n")
+    rows = {}
+    for name, keys in (("sweep", "coarse_n_sweep = 1,2,3,4,5,6\n"),
+                       ("single", "coarse_rule = fixed:3\n")):
+        assert run(parse_config(base + keys), out_dir=tmp_path / name) == 0
+        rows[name] = (tmp_path / name / "errors.csv").read_text().splitlines()[1:]
+    assert len(rows["sweep"]) == 6 and len(rows["single"]) == 1
+    assert rows["sweep"][2].split(",")[:-2] == rows["single"][0].split(",")[:-2]
+
+
+def test_zero_source_writes_rows_of_exactly_zero_error(tmp_path):
+    cfg = parse_config("mesh_n = 16\ngrid_m = 2\noversampling_layers = 2\n"
+                       "source = constant:0\ncoarse_n_sweep = 0,1,2,3,4,5\n")
+    assert run(cfg, out_dir=tmp_path) == 0
+    with open(tmp_path / "errors.csv") as fh:
+        header = fh.readline().strip().split(",")
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    assert len(rows) == 6
+    column = {name: rows[:, header.index(name)] for name in header}
+    assert np.all(column["relBplusErr"] == 0.0) and np.all(column["relL2Err"] == 0.0)
+    assert np.all(np.isfinite(column["maxSqrtLambdaNext"]))
+    assert np.all(np.isnan(column["fitSlope"])) and np.all(np.isnan(column["fitR2"]))
 
 
 def test_runs_do_not_interfere(tmp_path):

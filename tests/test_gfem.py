@@ -1,6 +1,5 @@
 import copy
 import tracemalloc
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
+import msgfem.cli
 from msgfem.decomposition import build_decomposition
 from msgfem.dg_forms import DGAssembler, subdomain_dofs
 from msgfem.errors import SolverError
@@ -50,6 +50,11 @@ def _doctored(locals_):
     return [first] + list(locals_[1:])
 
 
+def _dependent(j, k):
+    """The message of a mode that depends on the modes before it, as a pattern."""
+    return rf"^coarse mode \({j}, {k}\) depends on the modes before it in its subdomain$"
+
+
 # -- per-point oracle: every column rebuilt, dense Gram, band factor ----------
 
 def _band_solve(G, b):
@@ -65,32 +70,31 @@ def _band_solve(G, b):
 def _oracle_point(mesh, decomp, pou, locals_, rule, B, F, H):
     """One sweep point built and solved on its own columns alone.
 
-    Returns ``(u_s, n_total, dropped)``.
+    Returns ``(u_s, n_total)``.
     """
     ndof = 3 * mesh.n_elements
     u_p = pou_blend(mesh, decomp, pou, [d.particular for d in locals_])
-    rows, cols, vals, dropped = [], [], [], []
+    rows, cols, vals = [], [], []
     for data in locals_:
         omega = decomp.omega(data.j)
         dofs = subdomain_dofs(omega)
         n = select_coarse(data.eigenvalues, rule, data.j)
         blended = pou.dof_weights(mesh, data.j, omega)[:, None] * data.modes[:, :n]
-        Q, kept = _h_orthonormal(blended, H[dofs][:, dofs])
-        dropped += [(data.j, k) for k in range(n) if k not in kept]
+        Q = _h_orthonormal(blended, H[dofs][:, dofs], data.j)
         for q in Q.T:
             nz = q != 0.0
             rows.append(dofs[nz])
             cols.append(np.full(int(nz.sum()), len(cols), dtype=np.int64))
             vals.append(q[nz])
     if not cols:
-        return np.zeros(ndof), 0, dropped
+        return np.zeros(ndof), 0
     C = sp.coo_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(ndof, len(cols))).tocsc()
     G = (C.T @ (B @ C)).toarray()
     G = 0.5 * (G + G.T)
     y = _band_solve(G, C.T @ (F - B @ u_p))
-    return np.asarray(C @ y).ravel(), C.shape[1], dropped
+    return np.asarray(C @ y).ravel(), C.shape[1]
 
 
 def test_single_subdomain_particular_is_exact():
@@ -190,15 +194,11 @@ def test_error_report_rejects_a_non_finite_norm(problem):
         error_report(forms, u_fine, 1e200 * u_fine)
 
 
-def test_dependent_columns_are_dropped(problem):
+def test_dependent_mode_raises_naming_it(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    with pytest.warns(UserWarning, match="dependent coarse"):
-        coarse, _ = assemble_coarse(mesh, decomp, pou,
-                                    _doctored(_kept(locals_, ("fixed", 2))),
-                                    forms.B, forms.F, forms.H)
-    assert len(coarse.dropped) == 1
-    assert coarse.dropped[0] == (0, 1)
-    assert coarse.n_total == 2 * decomp.n_subdomains - 1
+    with pytest.raises(SolverError, match=_dependent(0, 1)):
+        assemble_coarse(mesh, decomp, pou, _doctored(_kept(locals_, ("fixed", 2))),
+                        forms.B, forms.F, forms.H)
 
 
 def test_indefinite_form_reported_as_coercivity_failure(problem):
@@ -215,7 +215,7 @@ def test_dependence_across_subdomains_fails_the_factor_naming_it():
     basis = sp.csc_matrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
     coarse = CoarseSpace(basis=basis, offsets=np.array([[0, 0], [1, 0]]),
                          gram_B=sp.csr_matrix(basis.T @ basis), rhs=np.ones(2),
-                         drops=np.empty((0, 2), dtype=np.int64), n_j=np.array([1, 1]))
+                         n_j=np.array([1, 1]))
     with pytest.raises(SolverError, match="penalty parameter is too small for this "
                        "mesh, or coarse columns of different subdomains depend on each other"):
         solve_coarse(coarse, coarse.n_j)
@@ -233,8 +233,7 @@ def _planted(coarse, u_p, forms, c):
     offsets = np.insert(coarse.offsets, at, [t, n_j[t] - 1], axis=0)
     return CoarseSpace(basis=basis, offsets=offsets,
                        gram_B=symmetric_part(basis.T @ (forms.B @ basis)),
-                       rhs=basis.T @ (forms.F - forms.B @ u_p),
-                       drops=coarse.drops, n_j=n_j), at
+                       rhs=basis.T @ (forms.F - forms.B @ u_p), n_j=n_j), at
 
 
 def test_dependence_across_subdomains_fails_at_every_placement(problem):
@@ -284,11 +283,11 @@ def test_solution_container_consistency(problem):
 def _assert_matches_oracle(problem, locals_, rules, solutions):
     mesh, coef, decomp, pou, _, forms, _ = problem
     for rule, sol in zip(rules, solutions):
-        u_s, n_total, dropped = _oracle_point(mesh, decomp, pou, locals_, rule,
-                                              forms.B, forms.F, forms.H)
+        u_s, n_total = _oracle_point(mesh, decomp, pou, locals_, rule,
+                                     forms.B, forms.F, forms.H)
         assert np.array_equal(sol.u_s, u_s), rule
         assert sol.coarse.n_total == n_total, rule
-        assert sol.coarse.dropped == dropped, rule
+        assert sol.coarse.dropped == [], rule
         assert sol.coarse.n_j.tolist() == [select_coarse(d.eigenvalues, rule, d.j) for d in locals_]
 
 
@@ -319,17 +318,33 @@ def test_one_pass_sweep_matches_per_point_oracle(problem):
         solve_coarse(coarse, [5, 4, 4, 4])
 
 
-def test_duplicate_column_dropped_at_exactly_the_points_holding_it(problem):
+def test_duplicate_mode_fails_exactly_the_builds_holding_it(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     doctored = _doctored(_kept(locals_, ("fixed", 4)))
     rules = [("fixed", n) for n in (1, 2, 3, 4)]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        solutions = solve_msgfem(mesh, decomp, pou, doctored, forms, rules)
-        _assert_matches_oracle(problem, doctored, rules, solutions)
-    assert any("dependent coarse" in str(w.message) for w in caught)
-    assert [sol.coarse.dropped for sol in solutions] == [[], [(0, 1)], [(0, 1)], [(0, 1)]]
-    assert [sol.coarse.n_total for sol in solutions] == [4, 7, 11, 15]
+    # a sweep builds its columns once, from the modes of its largest point
+    with pytest.raises(SolverError, match=_dependent(0, 1)):
+        solve_msgfem(mesh, decomp, pou, doctored, forms, rules)
+    for rule in rules[1:]:
+        with pytest.raises(SolverError, match=_dependent(0, 1)):
+            _oracle_point(mesh, decomp, pou, doctored, rule, forms.B, forms.F, forms.H)
+    solutions = solve_msgfem(mesh, decomp, pou, _kept(doctored, rules[0]), forms, rules[:1])
+    _assert_matches_oracle(problem, doctored, rules[:1], solutions)
+    assert solutions[0].coarse.n_total == 4
+
+
+def test_duplicate_mode_is_one_pipeline_failure_line(tmp_path, capsys, monkeypatch):
+    def doctored(*args, **kwargs):
+        return _doctored(compute_local_data(*args, **kwargs))
+
+    monkeypatch.setattr(msgfem.cli, "compute_local_data", doctored)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mesh_n = 16\ngrid_m = 2\noversampling_layers = 2\n"
+                   "coarse_n_sweep = 1,2,3\nchecks = off\n")
+    assert msgfem.cli.main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("pipeline failure: coarse mode (0, 1) depends on "
+                                       "the modes before it in its subdomain\n")
+    assert not (tmp_path / "o" / "errors.csv").exists()
 
 
 def test_sweep_beyond_available_modes_names_the_subdomain(problem):
@@ -404,17 +419,24 @@ def _assert_h_orthonormal(Q, H):
 
 
 @pytest.mark.parametrize("local", [False, True])
-def test_orthonormalization_drops_planted_dependencies(local):
+def test_orthonormalization_raises_at_planted_dependencies(local):
     rng = np.random.default_rng(7)
     for _ in range(25):
         X, planted = _planted_columns(rng, local)
         H = _spd(rng, X.shape[0])
-        Q, kept = _h_orthonormal(X, H)
-        assert np.setdiff1d(np.arange(X.shape[1]), kept).tolist() == planted.tolist()
+        with pytest.raises(SolverError, match=_dependent(3, planted[0])):
+            _h_orthonormal(X, H, 3)
+        clean = np.setdiff1d(np.arange(X.shape[1]), planted)
+        Xk = X[:, clean]
+        Q = _h_orthonormal(Xk, H, 3)
         _assert_h_orthonormal(Q, H)
-        # same span: each kept column is its H-projection onto Q
-        Xk = X[:, kept]
+        # same span: each unplanted column is its H-projection onto Q
         assert np.abs(Q @ (Q.T @ (H @ Xk)) - Xk).max() <= 1e-10 * np.abs(Xk).max()
+        # each planted column raises when it follows the unplanted columns before it
+        for i in planted:
+            before = clean[clean < i]
+            with pytest.raises(SolverError, match=_dependent(3, before.size)):
+                _h_orthonormal(X[:, np.r_[before, i]], H, 3)
 
 
 def test_orthonormalization_keeps_a_small_genuine_residual():
@@ -431,29 +453,28 @@ def test_orthonormalization_keeps_a_small_genuine_residual():
     w = la.solve_triangular(R, w / np.linalg.norm(w))     # H-unit, H-orthogonal to X[:, :5]
     u = X[:, :5] @ rng.standard_normal(5)
     X[:, 5] = u + 1e-7 * np.sqrt(u @ (H @ u)) * w
-    Q, kept = _h_orthonormal(X, H)
-    assert kept.tolist() == list(range(6))
+    Q = _h_orthonormal(X, H, 0)
+    assert Q.shape == (m, 6)
     _assert_h_orthonormal(Q, H)
 
 
 def test_orthonormal_columns_are_nested():
+    # the columns before the first planted one, 16 here
     rng = np.random.default_rng(11)
-    X, _ = _planted_columns(rng, True)
+    X, planted = _planted_columns(rng, True)
     H = _spd(rng, X.shape[0])
-    Q, kept = _h_orthonormal(X, H)
-    for p in (1, 9, 10, 37, 69):
-        Qp, kept_p = _h_orthonormal(X[:, :p], H)
-        assert kept_p.tolist() == [k for k in kept if k < p]
-        assert np.array_equal(Qp, Q[:, :kept_p.size])
+    X = X[:, :planted[0]]
+    Q = _h_orthonormal(X, H, 0)
+    for p in (1, 9, 10, planted[0] - 1):
+        assert np.array_equal(_h_orthonormal(X[:, :p], H, 0), Q[:, :p])
 
 
 def test_orthonormalization_edge_sizes():
     H = sp.identity(3, format="csr")
-    for X in (np.zeros((3, 0)), np.zeros((3, 3))):
-        Q, kept = _h_orthonormal(X, H)
-        assert Q.shape == (3, 0) and kept.size == 0
-    Q, kept = _h_orthonormal(np.eye(3), H)
-    assert kept.tolist() == [0, 1, 2] and np.array_equal(Q, np.eye(3))
+    assert _h_orthonormal(np.zeros((3, 0)), H, 0).shape == (3, 0)
+    with pytest.raises(SolverError, match=_dependent(0, 0)):
+        _h_orthonormal(np.zeros((3, 3)), H, 0)
+    assert np.array_equal(_h_orthonormal(np.eye(3), H, 0), np.eye(3))
 
 
 def test_coarse_solve_memory_follows_the_band():
@@ -469,7 +490,6 @@ def test_coarse_solve_memory_follows_the_band():
     rhs = rng.standard_normal(n)
     offsets = np.stack([np.arange(n) // per, np.arange(n) % per], axis=1)
     coarse = CoarseSpace(basis=X, offsets=offsets, gram_B=G, rhs=rhs,
-                         drops=np.zeros((0, 2), dtype=np.int64),
                          n_j=np.full(n // per, per))
     tracemalloc.start()
     try:

@@ -44,11 +44,9 @@ def _run(keys: dict, out: Path, threads: int = 1) -> int:
     return main(["--config", str(cfg), "--out", str(out)])
 
 
-# near the coercivity limit an ill-conditioned dense solve and a dropped
-# dependent mode are expected outcomes of a run, not test failures
-expected_warnings = pytest.mark.filterwarnings(
-    "ignore::scipy.linalg.LinAlgWarning",
-    "ignore:dropped [0-9]+ dependent coarse columns:UserWarning")
+# near the coercivity limit an ill-conditioned dense solve is an expected
+# outcome of a run, not a test failure
+expected_warnings = pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 
 
 @expected_warnings
