@@ -1,26 +1,31 @@
 """Experiment driver: property suite, local spectra, error sweeps, artifacts.
 
 Exit codes: 0 on success, 1 when an enabled check fails or a solve breaks
-down, 2 on configuration errors.  All artifact files are plain text with
-shortest-round-trip float formatting, so identical configs reproduce
-byte-identical outputs.
+down, 2 on configuration errors.  Artifacts are shortest-round-trip plain
+text, and BLAS runs on one thread unless the environment sets its thread
+count, so identical configs reproduce byte-identical outputs.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
+# before numpy loads; the ``threads`` key is then the run's only parallelism
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from .config import RunConfig, parse_config, serialize_config
 from .decomposition import Decomposition, build_decomposition
-from .dg_forms import DGAssembler
+from .dg_forms import DGAssembler, GlobalForms
 from .errors import ConfigError, SolverError
-from .gfem import GlobalForms, error_report, solve_msgfem
+from .gfem import error_report, solve_msgfem
 from .local_problems import compute_local_data, select_coarse
 from .mesh import Coefficient, TriMesh, build_structured_mesh, coefficient_field
 from .space_ops import PartitionOfUnity, build_pou, h0_dofs
@@ -158,7 +163,7 @@ def _pipeline(problem: Problem, out: Path) -> int:
     u_fine = fine_solve(forms)
 
     rows = []
-    for sol in solve_msgfem(mesh, decomp, pou, locals_, forms, rules):
+    for sol in solve_msgfem(forms, decomp, pou, locals_, rules):
         rep = error_report(forms, sol.u_G, u_fine)
         # a point is labelled by its largest per-subdomain count, a fixed rule's n
         rows.append([config.grid_m, config.overlap_layers, config.oversampling_layers,

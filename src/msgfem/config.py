@@ -8,9 +8,8 @@ equal configs give byte-identical outputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
-
-import numpy as np
 
 from .errors import ConfigError
 
@@ -34,7 +33,7 @@ def _positive(key, text, where):
         v = float(text)
     except ValueError as exc:
         raise ConfigError(f"{where}{key} must be a number") from exc
-    if not 0 < v < np.inf:
+    if not 0 < v < math.inf:
         raise ConfigError(f"{where}{key} must be positive and finite")
     return v
 
@@ -59,7 +58,7 @@ def _rule(key, text, where):
         tau = float(parts[1])
     except ValueError as exc:
         raise ConfigError(f"{where}threshold rule needs a number") from exc
-    if not 0 <= tau < np.inf:
+    if not 0 <= tau < math.inf:
         raise ConfigError(f"{where}threshold must be finite and >= 0")
     return ("threshold", tau)
 
@@ -107,7 +106,7 @@ class RunConfig:
 
     @property
     def gamma0(self) -> float:
-        return float(np.sqrt(self.gamma0_sq))
+        return math.sqrt(self.gamma0_sq)
 
     def sweep_values(self) -> list:
         """Coarse sizes of the error sweep; the single configured rule if empty."""

@@ -21,6 +21,8 @@ The assembled variants are
 * ``H``      ``Bplus`` plus the volume mass matrix (the local inner product),
 * ``mass``   the volume mass matrix alone.
 
+``GlobalForms`` holds one run's four forms on the whole mesh, and its load.
+
 Face weights: with per-side coefficient values ``nu_1, nu_2`` the penalty
 coefficient is ``gamma_h^2 = (gamma0^2 / h_F) * 2 nu_1 nu_2 / (nu_1 + nu_2)``
 and the flux average uses the weights ``(2 nu_2, 2 nu_1) / (nu_1 + nu_2)``.
@@ -37,6 +39,7 @@ import scipy.sparse as sp
 
 __all__ = [
     "DGAssembler",
+    "GlobalForms",
     "compact",
     "subdomain_dofs",
     "nested_dofs",
@@ -238,3 +241,31 @@ class DGAssembler:
         # shape function i at a quadrature point equals its barycentric coordinate
         vals = np.einsum("eq,q,qi->ei", fv, _LOAD_WEIGHTS, _LOAD_POINTS) * mesh.areas[:, None]
         return vals.ravel()
+
+
+class GlobalForms:
+    """Global matrices and load vector of one problem, compact as they live all run.
+
+    ``B``, the load ``F`` of ``f`` and, with ``B``, the assembler's block
+    tables are built here: the local stage's workers share them, and a
+    ``cached_property`` takes no lock from Python 3.12 on.  ``H``, ``Bplus``
+    and ``mass`` are built on first use, which only the calling thread makes.
+    """
+
+    def __init__(self, asm: DGAssembler, f):
+        self.asm = asm
+        self.f = f
+        self.B = compact(asm.matrix(None, "B"))
+        self.F = asm.load(f)
+
+    @cached_property
+    def H(self):
+        return compact(self.asm.matrix(None, "H"))
+
+    @cached_property
+    def Bplus(self):
+        return compact(self.asm.matrix(None, "Bplus"))
+
+    @cached_property
+    def mass(self):
+        return compact(self.asm.matrix(None, "mass"))

@@ -23,21 +23,18 @@ solves, bit for bit, the system that a build of just its columns would give.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
 from .decomposition import Decomposition
-from .dg_forms import DGAssembler, compact, subdomain_dofs
+from .dg_forms import GlobalForms, compact, subdomain_dofs
 from .errors import SolverError
 from .local_problems import select_coarse, solve_checked, symmetric_part
-from .mesh import TriMesh
 from .space_ops import PartitionOfUnity, pou_blend
 
 __all__ = [
-    "GlobalForms",
     "CoarseSpace",
     "MSGFEMSolution",
     "ErrorReport",
@@ -48,40 +45,11 @@ __all__ = [
     "solve_msgfem",
 ]
 
-# the one dependence test of a coarse column, inside its subdomain (its
-# H-orthogonal part) and across subdomains (its squared Cholesky pivot)
+# a column depends on those before it when, inside its subdomain, its
+# H-orthogonal part is at most this share of its H norm, or, across subdomains,
+# its squared Cholesky pivot of its squared B norm: a pivot at most 1e-5 of the
+# B norm, as an exact duplicate's pivot is only about sqrt(n eps) of it
 _DEPENDENCE_RTOL = 1e-10
-
-
-class GlobalForms:
-    """Global matrices and load vector of one problem, each assembled on first use.
-
-    The matrices live for the whole run, so each is stored compact.
-    """
-
-    def __init__(self, asm: DGAssembler, f):
-        self.asm = asm
-        self.f = f
-
-    @cached_property
-    def B(self):
-        return compact(self.asm.matrix(None, "B"))
-
-    @cached_property
-    def H(self):
-        return compact(self.asm.matrix(None, "H"))
-
-    @cached_property
-    def Bplus(self):
-        return compact(self.asm.matrix(None, "Bplus"))
-
-    @cached_property
-    def mass(self):
-        return compact(self.asm.matrix(None, "mass"))
-
-    @cached_property
-    def F(self) -> np.ndarray:
-        return self.asm.load(self.f)
 
 
 @dataclass
@@ -144,16 +112,17 @@ class MSGFEMSolution:
         return self.u_p + self.u_s
 
 
-def assemble_coarse(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
-                    locals_: list, B, F: np.ndarray, H):
+def assemble_coarse(forms: GlobalForms, decomp: Decomposition, pou: PartitionOfUnity,
+                    locals_: list):
     """Blend the particular parts and the kept local modes into global vectors.
 
-    Makes each subdomain's blended modes H-orthonormal (see
+    Makes each subdomain's blended modes orthonormal in ``forms.H`` (see
     :func:`_h_orthonormal`) and reduces the columns to their Galerkin data
-    in the form ``B`` with load ``F``.  Returns the coarse space and the
+    in ``forms.B`` with load ``forms.F``.  Returns the coarse space and the
     global particular vector.  A mode that depends on the modes before it
     in its subdomain raises a ``SolverError`` naming its (j, k).
     """
+    mesh, B, H = forms.asm.mesh, forms.B, forms.H
     n_sel = np.array([data.modes.shape[1] for data in locals_], dtype=np.int64)
     ndof = 3 * mesh.n_elements
     u_p = pou_blend(mesh, decomp, pou, [d.particular for d in locals_])
@@ -177,7 +146,7 @@ def assemble_coarse(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
     coarse = CoarseSpace(basis=basis,
                          offsets=np.array(offsets, dtype=np.int64).reshape(col, 2),
                          gram_B=compact(symmetric_part(basis.T @ (B @ basis))),
-                         rhs=basis.T @ (F - B @ u_p), n_j=n_sel)
+                         rhs=basis.T @ (forms.F - B @ u_p), n_j=n_sel)
     return coarse, u_p
 
 
@@ -292,16 +261,16 @@ def max_sqrt_lambda_next(locals_: list, coarse: CoarseSpace) -> float:
     return worst
 
 
-def solve_msgfem(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
-                 locals_: list, forms: GlobalForms, rules) -> list:
-    """Assemble the coarse space once and solve it at every sweep point.
+def solve_msgfem(forms: GlobalForms, decomp: Decomposition, pou: PartitionOfUnity,
+                 locals_: list, rules) -> list:
+    """Assemble the coarse space once in ``forms`` and solve it at every sweep point.
 
     ``rules`` is a list of rules of either kind (see :func:`select_coarse`).
     The columns are assembled from the modes ``locals_`` kept, and every
     point is solved on its subset of them; a point that asks for more modes
     than a subdomain kept raises.  Returns one solution per rule.
     """
-    coarse, u_p = assemble_coarse(mesh, decomp, pou, locals_, forms.B, forms.F, forms.H)
+    coarse, u_p = assemble_coarse(forms, decomp, pou, locals_)
     solutions = []
     for rule in rules:
         n_j = [select_coarse(d.eigenvalues, rule, d.j) for d in locals_]

@@ -8,20 +8,16 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 from .decomposition import Decomposition
-from .dg_forms import DGAssembler, nested_dofs, subdomain_dofs
+from .dg_forms import DGAssembler, GlobalForms, nested_dofs, subdomain_dofs
 from .errors import ConfigError, SolverError
 from .mesh import TriMesh
 from .space_ops import PartitionOfUnity, h0_dofs
-
-if TYPE_CHECKING:   # gfem imports this module
-    from .gfem import GlobalForms
 
 __all__ = [
     "LocalSpectralData",
@@ -265,20 +261,18 @@ def compute_local_data(mesh: TriMesh, forms: GlobalForms, decomp: Decomposition,
                        pou: PartitionOfUnity, rules, threads: int = 1) -> list:
     """Run all per-subdomain stages; results are ordered by subdomain index.
 
-    ``forms`` holds the run's assembler on ``mesh``, so one set of block
-    tables serves every subdomain, and its global ``B`` and load, whose
-    masked rows are every subdomain's system and source.  ``rules`` is the
-    run's sweep, as :func:`msgfem.gfem.solve_msgfem` takes it.  Each
-    subdomain keeps every eigenvalue and, on its overlap subdomain, as many
-    leading modes as the sweep's rules select at most (:func:`select_coarse`);
-    the factored system, the dense basis and the pencil vectors it computed
-    them from are dropped when its worker returns.
+    ``forms`` holds the run's assembler on ``mesh``, whose block tables
+    serve every subdomain, and the global ``B`` and load, whose masked rows
+    are every subdomain's system and source; the workers only read them, as
+    all three are built with ``forms``.  ``rules`` is the run's sweep, as
+    :func:`msgfem.gfem.solve_msgfem` takes it.  Each subdomain keeps every
+    eigenvalue and, on its overlap subdomain, as many leading modes as the
+    sweep's rules select at most (:func:`select_coarse`); the factored
+    system, the dense basis and the pencil vectors it computed them from
+    are dropped when its worker returns.
     """
     if forms.asm.mesh is not mesh:
         raise ValueError("the assembler is built on another mesh")
-    # built here, once: a cached_property takes no lock from Python 3.12 on,
-    # so racing workers would each assemble them
-    forms.B, forms.F
 
     def one(j: int) -> LocalSpectralData:
         omega = decomp.omega(j)

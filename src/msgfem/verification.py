@@ -19,9 +19,8 @@ import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 from .decomposition import d_minus, grow, square_block
-from .dg_forms import DGAssembler, nested_dofs, subdomain_dofs
+from .dg_forms import DGAssembler, GlobalForms, nested_dofs, subdomain_dofs
 from .errors import SolverError
-from .gfem import GlobalForms
 from .local_problems import (RESIDUAL_TOL, MaskedSystem, scaled_residual, solve_checked,
                              symmetric_part)
 from .mesh import TriMesh

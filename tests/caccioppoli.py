@@ -10,8 +10,7 @@ import numpy as np
 
 from manufactured import element_diameters
 from msgfem.decomposition import grow, square_block
-from msgfem.dg_forms import nested_dofs
-from msgfem.gfem import GlobalForms
+from msgfem.dg_forms import GlobalForms, nested_dofs
 from msgfem.local_problems import MaskedSystem, solve_checked
 from msgfem.mesh import TriMesh
 

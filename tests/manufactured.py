@@ -8,8 +8,7 @@ the observed convergence rates.
 """
 import numpy as np
 
-from msgfem.dg_forms import DGAssembler
-from msgfem.gfem import GlobalForms
+from msgfem.dg_forms import DGAssembler, GlobalForms
 from msgfem.mesh import build_structured_mesh, coefficient_field
 from msgfem.verification import fine_solve
 

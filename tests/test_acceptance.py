@@ -17,8 +17,8 @@ from manufactured import manufactured_convergence
 from msgfem.cli import run as cli_run
 from msgfem.config import parse_config
 from msgfem.decomposition import build_decomposition, grow, square_block
-from msgfem.dg_forms import DGAssembler
-from msgfem.gfem import GlobalForms, error_report, solve_msgfem
+from msgfem.dg_forms import DGAssembler, GlobalForms
+from msgfem.gfem import error_report, solve_msgfem
 from msgfem.local_problems import MaskedSystem, compute_local_data
 from msgfem.mesh import build_structured_mesh, coefficient_field
 from msgfem.space_ops import build_pou
@@ -196,7 +196,7 @@ def test_criterion_7_global_error_decay(reference):
         forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
         u_fine = fine_solve(forms)
         errs, lams = [], []
-        for sol in solve_msgfem(mesh, decomp, pou, locals_, forms, SWEEP):
+        for sol in solve_msgfem(forms, decomp, pou, locals_, SWEEP):
             errs.append(error_report(forms, sol.u_G, u_fine).rel_bplus_error)
             lams.append(sol.max_sqrt_lambda_next)
         errs = np.array(errs)
@@ -236,7 +236,7 @@ def test_criterion_9_single_subdomain_exactness():
     pou = build_pou(mesh, decomp)
     forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
     locals_ = compute_local_data(mesh, forms, decomp, pou, [("fixed", 0)])
-    [sol] = solve_msgfem(mesh, decomp, pou, locals_, forms, [("fixed", 0)])
+    [sol] = solve_msgfem(forms, decomp, pou, locals_, [("fixed", 0)])
     u_G = sol.u_G
     u_fine = fine_solve(forms)
     H = forms.H

@@ -378,7 +378,42 @@ def test_ill_conditioned_kernel_gram_raised_as_an_error_is_a_pipeline_failure(tm
     assert not (tmp_path / "errors.csv").exists()
 
 
-def test_high_contrast_rows_match_the_b_best_approximation(tmp_path):
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _high_contrast_process(tmp: Path, blas: dict) -> Path:
+    """Run the CLI on ``HIGH_CONTRAST`` in its own process; returns its output directory.
+
+    The process sees the BLAS variables of ``blas`` alone.
+    """
+    (tmp / "run.cfg").write_text(HIGH_CONTRAST)
+    src = str(Path(msgfem.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(blas, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "msgfem.cli", "--config",
+                           str(tmp / "run.cfg"), "--out", str(tmp / "o")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return tmp / "o"
+
+
+@pytest.fixture(scope="module")
+def pinned_high_contrast(tmp_path_factory):
+    """The ``HIGH_CONTRAST`` run with BLAS on one thread, as the benchmark runs it."""
+    return _high_contrast_process(tmp_path_factory.mktemp("pinned"),
+                                  {var: "1" for var in BLAS_VARS})
+
+
+def test_cli_pins_blas_unless_the_environment_sets_it(tmp_path, pinned_high_contrast):
+    # at contrast 1e8 the modes move by about 1e-4 with the BLAS thread count, so
+    # a process left at the default count on two or more cores writes other rows
+    unset = _high_contrast_process(tmp_path, {})
+    for name in ("eigenvalues.csv", "errors.csv"):
+        assert (unset / name).read_bytes() == (pinned_high_contrast / name).read_bytes(), name
+
+
+def test_high_contrast_rows_match_the_b_best_approximation(pinned_high_contrast):
     """At contrast 1e8 every sweep row is within 1% of the B-best approximation.
 
     The B-best approximation from a row's blended modes solves the least
@@ -388,15 +423,7 @@ def test_high_contrast_rows_match_the_b_best_approximation(tmp_path):
     solve on their raw Gram matrix misses this by percents.  The CLI runs in
     its own process with BLAS on one thread, as the benchmark runs it.
     """
-    (tmp_path / "run.cfg").write_text(HIGH_CONTRAST)
-    src = str(Path(msgfem.cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-m", "msgfem.cli", "--config",
-                           str(tmp_path / "run.cfg"), "--out", str(tmp_path / "o")],
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    with open(tmp_path / "o" / "errors.csv") as fh:
+    with open(pinned_high_contrast / "errors.csv") as fh:
         header = fh.readline().strip().split(",")
         rows = np.loadtxt(fh, delimiter=",", ndmin=2)
 

@@ -9,11 +9,10 @@ import scipy.sparse as sp
 
 import msgfem.cli
 from msgfem.decomposition import build_decomposition
-from msgfem.dg_forms import DGAssembler, subdomain_dofs
+from msgfem.dg_forms import DGAssembler, GlobalForms, subdomain_dofs
 from msgfem.errors import SolverError
-from msgfem.gfem import (CoarseSpace, GlobalForms, _h_orthonormal, assemble_coarse,
-                         error_report, max_sqrt_lambda_next, solve_coarse,
-                         solve_msgfem)
+from msgfem.gfem import (CoarseSpace, _h_orthonormal, assemble_coarse, error_report,
+                         max_sqrt_lambda_next, solve_coarse, solve_msgfem)
 from msgfem.local_problems import compute_local_data, select_coarse, symmetric_part
 from msgfem.mesh import build_structured_mesh, coefficient_field
 from msgfem.space_ops import build_pou, pou_blend
@@ -43,6 +42,13 @@ def _kept(locals_, rule):
     return [replace(d, modes=d.modes[:, :select_coarse(d.eigenvalues, rule, d.j)]) for d in locals_]
 
 
+def _with(forms, **replaced):
+    """A copy of ``forms`` with some of its matrices or its load replaced."""
+    other = copy.copy(forms)
+    vars(other).update(replaced)
+    return other
+
+
 def _doctored(locals_):
     """Local data whose mode 1 on subdomain 0 repeats its mode 0."""
     first = copy.deepcopy(locals_[0])
@@ -67,11 +73,12 @@ def _band_solve(G, b):
     return la.cho_solve_banded((la.cholesky_banded(ab, lower=True), True), b)
 
 
-def _oracle_point(mesh, decomp, pou, locals_, rule, B, F, H):
+def _oracle_point(forms, decomp, pou, locals_, rule):
     """One sweep point built and solved on its own columns alone.
 
     Returns ``(u_s, n_total)``.
     """
+    mesh, B, F, H = forms.asm.mesh, forms.B, forms.F, forms.H
     ndof = 3 * mesh.n_elements
     u_p = pou_blend(mesh, decomp, pou, [d.particular for d in locals_])
     rows, cols, vals = [], [], []
@@ -104,7 +111,7 @@ def test_single_subdomain_particular_is_exact():
     pou = build_pou(mesh, decomp)
     forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
     locals_ = compute_local_data(mesh, forms, decomp, pou, [("fixed", 0)])
-    [sol] = solve_msgfem(mesh, decomp, pou, locals_, forms, [("fixed", 0)])
+    [sol] = solve_msgfem(forms, decomp, pou, locals_, [("fixed", 0)])
     assert sol.coarse.n_total == 0
     assert np.all(sol.u_s == 0.0)
     u_fine = fine_solve(forms)
@@ -116,8 +123,7 @@ def test_single_subdomain_particular_is_exact():
 
 def test_empty_selection_returns_particular(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, u_p = assemble_coarse(mesh, decomp, pou, _kept(locals_, ("fixed", 0)),
-                                  forms.B, forms.F, forms.H)
+    coarse, u_p = assemble_coarse(forms, decomp, pou, _kept(locals_, ("fixed", 0)))
     assert coarse.n_total == 0
     _, u_s = solve_coarse(coarse, coarse.n_j)
     assert u_s.shape == u_p.shape
@@ -126,8 +132,7 @@ def test_empty_selection_returns_particular(problem):
 
 def test_coarse_columns_supported_on_their_subdomain(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, _ = assemble_coarse(mesh, decomp, pou, _kept(locals_, ("fixed", 3)),
-                                forms.B, forms.F, forms.H)
+    coarse, _ = assemble_coarse(forms, decomp, pou, _kept(locals_, ("fixed", 3)))
     dense = coarse.basis.toarray()
     for col, (j, _k) in enumerate(coarse.offsets):
         inside = subdomain_dofs(decomp.omega(j))
@@ -141,8 +146,8 @@ def test_zero_data_gives_zero_correction(problem):
     quiet = [copy.copy(d) for d in locals_]
     for d in quiet:
         d.particular = np.zeros_like(d.particular)
-    coarse, u_p = assemble_coarse(mesh, decomp, pou, _kept(quiet, ("fixed", 2)),
-                                  forms.B, np.zeros_like(forms.F), forms.H)
+    coarse, u_p = assemble_coarse(_with(forms, F=np.zeros_like(forms.F)), decomp, pou,
+                                  _kept(quiet, ("fixed", 2)))
     assert np.all(u_p == 0.0)
     _, u_s = solve_coarse(coarse, coarse.n_j)
     assert np.abs(u_s).max() <= 1e-14
@@ -150,8 +155,7 @@ def test_zero_data_gives_zero_correction(problem):
 
 def test_reduced_system_is_symmetric(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, _ = assemble_coarse(mesh, decomp, pou, _kept(locals_, ("fixed", 4)),
-                                forms.B, forms.F, forms.H)
+    coarse, _ = assemble_coarse(forms, decomp, pou, _kept(locals_, ("fixed", 4)))
     G = (coarse.basis.T @ (forms.B @ coarse.basis)).toarray()
     assert np.abs(G - G.T).max() <= 1e-13 * np.abs(G).max()
     assert coarse.gram_B.format == "csr"
@@ -163,7 +167,7 @@ def test_enlarging_coarse_space_never_hurts(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     rules = [("fixed", n) for n in (1, 2, 3, 5, 8)]
     errors = [error_report(forms, sol.u_G, u_fine).rel_bplus_error
-              for sol in solve_msgfem(mesh, decomp, pou, locals_, forms, rules)]
+              for sol in solve_msgfem(forms, decomp, pou, locals_, rules)]
     for a, b in zip(errors, errors[1:]):
         assert b <= a + 1e-10
 
@@ -172,8 +176,7 @@ def test_error_report_trivial_and_surrogate(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     rep = error_report(forms, u_fine, u_fine)
     assert rep.rel_bplus_error == 0.0 and rep.rel_l2_error == 0.0
-    coarse, _ = assemble_coarse(mesh, decomp, pou, _kept(locals_, ("fixed", 2)),
-                                forms.B, forms.F, forms.H)
+    coarse, _ = assemble_coarse(forms, decomp, pou, _kept(locals_, ("fixed", 2)))
     surrogate = max_sqrt_lambda_next(locals_, coarse)
     oracle = max(np.sqrt(d.eigenvalues[2]) for d in locals_)
     assert surrogate == oracle
@@ -197,14 +200,13 @@ def test_error_report_rejects_a_non_finite_norm(problem):
 def test_dependent_mode_raises_naming_it(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     with pytest.raises(SolverError, match=_dependent(0, 1)):
-        assemble_coarse(mesh, decomp, pou, _doctored(_kept(locals_, ("fixed", 2))),
-                        forms.B, forms.F, forms.H)
+        assemble_coarse(forms, decomp, pou, _doctored(_kept(locals_, ("fixed", 2))))
 
 
 def test_indefinite_form_reported_as_coercivity_failure(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, _ = assemble_coarse(mesh, decomp, pou, _kept(locals_, ("fixed", 3)),
-                                -forms.H, forms.F, forms.H)
+    coarse, _ = assemble_coarse(_with(forms, B=-forms.H), decomp, pou,
+                                _kept(locals_, ("fixed", 3)))
     with pytest.raises(SolverError, match="reduced coarse system is not positive definite"):
         solve_coarse(coarse, coarse.n_j)
 
@@ -240,8 +242,7 @@ def test_dependence_across_subdomains_fails_at_every_placement(problem):
     # whichever column is repeated under the next subdomain, the later copy's
     # pivot is roundoff of either sign, and the factor names that copy
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, u_p = assemble_coarse(mesh, decomp, pou, _kept(locals_, ("fixed", 3)),
-                                  forms.B, forms.F, forms.H)
+    coarse, u_p = assemble_coarse(forms, decomp, pou, _kept(locals_, ("fixed", 3)))
     assert coarse.n_total == 12
     for c in range(coarse.n_total):
         planted, at = _planted(coarse, u_p, forms, c)
@@ -255,8 +256,7 @@ def test_long_lived_matrices_are_stored_compact(problem):
     """The run-long forms and the sweep-long Gram own arrays of exactly nnz entries."""
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     fresh = GlobalForms(forms.asm, source_one)
-    coarse, _ = assemble_coarse(mesh, decomp, pou, _kept(locals_, ("fixed", 3)),
-                                fresh.B, fresh.F, fresh.H)
+    coarse, _ = assemble_coarse(fresh, decomp, pou, _kept(locals_, ("fixed", 3)))
     pairs = [(getattr(fresh, kind), forms.asm.matrix(None, kind))
              for kind in ("B", "H", "Bplus", "mass")]
     pairs.append((coarse.gram_B, symmetric_part(coarse.basis.T @ (fresh.B @ coarse.basis))))
@@ -271,8 +271,7 @@ def test_long_lived_matrices_are_stored_compact(problem):
 
 def test_solution_container_consistency(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    [sol] = solve_msgfem(mesh, decomp, pou, _kept(locals_, ("fixed", 3)), forms,
-                         [("fixed", 3)])
+    [sol] = solve_msgfem(forms, decomp, pou, _kept(locals_, ("fixed", 3)), [("fixed", 3)])
     assert np.array_equal(sol.u_G, sol.u_p + sol.u_s)
     rep = error_report(forms, sol.u_G, u_fine)
     assert 0.0 <= rep.rel_bplus_error < 0.2 and rep.rel_l2_error >= 0.0
@@ -283,8 +282,7 @@ def test_solution_container_consistency(problem):
 def _assert_matches_oracle(problem, locals_, rules, solutions):
     mesh, coef, decomp, pou, _, forms, _ = problem
     for rule, sol in zip(rules, solutions):
-        u_s, n_total = _oracle_point(mesh, decomp, pou, locals_, rule,
-                                     forms.B, forms.F, forms.H)
+        u_s, n_total = _oracle_point(forms, decomp, pou, locals_, rule)
         assert np.array_equal(sol.u_s, u_s), rule
         assert sol.coarse.n_total == n_total, rule
         assert sol.coarse.dropped == [], rule
@@ -295,25 +293,21 @@ def test_one_pass_sweep_matches_per_point_oracle(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     rules = [("fixed", n) for n in (1, 2, 3, 4)]
     _assert_matches_oracle(problem, locals_, rules,
-                           solve_msgfem(mesh, decomp, pou, _kept(locals_, rules[-1]),
-                                        forms, rules))
+                           solve_msgfem(forms, decomp, pou, _kept(locals_, rules[-1]), rules))
     for tau in (0.05, 0.2):
         rule = ("threshold", tau)
         _assert_matches_oracle(problem, locals_, [rule],
-                               solve_msgfem(mesh, decomp, pou, _kept(locals_, rule),
-                                            forms, [rule]))
+                               solve_msgfem(forms, decomp, pou, _kept(locals_, rule), [rule]))
     # uneven threshold selections ([4, 3, 3, 4] and [3, 2, 2, 3]) as subsets
     # of one fixed build
-    coarse, _ = assemble_coarse(mesh, decomp, pou, _kept(locals_, ("fixed", 4)),
-                                forms.B, forms.F, forms.H)
+    coarse, _ = assemble_coarse(forms, decomp, pou, _kept(locals_, ("fixed", 4)))
     for tau in (0.05, 0.2):
         rule = ("threshold", tau)
         n_j = [select_coarse(d.eigenvalues, rule, d.j) for d in locals_]
         assert len(set(n_j)) == 2
         space, u_s = solve_coarse(coarse, n_j)
         assert np.array_equal(
-            u_s, _oracle_point(mesh, decomp, pou, locals_, rule,
-                               forms.B, forms.F, forms.H)[0])
+            u_s, _oracle_point(forms, decomp, pou, locals_, rule)[0])
     with pytest.raises(ValueError, match="exceeds the assembled"):
         solve_coarse(coarse, [5, 4, 4, 4])
 
@@ -324,11 +318,11 @@ def test_duplicate_mode_fails_exactly_the_builds_holding_it(problem):
     rules = [("fixed", n) for n in (1, 2, 3, 4)]
     # a sweep builds its columns once, from the modes of its largest point
     with pytest.raises(SolverError, match=_dependent(0, 1)):
-        solve_msgfem(mesh, decomp, pou, doctored, forms, rules)
+        solve_msgfem(forms, decomp, pou, doctored, rules)
     for rule in rules[1:]:
         with pytest.raises(SolverError, match=_dependent(0, 1)):
-            _oracle_point(mesh, decomp, pou, doctored, rule, forms.B, forms.F, forms.H)
-    solutions = solve_msgfem(mesh, decomp, pou, _kept(doctored, rules[0]), forms, rules[:1])
+            _oracle_point(forms, decomp, pou, doctored, rule)
+    solutions = solve_msgfem(forms, decomp, pou, _kept(doctored, rules[0]), rules[:1])
     _assert_matches_oracle(problem, doctored, rules[:1], solutions)
     assert solutions[0].coarse.n_total == 4
 
@@ -351,7 +345,7 @@ def test_sweep_beyond_available_modes_names_the_subdomain(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     fewest = min(locals_, key=lambda d: d.eigenvalues.size)
     with pytest.raises(ValueError, match=f"subdomain {fewest.j} has only"):
-        solve_msgfem(mesh, decomp, pou, locals_, forms,
+        solve_msgfem(forms, decomp, pou, locals_,
                      [("fixed", 2), ("fixed", fewest.eigenvalues.size + 1)])
 
 
@@ -374,7 +368,7 @@ def test_threshold_rule_certifies_its_accuracy(spec):
     rules = [("threshold", 0.1), ("threshold", 0.03)]
     locals_ = compute_local_data(mesh, forms, decomp, pou, rules)
     u_fine = fine_solve(forms)
-    for (_, tau), sol in zip(rules, solve_msgfem(mesh, decomp, pou, locals_, forms, rules)):
+    for (_, tau), sol in zip(rules, solve_msgfem(forms, decomp, pou, locals_, rules)):
         err = error_report(forms, sol.u_G, u_fine).rel_bplus_error
         assert err <= sol.max_sqrt_lambda_next < tau, (tau, err, sol.max_sqrt_lambda_next)
 

@@ -8,10 +8,10 @@ import scipy.sparse.linalg as spla
 
 import msgfem.local_problems as local_problems
 from msgfem.decomposition import build_decomposition, d_minus
-from msgfem.dg_forms import (_LOAD_POINTS, _LOAD_WEIGHTS, DGAssembler, nested_dofs,
-                             subdomain_dofs)
+from msgfem.dg_forms import (_LOAD_POINTS, _LOAD_WEIGHTS, DGAssembler, GlobalForms,
+                             nested_dofs, subdomain_dofs)
 from msgfem.errors import SolverError
-from msgfem.gfem import GlobalForms, solve_msgfem
+from msgfem.gfem import solve_msgfem
 from msgfem.local_problems import (MaskedSystem, compute_local_data, eigenproblem,
                                    particular_solution, scaled_residual, select_coarse,
                                    solve_checked)
@@ -210,7 +210,7 @@ def test_sweep_beyond_the_kept_modes_raises(setting):
     locals_ = compute_local_data(mesh, forms, decomp, pou, [("fixed", 2)])
     for rule in (("fixed", 3), ("threshold", 0.0)):
         with pytest.raises(ValueError, match="exceeds the assembled modes"):
-            solve_msgfem(mesh, decomp, pou, locals_, forms, [rule])
+            solve_msgfem(forms, decomp, pou, locals_, [rule])
 
 
 def test_compute_local_data_rejects_an_assembler_on_another_mesh(setting):
@@ -589,7 +589,7 @@ def test_eigenvalue_decay_fits_per_subdomain():
 def test_threaded_results_match_serial(setting):
     mesh, coef, decomp, pou = setting
     serial = compute_local_data(mesh, forms_of(mesh, coef), decomp, pou, FIXED, threads=1)
-    # the workers share fresh forms and switch often, so an unguarded lazy build races
+    # the workers share fresh forms and switch often, so a lazy build they reached would race
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -632,19 +632,27 @@ def test_masked_blocks_are_rows_of_the_global_system(n, m, layers, spec):
 def test_local_stage_assembles_the_global_system_once(setting, monkeypatch):
     mesh, coef, decomp, pou = setting
     calls = []
-    matrix = DGAssembler.matrix
+    matrix, load = DGAssembler.matrix, DGAssembler.load
 
     def counting(self, D=None, kind="B"):
         calls.append(("mesh" if D is None else "subset", kind))
         return matrix(self, D, kind)
 
+    def counting_load(self, f):
+        calls.append(("mesh", "load"))
+        return load(self, f)
+
     monkeypatch.setattr(DGAssembler, "matrix", counting)
+    monkeypatch.setattr(DGAssembler, "load", counting_load)
     forms = forms_of(mesh, coef)
+    # one global assembly of B and of the load, when the forms are built
+    assert calls == [("mesh", "B"), ("mesh", "load")]
+    calls.clear()
     locals_ = compute_local_data(mesh, forms, decomp, pou, FIXED, threads=2)
-    solve_msgfem(mesh, decomp, pou, locals_, forms, FIXED)
+    solve_msgfem(forms, decomp, pou, locals_, FIXED)
     fine_solve(forms)
-    # one global assembly, and none on a subdomain
-    assert [D for D, kind in calls if kind == "B"] == ["mesh"]
+    # and none after it, on the mesh or on a subdomain
+    assert [kind for _, kind in calls if kind in ("B", "load")] == []
 
 
 def test_select_coarse_rules():

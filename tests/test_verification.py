@@ -12,9 +12,9 @@ from manufactured import manufactured_convergence
 from msgfem.cli import build_problem
 from msgfem.config import RunConfig, parse_config
 from msgfem.decomposition import d_minus, square_block
-from msgfem.dg_forms import DGAssembler
+from msgfem.dg_forms import DGAssembler, GlobalForms
 from msgfem.errors import ConfigError, SolverError
-from msgfem.gfem import GlobalForms, error_report, solve_msgfem
+from msgfem.gfem import error_report, solve_msgfem
 from msgfem.local_problems import MaskedSystem, compute_local_data
 from msgfem.mesh import build_structured_mesh, coefficient_field
 from msgfem.verification import (decay_fit, fine_solve, harmonicity_defect,
@@ -103,7 +103,7 @@ def _fitted_rate(spec: str, oversampling: int) -> float:
     locals_ = compute_local_data(mesh, forms, decomp, pou, rules)
     u_fine = fine_solve(forms)
     errors = [error_report(forms, sol.u_G, u_fine).rel_bplus_error
-              for sol in solve_msgfem(mesh, decomp, pou, locals_, forms, rules)]
+              for sol in solve_msgfem(forms, decomp, pou, locals_, rules)]
     return decay_fit(range(1, 13), errors)[0]
 
 
