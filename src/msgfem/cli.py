@@ -98,13 +98,8 @@ def _check_mode_counts(problem: Problem) -> None:
             select_coarse(np.empty(n_modes), rule, j)
 
 
-def _fmt(x) -> str:
-    # float() first: numpy 2 writes repr(np.float64(x)) as "np.float64(x)"
-    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
-
-
 def _write_csv(path: Path, columns, rows) -> None:
-    lines = [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
+    lines = [",".join(columns)] + [",".join(map(str, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -119,7 +114,9 @@ def run(config: RunConfig, out_dir) -> int:
 
     The problem is built, and the fixed mode counts checked against every
     subdomain unless only the property suite runs, before anything is
-    written, so a configuration error leaves no output behind.
+    written, so a configuration error leaves no output behind.  Then the
+    artifacts an earlier run left in ``out_dir`` are removed, so the
+    directory never mixes the files of two runs.
     """
     problem = build_problem(config)
     if config.checks != "only":
@@ -129,6 +126,8 @@ def run(config: RunConfig, out_dir) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create the output directory: {exc}") from exc
+    for name in ("config.txt", "checks.json", "eigenvalues.csv", "errors.csv"):
+        (out / name).unlink(missing_ok=True)
     (out / "config.txt").write_text(serialize_config(config))
 
     stage = "property suite"
@@ -159,7 +158,7 @@ def _pipeline(problem: Problem, out: Path) -> int:
     # every mode of every subdomain, kernel modes as inf
     _write_csv(out / "eigenvalues.csv", _EIGENVALUE_COLUMNS,
                ([data.j, k, lam, int(np.isinf(lam))]
-                for data in locals_ for k, lam in enumerate(data.eigenvalues)))
+                for data in locals_ for k, lam in enumerate(data.eigenvalues.tolist())))
     u_fine = fine_solve(forms)
 
     rows = []
@@ -176,8 +175,8 @@ def _pipeline(problem: Problem, out: Path) -> int:
                              sweep[:, _ERROR_COLUMNS.index("relBplusErr")])
     _write_csv(out / "errors.csv", _ERROR_COLUMNS, (row + [slope, r2] for row in rows))
     sys.stdout.write(
-        f"pipeline: {len(rows)} sweep row(s), coarse fit slope {_fmt(slope)}, "
-        f"r2 {_fmt(r2)}, elapsed {time.time() - t0:.1f}s\n")
+        f"pipeline: {len(rows)} sweep row(s), coarse fit slope {slope!r}, "
+        f"r2 {r2!r}, elapsed {time.time() - t0:.1f}s\n")
     return 0
 
 

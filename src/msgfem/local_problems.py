@@ -78,13 +78,12 @@ def scaled_residual(A, x, b) -> float:
 def solve_checked(solve, A, b, name: str):
     """``solve(b)`` (an LU, Cholesky or dense solve), then the scaled-residual contract.
 
-    A healthy direct solve meets the scaled residual at roundoff whatever the
+    Every right-hand side is solved and checked, a zero one included.  A
+    healthy direct solve meets the scaled residual at roundoff whatever the
     contrast.  Raises :class:`SolverError` naming the ``name`` solve when it
     exceeds the tolerance, column by column, or when ``solve`` breaks down,
     an ill-conditioning warning raised as an error included.
     """
-    if not np.any(b):
-        return np.zeros_like(b)
     try:
         x = solve(b)
     except (np.linalg.LinAlgError, la.LinAlgWarning) as exc:

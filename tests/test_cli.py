@@ -292,10 +292,12 @@ def test_repeated_sweep_value_leaves_no_fit(tmp_path):
     assert all(row.endswith(",nan,nan") for row in rows)
 
 
-def test_eigenvalue_export_format(tmp_path):
+def test_eigenvalue_export_format(tmp_path, capsys):
     cfg = parse_config("mesh_n = 24\ngrid_m = 3\noversampling_layers = 2\n"
-                       "coarse_rule = fixed:2\nchecks = off\n")
+                       "coarse_rule = fixed:2\n")
     assert run(cfg, out_dir=tmp_path) == 0
+    # the suite's witnesses and the fit are printed as plain numbers too
+    assert "np." not in capsys.readouterr().out
     lines = (tmp_path / "eigenvalues.csv").read_text().splitlines()
     assert lines[0] == "j,k,lambda,is_infinite"
     rows = [line.split(",") for line in lines[1:]]
@@ -494,6 +496,18 @@ def test_zero_source_writes_rows_of_exactly_zero_error(tmp_path):
     assert np.all(column["relBplusErr"] == 0.0) and np.all(column["relL2Err"] == 0.0)
     assert np.all(np.isfinite(column["maxSqrtLambdaNext"]))
     assert np.all(np.isnan(column["fitSlope"])) and np.all(np.isnan(column["fitR2"]))
+
+
+def test_a_run_replaces_the_artifacts_an_earlier_run_left(tmp_path):
+    assert run(parse_config(SMALL + "coarse_n_sweep = 1,2\n"), out_dir=tmp_path) == 0
+    failing = parse_config(SMALL + "gamma0_sq = 1e-4\n")
+    assert run(failing, out_dir=tmp_path) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checks.json", "config.txt"]
+    assert parse_config((tmp_path / "config.txt").read_text()) == failing
+    assert json.loads((tmp_path / "checks.json").read_text())["all_pass"] is False
+    # a run without the suite leaves no report of an earlier one
+    assert run(parse_config(SMALL + "checks = off\n"), out_dir=tmp_path) == 0
+    assert not (tmp_path / "checks.json").exists()
 
 
 def test_runs_do_not_interfere(tmp_path):

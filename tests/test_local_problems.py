@@ -247,22 +247,19 @@ class _CountingLU:
 
 
 def test_compute_local_data_solves_once_per_right_hand_side(setting, monkeypatch):
-    # every subdomain has a nonzero source block and a nonzero basis block
+    # one source solve and one basis solve per subdomain, a zero source included
     mesh, coef, decomp, pou = setting
     widths = []
     splu = local_problems.spla.splu
     monkeypatch.setattr(local_problems.spla, "splu",
                         lambda A: _CountingLU(splu(A), widths))
     rough = coefficient_field(mesh, "log_uniform:1e-3:1e3", seed=0)
-    for c in (coef, rough):
+    for forms in (forms_of(mesh, coef), forms_of(mesh, rough),
+                  forms_of(mesh, coef, lambda x, y: 0.0)):
         widths.clear()
-        compute_local_data(mesh, forms_of(mesh, c), decomp, pou, FIXED)
+        compute_local_data(mesh, forms, decomp, pou, FIXED)
         assert len(widths) == 2 * decomp.n_subdomains
         assert widths.count(1) == decomp.n_subdomains
-    # a zero source is not solved at all
-    widths.clear()
-    compute_local_data(mesh, forms_of(mesh, coef, lambda x, y: 0.0), decomp, pou, FIXED)
-    assert len(widths) == decomp.n_subdomains and 1 not in widths
 
 
 class _DoctoredLU:
@@ -290,6 +287,18 @@ def test_non_finite_solution_fails_the_checked_solve(bad):
     with pytest.raises(SolverError, match="residual inf exceeds"):
         solve_checked(lambda b: np.array([bad, 1.0]), A, np.ones(2), "probe")
     assert scaled_residual(A, np.array([bad, 1.0]), np.array([bad, 1.0])) == np.inf
+
+
+def test_zero_right_hand_side_is_solved_and_checked():
+    calls = []
+
+    def broken(b):
+        calls.append(b)
+        return np.full_like(b, np.nan)
+
+    with pytest.raises(SolverError, match="probe residual inf exceeds"):
+        solve_checked(broken, np.eye(2), np.zeros(2), "probe")
+    assert len(calls) == 1
 
 
 def test_zero_source_gives_zero_solution(setting):
