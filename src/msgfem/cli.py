@@ -52,7 +52,7 @@ def source_function(spec: str):
 
 @dataclass(frozen=True)
 class Problem:
-    """Everything one run builds before its first solve, built once."""
+    """Everything a run builds before its first solve, once; its source is in ``forms.F``."""
 
     config: RunConfig
     mesh: TriMesh
@@ -166,8 +166,8 @@ def _pipeline(problem: Problem, out: Path) -> int:
         rep = error_report(forms, sol.u_G, u_fine)
         # a point is labelled by its largest per-subdomain count, a fixed rule's n
         rows.append([config.grid_m, config.overlap_layers, config.oversampling_layers,
-                     int(sol.coarse.n_j.max(initial=0)), config.gamma0,
-                     problem.coefficient.contrast, sol.coarse.n_total, rep.rel_bplus_error,
+                     int(sol.n_j.max(initial=0)), config.gamma0,
+                     problem.coefficient.contrast, sol.n_total, rep.rel_bplus_error,
                      rep.rel_l2_error, sol.max_sqrt_lambda_next])
 
     sweep = np.array(rows, dtype=float)

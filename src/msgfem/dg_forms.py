@@ -246,15 +246,15 @@ class DGAssembler:
 class GlobalForms:
     """Global matrices and load vector of one problem, compact as they live all run.
 
-    ``B``, the load ``F`` of ``f`` and, with ``B``, the assembler's block
-    tables are built here: the local stage's workers share them, and a
-    ``cached_property`` takes no lock from Python 3.12 on.  ``H``, ``Bplus``
-    and ``mass`` are built on first use, which only the calling thread makes.
+    ``B``, the load ``F`` of the source ``f`` (not kept) and, with ``B``, the
+    assembler's block tables are built here: the local stage's workers share
+    them, and a ``cached_property`` takes no lock from Python 3.12 on.
+    ``H``, ``Bplus`` and ``mass`` are built on first use, which only the
+    calling thread makes.
     """
 
     def __init__(self, asm: DGAssembler, f):
         self.asm = asm
-        self.f = f
         self.B = compact(asm.matrix(None, "B"))
         self.F = asm.load(f)
 

@@ -15,14 +15,15 @@ own subdomain or of others.  Column k depends only on the modes before it,
 so the columns of a sweep point are, bit for bit, the leading columns of
 the one build.  A column lives on its subdomain, so it meets only the
 columns of overlapping subdomains and the Gram nonzeros stay in that
-overlap band.  Each sweep point takes the index subset of its modes and
-factors its Gram block by a Cholesky on LAPACK band storage.  An entry of a
-sparse Gram product depends only on its own two columns, so every point
-solves, bit for bit, the system that a build of just its columns would give.
+overlap band.  A sweep point is its per-subdomain mode counts: it takes the
+leading columns of each subdomain and factors their Gram block by a
+Cholesky on LAPACK band storage.  An entry of a sparse Gram product depends
+only on its own two columns, so every point solves, bit for bit, the system
+that a build of just its columns would give.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -54,11 +55,11 @@ _DEPENDENCE_RTOL = 1e-10
 
 @dataclass
 class CoarseSpace:
-    """Blended coarse columns with their Galerkin data, and one selection of them.
+    """Blended coarse columns with their Galerkin data.
 
-    ``basis`` has one fine-dof column per kept local mode, ordered by
-    subdomain j and then mode k; ``offsets`` holds the (j, k) of each column.
-    The columns of one subdomain are H-orthonormal; a mode that depends on
+    ``basis`` has one fine-dof column per kept local mode: the ``n_j[j]``
+    modes of subdomain j in mode order, the subdomains in index order.  The
+    columns of one subdomain are H-orthonormal; a mode that depends on
     earlier modes of its subdomain fails the build (see
     :func:`_h_orthonormal`).  Columns of different subdomains are not tested
     against each other here: a dependence across them leaves the Gram block
@@ -66,20 +67,13 @@ class CoarseSpace:
     both possible causes.  ``gram_B`` is the sparse (CSR) column Gram matrix
     in the full form, nonzero only between columns of overlapping
     subdomains and stored compact, as it lives for the whole sweep; ``rhs``
-    pairs the columns with the residual of the particular part.  The
-    selection is the modes k < n_j[j], and ``columns`` are its columns.
+    pairs the columns with the residual of the particular part.
     """
 
     basis: sp.csc_matrix
-    offsets: np.ndarray           # (n_columns, 2): subdomain j, local mode k
     gram_B: sp.csr_matrix
     rhs: np.ndarray
-    n_j: np.ndarray               # selected modes per subdomain
-
-    @property
-    def columns(self) -> np.ndarray:
-        j, k = self.offsets.T
-        return np.flatnonzero(k < self.n_j[j])
+    n_j: np.ndarray               # kept modes per subdomain
 
     @property
     def dropped(self) -> list:
@@ -90,22 +84,19 @@ class CoarseSpace:
     def n_total(self) -> int:
         return int(self.n_j.sum())
 
-    def select(self, n_j) -> CoarseSpace:
-        """The sub-selection of modes k < n_j[j]."""
-        n_j = np.asarray(n_j, dtype=np.int64)
-        if np.any(n_j > self.n_j):
-            raise ValueError("selection exceeds the assembled modes")
-        return replace(self, n_j=n_j)
-
 
 @dataclass
 class MSGFEMSolution:
-    """Particular part, coarse correction and their sum, plus diagnostics."""
+    """One sweep point: its mode counts, particular part, coarse correction and their sum."""
 
     u_p: np.ndarray
     u_s: np.ndarray
-    coarse: CoarseSpace
+    n_j: np.ndarray               # the point's modes per subdomain
     max_sqrt_lambda_next: float
+
+    @property
+    def n_total(self) -> int:
+        return int(self.n_j.sum())
 
     @property
     def u_G(self) -> np.ndarray:
@@ -116,37 +107,36 @@ def assemble_coarse(forms: GlobalForms, decomp: Decomposition, pou: PartitionOfU
                     locals_: list):
     """Blend the particular parts and the kept local modes into global vectors.
 
-    Makes each subdomain's blended modes orthonormal in ``forms.H`` (see
+    ``locals_`` lists the subdomains in index order, as
+    :func:`~msgfem.local_problems.compute_local_data` returns them.  Makes
+    each subdomain's blended modes orthonormal in ``forms.H`` (see
     :func:`_h_orthonormal`) and reduces the columns to their Galerkin data
     in ``forms.B`` with load ``forms.F``.  Returns the coarse space and the
     global particular vector.  A mode that depends on the modes before it
     in its subdomain raises a ``SolverError`` naming its (j, k).
     """
     mesh, B, H = forms.asm.mesh, forms.B, forms.H
-    n_sel = np.array([data.modes.shape[1] for data in locals_], dtype=np.int64)
+    kept = np.array([data.modes.shape[1] for data in locals_], dtype=np.int64)
     ndof = 3 * mesh.n_elements
     u_p = pou_blend(mesh, decomp, pou, [d.particular for d in locals_])
 
-    rows, cols, vals, offsets = [], [], [], []
-    for data in locals_:
+    rows, cols, vals = [], [], []
+    for data, start in zip(locals_, np.cumsum(kept) - kept):
         omega = decomp.omega(data.j)
         dofs = subdomain_dofs(omega)
         blended = pou.dof_weights(mesh, data.j, omega)[:, None] * data.modes
         Q = _h_orthonormal(blended, H[dofs][:, dofs], data.j)
         r, k = np.nonzero(Q)
         rows.append(dofs[r])
-        cols.append(len(offsets) + k)
+        cols.append(start + k)
         vals.append(Q[r, k])
-        offsets += [(data.j, i) for i in range(Q.shape[1])]
-    col = len(offsets)
     basis = sp.coo_matrix((np.concatenate(vals),
                            (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(ndof, col)).tocsc()
+                          shape=(ndof, int(kept.sum()))).tocsc()
 
     coarse = CoarseSpace(basis=basis,
-                         offsets=np.array(offsets, dtype=np.int64).reshape(col, 2),
                          gram_B=compact(symmetric_part(basis.T @ (B @ basis))),
-                         rhs=basis.T @ (forms.F - B @ u_p), n_j=n_sel)
+                         rhs=basis.T @ (forms.F - B @ u_p), n_j=kept)
     return coarse, u_p
 
 
@@ -190,22 +180,28 @@ def _lower_band(G: sp.spmatrix) -> np.ndarray:
 
 
 def solve_coarse(coarse: CoarseSpace, n_j):
-    """Galerkin correction on one selection against the source residual.
+    """Galerkin correction of one sweep point against the source residual.
 
-    ``n_j`` picks the sweep point, the modes k < n_j[j] of the assembled
-    space.  The point's Gram block is factored in band storage.  A column
+    The point is its mode counts ``n_j``: the modes k < n_j[j] of each
+    subdomain j of the assembled space, at most the ``coarse.n_j[j]`` it
+    kept.  The point's Gram block is factored in band storage.  A column
     whose pivot is not positive, or whose squared pivot is at most
     ``_DEPENDENCE_RTOL`` of its Gram diagonal, raises a ``SolverError``
     naming its (j, k): the factor's squared pivot is the column's squared
     B-norm left after the columns before it, and rounding leaves that near
     eps of the diagonal, of either sign, when the column depends on them.
-    Returns the point's coarse space and the correction in fine dofs.
+    Returns the correction in fine dofs.
     """
-    space = coarse.select(n_j)
-    cols = space.columns
-    y = np.zeros(space.basis.shape[1])
+    n_j, kept = np.asarray(n_j, dtype=np.int64), coarse.n_j
+    if np.any(n_j > kept):
+        raise ValueError("selection exceeds the assembled modes")
+    # column c is mode k[c] of subdomain j[c]: the columns run by subdomain, then mode
+    j = np.repeat(np.arange(kept.size), kept)
+    k = np.arange(j.size) - np.repeat(np.cumsum(kept) - kept, kept)
+    cols = np.flatnonzero(k < n_j[j])
+    y = np.zeros(j.size)
     if cols.size:
-        G = space.gram_B[cols][:, cols]
+        G = coarse.gram_B[cols][:, cols]
         ab = _lower_band(G)
         pbtrf, = la.get_lapack_funcs(("pbtrf",), (ab,))
         # info: the 1-based column of the first pivot that is not positive, or else
@@ -215,14 +211,14 @@ def solve_coarse(coarse: CoarseSpace, n_j):
             small = np.flatnonzero(cb[0] ** 2 <= _DEPENDENCE_RTOL * G.diagonal())
             info = small[0] + 1 if small.size else 0
         if info > 0:
-            j, k = space.offsets[cols[info - 1]]
+            c = cols[info - 1]
             raise SolverError(
                 f"reduced coarse system is not positive definite at coarse column "
-                f"({j}, {k}); the penalty parameter is too small for this mesh, or "
+                f"({j[c]}, {k[c]}); the penalty parameter is too small for this mesh, or "
                 "coarse columns of different subdomains depend on each other")
         y[cols] = solve_checked(lambda b: la.cho_solve_banded((cb, True), b),
-                                G, space.rhs[cols], "coarse solve")
-    return space, space.basis @ y
+                                G, coarse.rhs[cols], "coarse solve")
+    return coarse.basis @ y
 
 
 @dataclass
@@ -251,12 +247,12 @@ def error_report(forms: GlobalForms, u_G: np.ndarray, u_fine: np.ndarray) -> Err
                        rel_l2_error=el / rl if rl > 0 else el)
 
 
-def max_sqrt_lambda_next(locals_: list, coarse: CoarseSpace) -> float:
-    """Largest next-eigenvalue root over the subdomains, the error surrogate."""
+def max_sqrt_lambda_next(locals_: list, n_j) -> float:
+    """Error surrogate of the point ``n_j``: the largest next-eigenvalue root of a subdomain."""
     worst = 0.0
-    for data, n_j in zip(locals_, coarse.n_j):
-        if n_j < data.eigenvalues.size:
-            lam = data.eigenvalues[n_j]
+    for data, n in zip(locals_, n_j):
+        if n < data.eigenvalues.size:
+            lam = data.eigenvalues[n]
             worst = max(worst, float(np.sqrt(lam)) if np.isfinite(lam) else np.inf)
     return worst
 
@@ -266,16 +262,16 @@ def solve_msgfem(forms: GlobalForms, decomp: Decomposition, pou: PartitionOfUnit
     """Assemble the coarse space once in ``forms`` and solve it at every sweep point.
 
     ``rules`` is a list of rules of either kind (see :func:`select_coarse`).
-    The columns are assembled from the modes ``locals_`` kept, and every
-    point is solved on its subset of them; a point that asks for more modes
-    than a subdomain kept raises.  Returns one solution per rule.
+    The columns are assembled from the modes ``locals_`` kept; every point,
+    the mode counts its rule selects, is solved on its subset of them, and a
+    point that asks for more modes than a subdomain kept raises.  Returns
+    one solution per rule.
     """
     coarse, u_p = assemble_coarse(forms, decomp, pou, locals_)
     solutions = []
     for rule in rules:
-        n_j = [select_coarse(d.eigenvalues, rule, d.j) for d in locals_]
-        space, u_s = solve_coarse(coarse, n_j)
+        n_j = np.array([select_coarse(d.eigenvalues, rule, d.j) for d in locals_])
         solutions.append(MSGFEMSolution(
-            u_p=u_p, u_s=u_s, coarse=space,
-            max_sqrt_lambda_next=max_sqrt_lambda_next(locals_, space)))
+            u_p=u_p, u_s=solve_coarse(coarse, n_j), n_j=n_j,
+            max_sqrt_lambda_next=max_sqrt_lambda_next(locals_, n_j)))
     return solutions

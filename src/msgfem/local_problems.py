@@ -189,47 +189,46 @@ def eigenproblem(asm: DGAssembler, pou: PartitionOfUnity, j: int, omega, omega_s
     """
     basis = system.harmonic_extension()
     idx = nested_dofs(omega, omega_star)
-    if basis.shape[1] == 0:
-        values = np.empty(0)
-        return values, np.empty((idx.size, max(select_coarse(values, r, j) for r in rules)))
-    # the right form first: its product with the basis is the widest temporary
-    M = symmetric_part(basis.T @ (asm.matrix(omega_star, "Bplus") @ basis))
-    W = basis[idx, :]
-    W *= pou.dof_weights(asm.mesh, j, omega)[:, None]
-    A = symmetric_part(W.T @ (asm.matrix(omega, "Bplus") @ W))
-    del W
-    s, Q = la.eigh(M)
-    # s[-1] > 0: a basis column is nonconstant on the layer element of its unit dof
-    kern = s <= _KERNEL_RTOL * s[-1]
-    K = Q[:, kern]
-    W = Q[:, ~kern]     # the complement, made A-orthogonal to the kernel below
-    del Q
-    n_inf = K.shape[1]
-    if n_inf:
-        AK = A @ K
-        G = K.T @ AK
-        W -= K @ solve_checked(lambda b: la.solve(G, b, assume_a="pos"), G,
-                               AK.T @ W, "kernel Gram")
-    T = W.T @ A
-    del A
-    Ar = symmetric_part(T @ W)
-    del T
-    T = W.T @ M
-    del M
-    Mr = symmetric_part(T @ W)
-    del T
-    # Ar and Mr are exactly symmetric, so their Fortran-ordered views are
-    # themselves and LAPACK works on them without a copy
-    lam, Y = la.eigh(Ar.T, Mr.T, overwrite_a=True, overwrite_b=True)
-    del Ar, Mr
-    WY = W @ Y
-    del W, Y
-    values = np.concatenate([np.full(n_inf, np.inf), lam[::-1]])
-    vectors = np.concatenate([K, WY[:, ::-1]], axis=1)
-    if np.any(values < -RESIDUAL_TOL):
-        raise SolverError("negative eigenvalue beyond tolerance; assembly bug")
-    # roundoff guard: the pencil is PSD so tiny negatives are noise
-    values = np.maximum(values, 0.0)
+    values, vectors = np.empty(0), np.empty((0, 0))
+    if basis.shape[1]:
+        # the right form first: its product with the basis is the widest temporary
+        M = symmetric_part(basis.T @ (asm.matrix(omega_star, "Bplus") @ basis))
+        W = basis[idx, :]
+        W *= pou.dof_weights(asm.mesh, j, omega)[:, None]
+        A = symmetric_part(W.T @ (asm.matrix(omega, "Bplus") @ W))
+        del W
+        s, Q = la.eigh(M)
+        # s[-1] > 0: a basis column is nonconstant on the layer element of its unit dof
+        kern = s <= _KERNEL_RTOL * s[-1]
+        K = Q[:, kern]
+        W = Q[:, ~kern]     # the complement, made A-orthogonal to the kernel below
+        del Q
+        n_inf = K.shape[1]
+        if n_inf:
+            AK = A @ K
+            G = K.T @ AK
+            W -= K @ solve_checked(lambda b: la.solve(G, b, assume_a="pos"), G,
+                                   AK.T @ W, "kernel Gram")
+        T = W.T @ A
+        del A
+        Ar = symmetric_part(T @ W)
+        del T
+        T = W.T @ M
+        del M
+        Mr = symmetric_part(T @ W)
+        del T
+        # Ar and Mr are exactly symmetric, so their Fortran-ordered views are
+        # themselves and LAPACK works on them without a copy
+        lam, Y = la.eigh(Ar.T, Mr.T, overwrite_a=True, overwrite_b=True)
+        del Ar, Mr
+        WY = W @ Y
+        del W, Y
+        values = np.concatenate([np.full(n_inf, np.inf), lam[::-1]])
+        vectors = np.concatenate([K, WY[:, ::-1]], axis=1)
+        if np.any(values < -RESIDUAL_TOL):
+            raise SolverError("negative eigenvalue beyond tolerance; assembly bug")
+        # roundoff guard: the pencil is PSD so tiny negatives are noise
+        values = np.maximum(values, 0.0)
     modes = np.empty((idx.size, max(select_coarse(values, r, j) for r in rules)))
     # one full matrix-vector product per mode: a matrix product, or a product
     # on a subset of the rows, may round differently

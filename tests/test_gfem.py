@@ -56,6 +56,12 @@ def _doctored(locals_):
     return [first] + list(locals_[1:])
 
 
+def _column_modes(n_j):
+    """The (j, k) of every coarse column: ``n_j[j]`` modes per subdomain, in order."""
+    return np.array([(j, k) for j, n in enumerate(n_j) for k in range(n)],
+                    dtype=np.int64).reshape(-1, 2)
+
+
 def _dependent(j, k):
     """The message of a mode that depends on the modes before it, as a pattern."""
     return rf"^coarse mode \({j}, {k}\) depends on the modes before it in its subdomain$"
@@ -112,7 +118,7 @@ def test_single_subdomain_particular_is_exact():
     forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
     locals_ = compute_local_data(mesh, forms, decomp, pou, [("fixed", 0)])
     [sol] = solve_msgfem(forms, decomp, pou, locals_, [("fixed", 0)])
-    assert sol.coarse.n_total == 0
+    assert sol.n_total == 0
     assert np.all(sol.u_s == 0.0)
     u_fine = fine_solve(forms)
     H = forms.H
@@ -125,7 +131,7 @@ def test_empty_selection_returns_particular(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     coarse, u_p = assemble_coarse(forms, decomp, pou, _kept(locals_, ("fixed", 0)))
     assert coarse.n_total == 0
-    _, u_s = solve_coarse(coarse, coarse.n_j)
+    u_s = solve_coarse(coarse, coarse.n_j)
     assert u_s.shape == u_p.shape
     assert np.all(u_s == 0.0)
 
@@ -134,7 +140,7 @@ def test_coarse_columns_supported_on_their_subdomain(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     coarse, _ = assemble_coarse(forms, decomp, pou, _kept(locals_, ("fixed", 3)))
     dense = coarse.basis.toarray()
-    for col, (j, _k) in enumerate(coarse.offsets):
+    for col, (j, _k) in enumerate(_column_modes(coarse.n_j)):
         inside = subdomain_dofs(decomp.omega(j))
         outside = np.setdiff1d(np.arange(dense.shape[0]), inside)
         assert np.all(dense[outside, col] == 0.0)
@@ -149,7 +155,7 @@ def test_zero_data_gives_zero_correction(problem):
     coarse, u_p = assemble_coarse(_with(forms, F=np.zeros_like(forms.F)), decomp, pou,
                                   _kept(quiet, ("fixed", 2)))
     assert np.all(u_p == 0.0)
-    _, u_s = solve_coarse(coarse, coarse.n_j)
+    u_s = solve_coarse(coarse, coarse.n_j)
     assert np.abs(u_s).max() <= 1e-14
 
 
@@ -177,7 +183,7 @@ def test_error_report_trivial_and_surrogate(problem):
     rep = error_report(forms, u_fine, u_fine)
     assert rep.rel_bplus_error == 0.0 and rep.rel_l2_error == 0.0
     coarse, _ = assemble_coarse(forms, decomp, pou, _kept(locals_, ("fixed", 2)))
-    surrogate = max_sqrt_lambda_next(locals_, coarse)
+    surrogate = max_sqrt_lambda_next(locals_, coarse.n_j)
     oracle = max(np.sqrt(d.eigenvalues[2]) for d in locals_)
     assert surrogate == oracle
 
@@ -215,27 +221,29 @@ def test_dependence_across_subdomains_fails_the_factor_naming_it():
     # each subdomain's columns are orthonormalized on their own, so a column
     # that repeats one of another subdomain stays and leaves the Gram singular
     basis = sp.csc_matrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
-    coarse = CoarseSpace(basis=basis, offsets=np.array([[0, 0], [1, 0]]),
-                         gram_B=sp.csr_matrix(basis.T @ basis), rhs=np.ones(2),
+    coarse = CoarseSpace(basis=basis, gram_B=sp.csr_matrix(basis.T @ basis), rhs=np.ones(2),
                          n_j=np.array([1, 1]))
-    with pytest.raises(SolverError, match="penalty parameter is too small for this "
-                       "mesh, or coarse columns of different subdomains depend on each other"):
+    with pytest.raises(SolverError, match=r"at coarse column \(1, 0\); the penalty parameter "
+                       "is too small for this mesh, or coarse columns of different "
+                       "subdomains depend on each other"):
         solve_coarse(coarse, coarse.n_j)
 
 
 def _planted(coarse, u_p, forms, c):
-    """``coarse`` with column ``c`` repeated as an extra mode of the next subdomain."""
-    j = coarse.offsets[c, 0]
+    """``coarse`` with column ``c`` repeated as an extra, last mode of the next subdomain.
+
+    Returns it and the (j, k) of the later of the two copies.
+    """
+    j = _column_modes(coarse.n_j)[c, 0]
     t = (j + 1) % coarse.n_j.size
-    at = int(np.flatnonzero(coarse.offsets[:, 0] <= t)[-1]) + 1
+    at = int(coarse.n_j[:t + 1].sum())     # past the columns of subdomain t
     basis = sp.hstack([coarse.basis[:, :at], coarse.basis[:, [c]],
                        coarse.basis[:, at:]], format="csc")
     n_j = coarse.n_j.copy()
     n_j[t] += 1
-    offsets = np.insert(coarse.offsets, at, [t, n_j[t] - 1], axis=0)
-    return CoarseSpace(basis=basis, offsets=offsets,
-                       gram_B=symmetric_part(basis.T @ (forms.B @ basis)),
-                       rhs=basis.T @ (forms.F - forms.B @ u_p), n_j=n_j), at
+    planted = CoarseSpace(basis=basis, gram_B=symmetric_part(basis.T @ (forms.B @ basis)),
+                          rhs=basis.T @ (forms.F - forms.B @ u_p), n_j=n_j)
+    return planted, _column_modes(n_j)[max(at, c + (c >= at))]
 
 
 def test_dependence_across_subdomains_fails_at_every_placement(problem):
@@ -245,8 +253,7 @@ def test_dependence_across_subdomains_fails_at_every_placement(problem):
     coarse, u_p = assemble_coarse(forms, decomp, pou, _kept(locals_, ("fixed", 3)))
     assert coarse.n_total == 12
     for c in range(coarse.n_total):
-        planted, at = _planted(coarse, u_p, forms, c)
-        later = planted.offsets[max(at, c + (c >= at))]
+        planted, later = _planted(coarse, u_p, forms, c)
         with pytest.raises(SolverError, match=rf"at coarse column \({later[0]}, "
                            rf"{later[1]}\); the penalty parameter is too small"):
             solve_coarse(planted, planted.n_j)
@@ -284,9 +291,8 @@ def _assert_matches_oracle(problem, locals_, rules, solutions):
     for rule, sol in zip(rules, solutions):
         u_s, n_total = _oracle_point(forms, decomp, pou, locals_, rule)
         assert np.array_equal(sol.u_s, u_s), rule
-        assert sol.coarse.n_total == n_total, rule
-        assert sol.coarse.dropped == [], rule
-        assert sol.coarse.n_j.tolist() == [select_coarse(d.eigenvalues, rule, d.j) for d in locals_]
+        assert sol.n_total == n_total, rule
+        assert sol.n_j.tolist() == [select_coarse(d.eigenvalues, rule, d.j) for d in locals_]
 
 
 def test_one_pass_sweep_matches_per_point_oracle(problem):
@@ -301,11 +307,12 @@ def test_one_pass_sweep_matches_per_point_oracle(problem):
     # uneven threshold selections ([4, 3, 3, 4] and [3, 2, 2, 3]) as subsets
     # of one fixed build
     coarse, _ = assemble_coarse(forms, decomp, pou, _kept(locals_, ("fixed", 4)))
+    assert coarse.dropped == []
     for tau in (0.05, 0.2):
         rule = ("threshold", tau)
         n_j = [select_coarse(d.eigenvalues, rule, d.j) for d in locals_]
         assert len(set(n_j)) == 2
-        space, u_s = solve_coarse(coarse, n_j)
+        u_s = solve_coarse(coarse, n_j)
         assert np.array_equal(
             u_s, _oracle_point(forms, decomp, pou, locals_, rule)[0])
     with pytest.raises(ValueError, match="exceeds the assembled"):
@@ -324,7 +331,7 @@ def test_duplicate_mode_fails_exactly_the_builds_holding_it(problem):
             _oracle_point(forms, decomp, pou, doctored, rule)
     solutions = solve_msgfem(forms, decomp, pou, _kept(doctored, rules[0]), rules[:1])
     _assert_matches_oracle(problem, doctored, rules[:1], solutions)
-    assert solutions[0].coarse.n_total == 4
+    assert solutions[0].n_total == 4
 
 
 def test_duplicate_mode_is_one_pipeline_failure_line(tmp_path, capsys, monkeypatch):
@@ -482,12 +489,10 @@ def test_coarse_solve_memory_follows_the_band():
                       shape=(2 * n + width, n))
     G = (X.T @ X).tocsr()
     rhs = rng.standard_normal(n)
-    offsets = np.stack([np.arange(n) // per, np.arange(n) % per], axis=1)
-    coarse = CoarseSpace(basis=X, offsets=offsets, gram_B=G, rhs=rhs,
-                         n_j=np.full(n // per, per))
+    coarse = CoarseSpace(basis=X, gram_B=G, rhs=rhs, n_j=np.full(n // per, per))
     tracemalloc.start()
     try:
-        _, u_s = solve_coarse(coarse, coarse.n_j)
+        u_s = solve_coarse(coarse, coarse.n_j)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

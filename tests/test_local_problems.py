@@ -623,7 +623,11 @@ def test_masked_blocks_are_rows_of_the_global_system(n, m, layers, spec):
     # masked rows of the local form and load are those of the global ones
     mesh = build_structured_mesh(n)
     decomp = build_decomposition(mesh, m, 2, layers)
-    forms = forms_of(mesh, coefficient_field(mesh, spec), lambda x, y: 3.7 + x * y)
+
+    def f(x, y):
+        return 3.7 + x * y
+
+    forms = forms_of(mesh, coefficient_field(mesh, spec), f)
     asm = forms.asm
     for j in range(decomp.n_subdomains):
         oms = decomp.omega_star(j)
@@ -634,7 +638,7 @@ def test_masked_blocks_are_rows_of_the_global_system(n, m, layers, spec):
             assert sliced.format == local.format
             for name in ("indptr", "indices", "data"):
                 assert getattr(sliced, name).tobytes() == getattr(local, name).tobytes()
-        local_load = _oracle_load(asm, forms.f, oms)[system.free]
+        local_load = _oracle_load(asm, f, oms)[system.free]
         assert forms.F[system.rows].tobytes() == local_load.tobytes()
 
 
