@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 when an enabled check fails or a solve breaks
 down, 2 on configuration errors.  Artifacts are shortest-round-trip plain
 text, and BLAS runs on one thread unless the environment sets its thread
-count, so identical configs reproduce byte-identical outputs.
+count or numpy was imported before this module, so identical configs
+reproduce byte-identical outputs.
 """
 from __future__ import annotations
 
@@ -15,9 +16,11 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-# before numpy loads; the ``threads`` key is then the run's only parallelism
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+# before numpy loads or not at all, as set after it they would pin scipy's BLAS
+# alone; the ``threads`` key is then the run's only parallelism
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
 
@@ -162,7 +165,7 @@ def _pipeline(problem: Problem, out: Path) -> int:
     u_fine = fine_solve(forms)
 
     rows = []
-    for sol in solve_msgfem(forms, decomp, pou, locals_, rules):
+    for sol in solve_msgfem(forms, decomp, locals_, rules):
         rep = error_report(forms, sol.u_G, u_fine)
         # a point is labelled by its largest per-subdomain count, a fixed rule's n
         rows.append([config.grid_m, config.overlap_layers, config.oversampling_layers,

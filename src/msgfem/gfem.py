@@ -1,13 +1,14 @@
-"""Global multiscale approximation: blended coarse space and coarse solve.
+"""Global multiscale approximation: coarse space and coarse solve.
 
-The local spectral data of all subdomains is blended through the partition
-of unity into global vectors: the particular parts sum into one source
-approximation, and each subdomain's kept local modes span its coarse
-columns.  The coarse correction is the Galerkin solution of the full form on
-that column span against the source residual.
+The local stage hands over each subdomain's contributions already weighted
+by its partition-of-unity weight, so here they are only summed into global
+vectors: the particular parts add up to one source approximation, and each
+subdomain's kept weighted modes span its coarse columns.  The coarse
+correction is the Galerkin solution of the full form on that column span
+against the source residual.
 
 A sweep builds its columns once, from the modes the local stage kept for
-its largest selection.  Each subdomain's blended modes are made
+its largest selection.  Each subdomain's weighted modes are made
 H-orthonormal in mode order on the subdomain's own dofs, so the columns are
 well conditioned within each subdomain.  A mode that depends on the modes
 before it raises an error naming its (j, k), whether those modes are of its
@@ -33,7 +34,6 @@ from .decomposition import Decomposition
 from .dg_forms import GlobalForms, compact, subdomain_dofs
 from .errors import SolverError
 from .local_problems import select_coarse, solve_checked, symmetric_part
-from .space_ops import PartitionOfUnity, pou_blend
 
 __all__ = [
     "CoarseSpace",
@@ -55,7 +55,7 @@ _DEPENDENCE_RTOL = 1e-10
 
 @dataclass
 class CoarseSpace:
-    """Blended coarse columns with their Galerkin data.
+    """Coarse columns with their Galerkin data.
 
     ``basis`` has one fine-dof column per kept local mode: the ``n_j[j]``
     modes of subdomain j in mode order, the subdomains in index order.  The
@@ -103,29 +103,27 @@ class MSGFEMSolution:
         return self.u_p + self.u_s
 
 
-def assemble_coarse(forms: GlobalForms, decomp: Decomposition, pou: PartitionOfUnity,
-                    locals_: list):
-    """Blend the particular parts and the kept local modes into global vectors.
+def assemble_coarse(forms: GlobalForms, decomp: Decomposition, locals_: list):
+    """Sum the weighted particular parts and lay out the kept weighted modes globally.
 
     ``locals_`` lists the subdomains in index order, as
-    :func:`~msgfem.local_problems.compute_local_data` returns them.  Makes
-    each subdomain's blended modes orthonormal in ``forms.H`` (see
+    :func:`~msgfem.local_problems.compute_local_data` returns them; the
+    particular parts are added in that order.  Makes each subdomain's
+    weighted modes orthonormal in ``forms.H`` (see
     :func:`_h_orthonormal`) and reduces the columns to their Galerkin data
     in ``forms.B`` with load ``forms.F``.  Returns the coarse space and the
     global particular vector.  A mode that depends on the modes before it
     in its subdomain raises a ``SolverError`` naming its (j, k).
     """
-    mesh, B, H = forms.asm.mesh, forms.B, forms.H
+    B, H = forms.B, forms.H
     kept = np.array([data.modes.shape[1] for data in locals_], dtype=np.int64)
-    ndof = 3 * mesh.n_elements
-    u_p = pou_blend(mesh, decomp, pou, [d.particular for d in locals_])
-
+    ndof = B.shape[0]
+    u_p = np.zeros(ndof)
     rows, cols, vals = [], [], []
     for data, start in zip(locals_, np.cumsum(kept) - kept):
-        omega = decomp.omega(data.j)
-        dofs = subdomain_dofs(omega)
-        blended = pou.dof_weights(mesh, data.j, omega)[:, None] * data.modes
-        Q = _h_orthonormal(blended, H[dofs][:, dofs], data.j)
+        dofs = subdomain_dofs(decomp.omega(data.j))
+        u_p[dofs] += data.particular
+        Q = _h_orthonormal(data.modes, H[dofs][:, dofs], data.j)
         r, k = np.nonzero(Q)
         rows.append(dofs[r])
         cols.append(start + k)
@@ -257,8 +255,7 @@ def max_sqrt_lambda_next(locals_: list, n_j) -> float:
     return worst
 
 
-def solve_msgfem(forms: GlobalForms, decomp: Decomposition, pou: PartitionOfUnity,
-                 locals_: list, rules) -> list:
+def solve_msgfem(forms: GlobalForms, decomp: Decomposition, locals_: list, rules) -> list:
     """Assemble the coarse space once in ``forms`` and solve it at every sweep point.
 
     ``rules`` is a list of rules of either kind (see :func:`select_coarse`).
@@ -267,7 +264,7 @@ def solve_msgfem(forms: GlobalForms, decomp: Decomposition, pou: PartitionOfUnit
     point that asks for more modes than a subdomain kept raises.  Returns
     one solution per rule.
     """
-    coarse, u_p = assemble_coarse(forms, decomp, pou, locals_)
+    coarse, u_p = assemble_coarse(forms, decomp, locals_)
     solutions = []
     for rule in rules:
         n_j = np.array([select_coarse(d.eigenvalues, rule, d.j) for d in locals_])

@@ -40,14 +40,15 @@ class LocalSpectralData:
 
     ``eigenvalues`` lists every mode, sorted descending, with kernel modes
     reported as ``inf`` and listed first.  ``modes`` holds the selected
-    leading modes alone, one dof column on ``omega_j`` per mode; the local
-    approximation space is ``particular`` plus their span.
+    leading modes alone, one dof column on ``omega_j`` per mode.  Both it
+    and ``particular`` come multiplied by the subdomain's weight chi_j, so
+    the global solution sums ``particular`` plus a combination of ``modes``.
     """
 
     j: int
-    particular: np.ndarray      # dof vector on omega_j
+    particular: np.ndarray      # chi_j times the local source solution, on omega_j
     eigenvalues: np.ndarray
-    modes: np.ndarray           # (ndof(omega_j), n_kept)
+    modes: np.ndarray           # (ndof(omega_j), n_kept), chi_j times the modes
 
 
 def scaled_residual(A, x, b) -> float:
@@ -166,18 +167,20 @@ def symmetric_part(X):
     return S
 
 
-def eigenproblem(asm: DGAssembler, pou: PartitionOfUnity, j: int, omega, omega_star,
+def eigenproblem(asm: DGAssembler, w: np.ndarray, j: int, omega, omega_star,
                  system: MaskedSystem, rules):
-    """Spectral problem selecting the locally optimal coarse directions.
+    """Spectral problem of subdomain ``j`` selecting the locally optimal coarse directions.
 
-    Left form: energy of the weight-interpolated restriction to the overlap
-    subdomain.  Right form: energy on the oversampling domain.  Both are
-    congruence images of the positive form, hence symmetric PSD; kernel
-    directions of the right form (the constants, on interior subdomains)
-    come out as leading infinite eigenvalues.  The pencil is posed on the
-    harmonic basis of ``omega_star``, built here on the factored ``system``.
-    Returns every eigenvalue, sorted descending with the kernel's ``inf``
-    first, and on ``omega`` the most leading modes any of the ``rules`` keeps.
+    Left form: energy on the overlap subdomain of the restriction scaled by
+    ``w``, the subdomain's weight at every dof of ``omega``
+    (:meth:`~msgfem.space_ops.PartitionOfUnity.dof_weights`).  Right form:
+    energy on the oversampling domain.  Both are congruence images of the
+    positive form, hence symmetric PSD; kernel directions of the right form
+    (the constants, on interior subdomains) come out as leading infinite
+    eigenvalues.  The pencil is posed on the harmonic basis of
+    ``omega_star``, built here on the factored ``system``.  Returns every
+    eigenvalue, sorted descending with the kernel's ``inf`` first, and on
+    ``omega`` the most leading modes any of the ``rules`` keeps, unweighted.
 
     The kernel of the right form is split off first; the finite spectrum is
     computed on the complement that is orthogonal to the kernel in the left
@@ -194,7 +197,7 @@ def eigenproblem(asm: DGAssembler, pou: PartitionOfUnity, j: int, omega, omega_s
         # the right form first: its product with the basis is the widest temporary
         M = symmetric_part(basis.T @ (asm.matrix(omega_star, "Bplus") @ basis))
         W = basis[idx, :]
-        W *= pou.dof_weights(asm.mesh, j, omega)[:, None]
+        W *= w[:, None]
         A = symmetric_part(W.T @ (asm.matrix(omega, "Bplus") @ W))
         del W
         s, Q = la.eigh(M)
@@ -265,9 +268,10 @@ def compute_local_data(mesh: TriMesh, forms: GlobalForms, decomp: Decomposition,
     all three are built with ``forms``.  ``rules`` is the run's sweep, as
     :func:`msgfem.gfem.solve_msgfem` takes it.  Each subdomain keeps every
     eigenvalue and, on its overlap subdomain, as many leading modes as the
-    sweep's rules select at most (:func:`select_coarse`); the factored
-    system, the dense basis and the pencil vectors it computed them from
-    are dropped when its worker returns.
+    sweep's rules select at most (:func:`select_coarse`).  Its worker reads
+    its weight once, poses the eigenproblem with it and hands over the
+    particular solution and modes times it; the factored system, the dense
+    basis and the pencil vectors are dropped when it returns.
     """
     if forms.asm.mesh is not mesh:
         raise ValueError("the assembler is built on another mesh")
@@ -275,9 +279,11 @@ def compute_local_data(mesh: TriMesh, forms: GlobalForms, decomp: Decomposition,
     def one(j: int) -> LocalSpectralData:
         omega = decomp.omega(j)
         omega_star = decomp.omega_star(j)
+        w = pou.dof_weights(mesh, j, omega)
         up, system = particular_solution(forms, omega, omega_star)
-        values, modes = eigenproblem(forms.asm, pou, j, omega, omega_star, system, rules)
-        return LocalSpectralData(j=j, particular=up, eigenvalues=values, modes=modes)
+        values, modes = eigenproblem(forms.asm, w, j, omega, omega_star, system, rules)
+        return LocalSpectralData(j=j, particular=w * up, eigenvalues=values,
+                                 modes=w[:, None] * modes)
 
     if threads <= 1:
         # a pool worker allocates from its own malloc arena, whose freed blocks the

@@ -14,14 +14,13 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from .decomposition import Decomposition, d_minus
-from .dg_forms import nested_dofs, subdomain_dofs
+from .dg_forms import nested_dofs
 from .mesh import TriMesh
 
 __all__ = [
     "h0_dofs",
     "PartitionOfUnity",
     "build_pou",
-    "pou_blend",
 ]
 
 
@@ -91,20 +90,4 @@ def build_pou(mesh: TriMesh, decomp: Decomposition) -> PartitionOfUnity:
             f"vertex {int(uncovered[0])} is not interior to any shrunk subdomain; "
             "increase the overlap")
     return PartitionOfUnity(values=raw / total[None, :])
-
-
-def pou_blend(mesh: TriMesh, decomp: Decomposition, pou: PartitionOfUnity,
-              locals_: list) -> np.ndarray:
-    """Blend per-subdomain vectors into one global vector.
-
-    Each local contribution is scaled by its dof weights and scattered;
-    the weight's support condition guarantees the scattered vector vanishes
-    outside the shrunk subdomain, so plain accumulation realizes the
-    zero-extension.  Restrictions of a single global vector blend back to it.
-    """
-    out = np.zeros(3 * mesh.n_elements)
-    for j in range(decomp.n_subdomains):
-        omega = decomp.omega(j)
-        out[subdomain_dofs(omega)] += pou.dof_weights(mesh, j, omega) * locals_[j]
-    return out
 

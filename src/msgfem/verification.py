@@ -25,7 +25,7 @@ from .errors import SolverError
 from .local_problems import (RESIDUAL_TOL, MaskedSystem, scaled_residual, solve_checked,
                              symmetric_part)
 from .mesh import TriMesh
-from .space_ops import h0_dofs, pou_blend
+from .space_ops import h0_dofs
 
 __all__ = [
     "fine_solve",
@@ -159,12 +159,15 @@ def harmonicity_defect(asm: DGAssembler, D, U: np.ndarray) -> tuple:
 
 def blend_deviation(mesh: TriMesh, decomp, pou, rng: np.random.Generator,
                     n_vectors: int) -> float:
-    """Largest relative max-norm error of blending the restrictions of random vectors."""
+    """Largest relative max-norm error of the weighted sum of random vectors' restrictions."""
     dev = 0.0
     for _ in range(n_vectors):
         u = rng.standard_normal(3 * mesh.n_elements)
-        locals_ = [u[subdomain_dofs(decomp.omega(j))] for j in range(decomp.n_subdomains)]
-        w = pou_blend(mesh, decomp, pou, locals_)
+        w = np.zeros_like(u)
+        for j in range(decomp.n_subdomains):
+            omega = decomp.omega(j)
+            dofs = subdomain_dofs(omega)
+            w[dofs] += pou.dof_weights(mesh, j, omega) * u[dofs]
         dev = max(dev, float(np.abs(w - u).max() / np.abs(u).max()))
     return dev
 

@@ -18,7 +18,6 @@ from msgfem.config import RunConfig, parse_config, serialize_config
 from msgfem.dg_forms import DGAssembler, subdomain_dofs
 from msgfem.errors import ConfigError
 from msgfem.local_problems import compute_local_data, select_coarse
-from msgfem.space_ops import pou_blend
 from msgfem.verification import fine_solve
 
 SMALL = """
@@ -415,10 +414,27 @@ def test_cli_pins_blas_unless_the_environment_sets_it(tmp_path, pinned_high_cont
         assert (unset / name).read_bytes() == (pinned_high_contrast / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("first, expected", [("numpy", None), ("msgfem.cli", "1")])
+def test_cli_sets_the_blas_variables_only_before_numpy_loads(first, expected):
+    # numpy's BLAS reads the variables when numpy loads, scipy's when scipy does:
+    # set in between they would pin scipy's alone, and channels:1e8:4 at (32,4),
+    # sweep 1..6, then fails its kernel Gram on two cores
+    src = str(Path(msgfem.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = path
+    code = (f"import os, {first}, msgfem.cli\n"
+            f"print([os.environ.get(var) for var in {BLAS_VARS!r}])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{[expected] * len(BLAS_VARS)}\n"
+
+
 def test_high_contrast_rows_match_the_b_best_approximation(pinned_high_contrast):
     """At contrast 1e8 every sweep row is within 1% of the B-best approximation.
 
-    The B-best approximation from a row's blended modes solves the least
+    The B-best approximation from a row's weighted modes solves the least
     squares problem ``Lᵀ V y ≈ Lᵀ (u_fine - u_p)`` by QR, with ``B = L Lᵀ``
     factored densely (0.3 GB).  Some modes here keep only about 1e-7 of
     their H norm outside the span of the modes before them, so a Galerkin
@@ -436,7 +452,11 @@ def test_high_contrast_rows_match_the_b_best_approximation(pinned_high_contrast)
     with pytest.warns(LinAlgWarning):
         locals_ = compute_local_data(mesh, forms, decomp, pou, rules)
     u_fine = fine_solve(forms)
-    e = u_fine - pou_blend(mesh, decomp, pou, [d.particular for d in locals_])
+    # the local stage hands over each subdomain's particular part and modes weighted
+    u_p = np.zeros_like(u_fine)
+    for data in locals_:
+        u_p[subdomain_dofs(decomp.omega(data.j))] += data.particular
+    e = u_fine - u_p
     L = la.cholesky(forms.B.toarray(order="F"), lower=True, overwrite_a=True)
     Lt_e = L.T @ e
     Bp = forms.Bplus
@@ -447,8 +467,7 @@ def test_high_contrast_rows_match_the_b_best_approximation(pinned_high_contrast)
         for data in locals_:
             omega = decomp.omega(data.j)
             block = np.zeros((e.size, select_coarse(data.eigenvalues, rule, data.j)))
-            block[subdomain_dofs(omega)] = (pou.dof_weights(mesh, data.j, omega)[:, None]
-                                            * data.modes[:, :block.shape[1]])
+            block[subdomain_dofs(omega)] = data.modes[:, :block.shape[1]]
             blocks.append(block)
         V = np.hstack(blocks)
         Q, R = la.qr(L.T @ V, mode="economic")

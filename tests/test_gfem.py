@@ -13,9 +13,10 @@ from msgfem.dg_forms import DGAssembler, GlobalForms, subdomain_dofs
 from msgfem.errors import SolverError
 from msgfem.gfem import (CoarseSpace, _h_orthonormal, assemble_coarse, error_report,
                          max_sqrt_lambda_next, solve_coarse, solve_msgfem)
-from msgfem.local_problems import compute_local_data, select_coarse, symmetric_part
+from msgfem.local_problems import (compute_local_data, particular_solution, select_coarse,
+                                   symmetric_part)
 from msgfem.mesh import build_structured_mesh, coefficient_field
-from msgfem.space_ops import build_pou, pou_blend
+from msgfem.space_ops import PartitionOfUnity, build_pou
 from msgfem.verification import fine_solve
 
 G0 = np.sqrt(10.0)
@@ -79,21 +80,21 @@ def _band_solve(G, b):
     return la.cho_solve_banded((la.cholesky_banded(ab, lower=True), True), b)
 
 
-def _oracle_point(forms, decomp, pou, locals_, rule):
+def _oracle_point(forms, decomp, locals_, rule):
     """One sweep point built and solved on its own columns alone.
 
-    Returns ``(u_s, n_total)``.
+    The local data comes weighted from the local stage.  Returns
+    ``(u_s, n_total)``.
     """
-    mesh, B, F, H = forms.asm.mesh, forms.B, forms.F, forms.H
-    ndof = 3 * mesh.n_elements
-    u_p = pou_blend(mesh, decomp, pou, [d.particular for d in locals_])
+    B, F, H = forms.B, forms.F, forms.H
+    ndof = B.shape[0]
+    u_p = np.zeros(ndof)
     rows, cols, vals = [], [], []
     for data in locals_:
-        omega = decomp.omega(data.j)
-        dofs = subdomain_dofs(omega)
+        dofs = subdomain_dofs(decomp.omega(data.j))
+        u_p[dofs] += data.particular
         n = select_coarse(data.eigenvalues, rule, data.j)
-        blended = pou.dof_weights(mesh, data.j, omega)[:, None] * data.modes[:, :n]
-        Q = _h_orthonormal(blended, H[dofs][:, dofs], data.j)
+        Q = _h_orthonormal(data.modes[:, :n], H[dofs][:, dofs], data.j)
         for q in Q.T:
             nz = q != 0.0
             rows.append(dofs[nz])
@@ -117,7 +118,7 @@ def test_single_subdomain_particular_is_exact():
     pou = build_pou(mesh, decomp)
     forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
     locals_ = compute_local_data(mesh, forms, decomp, pou, [("fixed", 0)])
-    [sol] = solve_msgfem(forms, decomp, pou, locals_, [("fixed", 0)])
+    [sol] = solve_msgfem(forms, decomp, locals_, [("fixed", 0)])
     assert sol.n_total == 0
     assert np.all(sol.u_s == 0.0)
     u_fine = fine_solve(forms)
@@ -129,7 +130,7 @@ def test_single_subdomain_particular_is_exact():
 
 def test_empty_selection_returns_particular(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, u_p = assemble_coarse(forms, decomp, pou, _kept(locals_, ("fixed", 0)))
+    coarse, u_p = assemble_coarse(forms, decomp, _kept(locals_, ("fixed", 0)))
     assert coarse.n_total == 0
     u_s = solve_coarse(coarse, coarse.n_j)
     assert u_s.shape == u_p.shape
@@ -138,7 +139,7 @@ def test_empty_selection_returns_particular(problem):
 
 def test_coarse_columns_supported_on_their_subdomain(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, _ = assemble_coarse(forms, decomp, pou, _kept(locals_, ("fixed", 3)))
+    coarse, _ = assemble_coarse(forms, decomp, _kept(locals_, ("fixed", 3)))
     dense = coarse.basis.toarray()
     for col, (j, _k) in enumerate(_column_modes(coarse.n_j)):
         inside = subdomain_dofs(decomp.omega(j))
@@ -152,7 +153,7 @@ def test_zero_data_gives_zero_correction(problem):
     quiet = [copy.copy(d) for d in locals_]
     for d in quiet:
         d.particular = np.zeros_like(d.particular)
-    coarse, u_p = assemble_coarse(_with(forms, F=np.zeros_like(forms.F)), decomp, pou,
+    coarse, u_p = assemble_coarse(_with(forms, F=np.zeros_like(forms.F)), decomp,
                                   _kept(quiet, ("fixed", 2)))
     assert np.all(u_p == 0.0)
     u_s = solve_coarse(coarse, coarse.n_j)
@@ -161,7 +162,7 @@ def test_zero_data_gives_zero_correction(problem):
 
 def test_reduced_system_is_symmetric(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, _ = assemble_coarse(forms, decomp, pou, _kept(locals_, ("fixed", 4)))
+    coarse, _ = assemble_coarse(forms, decomp, _kept(locals_, ("fixed", 4)))
     G = (coarse.basis.T @ (forms.B @ coarse.basis)).toarray()
     assert np.abs(G - G.T).max() <= 1e-13 * np.abs(G).max()
     assert coarse.gram_B.format == "csr"
@@ -173,7 +174,7 @@ def test_enlarging_coarse_space_never_hurts(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     rules = [("fixed", n) for n in (1, 2, 3, 5, 8)]
     errors = [error_report(forms, sol.u_G, u_fine).rel_bplus_error
-              for sol in solve_msgfem(forms, decomp, pou, locals_, rules)]
+              for sol in solve_msgfem(forms, decomp, locals_, rules)]
     for a, b in zip(errors, errors[1:]):
         assert b <= a + 1e-10
 
@@ -182,7 +183,7 @@ def test_error_report_trivial_and_surrogate(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     rep = error_report(forms, u_fine, u_fine)
     assert rep.rel_bplus_error == 0.0 and rep.rel_l2_error == 0.0
-    coarse, _ = assemble_coarse(forms, decomp, pou, _kept(locals_, ("fixed", 2)))
+    coarse, _ = assemble_coarse(forms, decomp, _kept(locals_, ("fixed", 2)))
     surrogate = max_sqrt_lambda_next(locals_, coarse.n_j)
     oracle = max(np.sqrt(d.eigenvalues[2]) for d in locals_)
     assert surrogate == oracle
@@ -206,12 +207,12 @@ def test_error_report_rejects_a_non_finite_norm(problem):
 def test_dependent_mode_raises_naming_it(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     with pytest.raises(SolverError, match=_dependent(0, 1)):
-        assemble_coarse(forms, decomp, pou, _doctored(_kept(locals_, ("fixed", 2))))
+        assemble_coarse(forms, decomp, _doctored(_kept(locals_, ("fixed", 2))))
 
 
 def test_indefinite_form_reported_as_coercivity_failure(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, _ = assemble_coarse(_with(forms, B=-forms.H), decomp, pou,
+    coarse, _ = assemble_coarse(_with(forms, B=-forms.H), decomp,
                                 _kept(locals_, ("fixed", 3)))
     with pytest.raises(SolverError, match="reduced coarse system is not positive definite"):
         solve_coarse(coarse, coarse.n_j)
@@ -250,7 +251,7 @@ def test_dependence_across_subdomains_fails_at_every_placement(problem):
     # whichever column is repeated under the next subdomain, the later copy's
     # pivot is roundoff of either sign, and the factor names that copy
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, u_p = assemble_coarse(forms, decomp, pou, _kept(locals_, ("fixed", 3)))
+    coarse, u_p = assemble_coarse(forms, decomp, _kept(locals_, ("fixed", 3)))
     assert coarse.n_total == 12
     for c in range(coarse.n_total):
         planted, later = _planted(coarse, u_p, forms, c)
@@ -263,7 +264,7 @@ def test_long_lived_matrices_are_stored_compact(problem):
     """The run-long forms and the sweep-long Gram own arrays of exactly nnz entries."""
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     fresh = GlobalForms(forms.asm, source_one)
-    coarse, _ = assemble_coarse(fresh, decomp, pou, _kept(locals_, ("fixed", 3)))
+    coarse, _ = assemble_coarse(fresh, decomp, _kept(locals_, ("fixed", 3)))
     pairs = [(getattr(fresh, kind), forms.asm.matrix(None, kind))
              for kind in ("B", "H", "Bplus", "mass")]
     pairs.append((coarse.gram_B, symmetric_part(coarse.basis.T @ (fresh.B @ coarse.basis))))
@@ -278,10 +279,42 @@ def test_long_lived_matrices_are_stored_compact(problem):
 
 def test_solution_container_consistency(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    [sol] = solve_msgfem(forms, decomp, pou, _kept(locals_, ("fixed", 3)), [("fixed", 3)])
+    [sol] = solve_msgfem(forms, decomp, _kept(locals_, ("fixed", 3)), [("fixed", 3)])
     assert np.array_equal(sol.u_G, sol.u_p + sol.u_s)
     rep = error_report(forms, sol.u_G, u_fine)
     assert 0.0 <= rep.rel_bplus_error < 0.2 and rep.rel_l2_error >= 0.0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_weights_read_once_and_particular_is_the_blend(problem, monkeypatch, threads):
+    """A local and a coarse stage read each subdomain's weight once.
+
+    The particular part is, bit for bit, the unweighted local source
+    solutions blended through the partition of unity: each scaled by its
+    subdomain's dof weights and added in subdomain order.
+    """
+    mesh, coef, decomp, pou, _, forms, _ = problem
+    calls = []
+    dof_weights = PartitionOfUnity.dof_weights
+
+    def counting(self, mesh, j, D):
+        calls.append(j)
+        return dof_weights(self, mesh, j, D)
+
+    monkeypatch.setattr(PartitionOfUnity, "dof_weights", counting)
+    rules = [("fixed", 2), ("fixed", 3)]
+    locals_ = compute_local_data(mesh, forms, decomp, pou, rules, threads=threads)
+    solutions = solve_msgfem(forms, decomp, locals_, rules)
+    assert sorted(calls) == list(range(decomp.n_subdomains))
+    monkeypatch.undo()
+
+    blend = np.zeros(forms.B.shape[0])
+    for j in range(decomp.n_subdomains):
+        omega = decomp.omega(j)
+        up, _ = particular_solution(forms, omega, decomp.omega_star(j))
+        blend[subdomain_dofs(omega)] += pou.dof_weights(mesh, j, omega) * up
+    for sol in solutions:
+        assert sol.u_p.tobytes() == blend.tobytes()
 
 
 # -- one coarse build per sweep against the per-point oracle ------------------
@@ -289,7 +322,7 @@ def test_solution_container_consistency(problem):
 def _assert_matches_oracle(problem, locals_, rules, solutions):
     mesh, coef, decomp, pou, _, forms, _ = problem
     for rule, sol in zip(rules, solutions):
-        u_s, n_total = _oracle_point(forms, decomp, pou, locals_, rule)
+        u_s, n_total = _oracle_point(forms, decomp, locals_, rule)
         assert np.array_equal(sol.u_s, u_s), rule
         assert sol.n_total == n_total, rule
         assert sol.n_j.tolist() == [select_coarse(d.eigenvalues, rule, d.j) for d in locals_]
@@ -299,14 +332,14 @@ def test_one_pass_sweep_matches_per_point_oracle(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     rules = [("fixed", n) for n in (1, 2, 3, 4)]
     _assert_matches_oracle(problem, locals_, rules,
-                           solve_msgfem(forms, decomp, pou, _kept(locals_, rules[-1]), rules))
+                           solve_msgfem(forms, decomp, _kept(locals_, rules[-1]), rules))
     for tau in (0.05, 0.2):
         rule = ("threshold", tau)
         _assert_matches_oracle(problem, locals_, [rule],
-                               solve_msgfem(forms, decomp, pou, _kept(locals_, rule), [rule]))
+                               solve_msgfem(forms, decomp, _kept(locals_, rule), [rule]))
     # uneven threshold selections ([4, 3, 3, 4] and [3, 2, 2, 3]) as subsets
     # of one fixed build
-    coarse, _ = assemble_coarse(forms, decomp, pou, _kept(locals_, ("fixed", 4)))
+    coarse, _ = assemble_coarse(forms, decomp, _kept(locals_, ("fixed", 4)))
     assert coarse.dropped == []
     for tau in (0.05, 0.2):
         rule = ("threshold", tau)
@@ -314,7 +347,7 @@ def test_one_pass_sweep_matches_per_point_oracle(problem):
         assert len(set(n_j)) == 2
         u_s = solve_coarse(coarse, n_j)
         assert np.array_equal(
-            u_s, _oracle_point(forms, decomp, pou, locals_, rule)[0])
+            u_s, _oracle_point(forms, decomp, locals_, rule)[0])
     with pytest.raises(ValueError, match="exceeds the assembled"):
         solve_coarse(coarse, [5, 4, 4, 4])
 
@@ -325,11 +358,11 @@ def test_duplicate_mode_fails_exactly_the_builds_holding_it(problem):
     rules = [("fixed", n) for n in (1, 2, 3, 4)]
     # a sweep builds its columns once, from the modes of its largest point
     with pytest.raises(SolverError, match=_dependent(0, 1)):
-        solve_msgfem(forms, decomp, pou, doctored, rules)
+        solve_msgfem(forms, decomp, doctored, rules)
     for rule in rules[1:]:
         with pytest.raises(SolverError, match=_dependent(0, 1)):
-            _oracle_point(forms, decomp, pou, doctored, rule)
-    solutions = solve_msgfem(forms, decomp, pou, _kept(doctored, rules[0]), rules[:1])
+            _oracle_point(forms, decomp, doctored, rule)
+    solutions = solve_msgfem(forms, decomp, _kept(doctored, rules[0]), rules[:1])
     _assert_matches_oracle(problem, doctored, rules[:1], solutions)
     assert solutions[0].n_total == 4
 
@@ -352,7 +385,7 @@ def test_sweep_beyond_available_modes_names_the_subdomain(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     fewest = min(locals_, key=lambda d: d.eigenvalues.size)
     with pytest.raises(ValueError, match=f"subdomain {fewest.j} has only"):
-        solve_msgfem(forms, decomp, pou, locals_,
+        solve_msgfem(forms, decomp, locals_,
                      [("fixed", 2), ("fixed", fewest.eigenvalues.size + 1)])
 
 
@@ -375,7 +408,7 @@ def test_threshold_rule_certifies_its_accuracy(spec):
     rules = [("threshold", 0.1), ("threshold", 0.03)]
     locals_ = compute_local_data(mesh, forms, decomp, pou, rules)
     u_fine = fine_solve(forms)
-    for (_, tau), sol in zip(rules, solve_msgfem(forms, decomp, pou, locals_, rules)):
+    for (_, tau), sol in zip(rules, solve_msgfem(forms, decomp, locals_, rules)):
         err = error_report(forms, sol.u_G, u_fine).rel_bplus_error
         assert err <= sol.max_sqrt_lambda_next < tau, (tau, err, sol.max_sqrt_lambda_next)
 

@@ -57,7 +57,7 @@ def harmonic_basis(forms, omega_star):
 def eigen(mesh, coef, pou, j, omega, omega_star):
     """The spectral problem of one subdomain on its own masked system."""
     forms = forms_of(mesh, coef)
-    return eigenproblem(forms.asm, pou, j, omega, omega_star,
+    return eigenproblem(forms.asm, pou.dof_weights(mesh, j, omega), j, omega, omega_star,
                         MaskedSystem(forms, omega_star), FIXED)
 
 
@@ -165,9 +165,12 @@ def test_one_factorization_matches_separate_solves_bit_for_bit(setting):
     threaded = compute_local_data(mesh, forms, decomp, pou, FIXED, threads=2)
     for d in threaded:
         om, oms = decomp.omega(d.j), decomp.omega_star(d.j)
-        assert np.array_equal(d.particular, _oracle_particular(asm, source_one, om, oms))
+        # the local stage hands over both weighted by chi_j
+        w = pou.dof_weights(mesh, d.j, om)
+        assert np.array_equal(d.particular,
+                              w * _oracle_particular(asm, source_one, om, oms))
         oracle = _modes(asm, pou, d.j, om, oms, _oracle_harmonic_basis(asm, oms), 4)
-        assert np.array_equal(d.modes, np.stack(oracle, axis=1))
+        assert np.array_equal(d.modes, w[:, None] * np.stack(oracle, axis=1))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -194,13 +197,14 @@ def test_local_stage_hands_over_the_selected_modes_alone(setting, rules, largest
         # one eigenvalue per layer dof, for eigenvalues.csv; nothing else that large
         assert d.eigenvalues.shape == (n_layer,)
         assert n_layer not in d.modes.shape + d.particular.shape
+        w = pou.dof_weights(mesh, d.j, om)
         up, system = particular_solution(forms, om, oms)
-        values, _ = eigenproblem(asm, pou, d.j, om, oms, system, rules)
-        assert np.array_equal(d.particular, up)
+        values, _ = eigenproblem(asm, w, d.j, om, oms, system, rules)
+        assert np.array_equal(d.particular, w * up)
         assert np.array_equal(d.eigenvalues, values)
         basis = harmonic_basis(forms, oms)
         for k, mode in enumerate(_modes(asm, pou, d.j, om, oms, basis, n)):
-            assert np.array_equal(d.modes[:, k], mode)
+            assert np.array_equal(d.modes[:, k], w * mode)
     assert min(kept) >= 1
 
 
@@ -210,7 +214,7 @@ def test_sweep_beyond_the_kept_modes_raises(setting):
     locals_ = compute_local_data(mesh, forms, decomp, pou, [("fixed", 2)])
     for rule in (("fixed", 3), ("threshold", 0.0)):
         with pytest.raises(ValueError, match="exceeds the assembled modes"):
-            solve_msgfem(forms, decomp, pou, locals_, [rule])
+            solve_msgfem(forms, decomp, locals_, [rule])
 
 
 def test_compute_local_data_rejects_an_assembler_on_another_mesh(setting):
@@ -454,7 +458,7 @@ def test_kernel_gram_solve_residual_is_checked(interior, monkeypatch):
     forms = forms_of(mesh, coefficient_field(mesh, "constant:1"))
     asm = forms.asm
     system = MaskedSystem(forms, oms)
-    values, _ = eigenproblem(asm, pou, j, om, oms, system, FIXED)
+    values, _ = eigenproblem(asm, pou.dof_weights(mesh, j, om), j, om, oms, system, FIXED)
     assert np.isinf(values[0]) and np.all(np.isfinite(values[1:]))
 
     solve = la.solve
@@ -464,7 +468,7 @@ def test_kernel_gram_solve_residual_is_checked(interior, monkeypatch):
 
     monkeypatch.setattr(local_problems.la, "solve", doctored)
     with pytest.raises(SolverError, match="kernel Gram residual"):
-        eigenproblem(asm, pou, j, om, oms, system, FIXED)
+        eigenproblem(asm, pou.dof_weights(mesh, j, om), j, om, oms, system, FIXED)
 
 
 @pytest.mark.parametrize("spec", ["constant:1", "log_uniform:1e-3:1e3"])
@@ -480,7 +484,8 @@ def test_lean_local_stage_is_bit_identical(interior, spec):
         basis = system.harmonic_extension()
         assert basis.tobytes() == _oracle_harmonic_basis(asm, oms).tobytes()
         n_layer = system.layer.size
-        values, modes = eigenproblem(asm, pou, j, om, oms, system, [("fixed", n_layer)])
+        values, modes = eigenproblem(asm, pou.dof_weights(mesh, j, om), j, om, oms, system,
+                                     [("fixed", n_layer)])
         oracle_values, oracle_vectors = _oracle_eigenproblem(asm, pou, j, om, oms, basis)
         assert np.isinf(values[0]) == (j == 5)
         assert values.tobytes() == oracle_values.tobytes()
@@ -516,7 +521,7 @@ def test_local_stage_holds_one_dense_block_beside_the_basis():
     shape = (3 * oms.size, system.layer.size)   # the basis
     tracemalloc.start()
     try:
-        eigenproblem(asm, pou, j, om, oms, system, FIXED)
+        eigenproblem(asm, pou.dof_weights(mesh, j, om), j, om, oms, system, FIXED)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -662,7 +667,7 @@ def test_local_stage_assembles_the_global_system_once(setting, monkeypatch):
     assert calls == [("mesh", "B"), ("mesh", "load")]
     calls.clear()
     locals_ = compute_local_data(mesh, forms, decomp, pou, FIXED, threads=2)
-    solve_msgfem(forms, decomp, pou, locals_, FIXED)
+    solve_msgfem(forms, decomp, locals_, FIXED)
     fine_solve(forms)
     # and none after it, on the mesh or on a subdomain
     assert [kind for _, kind in calls if kind in ("B", "load")] == []

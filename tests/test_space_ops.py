@@ -6,7 +6,8 @@ from msgfem.decomposition import (Decomposition, build_decomposition, d_minus,
                                   grow, square_block)
 from msgfem.dg_forms import DGAssembler, nested_dofs, subdomain_dofs
 from msgfem.mesh import build_structured_mesh, coefficient_field
-from msgfem.space_ops import PartitionOfUnity, build_pou, h0_dofs, pou_blend
+from msgfem.space_ops import PartitionOfUnity, build_pou, h0_dofs
+from msgfem.verification import blend_deviation
 
 G0 = np.sqrt(10.0)
 
@@ -200,28 +201,38 @@ def test_interpolation_stability_constant_reported():
     assert 0.0 < worst < 10.0
 
 
-def test_pou_blend_reproduces_global_vectors():
+class _Draws:
+    """Stands in for a generator: ``standard_normal`` hands out the given vectors in turn."""
+
+    def __init__(self, vectors):
+        self._vectors = iter(vectors)
+
+    def standard_normal(self, size):
+        u = next(self._vectors)
+        assert u.shape == (size,)
+        return u
+
+
+def test_blend_deviation_reproduces_global_vectors():
     mesh = build_structured_mesh(16)
     decomp = build_decomposition(mesh, 2, 2, 4)
     pou = build_pou(mesh, decomp)
-    zero = pou_blend(mesh, decomp, pou,
-                     [np.zeros(3 * decomp.omega(j).size) for j in range(4)])
-    assert np.all(zero == 0.0)
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        u = rng.standard_normal(3 * mesh.n_elements)
-        locs = [u[subdomain_dofs(decomp.omega(j))] for j in range(4)]
-        w = pou_blend(mesh, decomp, pou, locs)
-        assert np.abs(w - u).max() <= 1e-12 * np.abs(u).max()
+    ndof = 3 * mesh.n_elements
+    # no vectors, no deviation; a vector that vanishes on a subdomain's dofs
+    # takes nothing from that subdomain's weight
+    assert blend_deviation(mesh, decomp, pou, _Draws([]), 0) == 0.0
+    for j in range(decomp.n_subdomains):
+        u = np.ones(ndof)
+        u[subdomain_dofs(decomp.omega(j))] = 0.0
+        assert blend_deviation(mesh, decomp, pou, _Draws([u]), 1) <= 1e-12
+    assert blend_deviation(mesh, decomp, pou, np.random.default_rng(9), 50) <= 1e-12
 
 
-def test_pou_blend_single_subdomain_identity():
+def test_blend_deviation_single_subdomain_identity():
     mesh = build_structured_mesh(8)
     decomp = build_decomposition(mesh, 1, 2, 2)
     pou = build_pou(mesh, decomp)
-    rng = np.random.default_rng(10)
-    u = rng.standard_normal(3 * mesh.n_elements)
-    assert np.array_equal(pou_blend(mesh, decomp, pou, [u]), u)
+    assert blend_deviation(mesh, decomp, pou, np.random.default_rng(10), 1) == 0.0
 
 
 def test_contact_band_faces_vanish_from_both_norms(setting):
