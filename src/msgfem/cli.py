@@ -160,12 +160,12 @@ def _pipeline(problem: Problem, out: Path) -> int:
     locals_ = compute_local_data(mesh, forms, decomp, pou, rules, threads=config.threads)
     # every mode of every subdomain, kernel modes as inf
     _write_csv(out / "eigenvalues.csv", _EIGENVALUE_COLUMNS,
-               ([data.j, k, lam, int(np.isinf(lam))]
-                for data in locals_ for k, lam in enumerate(data.eigenvalues.tolist())))
+               ([j, k, lam, int(np.isinf(lam))] for j, data in enumerate(locals_)
+                for k, lam in enumerate(data.eigenvalues.tolist())))
     u_fine = fine_solve(forms)
 
     rows = []
-    for sol in solve_msgfem(forms, decomp, locals_, rules):
+    for sol in solve_msgfem(forms, locals_):
         rep = error_report(forms, sol.u_G, u_fine)
         # a point is labelled by its largest per-subdomain count, a fixed rule's n
         rows.append([config.grid_m, config.overlap_layers, config.oversampling_layers,

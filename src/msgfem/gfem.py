@@ -1,11 +1,12 @@
 """Global multiscale approximation: coarse space and coarse solve.
 
-The local stage hands over each subdomain's contributions already weighted
-by its partition-of-unity weight, so here they are only summed into global
-vectors: the particular parts add up to one source approximation, and each
-subdomain's kept weighted modes span its coarse columns.  The coarse
-correction is the Galerkin solution of the full form on that column span
-against the source residual.
+Beside the forms this stage reads only the local stage's records, which
+hand over each subdomain's global dofs, its sweep's mode counts and its
+contributions weighted by its partition-of-unity weight, summed here into
+global vectors: the particular parts add up to one source approximation,
+and each subdomain's kept weighted modes span its coarse columns.  The
+coarse correction is the Galerkin solution of the full form on that column
+span against the source residual.
 
 A sweep builds its columns once, from the modes the local stage kept for
 its largest selection.  Each subdomain's weighted modes are made
@@ -30,10 +31,9 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .decomposition import Decomposition
-from .dg_forms import GlobalForms, compact, subdomain_dofs
+from .dg_forms import GlobalForms, compact
 from .errors import SolverError
-from .local_problems import select_coarse, solve_checked, symmetric_part
+from .local_problems import solve_checked, symmetric_part
 
 __all__ = [
     "CoarseSpace",
@@ -103,13 +103,13 @@ class MSGFEMSolution:
         return self.u_p + self.u_s
 
 
-def assemble_coarse(forms: GlobalForms, decomp: Decomposition, locals_: list):
+def assemble_coarse(forms: GlobalForms, locals_: list):
     """Sum the weighted particular parts and lay out the kept weighted modes globally.
 
     ``locals_`` lists the subdomains in index order, as
-    :func:`~msgfem.local_problems.compute_local_data` returns them; the
-    particular parts are added in that order.  Makes each subdomain's
-    weighted modes orthonormal in ``forms.H`` (see
+    :func:`~msgfem.local_problems.compute_local_data` returns them; each
+    record's parts are placed at its ``dofs``, in list order.  Makes each
+    subdomain's weighted modes orthonormal in ``forms.H`` (see
     :func:`_h_orthonormal`) and reduces the columns to their Galerkin data
     in ``forms.B`` with load ``forms.F``.  Returns the coarse space and the
     global particular vector.  A mode that depends on the modes before it
@@ -120,12 +120,11 @@ def assemble_coarse(forms: GlobalForms, decomp: Decomposition, locals_: list):
     ndof = B.shape[0]
     u_p = np.zeros(ndof)
     rows, cols, vals = [], [], []
-    for data, start in zip(locals_, np.cumsum(kept) - kept):
-        dofs = subdomain_dofs(decomp.omega(data.j))
-        u_p[dofs] += data.particular
-        Q = _h_orthonormal(data.modes, H[dofs][:, dofs], data.j)
+    for j, (data, start) in enumerate(zip(locals_, np.cumsum(kept) - kept)):
+        u_p[data.dofs] += data.particular
+        Q = _h_orthonormal(data.modes, H[data.dofs][:, data.dofs], j)
         r, k = np.nonzero(Q)
-        rows.append(dofs[r])
+        rows.append(data.dofs[r])
         cols.append(start + k)
         vals.append(Q[r, k])
     basis = sp.coo_matrix((np.concatenate(vals),
@@ -255,20 +254,16 @@ def max_sqrt_lambda_next(locals_: list, n_j) -> float:
     return worst
 
 
-def solve_msgfem(forms: GlobalForms, decomp: Decomposition, locals_: list, rules) -> list:
+def solve_msgfem(forms: GlobalForms, locals_: list) -> list:
     """Assemble the coarse space once in ``forms`` and solve it at every sweep point.
 
-    ``rules`` is a list of rules of either kind (see :func:`select_coarse`).
-    The columns are assembled from the modes ``locals_`` kept; every point,
-    the mode counts its rule selects, is solved on its subset of them, and a
-    point that asks for more modes than a subdomain kept raises.  Returns
-    one solution per rule.
+    The sweep is the one ``locals_`` was computed for: point ``i`` takes the
+    ``counts[i]`` leading modes of each subdomain, which its rule selected
+    there and the local stage kept.  The columns are assembled from the kept
+    modes and every point is solved on its subset of them.  Returns one
+    solution per rule.
     """
-    coarse, u_p = assemble_coarse(forms, decomp, locals_)
-    solutions = []
-    for rule in rules:
-        n_j = np.array([select_coarse(d.eigenvalues, rule, d.j) for d in locals_])
-        solutions.append(MSGFEMSolution(
-            u_p=u_p, u_s=solve_coarse(coarse, n_j), n_j=n_j,
-            max_sqrt_lambda_next=max_sqrt_lambda_next(locals_, n_j)))
-    return solutions
+    coarse, u_p = assemble_coarse(forms, locals_)
+    return [MSGFEMSolution(u_p=u_p, u_s=solve_coarse(coarse, n_j), n_j=n_j,
+                           max_sqrt_lambda_next=max_sqrt_lambda_next(locals_, n_j))
+            for n_j in map(np.array, zip(*(d.counts for d in locals_)))]

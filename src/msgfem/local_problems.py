@@ -38,17 +38,18 @@ _RESIDUAL_BLOCK = 128   # columns per residual evaluation, so no full-width copy
 class LocalSpectralData:
     """Everything the global stage needs from one subdomain.
 
-    ``eigenvalues`` lists every mode, sorted descending, with kernel modes
-    reported as ``inf`` and listed first.  ``modes`` holds the selected
-    leading modes alone, one dof column on ``omega_j`` per mode.  Both it
-    and ``particular`` come multiplied by the subdomain's weight chi_j, so
-    the global solution sums ``particular`` plus a combination of ``modes``.
+    ``dofs`` are the global dofs of ``omega_j``; ``eigenvalues`` lists every
+    mode, sorted descending with the kernel's ``inf`` first; ``counts`` holds
+    the leading modes each sweep rule selects and ``modes`` the most of them,
+    one column per mode.  ``modes`` and ``particular`` come multiplied by the
+    weight chi_j, so u_G sums ``particular`` and combinations of ``modes``.
     """
 
-    j: int
+    dofs: np.ndarray            # global dofs of omega_j
     particular: np.ndarray      # chi_j times the local source solution, on omega_j
     eigenvalues: np.ndarray
-    modes: np.ndarray           # (ndof(omega_j), n_kept), chi_j times the modes
+    modes: np.ndarray           # (ndof(omega_j), max(counts)), chi_j times the modes
+    counts: tuple               # leading modes each sweep rule selects
 
 
 def scaled_residual(A, x, b) -> float:
@@ -179,8 +180,9 @@ def eigenproblem(asm: DGAssembler, w: np.ndarray, j: int, omega, omega_star,
     (the constants, on interior subdomains) come out as leading infinite
     eigenvalues.  The pencil is posed on the harmonic basis of
     ``omega_star``, built here on the factored ``system``.  Returns every
-    eigenvalue, sorted descending with the kernel's ``inf`` first, and on
-    ``omega`` the most leading modes any of the ``rules`` keeps, unweighted.
+    eigenvalue, sorted descending with the kernel's ``inf`` first, on
+    ``omega`` the most leading modes any of the ``rules`` keeps, unweighted,
+    and the tuple of the counts the rules select (:func:`select_coarse`).
 
     The kernel of the right form is split off first; the finite spectrum is
     computed on the complement that is orthogonal to the kernel in the left
@@ -232,12 +234,13 @@ def eigenproblem(asm: DGAssembler, w: np.ndarray, j: int, omega, omega_star,
             raise SolverError("negative eigenvalue beyond tolerance; assembly bug")
         # roundoff guard: the pencil is PSD so tiny negatives are noise
         values = np.maximum(values, 0.0)
-    modes = np.empty((idx.size, max(select_coarse(values, r, j) for r in rules)))
+    counts = tuple(select_coarse(values, r, j) for r in rules)
+    modes = np.empty((idx.size, max(counts)))
     # one full matrix-vector product per mode: a matrix product, or a product
     # on a subset of the rows, may round differently
     for k in range(modes.shape[1]):
         modes[:, k] = (basis @ vectors[:, k])[idx]
-    return values, modes
+    return values, modes, counts
 
 
 def select_coarse(eigenvalues: np.ndarray, rule, j: int) -> int:
@@ -265,13 +268,13 @@ def compute_local_data(mesh: TriMesh, forms: GlobalForms, decomp: Decomposition,
     ``forms`` holds the run's assembler on ``mesh``, whose block tables
     serve every subdomain, and the global ``B`` and load, whose masked rows
     are every subdomain's system and source; the workers only read them, as
-    all three are built with ``forms``.  ``rules`` is the run's sweep, as
-    :func:`msgfem.gfem.solve_msgfem` takes it.  Each subdomain keeps every
-    eigenvalue and, on its overlap subdomain, as many leading modes as the
-    sweep's rules select at most (:func:`select_coarse`).  Its worker reads
-    its weight once, poses the eigenproblem with it and hands over the
-    particular solution and modes times it; the factored system, the dense
-    basis and the pencil vectors are dropped when it returns.
+    all three are built with ``forms``.  ``rules`` is the run's sweep.  Each
+    subdomain keeps its overlap subdomain's global dofs, every eigenvalue,
+    the count each rule selects (:func:`select_coarse`) and as many leading
+    modes as the largest count.  Its worker reads its weight once, poses the
+    eigenproblem with it and hands over the particular solution and modes
+    times it; the factored system, the dense basis and the pencil vectors
+    are dropped when it returns.
     """
     if forms.asm.mesh is not mesh:
         raise ValueError("the assembler is built on another mesh")
@@ -281,9 +284,9 @@ def compute_local_data(mesh: TriMesh, forms: GlobalForms, decomp: Decomposition,
         omega_star = decomp.omega_star(j)
         w = pou.dof_weights(mesh, j, omega)
         up, system = particular_solution(forms, omega, omega_star)
-        values, modes = eigenproblem(forms.asm, w, j, omega, omega_star, system, rules)
-        return LocalSpectralData(j=j, particular=w * up, eigenvalues=values,
-                                 modes=w[:, None] * modes)
+        values, modes, counts = eigenproblem(forms.asm, w, j, omega, omega_star, system, rules)
+        return LocalSpectralData(dofs=subdomain_dofs(omega), particular=w * up,
+                                 eigenvalues=values, modes=w[:, None] * modes, counts=counts)
 
     if threads <= 1:
         # a pool worker allocates from its own malloc arena, whose freed blocks the

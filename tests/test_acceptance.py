@@ -195,7 +195,7 @@ def test_criterion_7_global_error_decay(reference):
         forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
         u_fine = fine_solve(forms)
         errs, lams = [], []
-        for sol in solve_msgfem(forms, decomp, locals_, SWEEP):
+        for sol in solve_msgfem(forms, locals_):
             errs.append(error_report(forms, sol.u_G, u_fine).rel_bplus_error)
             lams.append(sol.max_sqrt_lambda_next)
         errs = np.array(errs)
@@ -235,7 +235,7 @@ def test_criterion_9_single_subdomain_exactness():
     pou = build_pou(mesh, decomp)
     forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
     locals_ = compute_local_data(mesh, forms, decomp, pou, [("fixed", 0)])
-    [sol] = solve_msgfem(forms, decomp, locals_, [("fixed", 0)])
+    [sol] = solve_msgfem(forms, locals_)
     u_G = sol.u_G
     u_fine = fine_solve(forms)
     H = forms.H

@@ -68,16 +68,25 @@ def test_mesh_precondition_cited():
         parse_config("mesh_n = 0\n")
 
 
-@pytest.mark.parametrize("text", [
-    "overlap_layers = 1\n",
-    "gamma0_sq = -1\n",
-    "coarse_rule = fancy:3\n",
-    "coarse_n_sweep = 1,two\n",
-    "checks = maybe\n",
-    "mesh_n\n",
-])
+_MALFORMED = {
+    "overlap_layers = 1\n": "overlap_layers must be >= 2",
+    "gamma0_sq = -1\n": "gamma0_sq must be positive and finite",
+    "coarse_rule = fancy:3\n": "coarse_rule must be fixed:n or threshold:tau",
+    "coarse_n_sweep = 1,two\n": "coarse_n_sweep must be comma-separated integers",
+    "checks = maybe\n": "checks must be on, off or only",
+    "mesh_n\n": "expected key = value",
+    "mesh_n = abc\n": "mesh_n must be an integer",
+    "gamma0_sq = abc\n": "gamma0_sq must be a number",
+    "coarse_rule = fixed:x\n": "fixed rule needs an integer",
+    "coarse_rule = fixed:-1\n": "fixed mode count must be >= 0",
+    "coarse_rule = threshold:x\n": "threshold rule needs a number",
+    "coarse_n_sweep = 1,-2\n": "sweep entries must be >= 0",
+}
+
+
+@pytest.mark.parametrize("text", list(_MALFORMED))
 def test_malformed_configs_rejected(text):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=f"^line 1: {re.escape(_MALFORMED[text])}"):
         parse_config(text)
 
 
@@ -306,7 +315,7 @@ def test_eigenvalue_export_format(tmp_path, capsys):
                                  cfg.sweep_values())
     assert len(rows) == sum(d.eigenvalues.size for d in locals_)
     assert [(int(j), int(k), float(lam)) for j, k, lam, _ in rows] == \
-        [(d.j, k, lam) for d in locals_ for k, lam in enumerate(d.eigenvalues)]
+        [(j, k, lam) for j, d in enumerate(locals_) for k, lam in enumerate(d.eigenvalues)]
     for _, _, lam, is_inf in rows:
         # shortest round trip of a plain float, never numpy's repr
         assert is_inf == ("1" if lam == "inf" else "0")
@@ -454,8 +463,8 @@ def test_high_contrast_rows_match_the_b_best_approximation(pinned_high_contrast)
     u_fine = fine_solve(forms)
     # the local stage hands over each subdomain's particular part and modes weighted
     u_p = np.zeros_like(u_fine)
-    for data in locals_:
-        u_p[subdomain_dofs(decomp.omega(data.j))] += data.particular
+    for j, data in enumerate(locals_):
+        u_p[subdomain_dofs(decomp.omega(j))] += data.particular
     e = u_fine - u_p
     L = la.cholesky(forms.B.toarray(order="F"), lower=True, overwrite_a=True)
     Lt_e = L.T @ e
@@ -464,9 +473,9 @@ def test_high_contrast_rows_match_the_b_best_approximation(pinned_high_contrast)
     for rule, row in zip(rules, rows):
         assert row[header.index("n_j")] == rule[1]
         blocks = []
-        for data in locals_:
-            omega = decomp.omega(data.j)
-            block = np.zeros((e.size, select_coarse(data.eigenvalues, rule, data.j)))
+        for j, data in enumerate(locals_):
+            omega = decomp.omega(j)
+            block = np.zeros((e.size, select_coarse(data.eigenvalues, rule, j)))
             block[subdomain_dofs(omega)] = data.modes[:, :block.shape[1]]
             blocks.append(block)
         V = np.hstack(blocks)
@@ -542,23 +551,29 @@ def test_runs_do_not_interfere(tmp_path):
         (tmp_path / "y" / "errors.csv").read_bytes()
 
 
-@pytest.mark.parametrize("text", [
-    "coefficient = bogus:1\n",
-    "mesh_n = 8\ngrid_m = 9\n",
-    "mesh_n = 8\ngrid_m = 4\ncoefficient = checkerboard:10:3\n",
-    "mesh_n = 4\ngrid_m = 2\n",
-    "coarse_rule = threshold:nan\n",
-    "gamma0_sq = nan\n",
-    "coefficient = constant:inf\n",
-    "coefficient = checkerboard:inf:2\n",
-    "coefficient = log_uniform:1e-3:inf\n",
-    "source = constant:nan\n",
-])
+_UNBUILDABLE = {
+    "coefficient = bogus:1\n": "unknown coefficient kind 'bogus'",
+    "mesh_n = 8\ngrid_m = 9\n": "grid size 9 exceeds mesh size 8",
+    "mesh_n = 8\ngrid_m = 4\ncoefficient = checkerboard:10:3\n":
+        "block size 3 must divide the mesh size 8",
+    "mesh_n = 4\ngrid_m = 2\n":
+        "subdomain 0 swallows the whole mesh; reduce overlap (2) or refine the mesh",
+    "coarse_rule = threshold:nan\n": "line 1: threshold must be finite and >= 0",
+    "gamma0_sq = nan\n": "line 1: gamma0_sq must be positive and finite",
+    "coefficient = constant:inf\n": "coefficient value must be positive and finite, got inf",
+    "coefficient = checkerboard:inf:2\n": "contrast must be positive and finite, got inf",
+    "coefficient = log_uniform:1e-3:inf\n": "upper bound must be positive and finite, got inf",
+    "source = constant:nan\n": "source value must be finite, got nan",
+    "source = constant:1:2\n": "source constant:c needs one value",
+}
+
+
+@pytest.mark.parametrize("text", list(_UNBUILDABLE))
 def test_unbuildable_problem_is_config_error(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    assert capsys.readouterr().err == f"config error: {_UNBUILDABLE[text]}\n"
     assert not (tmp_path / "o" / "checks.json").exists()
 
 

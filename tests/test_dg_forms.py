@@ -298,6 +298,17 @@ def test_empty_subdomain_rejected():
         DGAssembler(mesh, coef, G0).matrix(None, "bogus")
 
 
+@pytest.mark.parametrize("gamma0, coef_n, message", [
+    (0.0, 2, "gamma0 must be positive"),
+    (G0, 4, "coefficient does not match the mesh"),
+], ids=["gamma0-zero", "coefficient-of-another-mesh"])
+def test_assembler_rejects_invalid_inputs(gamma0, coef_n, message):
+    mesh = build_structured_mesh(2)
+    coef = coefficient_field(build_structured_mesh(coef_n), "constant:1")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DGAssembler(mesh, coef, gamma0)
+
+
 def test_dofmap_and_subdomain_dofs():
     mesh = build_structured_mesh(2)
     # element e owns the global dofs 3e, 3e+1, 3e+2

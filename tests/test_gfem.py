@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import msgfem.cli
 from msgfem.decomposition import build_decomposition
 from msgfem.dg_forms import DGAssembler, GlobalForms, subdomain_dofs
-from msgfem.errors import SolverError
+from msgfem.errors import ConfigError, SolverError
 from msgfem.gfem import (CoarseSpace, _h_orthonormal, assemble_coarse, error_report,
                          max_sqrt_lambda_next, solve_coarse, solve_msgfem)
 from msgfem.local_problems import (compute_local_data, particular_solution, select_coarse,
@@ -38,9 +38,11 @@ def problem():
     return mesh, coef, decomp, pou, locals_, forms, u_fine
 
 
-def _kept(locals_, rule):
-    """Local data as the local stage keeps it for ``rule``: its leading modes."""
-    return [replace(d, modes=d.modes[:, :select_coarse(d.eigenvalues, rule, d.j)]) for d in locals_]
+def _kept(locals_, *rules):
+    """Local data as the local stage keeps it for the sweep ``rules``: counts, leading modes."""
+    counts = [tuple(select_coarse(d.eigenvalues, r, j) for r in rules)
+              for j, d in enumerate(locals_)]
+    return [replace(d, modes=d.modes[:, :max(c)], counts=c) for d, c in zip(locals_, counts)]
 
 
 def _with(forms, **replaced):
@@ -90,11 +92,11 @@ def _oracle_point(forms, decomp, locals_, rule):
     ndof = B.shape[0]
     u_p = np.zeros(ndof)
     rows, cols, vals = [], [], []
-    for data in locals_:
-        dofs = subdomain_dofs(decomp.omega(data.j))
+    for j, data in enumerate(locals_):
+        dofs = subdomain_dofs(decomp.omega(j))
         u_p[dofs] += data.particular
-        n = select_coarse(data.eigenvalues, rule, data.j)
-        Q = _h_orthonormal(data.modes[:, :n], H[dofs][:, dofs], data.j)
+        n = select_coarse(data.eigenvalues, rule, j)
+        Q = _h_orthonormal(data.modes[:, :n], H[dofs][:, dofs], j)
         for q in Q.T:
             nz = q != 0.0
             rows.append(dofs[nz])
@@ -118,7 +120,7 @@ def test_single_subdomain_particular_is_exact():
     pou = build_pou(mesh, decomp)
     forms = GlobalForms(DGAssembler(mesh, coef, G0), source_one)
     locals_ = compute_local_data(mesh, forms, decomp, pou, [("fixed", 0)])
-    [sol] = solve_msgfem(forms, decomp, locals_, [("fixed", 0)])
+    [sol] = solve_msgfem(forms, locals_)
     assert sol.n_total == 0
     assert np.all(sol.u_s == 0.0)
     u_fine = fine_solve(forms)
@@ -130,7 +132,7 @@ def test_single_subdomain_particular_is_exact():
 
 def test_empty_selection_returns_particular(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, u_p = assemble_coarse(forms, decomp, _kept(locals_, ("fixed", 0)))
+    coarse, u_p = assemble_coarse(forms, _kept(locals_, ("fixed", 0)))
     assert coarse.n_total == 0
     u_s = solve_coarse(coarse, coarse.n_j)
     assert u_s.shape == u_p.shape
@@ -139,7 +141,7 @@ def test_empty_selection_returns_particular(problem):
 
 def test_coarse_columns_supported_on_their_subdomain(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, _ = assemble_coarse(forms, decomp, _kept(locals_, ("fixed", 3)))
+    coarse, _ = assemble_coarse(forms, _kept(locals_, ("fixed", 3)))
     dense = coarse.basis.toarray()
     for col, (j, _k) in enumerate(_column_modes(coarse.n_j)):
         inside = subdomain_dofs(decomp.omega(j))
@@ -153,7 +155,7 @@ def test_zero_data_gives_zero_correction(problem):
     quiet = [copy.copy(d) for d in locals_]
     for d in quiet:
         d.particular = np.zeros_like(d.particular)
-    coarse, u_p = assemble_coarse(_with(forms, F=np.zeros_like(forms.F)), decomp,
+    coarse, u_p = assemble_coarse(_with(forms, F=np.zeros_like(forms.F)),
                                   _kept(quiet, ("fixed", 2)))
     assert np.all(u_p == 0.0)
     u_s = solve_coarse(coarse, coarse.n_j)
@@ -162,7 +164,7 @@ def test_zero_data_gives_zero_correction(problem):
 
 def test_reduced_system_is_symmetric(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, _ = assemble_coarse(forms, decomp, _kept(locals_, ("fixed", 4)))
+    coarse, _ = assemble_coarse(forms, _kept(locals_, ("fixed", 4)))
     G = (coarse.basis.T @ (forms.B @ coarse.basis)).toarray()
     assert np.abs(G - G.T).max() <= 1e-13 * np.abs(G).max()
     assert coarse.gram_B.format == "csr"
@@ -174,7 +176,7 @@ def test_enlarging_coarse_space_never_hurts(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     rules = [("fixed", n) for n in (1, 2, 3, 5, 8)]
     errors = [error_report(forms, sol.u_G, u_fine).rel_bplus_error
-              for sol in solve_msgfem(forms, decomp, locals_, rules)]
+              for sol in solve_msgfem(forms, _kept(locals_, *rules))]
     for a, b in zip(errors, errors[1:]):
         assert b <= a + 1e-10
 
@@ -183,7 +185,7 @@ def test_error_report_trivial_and_surrogate(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     rep = error_report(forms, u_fine, u_fine)
     assert rep.rel_bplus_error == 0.0 and rep.rel_l2_error == 0.0
-    coarse, _ = assemble_coarse(forms, decomp, _kept(locals_, ("fixed", 2)))
+    coarse, _ = assemble_coarse(forms, _kept(locals_, ("fixed", 2)))
     surrogate = max_sqrt_lambda_next(locals_, coarse.n_j)
     oracle = max(np.sqrt(d.eigenvalues[2]) for d in locals_)
     assert surrogate == oracle
@@ -207,13 +209,12 @@ def test_error_report_rejects_a_non_finite_norm(problem):
 def test_dependent_mode_raises_naming_it(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     with pytest.raises(SolverError, match=_dependent(0, 1)):
-        assemble_coarse(forms, decomp, _doctored(_kept(locals_, ("fixed", 2))))
+        assemble_coarse(forms, _doctored(_kept(locals_, ("fixed", 2))))
 
 
 def test_indefinite_form_reported_as_coercivity_failure(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, _ = assemble_coarse(_with(forms, B=-forms.H), decomp,
-                                _kept(locals_, ("fixed", 3)))
+    coarse, _ = assemble_coarse(_with(forms, B=-forms.H), _kept(locals_, ("fixed", 3)))
     with pytest.raises(SolverError, match="reduced coarse system is not positive definite"):
         solve_coarse(coarse, coarse.n_j)
 
@@ -251,7 +252,7 @@ def test_dependence_across_subdomains_fails_at_every_placement(problem):
     # whichever column is repeated under the next subdomain, the later copy's
     # pivot is roundoff of either sign, and the factor names that copy
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    coarse, u_p = assemble_coarse(forms, decomp, _kept(locals_, ("fixed", 3)))
+    coarse, u_p = assemble_coarse(forms, _kept(locals_, ("fixed", 3)))
     assert coarse.n_total == 12
     for c in range(coarse.n_total):
         planted, later = _planted(coarse, u_p, forms, c)
@@ -264,7 +265,7 @@ def test_long_lived_matrices_are_stored_compact(problem):
     """The run-long forms and the sweep-long Gram own arrays of exactly nnz entries."""
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     fresh = GlobalForms(forms.asm, source_one)
-    coarse, _ = assemble_coarse(fresh, decomp, _kept(locals_, ("fixed", 3)))
+    coarse, _ = assemble_coarse(fresh, _kept(locals_, ("fixed", 3)))
     pairs = [(getattr(fresh, kind), forms.asm.matrix(None, kind))
              for kind in ("B", "H", "Bplus", "mass")]
     pairs.append((coarse.gram_B, symmetric_part(coarse.basis.T @ (fresh.B @ coarse.basis))))
@@ -279,7 +280,7 @@ def test_long_lived_matrices_are_stored_compact(problem):
 
 def test_solution_container_consistency(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    [sol] = solve_msgfem(forms, decomp, _kept(locals_, ("fixed", 3)), [("fixed", 3)])
+    [sol] = solve_msgfem(forms, _kept(locals_, ("fixed", 3)))
     assert np.array_equal(sol.u_G, sol.u_p + sol.u_s)
     rep = error_report(forms, sol.u_G, u_fine)
     assert 0.0 <= rep.rel_bplus_error < 0.2 and rep.rel_l2_error >= 0.0
@@ -304,7 +305,7 @@ def test_weights_read_once_and_particular_is_the_blend(problem, monkeypatch, thr
     monkeypatch.setattr(PartitionOfUnity, "dof_weights", counting)
     rules = [("fixed", 2), ("fixed", 3)]
     locals_ = compute_local_data(mesh, forms, decomp, pou, rules, threads=threads)
-    solutions = solve_msgfem(forms, decomp, locals_, rules)
+    solutions = solve_msgfem(forms, locals_)
     assert sorted(calls) == list(range(decomp.n_subdomains))
     monkeypatch.undo()
 
@@ -325,25 +326,26 @@ def _assert_matches_oracle(problem, locals_, rules, solutions):
         u_s, n_total = _oracle_point(forms, decomp, locals_, rule)
         assert np.array_equal(sol.u_s, u_s), rule
         assert sol.n_total == n_total, rule
-        assert sol.n_j.tolist() == [select_coarse(d.eigenvalues, rule, d.j) for d in locals_]
+        assert sol.n_j.tolist() == [select_coarse(d.eigenvalues, rule, j)
+                                    for j, d in enumerate(locals_)]
 
 
 def test_one_pass_sweep_matches_per_point_oracle(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     rules = [("fixed", n) for n in (1, 2, 3, 4)]
     _assert_matches_oracle(problem, locals_, rules,
-                           solve_msgfem(forms, decomp, _kept(locals_, rules[-1]), rules))
+                           solve_msgfem(forms, _kept(locals_, *rules)))
     for tau in (0.05, 0.2):
         rule = ("threshold", tau)
         _assert_matches_oracle(problem, locals_, [rule],
-                               solve_msgfem(forms, decomp, _kept(locals_, rule), [rule]))
+                               solve_msgfem(forms, _kept(locals_, rule)))
     # uneven threshold selections ([4, 3, 3, 4] and [3, 2, 2, 3]) as subsets
     # of one fixed build
-    coarse, _ = assemble_coarse(forms, decomp, _kept(locals_, ("fixed", 4)))
+    coarse, _ = assemble_coarse(forms, _kept(locals_, ("fixed", 4)))
     assert coarse.dropped == []
     for tau in (0.05, 0.2):
         rule = ("threshold", tau)
-        n_j = [select_coarse(d.eigenvalues, rule, d.j) for d in locals_]
+        n_j = [select_coarse(d.eigenvalues, rule, j) for j, d in enumerate(locals_)]
         assert len(set(n_j)) == 2
         u_s = solve_coarse(coarse, n_j)
         assert np.array_equal(
@@ -354,15 +356,15 @@ def test_one_pass_sweep_matches_per_point_oracle(problem):
 
 def test_duplicate_mode_fails_exactly_the_builds_holding_it(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    doctored = _doctored(_kept(locals_, ("fixed", 4)))
     rules = [("fixed", n) for n in (1, 2, 3, 4)]
+    doctored = _doctored(_kept(locals_, *rules))
     # a sweep builds its columns once, from the modes of its largest point
     with pytest.raises(SolverError, match=_dependent(0, 1)):
-        solve_msgfem(forms, decomp, doctored, rules)
+        solve_msgfem(forms, doctored)
     for rule in rules[1:]:
         with pytest.raises(SolverError, match=_dependent(0, 1)):
             _oracle_point(forms, decomp, doctored, rule)
-    solutions = solve_msgfem(forms, decomp, _kept(doctored, rules[0]), rules[:1])
+    solutions = solve_msgfem(forms, _kept(doctored, rules[0]))
     _assert_matches_oracle(problem, doctored, rules[:1], solutions)
     assert solutions[0].n_total == 4
 
@@ -381,12 +383,33 @@ def test_duplicate_mode_is_one_pipeline_failure_line(tmp_path, capsys, monkeypat
     assert not (tmp_path / "o" / "errors.csv").exists()
 
 
+@pytest.mark.parametrize("rules", [
+    [("fixed", 1), ("fixed", 3), ("fixed", 2)],
+    [("threshold", 0.2), ("threshold", 0.05)],
+], ids=["fixed", "threshold"])
+def test_records_carry_their_dofs_and_per_rule_counts(problem, rules):
+    """The coarse stage reads a subdomain's support and its sweep counts off its record."""
+    mesh, coef, decomp, pou, _, forms, _ = problem
+    locals_ = compute_local_data(mesh, forms, decomp, pou, rules)
+    for j, d in enumerate(locals_):
+        assert np.array_equal(d.dofs, subdomain_dofs(decomp.omega(j)))
+        assert d.counts == tuple(select_coarse(d.eigenvalues, r, j) for r in rules)
+        assert d.modes.shape[1] == max(d.counts)
+    solutions = solve_msgfem(forms, locals_)
+    assert len(solutions) == len(rules)
+    for i, sol in enumerate(solutions):
+        assert sol.n_j.tolist() == [d.counts[i] for d in locals_]
+    if rules[0][0] == "threshold":
+        # the counts differ between subdomains, so each point reads its own
+        assert len({d.counts for d in locals_}) > 1
+
+
 def test_sweep_beyond_available_modes_names_the_subdomain(problem):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
-    fewest = min(locals_, key=lambda d: d.eigenvalues.size)
-    with pytest.raises(ValueError, match=f"subdomain {fewest.j} has only"):
-        solve_msgfem(forms, decomp, locals_,
-                     [("fixed", 2), ("fixed", fewest.eigenvalues.size + 1)])
+    fewest = min(range(len(locals_)), key=lambda j: locals_[j].eigenvalues.size)
+    with pytest.raises(ConfigError, match=f"subdomain {fewest} has only"):
+        compute_local_data(mesh, forms, decomp, pou,
+                           [("fixed", 2), ("fixed", locals_[fewest].eigenvalues.size + 1)])
 
 
 
@@ -408,7 +431,7 @@ def test_threshold_rule_certifies_its_accuracy(spec):
     rules = [("threshold", 0.1), ("threshold", 0.03)]
     locals_ = compute_local_data(mesh, forms, decomp, pou, rules)
     u_fine = fine_solve(forms)
-    for (_, tau), sol in zip(rules, solve_msgfem(forms, decomp, locals_, rules)):
+    for (_, tau), sol in zip(rules, solve_msgfem(forms, locals_)):
         err = error_report(forms, sol.u_G, u_fine).rel_bplus_error
         assert err <= sol.max_sqrt_lambda_next < tau, (tau, err, sol.max_sqrt_lambda_next)
 

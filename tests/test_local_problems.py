@@ -11,7 +11,7 @@ from msgfem.decomposition import build_decomposition, d_minus
 from msgfem.dg_forms import (_LOAD_POINTS, _LOAD_WEIGHTS, DGAssembler, GlobalForms,
                              nested_dofs, subdomain_dofs)
 from msgfem.errors import SolverError
-from msgfem.gfem import solve_msgfem
+from msgfem.gfem import assemble_coarse, solve_coarse, solve_msgfem
 from msgfem.local_problems import (MaskedSystem, compute_local_data, eigenproblem,
                                    particular_solution, scaled_residual, select_coarse,
                                    solve_checked)
@@ -163,13 +163,13 @@ def test_one_factorization_matches_separate_solves_bit_for_bit(setting):
     asm = forms.asm
     _assert_matches_oracles(forms, decomp)
     threaded = compute_local_data(mesh, forms, decomp, pou, FIXED, threads=2)
-    for d in threaded:
-        om, oms = decomp.omega(d.j), decomp.omega_star(d.j)
+    for j, d in enumerate(threaded):
+        om, oms = decomp.omega(j), decomp.omega_star(j)
         # the local stage hands over both weighted by chi_j
-        w = pou.dof_weights(mesh, d.j, om)
+        w = pou.dof_weights(mesh, j, om)
         assert np.array_equal(d.particular,
                               w * _oracle_particular(asm, source_one, om, oms))
-        oracle = _modes(asm, pou, d.j, om, oms, _oracle_harmonic_basis(asm, oms), 4)
+        oracle = _modes(asm, pou, j, om, oms, _oracle_harmonic_basis(asm, oms), 4)
         assert np.array_equal(d.modes, w[:, None] * np.stack(oracle, axis=1))
 
 
@@ -185,25 +185,25 @@ def test_local_stage_hands_over_the_selected_modes_alone(setting, rules, largest
     asm = forms.asm
     locals_ = compute_local_data(mesh, forms, decomp, pou, rules, threads=threads)
     kept = []
-    for d in locals_:
-        om, oms = decomp.omega(d.j), decomp.omega_star(d.j)
+    for j, d in enumerate(locals_):
+        om, oms = decomp.omega(j), decomp.omega_star(j)
         n_layer = 3 * oms.size - h0_dofs(mesh, oms).size
-        n = select_coarse(d.eigenvalues, largest, d.j)
+        n = select_coarse(d.eigenvalues, largest, j)
         kept.append(n)
         arrays = {k: v for k, v in vars(d).items() if isinstance(v, np.ndarray)}
-        assert set(arrays) == {"particular", "eigenvalues", "modes"}
-        assert d.particular.shape == (3 * om.size,)
+        assert set(arrays) == {"dofs", "particular", "eigenvalues", "modes"}
+        assert d.dofs.shape == d.particular.shape == (3 * om.size,)
         assert d.modes.shape == (3 * om.size, n)
         # one eigenvalue per layer dof, for eigenvalues.csv; nothing else that large
         assert d.eigenvalues.shape == (n_layer,)
         assert n_layer not in d.modes.shape + d.particular.shape
-        w = pou.dof_weights(mesh, d.j, om)
+        w = pou.dof_weights(mesh, j, om)
         up, system = particular_solution(forms, om, oms)
-        values, _ = eigenproblem(asm, w, d.j, om, oms, system, rules)
+        values, _, _ = eigenproblem(asm, w, j, om, oms, system, rules)
         assert np.array_equal(d.particular, w * up)
         assert np.array_equal(d.eigenvalues, values)
         basis = harmonic_basis(forms, oms)
-        for k, mode in enumerate(_modes(asm, pou, d.j, om, oms, basis, n)):
+        for k, mode in enumerate(_modes(asm, pou, j, om, oms, basis, n)):
             assert np.array_equal(d.modes[:, k], w * mode)
     assert min(kept) >= 1
 
@@ -212,9 +212,12 @@ def test_sweep_beyond_the_kept_modes_raises(setting):
     mesh, coef, decomp, pou = setting
     forms = forms_of(mesh, coef)
     locals_ = compute_local_data(mesh, forms, decomp, pou, [("fixed", 2)])
-    for rule in (("fixed", 3), ("threshold", 0.0)):
+    coarse, _ = assemble_coarse(forms, locals_)
+    for j in range(decomp.n_subdomains):
+        n_j = coarse.n_j.copy()
+        n_j[j] += 1
         with pytest.raises(ValueError, match="exceeds the assembled modes"):
-            solve_msgfem(forms, decomp, locals_, [rule])
+            solve_coarse(coarse, n_j)
 
 
 def test_compute_local_data_rejects_an_assembler_on_another_mesh(setting):
@@ -436,7 +439,7 @@ def test_eigenproblem_kernel_modes_and_positivity():
     decomp = build_decomposition(mesh, 4, 2, 4)
     pou = build_pou(mesh, decomp)
     j = 5  # interior subdomain
-    values, modes = eigen(mesh, coef, pou, j, decomp.omega(j), decomp.omega_star(j))
+    values, modes, _ = eigen(mesh, coef, pou, j, decomp.omega(j), decomp.omega_star(j))
     assert np.isinf(values[0]) and not np.any(np.isinf(values[1:]))
     finite = values[np.isfinite(values)]
     assert np.all(finite >= 0.0)
@@ -458,7 +461,7 @@ def test_kernel_gram_solve_residual_is_checked(interior, monkeypatch):
     forms = forms_of(mesh, coefficient_field(mesh, "constant:1"))
     asm = forms.asm
     system = MaskedSystem(forms, oms)
-    values, _ = eigenproblem(asm, pou.dof_weights(mesh, j, om), j, om, oms, system, FIXED)
+    values, _, _ = eigenproblem(asm, pou.dof_weights(mesh, j, om), j, om, oms, system, FIXED)
     assert np.isinf(values[0]) and np.all(np.isfinite(values[1:]))
 
     solve = la.solve
@@ -469,6 +472,34 @@ def test_kernel_gram_solve_residual_is_checked(interior, monkeypatch):
     monkeypatch.setattr(local_problems.la, "solve", doctored)
     with pytest.raises(SolverError, match="kernel Gram residual"):
         eigenproblem(asm, pou.dof_weights(mesh, j, om), j, om, oms, system, FIXED)
+
+
+class _NegatedOn:
+    """An assembler whose matrices on one element set, the left form's, are negated."""
+
+    def __init__(self, asm, D):
+        self.asm, self.D = asm, D
+
+    def matrix(self, D, kind):
+        M = self.asm.matrix(D, kind)
+        return -M if D is self.D else M
+
+
+def test_negative_eigenvalue_beyond_tolerance_aborts():
+    # subdomain 0 touches the boundary, so its right form has no kernel and the
+    # kernel Gram solve cannot fail first; a negated left form has no positive spectrum
+    mesh = build_structured_mesh(16)
+    decomp = build_decomposition(mesh, 2, 2, 2)
+    pou = build_pou(mesh, decomp)
+    forms = forms_of(mesh, coefficient_field(mesh, "checkerboard:100:2"))
+    j = 0
+    om, oms = decomp.omega(j), decomp.omega_star(j)
+    system = MaskedSystem(forms, oms)
+    w = pou.dof_weights(mesh, j, om)
+    values, _, _ = eigenproblem(forms.asm, w, j, om, oms, system, FIXED)
+    assert np.all(np.isfinite(values)) and values[0] > 0.0
+    with pytest.raises(SolverError, match="^negative eigenvalue beyond tolerance; assembly bug$"):
+        eigenproblem(_NegatedOn(forms.asm, om), w, j, om, oms, system, FIXED)
 
 
 @pytest.mark.parametrize("spec", ["constant:1", "log_uniform:1e-3:1e3"])
@@ -484,8 +515,8 @@ def test_lean_local_stage_is_bit_identical(interior, spec):
         basis = system.harmonic_extension()
         assert basis.tobytes() == _oracle_harmonic_basis(asm, oms).tobytes()
         n_layer = system.layer.size
-        values, modes = eigenproblem(asm, pou.dof_weights(mesh, j, om), j, om, oms, system,
-                                     [("fixed", n_layer)])
+        values, modes, _ = eigenproblem(asm, pou.dof_weights(mesh, j, om), j, om, oms,
+                                        system, [("fixed", n_layer)])
         oracle_values, oracle_vectors = _oracle_eigenproblem(asm, pou, j, om, oms, basis)
         assert np.isinf(values[0]) == (j == 5)
         assert values.tobytes() == oracle_values.tobytes()
@@ -531,7 +562,7 @@ def test_local_stage_holds_one_dense_block_beside_the_basis():
 
 def test_eigenproblem_boundary_subdomain_all_finite(setting):
     mesh, coef, decomp, pou = setting
-    values, _ = eigen(mesh, coef, pou, 0, decomp.omega(0), decomp.omega_star(0))
+    values, _, _ = eigen(mesh, coef, pou, 0, decomp.omega(0), decomp.omega_star(0))
     assert np.all(np.isfinite(values))
     assert np.all(values >= 0.0)
 
@@ -539,9 +570,9 @@ def test_eigenproblem_boundary_subdomain_all_finite(setting):
 def test_eigenvalues_invariant_under_coefficient_scaling(setting):
     mesh, coef, decomp, pou = setting
     om, oms = decomp.omega(0), decomp.omega_star(0)
-    lam1, _ = eigen(mesh, coef, pou, 0, om, oms)
+    lam1, _, _ = eigen(mesh, coef, pou, 0, om, oms)
     coef3 = Coefficient(3.0 * coef.values)
-    lam3, _ = eigen(mesh, coef3, pou, 0, om, oms)
+    lam3, _, _ = eigen(mesh, coef3, pou, 0, om, oms)
     f1 = lam1[np.isfinite(lam1)]
     f3 = lam3[np.isfinite(lam3)]
     # compare above the eigensolver's resolution floor
@@ -667,7 +698,7 @@ def test_local_stage_assembles_the_global_system_once(setting, monkeypatch):
     assert calls == [("mesh", "B"), ("mesh", "load")]
     calls.clear()
     locals_ = compute_local_data(mesh, forms, decomp, pou, FIXED, threads=2)
-    solve_msgfem(forms, decomp, locals_, FIXED)
+    solve_msgfem(forms, locals_)
     fine_solve(forms)
     # and none after it, on the mesh or on a subdomain
     assert [kind for _, kind in calls if kind in ("B", "load")] == []

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -122,13 +124,27 @@ def test_log_uniform_deterministic_and_bounded():
     assert not np.array_equal(a.values, c.values)
 
 
-@pytest.mark.parametrize("spec", [
-    "constant:0", "constant:-2", "checkerboard:0.5:1", "checkerboard:10:3",
-    "channels:10:3", "log_uniform:0:1", "nonsense:1",
-])
+_INVALID_SPECS = {
+    "constant:0": "coefficient value must be positive and finite, got 0",
+    "constant:-2": "coefficient value must be positive and finite, got -2",
+    "checkerboard:0.5:1": "contrast must be >= 1",
+    "checkerboard:10:3": "block size 3 must divide the mesh size 4",
+    "channels:10:3": "2*count must divide the mesh size 4",
+    "log_uniform:0:1": "lower bound must be positive and finite, got 0",
+    "nonsense:1": "unknown coefficient kind 'nonsense'",
+    "constant:1:2": "constant coefficient takes one value: constant:c",
+    "checkerboard:10": "usage: checkerboard:contrast:block",
+    "channels:10": "usage: channels:contrast:count",
+    "log_uniform:1": "usage: log_uniform:min:max",
+    "channels:0.5:2": "contrast must be >= 1",
+    "log_uniform:5:1": "upper bound below lower bound",
+}
+
+
+@pytest.mark.parametrize("spec", list(_INVALID_SPECS))
 def test_invalid_coefficient_specs_rejected(spec):
     mesh = build_structured_mesh(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(_INVALID_SPECS[spec])}$"):
         coefficient_field(mesh, spec)
 
 

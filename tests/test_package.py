@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -34,3 +35,30 @@ def test_module_layering_in_a_fresh_interpreter(code):
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _unused_imports(source: str) -> list:
+    """The names a module's imports bind that it never reads nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+             for elt in node.value.elts}
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # the scan flags a leftover import and passes a used or re-exported one
+    assert _unused_imports("from .decomposition import Decomposition\n"
+                           "import numpy as np\nfrom .errors import ConfigError\n"
+                           "__all__ = ['ConfigError']\nnp.zeros(1)\n") == ["Decomposition"]
+    # the package root's imports are its re-exports
+    modules = sorted(Path(msgfem.__file__).parent.glob("[!_]*.py"))
+    assert "gfem.py" in {path.name for path in modules}
+    unused = {path.name: _unused_imports(path.read_text()) for path in modules}
+    assert {name: names for name, names in unused.items() if names} == {}
