@@ -29,9 +29,9 @@ from .decomposition import Decomposition, build_decomposition
 from .dg_forms import DGAssembler, GlobalForms
 from .errors import ConfigError, SolverError
 from .gfem import error_report, solve_msgfem
-from .local_problems import compute_local_data, select_coarse
+from .local_problems import check_fixed_counts, compute_local_data
 from .mesh import Coefficient, TriMesh, build_structured_mesh, coefficient_field
-from .space_ops import PartitionOfUnity, build_pou, h0_dofs
+from .space_ops import PartitionOfUnity, build_pou
 from .verification import decay_fit, fine_solve, run_property_suite
 
 __all__ = ["Problem", "build_problem", "run", "main", "source_function"]
@@ -84,23 +84,6 @@ def build_problem(config: RunConfig) -> Problem:
                    forms=GlobalForms(asm, f))
 
 
-def _check_mode_counts(problem: Problem) -> None:
-    """Reject a fixed coarse count above a subdomain's mode count before any output.
-
-    A subdomain has one mode per layer dof of its oversampling domain, which
-    the geometry alone gives, so the error :func:`select_coarse` raises once
-    the spectra are computed is raised here, for the same subdomain and rule.
-    """
-    fixed = [rule for rule in problem.config.sweep_values() if rule[0] == "fixed"]
-    if not fixed:
-        return
-    for j in range(problem.decomp.n_subdomains):
-        omega_star = problem.decomp.omega_star(j)
-        n_modes = 3 * omega_star.size - h0_dofs(problem.mesh, omega_star).size
-        for rule in fixed:
-            select_coarse(np.empty(n_modes), rule, j)
-
-
 def _write_csv(path: Path, columns, rows) -> None:
     lines = [",".join(columns)] + [",".join(map(str, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
@@ -115,22 +98,22 @@ _ERROR_COLUMNS = ("m", "l", "lstar", "n_j", "gamma0", "contrast", "n_total",
 def run(config: RunConfig, out_dir) -> int:
     """Execute one configuration; writes artifacts and returns the exit code.
 
-    The problem is built, and the fixed mode counts checked against every
-    subdomain unless only the property suite runs, before anything is
-    written, so a configuration error leaves no output behind.  Then the
-    artifacts an earlier run left in ``out_dir`` are removed, so the
-    directory never mixes the files of two runs.
+    The problem is built, and its fixed mode counts checked unless only the
+    property suite runs, before anything is written, so a configuration
+    error leaves no output behind.  Then the artifacts an earlier run left
+    in ``out_dir`` are removed, so the directory never mixes the files of
+    two runs.
     """
     problem = build_problem(config)
     if config.checks != "only":
-        _check_mode_counts(problem)
+        check_fixed_counts(problem.mesh, problem.decomp, config.sweep_values())
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        for name in ("config.txt", "checks.json", "eigenvalues.csv", "errors.csv"):
+            (out / name).unlink(missing_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create the output directory: {exc}") from exc
-    for name in ("config.txt", "checks.json", "eigenvalues.csv", "errors.csv"):
-        (out / name).unlink(missing_ok=True)
+        raise ConfigError(f"cannot create or clear the output directory: {exc}") from exc
     (out / "config.txt").write_text(serialize_config(config))
 
     stage = "property suite"

@@ -25,6 +25,7 @@ __all__ = [
     "particular_solution",
     "eigenproblem",
     "select_coarse",
+    "check_fixed_counts",
     "compute_local_data",
     "symmetric_part",
 ]
@@ -168,9 +169,9 @@ def symmetric_part(X):
     return S
 
 
-def eigenproblem(asm: DGAssembler, w: np.ndarray, j: int, omega, omega_star,
+def eigenproblem(asm: DGAssembler, w: np.ndarray, omega, omega_star,
                  system: MaskedSystem, rules):
-    """Spectral problem of subdomain ``j`` selecting the locally optimal coarse directions.
+    """Spectral problem of one subdomain selecting the locally optimal coarse directions.
 
     Left form: energy on the overlap subdomain of the restriction scaled by
     ``w``, the subdomain's weight at every dof of ``omega``
@@ -182,7 +183,8 @@ def eigenproblem(asm: DGAssembler, w: np.ndarray, j: int, omega, omega_star,
     ``omega_star``, built here on the factored ``system``.  Returns every
     eigenvalue, sorted descending with the kernel's ``inf`` first, on
     ``omega`` the most leading modes any of the ``rules`` keeps, unweighted,
-    and the tuple of the counts the rules select (:func:`select_coarse`).
+    and the tuple of the counts the rules select (:func:`select_coarse`);
+    a fixed count is at most the mode count (:func:`check_fixed_counts`).
 
     The kernel of the right form is split off first; the finite spectrum is
     computed on the complement that is orthogonal to the kernel in the left
@@ -234,7 +236,7 @@ def eigenproblem(asm: DGAssembler, w: np.ndarray, j: int, omega, omega_star,
             raise SolverError("negative eigenvalue beyond tolerance; assembly bug")
         # roundoff guard: the pencil is PSD so tiny negatives are noise
         values = np.maximum(values, 0.0)
-    counts = tuple(select_coarse(values, r, j) for r in rules)
+    counts = tuple(select_coarse(values, r) for r in rules)
     modes = np.empty((idx.size, max(counts)))
     # one full matrix-vector product per mode: a matrix product, or a product
     # on a subset of the rows, may round differently
@@ -243,22 +245,34 @@ def eigenproblem(asm: DGAssembler, w: np.ndarray, j: int, omega, omega_star,
     return values, modes, counts
 
 
-def select_coarse(eigenvalues: np.ndarray, rule, j: int) -> int:
-    """Number of leading modes chosen by a ``("fixed", n)`` or ``("threshold", tau)`` rule.
-
-    Kernel modes (``inf``) always count first; a fixed count beyond the
-    available modes is a configuration error that names subdomain ``j``.
-    """
+def select_coarse(eigenvalues: np.ndarray, rule) -> int:
+    """Leading modes a ``("fixed", n)`` or ``("threshold", tau)`` rule selects, ``inf`` first."""
     kind, value = rule
     if kind == "fixed":
-        n = int(value)
-        if n < 0 or n > eigenvalues.size:
-            raise ConfigError(f"requested {n} coarse modes, but subdomain "
-                              f"{j} has only {eigenvalues.size}")
-        return n
+        return int(value)
     if kind == "threshold":
         return int(np.sum(np.sqrt(np.maximum(eigenvalues, 0.0)) >= float(value)))
     raise ValueError(f"unknown coarse selection rule {kind!r}")
+
+
+def check_fixed_counts(mesh: TriMesh, decomp: Decomposition, rules) -> None:
+    """Reject a negative fixed count of ``rules``, or one above a subdomain's mode count.
+
+    A subdomain has one mode per layer dof of its oversampling domain, which
+    the geometry gives before any solve; the error names the largest fixed
+    count and the first subdomain short of it, in index order.
+    """
+    fixed = [int(value) for kind, value in rules if kind == "fixed"]
+    if not fixed:
+        return
+    if min(fixed) < 0:
+        raise ConfigError(f"fixed mode count must be >= 0, got {min(fixed)}")
+    n = max(fixed)
+    for j in range(decomp.n_subdomains):
+        omega_star = decomp.omega_star(j)
+        n_modes = 3 * omega_star.size - h0_dofs(mesh, omega_star).size
+        if n > n_modes:
+            raise ConfigError(f"requested {n} coarse modes, but subdomain {j} has only {n_modes}")
 
 
 def compute_local_data(mesh: TriMesh, forms: GlobalForms, decomp: Decomposition,
@@ -268,23 +282,24 @@ def compute_local_data(mesh: TriMesh, forms: GlobalForms, decomp: Decomposition,
     ``forms`` holds the run's assembler on ``mesh``, whose block tables
     serve every subdomain, and the global ``B`` and load, whose masked rows
     are every subdomain's system and source; the workers only read them, as
-    all three are built with ``forms``.  ``rules`` is the run's sweep.  Each
-    subdomain keeps its overlap subdomain's global dofs, every eigenvalue,
-    the count each rule selects (:func:`select_coarse`) and as many leading
-    modes as the largest count.  Its worker reads its weight once, poses the
-    eigenproblem with it and hands over the particular solution and modes
-    times it; the factored system, the dense basis and the pencil vectors
-    are dropped when it returns.
+    all three are built with ``forms``.  ``rules`` is the run's sweep, its
+    fixed counts checked first (:func:`check_fixed_counts`).  Each subdomain
+    keeps its overlap subdomain's global dofs, every eigenvalue, the count
+    each rule selects (:func:`select_coarse`) and as many leading modes as
+    the largest.  Its worker reads its weight once, poses the eigenproblem
+    with it and hands over the particular solution and modes times it; the
+    factored system, basis and pencil vectors are dropped when it returns.
     """
     if forms.asm.mesh is not mesh:
         raise ValueError("the assembler is built on another mesh")
+    check_fixed_counts(mesh, decomp, rules)
 
     def one(j: int) -> LocalSpectralData:
         omega = decomp.omega(j)
         omega_star = decomp.omega_star(j)
         w = pou.dof_weights(mesh, j, omega)
         up, system = particular_solution(forms, omega, omega_star)
-        values, modes, counts = eigenproblem(forms.asm, w, j, omega, omega_star, system, rules)
+        values, modes, counts = eigenproblem(forms.asm, w, omega, omega_star, system, rules)
         return LocalSpectralData(dofs=subdomain_dofs(omega), particular=w * up,
                                  eigenvalues=values, modes=w[:, None] * modes, counts=counts)
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -214,18 +215,25 @@ def test_output_directory_is_not_a_config_key(tmp_path, capsys):
     assert not (tmp_path / "k").exists() and not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("below", [False, True], ids=["existing-file", "below-a-file"])
-def test_uncreatable_output_directory_is_config_error(tmp_path, capsys, below):
+@pytest.mark.parametrize("case", ["existing-file", "below-a-file", "errors.csv-is-a-directory"])
+def test_uncreatable_output_directory_is_config_error(tmp_path, capsys, case):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL)
-    blocker = tmp_path / "file"
-    blocker.write_text("kept\n")
-    out = blocker / "o" if below else blocker
-    assert main(["--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(
-        "config error: cannot create the output directory: ")
-    assert blocker.read_text() == "kept\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "run.cfg"]
+    out, code, failed, blocker = {
+        "existing-file": ("file", errno.EEXIST, "file", "file"),
+        "below-a-file": ("file/o", errno.ENOTDIR, "file/o", "file"),
+        # a directory under an artifact's name: the run cannot clear that name
+        "errors.csv-is-a-directory": ("o", errno.EISDIR, "o/errors.csv", "o/errors.csv/file"),
+    }[case]
+    (tmp_path / blocker).parent.mkdir(parents=True, exist_ok=True)
+    (tmp_path / blocker).write_text("kept\n")
+    before = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot create or clear the output directory: "
+        f"[Errno {code}] {os.strerror(code)}: '{tmp_path / failed}'\n")
+    assert (tmp_path / blocker).read_text() == "kept\n"
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("text", [
@@ -475,7 +483,7 @@ def test_high_contrast_rows_match_the_b_best_approximation(pinned_high_contrast)
         blocks = []
         for j, data in enumerate(locals_):
             omega = decomp.omega(j)
-            block = np.zeros((e.size, select_coarse(data.eigenvalues, rule, j)))
+            block = np.zeros((e.size, select_coarse(data.eigenvalues, rule)))
             block[subdomain_dofs(omega)] = data.modes[:, :block.shape[1]]
             blocks.append(block)
         V = np.hstack(blocks)

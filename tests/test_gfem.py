@@ -8,13 +8,14 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 import msgfem.cli
+import msgfem.local_problems as local_problems
 from msgfem.decomposition import build_decomposition
 from msgfem.dg_forms import DGAssembler, GlobalForms, subdomain_dofs
 from msgfem.errors import ConfigError, SolverError
 from msgfem.gfem import (CoarseSpace, _h_orthonormal, assemble_coarse, error_report,
                          max_sqrt_lambda_next, solve_coarse, solve_msgfem)
-from msgfem.local_problems import (compute_local_data, particular_solution, select_coarse,
-                                   symmetric_part)
+from msgfem.local_problems import (MaskedSystem, compute_local_data, particular_solution,
+                                   select_coarse, symmetric_part)
 from msgfem.mesh import build_structured_mesh, coefficient_field
 from msgfem.space_ops import PartitionOfUnity, build_pou
 from msgfem.verification import fine_solve
@@ -40,8 +41,7 @@ def problem():
 
 def _kept(locals_, *rules):
     """Local data as the local stage keeps it for the sweep ``rules``: counts, leading modes."""
-    counts = [tuple(select_coarse(d.eigenvalues, r, j) for r in rules)
-              for j, d in enumerate(locals_)]
+    counts = [tuple(select_coarse(d.eigenvalues, r) for r in rules) for d in locals_]
     return [replace(d, modes=d.modes[:, :max(c)], counts=c) for d, c in zip(locals_, counts)]
 
 
@@ -95,7 +95,7 @@ def _oracle_point(forms, decomp, locals_, rule):
     for j, data in enumerate(locals_):
         dofs = subdomain_dofs(decomp.omega(j))
         u_p[dofs] += data.particular
-        n = select_coarse(data.eigenvalues, rule, j)
+        n = select_coarse(data.eigenvalues, rule)
         Q = _h_orthonormal(data.modes[:, :n], H[dofs][:, dofs], j)
         for q in Q.T:
             nz = q != 0.0
@@ -326,8 +326,7 @@ def _assert_matches_oracle(problem, locals_, rules, solutions):
         u_s, n_total = _oracle_point(forms, decomp, locals_, rule)
         assert np.array_equal(sol.u_s, u_s), rule
         assert sol.n_total == n_total, rule
-        assert sol.n_j.tolist() == [select_coarse(d.eigenvalues, rule, j)
-                                    for j, d in enumerate(locals_)]
+        assert sol.n_j.tolist() == [select_coarse(d.eigenvalues, rule) for d in locals_]
 
 
 def test_one_pass_sweep_matches_per_point_oracle(problem):
@@ -345,7 +344,7 @@ def test_one_pass_sweep_matches_per_point_oracle(problem):
     assert coarse.dropped == []
     for tau in (0.05, 0.2):
         rule = ("threshold", tau)
-        n_j = [select_coarse(d.eigenvalues, rule, j) for j, d in enumerate(locals_)]
+        n_j = [select_coarse(d.eigenvalues, rule) for d in locals_]
         assert len(set(n_j)) == 2
         u_s = solve_coarse(coarse, n_j)
         assert np.array_equal(
@@ -393,7 +392,7 @@ def test_records_carry_their_dofs_and_per_rule_counts(problem, rules):
     locals_ = compute_local_data(mesh, forms, decomp, pou, rules)
     for j, d in enumerate(locals_):
         assert np.array_equal(d.dofs, subdomain_dofs(decomp.omega(j)))
-        assert d.counts == tuple(select_coarse(d.eigenvalues, r, j) for r in rules)
+        assert d.counts == tuple(select_coarse(d.eigenvalues, r) for r in rules)
         assert d.modes.shape[1] == max(d.counts)
     solutions = solve_msgfem(forms, locals_)
     assert len(solutions) == len(rules)
@@ -404,12 +403,20 @@ def test_records_carry_their_dofs_and_per_rule_counts(problem, rules):
         assert len({d.counts for d in locals_}) > 1
 
 
-def test_sweep_beyond_available_modes_names_the_subdomain(problem):
+def test_sweep_beyond_available_modes_names_the_subdomain(problem, monkeypatch):
     mesh, coef, decomp, pou, locals_, forms, u_fine = problem
     fewest = min(range(len(locals_)), key=lambda j: locals_[j].eigenvalues.size)
-    with pytest.raises(ConfigError, match=f"subdomain {fewest} has only"):
-        compute_local_data(mesh, forms, decomp, pou,
-                           [("fixed", 2), ("fixed", locals_[fewest].eigenvalues.size + 1)])
+    n = locals_[fewest].eigenvalues.size
+    built = []
+    monkeypatch.setattr(local_problems, "MaskedSystem",
+                        lambda *a: built.append(a) or MaskedSystem(*a))
+    for threads in (1, 2):
+        with pytest.raises(ConfigError, match=f"^requested {n + 1} coarse modes, but "
+                                              f"subdomain {fewest} has only {n}$"):
+            compute_local_data(mesh, forms, decomp, pou, [("fixed", 2), ("fixed", n + 1)],
+                               threads=threads)
+    # raised from the geometry, before any subdomain's system is built
+    assert built == []
 
 
 

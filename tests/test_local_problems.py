@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 
@@ -10,11 +11,11 @@ import msgfem.local_problems as local_problems
 from msgfem.decomposition import build_decomposition, d_minus
 from msgfem.dg_forms import (_LOAD_POINTS, _LOAD_WEIGHTS, DGAssembler, GlobalForms,
                              nested_dofs, subdomain_dofs)
-from msgfem.errors import SolverError
+from msgfem.errors import ConfigError, SolverError
 from msgfem.gfem import assemble_coarse, solve_coarse, solve_msgfem
-from msgfem.local_problems import (MaskedSystem, compute_local_data, eigenproblem,
-                                   particular_solution, scaled_residual, select_coarse,
-                                   solve_checked)
+from msgfem.local_problems import (MaskedSystem, check_fixed_counts, compute_local_data,
+                                   eigenproblem, particular_solution, scaled_residual,
+                                   select_coarse, solve_checked)
 from msgfem.mesh import Coefficient, build_structured_mesh, coefficient_field
 from msgfem.space_ops import PartitionOfUnity, build_pou, h0_dofs
 from msgfem.verification import decay_fit, fine_solve
@@ -57,7 +58,7 @@ def harmonic_basis(forms, omega_star):
 def eigen(mesh, coef, pou, j, omega, omega_star):
     """The spectral problem of one subdomain on its own masked system."""
     forms = forms_of(mesh, coef)
-    return eigenproblem(forms.asm, pou.dof_weights(mesh, j, omega), j, omega, omega_star,
+    return eigenproblem(forms.asm, pou.dof_weights(mesh, j, omega), omega, omega_star,
                         MaskedSystem(forms, omega_star), FIXED)
 
 
@@ -188,7 +189,7 @@ def test_local_stage_hands_over_the_selected_modes_alone(setting, rules, largest
     for j, d in enumerate(locals_):
         om, oms = decomp.omega(j), decomp.omega_star(j)
         n_layer = 3 * oms.size - h0_dofs(mesh, oms).size
-        n = select_coarse(d.eigenvalues, largest, j)
+        n = select_coarse(d.eigenvalues, largest)
         kept.append(n)
         arrays = {k: v for k, v in vars(d).items() if isinstance(v, np.ndarray)}
         assert set(arrays) == {"dofs", "particular", "eigenvalues", "modes"}
@@ -199,7 +200,7 @@ def test_local_stage_hands_over_the_selected_modes_alone(setting, rules, largest
         assert n_layer not in d.modes.shape + d.particular.shape
         w = pou.dof_weights(mesh, j, om)
         up, system = particular_solution(forms, om, oms)
-        values, _, _ = eigenproblem(asm, w, j, om, oms, system, rules)
+        values, _, _ = eigenproblem(asm, w, om, oms, system, rules)
         assert np.array_equal(d.particular, w * up)
         assert np.array_equal(d.eigenvalues, values)
         basis = harmonic_basis(forms, oms)
@@ -461,7 +462,7 @@ def test_kernel_gram_solve_residual_is_checked(interior, monkeypatch):
     forms = forms_of(mesh, coefficient_field(mesh, "constant:1"))
     asm = forms.asm
     system = MaskedSystem(forms, oms)
-    values, _, _ = eigenproblem(asm, pou.dof_weights(mesh, j, om), j, om, oms, system, FIXED)
+    values, _, _ = eigenproblem(asm, pou.dof_weights(mesh, j, om), om, oms, system, FIXED)
     assert np.isinf(values[0]) and np.all(np.isfinite(values[1:]))
 
     solve = la.solve
@@ -471,7 +472,7 @@ def test_kernel_gram_solve_residual_is_checked(interior, monkeypatch):
 
     monkeypatch.setattr(local_problems.la, "solve", doctored)
     with pytest.raises(SolverError, match="kernel Gram residual"):
-        eigenproblem(asm, pou.dof_weights(mesh, j, om), j, om, oms, system, FIXED)
+        eigenproblem(asm, pou.dof_weights(mesh, j, om), om, oms, system, FIXED)
 
 
 class _NegatedOn:
@@ -496,10 +497,10 @@ def test_negative_eigenvalue_beyond_tolerance_aborts():
     om, oms = decomp.omega(j), decomp.omega_star(j)
     system = MaskedSystem(forms, oms)
     w = pou.dof_weights(mesh, j, om)
-    values, _, _ = eigenproblem(forms.asm, w, j, om, oms, system, FIXED)
+    values, _, _ = eigenproblem(forms.asm, w, om, oms, system, FIXED)
     assert np.all(np.isfinite(values)) and values[0] > 0.0
     with pytest.raises(SolverError, match="^negative eigenvalue beyond tolerance; assembly bug$"):
-        eigenproblem(_NegatedOn(forms.asm, om), w, j, om, oms, system, FIXED)
+        eigenproblem(_NegatedOn(forms.asm, om), w, om, oms, system, FIXED)
 
 
 @pytest.mark.parametrize("spec", ["constant:1", "log_uniform:1e-3:1e3"])
@@ -515,7 +516,7 @@ def test_lean_local_stage_is_bit_identical(interior, spec):
         basis = system.harmonic_extension()
         assert basis.tobytes() == _oracle_harmonic_basis(asm, oms).tobytes()
         n_layer = system.layer.size
-        values, modes, _ = eigenproblem(asm, pou.dof_weights(mesh, j, om), j, om, oms,
+        values, modes, _ = eigenproblem(asm, pou.dof_weights(mesh, j, om), om, oms,
                                         system, [("fixed", n_layer)])
         oracle_values, oracle_vectors = _oracle_eigenproblem(asm, pou, j, om, oms, basis)
         assert np.isinf(values[0]) == (j == 5)
@@ -552,7 +553,7 @@ def test_local_stage_holds_one_dense_block_beside_the_basis():
     shape = (3 * oms.size, system.layer.size)   # the basis
     tracemalloc.start()
     try:
-        eigenproblem(asm, pou.dof_weights(mesh, j, om), j, om, oms, system, FIXED)
+        eigenproblem(asm, pou.dof_weights(mesh, j, om), om, oms, system, FIXED)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -706,12 +707,39 @@ def test_local_stage_assembles_the_global_system_once(setting, monkeypatch):
 
 def test_select_coarse_rules():
     vals = np.array([np.inf, 0.25, 0.04, 0.01])
-    assert select_coarse(vals, ("fixed", 1), 0) == 1
-    assert select_coarse(vals, ("threshold", 0.0), 0) == 4
+    assert select_coarse(vals, ("fixed", 1)) == 1
+    assert select_coarse(vals, ("threshold", 0.0)) == 4
     # threshold on the root: kernel plus the two modes with sqrt >= 0.2
-    assert select_coarse(vals, ("threshold", 0.2), 0) == 3
-    assert select_coarse(vals, ("threshold", 0.45), 0) == 2
-    with pytest.raises(ValueError, match="subdomain 0 has only 4"):
-        select_coarse(vals, ("fixed", 5), 0)
-    with pytest.raises(ValueError):
-        select_coarse(vals, ("bogus", 1), 0)
+    assert select_coarse(vals, ("threshold", 0.2)) == 3
+    assert select_coarse(vals, ("threshold", 0.45)) == 2
+    with pytest.raises(ValueError, match="^unknown coarse selection rule 'bogus'$"):
+        select_coarse(vals, ("bogus", 1))
+
+
+@pytest.mark.parametrize("grid_m, rules, message", [
+    (2, [("fixed", 1), ("fixed", 123)], None),
+    (2, [("fixed", 124)], "requested 124 coarse modes, but subdomain 1 has only 123"),
+    (2, [("fixed", 160), ("fixed", 2), ("fixed", 200)],
+     "requested 200 coarse modes, but subdomain 0 has only 150"),
+    (2, [("fixed", 4), ("fixed", -1)], "fixed mode count must be >= 0, got -1"),
+    (1, [("fixed", 0)], None),
+    (1, [("fixed", 1)], "requested 1 coarse modes, but subdomain 0 has only 0"),
+    (2, [("threshold", 0.0), ("threshold", 1e9)], None),
+], ids=["equal-to-smallest", "one-above-smallest", "largest-of-several-named", "negative",
+        "one-subdomain-zero", "one-subdomain-one", "threshold-only"])
+def test_fixed_counts_are_checked_against_every_mode_count(grid_m, rules, message,
+                                                           monkeypatch):
+    # the mode counts of (16, 2, 2, 3) are 150, 123, 123, 150: one per layer dof
+    # of the oversampling domain; at one subdomain that domain is the mesh, with none
+    mesh = build_structured_mesh(16 if grid_m == 2 else 8)
+    decomp = build_decomposition(mesh, grid_m, 2, 3 if grid_m == 2 else 1)
+    calls = []
+    h0 = local_problems.h0_dofs
+    monkeypatch.setattr(local_problems, "h0_dofs", lambda *a: calls.append(a) or h0(*a))
+    if message is None:
+        check_fixed_counts(mesh, decomp, rules)
+    else:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            check_fixed_counts(mesh, decomp, rules)
+    if rules[0][0] == "threshold":
+        assert calls == []   # no fixed count, no geometry
