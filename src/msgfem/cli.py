@@ -9,6 +9,7 @@ reproduce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ from .dg_forms import DGAssembler, GlobalForms
 from .errors import ConfigError, SolverError
 from .gfem import error_report, solve_msgfem
 from .local_problems import check_fixed_counts, compute_local_data
-from .mesh import Coefficient, TriMesh, build_structured_mesh, coefficient_field
+from .mesh import build_structured_mesh, coefficient_field
 from .space_ops import PartitionOfUnity, build_pou
 from .verification import decay_fit, fine_solve, run_property_suite
 
@@ -55,11 +56,9 @@ def source_function(spec: str):
 
 @dataclass(frozen=True)
 class Problem:
-    """Everything a run builds before its first solve, once; its source is in ``forms.F``."""
+    """What a run builds before its first solve; mesh, coefficient and source are in ``forms``."""
 
     config: RunConfig
-    mesh: TriMesh
-    coefficient: Coefficient
     decomp: Decomposition
     pou: PartitionOfUnity
     forms: GlobalForms
@@ -80,8 +79,7 @@ def build_problem(config: RunConfig) -> Problem:
         asm = DGAssembler(mesh, coef, config.gamma0)
     except ValueError as exc:   # a ConfigError too: every message is kept as it is
         raise ConfigError(str(exc)) from exc
-    return Problem(config=config, mesh=mesh, coefficient=coef, decomp=decomp, pou=pou,
-                   forms=GlobalForms(asm, f))
+    return Problem(config=config, decomp=decomp, pou=pou, forms=GlobalForms(asm, f))
 
 
 def _write_csv(path: Path, columns, rows) -> None:
@@ -106,12 +104,17 @@ def run(config: RunConfig, out_dir) -> int:
     """
     problem = build_problem(config)
     if config.checks != "only":
-        check_fixed_counts(problem.mesh, problem.decomp, config.sweep_values())
+        check_fixed_counts(problem.forms.asm.mesh, problem.decomp, config.sweep_values())
     out = Path(out_dir)
+    paths = [out / n for n in ("config.txt", "checks.json", "eigenvalues.csv", "errors.csv")]
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name in ("config.txt", "checks.json", "eigenvalues.csv", "errors.csv"):
-            (out / name).unlink(missing_ok=True)
+        # every name is checked before any file goes, so a failed clear removes nothing
+        for path in paths:
+            if path.is_dir() and not path.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for path in paths:
+            path.unlink(missing_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create or clear the output directory: {exc}") from exc
     (out / "config.txt").write_text(serialize_config(config))
@@ -137,10 +140,9 @@ def run(config: RunConfig, out_dir) -> int:
 
 def _pipeline(problem: Problem, out: Path) -> int:
     t0 = time.time()
-    config, mesh, decomp, pou = problem.config, problem.mesh, problem.decomp, problem.pou
-    forms = problem.forms
-    rules = config.sweep_values()
-    locals_ = compute_local_data(mesh, forms, decomp, pou, rules, threads=config.threads)
+    config, forms = problem.config, problem.forms
+    locals_ = compute_local_data(forms.asm.mesh, forms, problem.decomp, problem.pou,
+                                 config.sweep_values(), threads=config.threads)
     # every mode of every subdomain, kernel modes as inf
     _write_csv(out / "eigenvalues.csv", _EIGENVALUE_COLUMNS,
                ([j, k, lam, int(np.isinf(lam))] for j, data in enumerate(locals_)
@@ -153,7 +155,7 @@ def _pipeline(problem: Problem, out: Path) -> int:
         # a point is labelled by its largest per-subdomain count, a fixed rule's n
         rows.append([config.grid_m, config.overlap_layers, config.oversampling_layers,
                      int(sol.n_j.max(initial=0)), config.gamma0,
-                     problem.coefficient.contrast, sol.n_total, rep.rel_bplus_error,
+                     forms.asm.coefficient.contrast, sol.n_total, rep.rel_bplus_error,
                      rep.rel_l2_error, sol.max_sqrt_lambda_next])
 
     sweep = np.array(rows, dtype=float)

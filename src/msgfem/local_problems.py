@@ -173,18 +173,19 @@ def eigenproblem(asm: DGAssembler, w: np.ndarray, omega, omega_star,
                  system: MaskedSystem, rules):
     """Spectral problem of one subdomain selecting the locally optimal coarse directions.
 
-    Left form: energy on the overlap subdomain of the restriction scaled by
-    ``w``, the subdomain's weight at every dof of ``omega``
-    (:meth:`~msgfem.space_ops.PartitionOfUnity.dof_weights`).  Right form:
-    energy on the oversampling domain.  Both are congruence images of the
-    positive form, hence symmetric PSD; kernel directions of the right form
-    (the constants, on interior subdomains) come out as leading infinite
-    eigenvalues.  The pencil is posed on the harmonic basis of
-    ``omega_star``, built here on the factored ``system``.  Returns every
-    eigenvalue, sorted descending with the kernel's ``inf`` first, on
+    Right form: energy on the oversampling domain, ``Bplus`` on ``omega_star``.
+    Left form: energy of the restriction scaled by ``w``, the weight at every
+    dof of ``omega`` (:meth:`~msgfem.space_ops.PartitionOfUnity.dof_weights`),
+    on that matrix's ``omega`` block: it differs from ``Bplus`` on ``omega``
+    only at elements with a face leaving ``omega``, where ``w`` is zero.  Both
+    are congruence images of the positive form, hence symmetric PSD; kernel
+    directions of the right form (the constants, on interior subdomains) come
+    out as leading infinite eigenvalues.  The pencil is posed on the harmonic
+    basis of ``omega_star``, built here on the factored ``system``.  Returns
+    every eigenvalue, sorted descending with the kernel's ``inf`` first, on
     ``omega`` the most leading modes any of the ``rules`` keeps, unweighted,
-    and the tuple of the counts the rules select (:func:`select_coarse`);
-    a fixed count is at most the mode count (:func:`check_fixed_counts`).
+    and the tuple of the counts the rules select (:func:`select_coarse`); a
+    fixed count is at most the mode count (:func:`check_fixed_counts`).
 
     The kernel of the right form is split off first; the finite spectrum is
     computed on the complement that is orthogonal to the kernel in the left
@@ -199,11 +200,12 @@ def eigenproblem(asm: DGAssembler, w: np.ndarray, omega, omega_star,
     values, vectors = np.empty(0), np.empty((0, 0))
     if basis.shape[1]:
         # the right form first: its product with the basis is the widest temporary
-        M = symmetric_part(basis.T @ (asm.matrix(omega_star, "Bplus") @ basis))
+        Bplus = asm.matrix(omega_star, "Bplus")
+        M = symmetric_part(basis.T @ (Bplus @ basis))
         W = basis[idx, :]
         W *= w[:, None]
-        A = symmetric_part(W.T @ (asm.matrix(omega, "Bplus") @ W))
-        del W
+        A = symmetric_part(W.T @ (Bplus[idx][:, idx] @ W))
+        del W, Bplus
         s, Q = la.eigh(M)
         # s[-1] > 0: a basis column is nonconstant on the layer element of its unit dof
         kern = s <= _KERNEL_RTOL * s[-1]

@@ -233,18 +233,15 @@ def run_property_suite(problem) -> SuiteReport:
     forms: the probe takes the smallest eigenvalue of the symmetric part of
     ``B`` on the block of ``s x s`` cells, ``s = min(n, 12)``, that
     :func:`coercivity_block` picks, which is the whole mesh when ``n <= 12``.
-    ``problem`` carries the config, mesh, coefficient, decomposition,
-    partition of unity and global forms of the run.  Returns a
-    deterministic, JSON-serializable report.
+    ``problem`` carries the config, decomposition, partition of unity and
+    global forms of the run, whose assembler holds the mesh and coefficient.
+    Returns a deterministic, JSON-serializable report.
     """
     checks = []
     t0 = time.time()
     config = problem.config
-    mesh = problem.mesh
-    coef = problem.coefficient
-    decomp = problem.decomp
-    pou = problem.pou
-    asm = problem.forms.asm
+    decomp, pou, asm = problem.decomp, problem.pou, problem.forms.asm
+    mesh, coef = asm.mesh, asm.coefficient
 
     def record(name, ok, witness, skip=False):
         status = "skip" if skip else ("pass" if ok else "fail")

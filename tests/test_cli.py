@@ -215,7 +215,8 @@ def test_output_directory_is_not_a_config_key(tmp_path, capsys):
     assert not (tmp_path / "k").exists() and not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("case", ["existing-file", "below-a-file", "errors.csv-is-a-directory"])
+@pytest.mark.parametrize("case", ["existing-file", "below-a-file", "errors.csv-is-a-directory",
+                                  "earlier-run-beside-a-directory"])
 def test_uncreatable_output_directory_is_config_error(tmp_path, capsys, case):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL)
@@ -224,16 +225,42 @@ def test_uncreatable_output_directory_is_config_error(tmp_path, capsys, case):
         "below-a-file": ("file/o", errno.ENOTDIR, "file/o", "file"),
         # a directory under an artifact's name: the run cannot clear that name
         "errors.csv-is-a-directory": ("o", errno.EISDIR, "o/errors.csv", "o/errors.csv/file"),
+        # and an earlier run's artifacts beside it stay, as no name is removed first
+        "earlier-run-beside-a-directory": ("o", errno.EISDIR, "o/errors.csv",
+                                           "o/errors.csv/file"),
     }[case]
+    if case == "earlier-run-beside-a-directory":
+        earlier = tmp_path / "earlier.cfg"
+        earlier.write_text(SMALL + "checks = only\n")
+        assert main(["--config", str(earlier), "--out", str(tmp_path / out)]) == 0
+        assert sorted(p.name for p in (tmp_path / out).iterdir()) == ["checks.json", "config.txt"]
+        capsys.readouterr()
     (tmp_path / blocker).parent.mkdir(parents=True, exist_ok=True)
     (tmp_path / blocker).write_text("kept\n")
-    before = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+
+    def tree():
+        return {p.relative_to(tmp_path).as_posix(): p.is_file() and p.read_bytes()
+                for p in tmp_path.rglob("*")}
+
+    before = tree()
     assert main(["--config", str(cfg), "--out", str(tmp_path / out)]) == 2
     assert capsys.readouterr().err == (
         f"config error: cannot create or clear the output directory: "
         f"[Errno {code}] {os.strerror(code)}: '{tmp_path / failed}'\n")
     assert (tmp_path / blocker).read_text() == "kept\n"
-    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == before
+    assert tree() == before
+
+
+def test_a_link_under_an_artifact_name_is_cleared_like_a_file(tmp_path):
+    # only a directory blocks the clear: a link to one is removed, and its target kept
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL + "checks = only\n")
+    (tmp_path / "target").mkdir()
+    (tmp_path / "o").mkdir()
+    (tmp_path / "o" / "errors.csv").symlink_to(tmp_path / "target", target_is_directory=True)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["checks.json", "config.txt"]
+    assert (tmp_path / "target").is_dir()
 
 
 @pytest.mark.parametrize("text", [
@@ -319,8 +346,8 @@ def test_eigenvalue_export_format(tmp_path, capsys):
     rows = [line.split(",") for line in lines[1:]]
     # one row per eigenvalue of every subdomain, in (j, k) order
     problem = build_problem(cfg)
-    locals_ = compute_local_data(problem.mesh, problem.forms, problem.decomp, problem.pou,
-                                 cfg.sweep_values())
+    locals_ = compute_local_data(problem.forms.asm.mesh, problem.forms, problem.decomp,
+                                 problem.pou, cfg.sweep_values())
     assert len(rows) == sum(d.eigenvalues.size for d in locals_)
     assert [(int(j), int(k), float(lam)) for j, k, lam, _ in rows] == \
         [(j, k, lam) for j, d in enumerate(locals_) for k, lam in enumerate(d.eigenvalues)]
@@ -464,7 +491,8 @@ def test_high_contrast_rows_match_the_b_best_approximation(pinned_high_contrast)
 
     cfg = parse_config(HIGH_CONTRAST)
     problem = build_problem(cfg)
-    mesh, decomp, pou, forms = problem.mesh, problem.decomp, problem.pou, problem.forms
+    decomp, pou, forms = problem.decomp, problem.pou, problem.forms
+    mesh = forms.asm.mesh
     rules = cfg.sweep_values()
     with pytest.warns(LinAlgWarning):
         locals_ = compute_local_data(mesh, forms, decomp, pou, rules)

@@ -475,18 +475,7 @@ def test_kernel_gram_solve_residual_is_checked(interior, monkeypatch):
         eigenproblem(asm, pou.dof_weights(mesh, j, om), om, oms, system, FIXED)
 
 
-class _NegatedOn:
-    """An assembler whose matrices on one element set, the left form's, are negated."""
-
-    def __init__(self, asm, D):
-        self.asm, self.D = asm, D
-
-    def matrix(self, D, kind):
-        M = self.asm.matrix(D, kind)
-        return -M if D is self.D else M
-
-
-def test_negative_eigenvalue_beyond_tolerance_aborts():
+def test_negative_eigenvalue_beyond_tolerance_aborts(monkeypatch):
     # subdomain 0 touches the boundary, so its right form has no kernel and the
     # kernel Gram solve cannot fail first; a negated left form has no positive spectrum
     mesh = build_structured_mesh(16)
@@ -499,8 +488,20 @@ def test_negative_eigenvalue_beyond_tolerance_aborts():
     w = pou.dof_weights(mesh, j, om)
     values, _, _ = eigenproblem(forms.asm, w, om, oms, system, FIXED)
     assert np.all(np.isfinite(values)) and values[0] > 0.0
+    # the right form is the first symmetric part of the eigenproblem, the left form the second
+    symmetric_part, parts = local_problems.symmetric_part, []
+
+    def negating_the_second(X):
+        parts.append(X)
+        S = symmetric_part(X)
+        return -S if len(parts) == 2 else S
+
+    monkeypatch.setattr(local_problems, "symmetric_part", negating_the_second)
     with pytest.raises(SolverError, match="^negative eigenvalue beyond tolerance; assembly bug$"):
-        eigenproblem(_NegatedOn(forms.asm, om), w, om, oms, system, FIXED)
+        eigenproblem(forms.asm, w, om, oms, system, FIXED)
+    # the one negated is the left form on omega's own assembly, bit for bit
+    W = system.harmonic_extension()[nested_dofs(om, oms), :] * w[:, None]
+    assert np.array_equal(parts[1], W.T @ (forms.asm.matrix(om, "Bplus") @ W))
 
 
 @pytest.mark.parametrize("spec", ["constant:1", "log_uniform:1e-3:1e3"])
@@ -703,6 +704,58 @@ def test_local_stage_assembles_the_global_system_once(setting, monkeypatch):
     fine_solve(forms)
     # and none after it, on the mesh or on a subdomain
     assert [kind for _, kind in calls if kind in ("B", "load")] == []
+
+
+@pytest.mark.parametrize("n, m, overlap, layers, spec", [
+    (16, 2, 2, 3, "checkerboard:100:2"),
+    (32, 4, 2, 1, "checkerboard:1e8:8"),
+    (32, 8, 2, 1, "channels:1e8:4"),
+    (24, 3, 3, 2, "log_uniform:1e-3:1e3"),
+])
+def test_left_form_assemblies_differ_only_where_the_weight_is_zero(n, m, overlap, layers,
+                                                                   spec):
+    # Bplus on omega drops the faces leaving omega, which the omega block of Bplus
+    # on omega_star keeps; the weight vanishes on their elements, so the weighted
+    # left form is the same on either matrix
+    mesh = build_structured_mesh(n)
+    decomp = build_decomposition(mesh, m, overlap, layers)
+    pou = build_pou(mesh, decomp)
+    asm = DGAssembler(mesh, coefficient_field(mesh, spec, seed=0), G0)
+    differing = 0
+    for j in range(decomp.n_subdomains):
+        om, oms = decomp.omega(j), decomp.omega_star(j)
+        idx = nested_dofs(om, oms)
+        diff = (asm.matrix(om, "Bplus") - asm.matrix(oms, "Bplus")[idx][:, idx]).tocoo()
+        nonzero = diff.data != 0.0
+        w = pou.dof_weights(mesh, j, om)
+        assert np.all(w[diff.row[nonzero]] == 0.0)
+        assert np.all(w[diff.col[nonzero]] == 0.0)
+        differing += int(nonzero.sum())
+    assert differing > 0    # the assemblies do differ, at zero weight
+
+
+@pytest.mark.parametrize("grid_m, threads", [(2, 1), (2, 2), (1, 1)])
+def test_local_stage_assembles_bplus_once_per_subdomain_on_omega_star(grid_m, threads,
+                                                                       monkeypatch):
+    # one form per eigenproblem: the left form is a block of the right form's matrix;
+    # one subdomain has no layer, hence an empty pencil and no assembly
+    mesh = build_structured_mesh(16)
+    decomp = build_decomposition(mesh, grid_m, 2, 3)
+    pou = build_pou(mesh, decomp)
+    forms = forms_of(mesh, coefficient_field(mesh, "checkerboard:100:2"))
+    calls = []
+    matrix = DGAssembler.matrix
+
+    def counting(self, D=None, kind="B"):
+        calls.append((np.asarray(D).tobytes(), kind))
+        return matrix(self, D, kind)
+
+    monkeypatch.setattr(DGAssembler, "matrix", counting)
+    rules = FIXED if grid_m > 1 else [("fixed", 0)]
+    compute_local_data(mesh, forms, decomp, pou, rules, threads=threads)
+    expected = [(decomp.omega_star(j).tobytes(), "Bplus") for j in range(decomp.n_subdomains)
+                if grid_m > 1]
+    assert sorted(calls) == sorted(expected)
 
 
 def test_select_coarse_rules():

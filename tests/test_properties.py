@@ -82,8 +82,8 @@ def test_thread_count_changes_no_artifact(keys):
 def _local_spectra(keys: dict, oversampling: int):
     problem = build_problem(RunConfig(**{**keys, "grid_m": 2,
                                          "oversampling_layers": oversampling}))
-    data = compute_local_data(problem.mesh, problem.forms, problem.decomp, problem.pou,
-                              [("fixed", 0)])
+    data = compute_local_data(problem.forms.asm.mesh, problem.forms, problem.decomp,
+                              problem.pou, [("fixed", 0)])
     return problem.decomp, [d.eigenvalues for d in data]
 
 

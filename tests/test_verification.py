@@ -98,7 +98,8 @@ def _fitted_rate(spec: str, oversampling: int) -> float:
     """The errors.csv ``fitSlope`` of a 1..12 sweep at (32, 4) with overlap 2."""
     problem = build_problem(RunConfig(mesh_n=32, grid_m=4, oversampling_layers=oversampling,
                                       coefficient=spec, coarse_n_sweep=list(range(1, 13))))
-    mesh, decomp, pou, forms = problem.mesh, problem.decomp, problem.pou, problem.forms
+    decomp, pou, forms = problem.decomp, problem.pou, problem.forms
+    mesh = forms.asm.mesh
     rules = problem.config.sweep_values()
     locals_ = compute_local_data(mesh, forms, decomp, pou, rules)
     u_fine = fine_solve(forms)
@@ -188,9 +189,10 @@ def test_coercivity_probe_reads_the_runs_own_corner_block(text, status, origin):
     probe = next(c for c in run_property_suite(problem).checks
                  if c.name == "dg_forms.coercivity")
     x, y = origin
-    block = square_block(problem.mesh, x, x + 12, y, y + 12)
-    values = problem.coefficient.values[block]
-    assert values.max() / values.min() == problem.coefficient.contrast
+    asm = problem.forms.asm
+    block = square_block(asm.mesh, x, x + 12, y, y + 12)
+    values = asm.coefficient.values[block]
+    assert values.max() / values.min() == asm.coefficient.contrast
     B = problem.forms.asm.matrix(block, "B").toarray()
     assert probe.status == status
     assert probe.witness == {"min_eig": float(la.eigvalsh(0.5 * (B + B.T))[0]),
@@ -269,7 +271,7 @@ def test_suite_solves_no_block_wider_than_its_samples(monkeypatch, overrides):
 
 def test_per_subdomain_checks_name_their_first_failing_subdomain():
     problem = build_problem(small_config())
-    mesh, decomp, pou = problem.mesh, problem.decomp, problem.pou
+    mesh, decomp, pou = problem.forms.asm.mesh, problem.decomp, problem.pou
     subdomains = list(decomp.subdomains)
     for j in (1, 3):   # omega_j no longer nests in omega*_j
         omega, omega_star = subdomains[j]
