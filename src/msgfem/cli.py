@@ -127,6 +127,8 @@ def run(config: RunConfig, out_dir) -> int:
                 json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
             sys.stdout.write(report.to_text())
             if not report.ok:
+                failed = next(c for c in report.checks if c.status == "fail")
+                sys.stderr.write(f"property suite failure: {failed.name} {failed.witness}\n")
                 return 1
         if config.checks == "only":
             return 0
@@ -151,12 +153,11 @@ def _pipeline(problem: Problem, out: Path) -> int:
 
     rows = []
     for sol in solve_msgfem(forms, locals_):
-        rep = error_report(forms, sol.u_G, u_fine)
         # a point is labelled by its largest per-subdomain count, a fixed rule's n
         rows.append([config.grid_m, config.overlap_layers, config.oversampling_layers,
                      int(sol.n_j.max(initial=0)), config.gamma0,
-                     forms.asm.coefficient.contrast, sol.n_total, rep.rel_bplus_error,
-                     rep.rel_l2_error, sol.max_sqrt_lambda_next])
+                     forms.asm.coefficient.contrast, sol.n_total,
+                     *error_report(forms, sol.u_G, u_fine), sol.max_sqrt_lambda_next])
 
     sweep = np.array(rows, dtype=float)
     slope, _, r2 = decay_fit(sweep[:, _ERROR_COLUMNS.index("n_j")],

@@ -38,7 +38,6 @@ from .local_problems import solve_checked, symmetric_part
 __all__ = [
     "CoarseSpace",
     "MSGFEMSolution",
-    "ErrorReport",
     "assemble_coarse",
     "solve_coarse",
     "error_report",
@@ -87,20 +86,19 @@ class CoarseSpace:
 
 @dataclass
 class MSGFEMSolution:
-    """One sweep point: its mode counts, particular part, coarse correction and their sum."""
+    """One sweep point: its mode counts, its solution and its error surrogate.
 
-    u_p: np.ndarray
-    u_s: np.ndarray
+    ``u_G`` is the particular part plus the point's coarse correction, in
+    fine dofs; ``max_sqrt_lambda_next`` is :func:`max_sqrt_lambda_next` at ``n_j``.
+    """
+
     n_j: np.ndarray               # the point's modes per subdomain
+    u_G: np.ndarray
     max_sqrt_lambda_next: float
 
     @property
     def n_total(self) -> int:
         return int(self.n_j.sum())
-
-    @property
-    def u_G(self) -> np.ndarray:
-        return self.u_p + self.u_s
 
 
 def assemble_coarse(forms: GlobalForms, locals_: list):
@@ -218,18 +216,15 @@ def solve_coarse(coarse: CoarseSpace, n_j):
     return coarse.basis @ y
 
 
-@dataclass
-class ErrorReport:
-    rel_bplus_error: float
-    rel_l2_error: float
+def error_report(forms: GlobalForms, u_G: np.ndarray, u_fine: np.ndarray):
+    """Relative jump-energy and volume errors of the multiscale solution vs the fine one.
 
-
-def error_report(forms: GlobalForms, u_G: np.ndarray, u_fine: np.ndarray) -> ErrorReport:
-    """Jump-energy and volume errors of the multiscale solution vs the fine one.
-
-    The two norm matrices of ``forms`` are assembled once for every report
-    that shares it.  The error surrogate of a sweep point is its solution's
-    ``max_sqrt_lambda_next``.  A norm that is not finite is a :class:`SolverError`.
+    Returns the pair ``(rel_bplus_error, rel_l2_error)``: the errors in the
+    ``forms.Bplus`` and ``forms.mass`` norms, each divided by the fine
+    solution's norm unless that is zero.  The two norm matrices of ``forms``
+    are assembled once for every report that shares it.  The error
+    surrogate of a sweep point is its solution's ``max_sqrt_lambda_next``.
+    A norm that is not finite is a :class:`SolverError`.
     """
     Bp, Mv, diff = forms.Bplus, forms.mass, u_G - u_fine
 
@@ -240,8 +235,7 @@ def error_report(forms: GlobalForms, u_G: np.ndarray, u_fine: np.ndarray) -> Err
     eb, el, rb, rl = norm(Bp, diff), norm(Mv, diff), norm(Bp, u_fine), norm(Mv, u_fine)
     if not np.isfinite([eb, el, rb, rl]).all():
         raise SolverError(f"error report norms are not finite: {eb}, {el}, {rb}, {rl}")
-    return ErrorReport(rel_bplus_error=eb / rb if rb > 0 else eb,
-                       rel_l2_error=el / rl if rl > 0 else el)
+    return eb / rb if rb > 0 else eb, el / rl if rl > 0 else el
 
 
 def max_sqrt_lambda_next(locals_: list, n_j) -> float:
@@ -261,9 +255,10 @@ def solve_msgfem(forms: GlobalForms, locals_: list) -> list:
     ``counts[i]`` leading modes of each subdomain, which its rule selected
     there and the local stage kept.  The columns are assembled from the kept
     modes and every point is solved on its subset of them.  Returns one
-    solution per rule.
+    solution per rule, its ``u_G`` the global particular part plus the
+    point's coarse correction.
     """
     coarse, u_p = assemble_coarse(forms, locals_)
-    return [MSGFEMSolution(u_p=u_p, u_s=solve_coarse(coarse, n_j), n_j=n_j,
+    return [MSGFEMSolution(n_j=n_j, u_G=u_p + solve_coarse(coarse, n_j),
                            max_sqrt_lambda_next=max_sqrt_lambda_next(locals_, n_j))
             for n_j in map(np.array, zip(*(d.counts for d in locals_)))]

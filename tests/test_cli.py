@@ -308,6 +308,22 @@ def test_solve_breakdown_in_the_suite_is_one_stderr_line(tmp_path, capsys, monke
     assert not (tmp_path / "o" / "checks.json").exists()
 
 
+def test_failed_property_check_is_one_stderr_line(tmp_path, capsys):
+    # below the coercivity limit the suite's probe fails: its [FAIL] line goes to
+    # stdout with the others, and the first failing check, with its witness, to stderr
+    cfg = tmp_path / "weak.cfg"
+    cfg.write_text("mesh_n = 16\ngrid_m = 4\noversampling_layers = 2\ngamma0_sq = 0.8\n"
+                   "coarse_n_sweep = 1,2,3,4,5,6\nchecks = on\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads((tmp_path / "o" / "checks.json").read_text())
+    first = next(c for c in report["checks"] if c["status"] == "fail")
+    assert first["name"] == "dg_forms.coercivity"
+    assert f"[FAIL] dg_forms.coercivity {first['witness']}\n" in out
+    assert err == f"property suite failure: dg_forms.coercivity {first['witness']}\n"
+    assert not (tmp_path / "o" / "errors.csv").exists()
+
+
 @pytest.mark.parametrize("keys", [
     "coefficient = constant:1e200\nchecks = only\n",
     "coefficient = log_uniform:1:1e200\nchecks = off\n",
