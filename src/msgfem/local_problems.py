@@ -240,8 +240,8 @@ def eigenproblem(asm: DGAssembler, w: np.ndarray, omega, omega_star,
         values = np.maximum(values, 0.0)
     counts = tuple(select_coarse(values, r) for r in rules)
     modes = np.empty((idx.size, max(counts)))
-    # one full matrix-vector product per mode: a matrix product, or a product
-    # on a subset of the rows, may round differently
+    # one full matrix-vector product per mode keeps mode k independent of how
+    # many modes are kept: a matrix product rounds with its column count
     for k in range(modes.shape[1]):
         modes[:, k] = (basis @ vectors[:, k])[idx]
     return values, modes, counts

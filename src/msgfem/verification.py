@@ -7,7 +7,8 @@ of explicit inputs (the operator identities on a nested pair, the kernel
 dichotomy of ``Bplus``, the harmonicity defect, blend reproduction), so
 other callers check the same invariant on their own sets and draws.  The
 suite keeps no tolerance of its own for a solve: harmonicity is the scaled
-residual contract that every solve of the run carries.
+residual contract that every solve of the run carries.  Coercivity has one
+test, :func:`_spd_factor`, on the global ``B`` and on the masked blocks.
 """
 from __future__ import annotations
 
@@ -22,8 +23,7 @@ import scipy.sparse.linalg as spla
 from .decomposition import d_minus, grow, square_block
 from .dg_forms import DGAssembler, GlobalForms, nested_dofs, subdomain_dofs
 from .errors import SolverError
-from .local_problems import (RESIDUAL_TOL, MaskedSystem, scaled_residual, solve_checked,
-                             symmetric_part)
+from .local_problems import RESIDUAL_TOL, MaskedSystem, scaled_residual, solve_checked
 from .mesh import TriMesh
 from .space_ops import h0_dofs
 
@@ -34,27 +34,41 @@ __all__ = [
     "kernel_dichotomy",
     "harmonicity_defect",
     "blend_deviation",
-    "coercivity_block",
     "CheckResult",
     "SuiteReport",
     "run_property_suite",
 ]
 
 
+def _spd_factor(A):
+    """The factor that certifies the symmetric ``A`` positive definite, or ``None``.
+
+    Rows and columns share one minimum-degree order on ``A + Aᵀ`` and every diagonal
+    pivot is taken, so all are positive exactly when ``A`` is (Sylvester's criterion).
+    """
+    lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                   options=dict(SymmetricMode=True))
+    ok = np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)
+    return lu if ok else None
+
+
 def fine_solve(forms: GlobalForms) -> np.ndarray:
     """Direct solve of the global discrete problem; the reference solution.
 
-    ``B`` is symmetric, so the factor orders its columns by minimum degree on
-    the pattern of ``B + Bᵀ``, which fills far less than the default COLAMD.
+    It solves on :func:`_spd_factor`, so every run certifies its ``B`` coercive, as the
+    error bound needs: a ``B`` that is not raises :class:`SolverError` naming
+    ``gamma0_sq``, and a factor or solve that breaks down raises it with the penalty hint.
     """
-    B = forms.B.tocsc()
     try:
-        lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A")
-        return solve_checked(lu.solve, B, forms.F, "global")
+        lu = _spd_factor(forms.B)
+        if lu is not None:
+            return solve_checked(lu.solve, forms.B, forms.F, "global")
     except RuntimeError as exc:   # a singular factor or a failed residual check
         raise SolverError(
             f"global solve broke down ({exc}); the penalty parameter may be "
             "below the coercive range of this mesh family") from exc
+    raise SolverError("global form is not positive definite at gamma0_sq = "
+                      f"{forms.asm.gamma0 ** 2:.12g}; the penalty is below its coercive range")
 
 
 # -- decay fits ----------------------------------------------------------------
@@ -172,21 +186,6 @@ def blend_deviation(mesh: TriMesh, decomp, pou, rng: np.random.Generator,
     return dev
 
 
-def coercivity_block(mesh: TriMesh, coefficient, s: int) -> np.ndarray:
-    """The ``s x s`` cell block on the bottom or left edge with the largest coefficient jump.
-
-    Candidates are the corner block, then the blocks along the bottom edge,
-    then those along the left edge; the first with the largest max/min
-    coefficient ratio wins, so a constant coefficient keeps the corner.
-    Returns the block's elements.
-    """
-    shifts = range(1, mesh.structured_n - s + 1)
-    origins = [(0, 0)] + [(i, 0) for i in shifts] + [(0, i) for i in shifts]
-    blocks = [square_block(mesh, x, x + s, y, y + s) for x, y in origins]
-    ratios = [coefficient.values[b].max() / coefficient.values[b].min() for b in blocks]
-    return blocks[int(np.argmax(ratios))]
-
-
 # -- the property suite --------------------------------------------------------
 
 @dataclass
@@ -229,10 +228,10 @@ def run_property_suite(problem) -> SuiteReport:
     Runs mesh bookkeeping, hull and cover checks, operator identities on a
     nested subdomain pair, kernel characterization, partition-of-unity
     checks, harmonicity of sampled local extensions, dense positivity
-    checks, and a dense coercivity probe.  Every check reads the run's own
-    forms: the probe takes the smallest eigenvalue of the symmetric part of
-    ``B`` on the block of ``s x s`` cells, ``s = min(n, 12)``, that
-    :func:`coercivity_block` picks, which is the whole mesh when ``n <= 12``.
+    checks on a corner block, and coercivity.  Every check reads the run's
+    own forms: coercivity is :func:`_spd_factor` on each subdomain's masked
+    block of ``B``, the block its local solves factor, and names the first
+    subdomain that fails it.
     ``problem`` carries the config, decomposition, partition of unity and
     global forms of the run, whose assembler holds the mesh and coefficient.
     Returns a deterministic, JSON-serializable report.
@@ -276,10 +275,16 @@ def run_property_suite(problem) -> SuiteReport:
         inner[d_minus(mesh, omega)] = True
         covered |= inner
         support_ok = not np.any(pou.values[j][mesh.elements[~inner]])
+        rows = subdomain_dofs(omega_star)[h0_dofs(mesh, omega_star)]
+        try:   # an exactly singular block is not positive definite either
+            coercive = _spd_factor(problem.forms.B[rows][:, rows]) is not None
+        except RuntimeError:
+            coercive = False
         for name, ok in (("decomposition.nesting", np.all(np.isin(omega, omega_star))),
                          ("dg_forms.kernel_characterization",
                           kernel_dichotomy(asm, omega_star)[0]),
-                         ("space_ops.pou_support", support_ok)):
+                         ("space_ops.pou_support", support_ok),
+                         ("dg_forms.coercivity", coercive)):
             if not ok:
                 first_fail.setdefault(name, j)
 
@@ -324,11 +329,10 @@ def run_property_suite(problem) -> SuiteReport:
     else:
         record("local.harmonicity", True, {}, skip=True)
 
-    # dense definiteness on blocks of cells; S is exactly symmetric (Bplus and H are
-    # their own), so its Fortran-ordered view S.T is S and LAPACK needs no copy
+    # dense definiteness on a corner block; Bplus and H are exactly symmetric, so
+    # the Fortran-ordered view of a dense block is the block and LAPACK needs no copy
     def min_eig(block, kind):
-        S = symmetric_part(asm.matrix(block, kind).toarray())
-        return float(la.eigvalsh(S.T, overwrite_a=True)[0])
+        return float(la.eigvalsh(asm.matrix(block, kind).toarray().T, overwrite_a=True)[0])
 
     n = mesh.structured_n
     corner = square_block(mesh, 0, min(n, 4), 0, min(n, 4))
@@ -336,10 +340,5 @@ def run_property_suite(problem) -> SuiteReport:
     record("dg_forms.bplus_psd", ev_bp >= -1e-12 * coef.nu_max, {"min_eig": ev_bp})
     ev_h = min_eig(corner, "H")
     record("dg_forms.h_positive", ev_h > 0.0, {"min_eig": ev_h})
-    s = min(n, 12)
-    ev_b = min_eig(coercivity_block(mesh, coef, s), "B")
-    record("dg_forms.coercivity", ev_b > 0.0, {"min_eig": ev_b, "probe_cells": s})
-
-    report = SuiteReport(checks=checks)
-    report.elapsed = time.time() - t0
-    return report
+    record_first_fail("dg_forms.coercivity")
+    return SuiteReport(checks=checks, elapsed=time.time() - t0)

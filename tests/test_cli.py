@@ -6,6 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -298,7 +299,9 @@ def test_solve_breakdown_in_the_suite_is_one_stderr_line(tmp_path, capsys, monke
     def singular(A):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(msgfem.local_problems.spla, "splu", singular)
+    # on the local module's binding alone: the suite's coercivity certificate
+    # factors through scipy's module too
+    monkeypatch.setattr(msgfem.local_problems, "spla", SimpleNamespace(splu=singular))
     cfg = tmp_path / "small.cfg"
     cfg.write_text("mesh_n = 8\ngrid_m = 2\noversampling_layers = 1\nchecks = only\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

@@ -8,8 +8,11 @@ invariant holds in every cell:
 * exit 0 means finite surrogates, and every row's ``relBplusErr`` at or below
   its ``maxSqrtLambdaNext``;
 * exit 1 or 2 means exactly one stderr line;
-* a penalty at or above ``gamma0_sq = 3``, where the suite's coercivity
-  probe passes, is a good input and exits 0;
+* a penalty at or above ``gamma0_sq = 3``, where the coercivity certificate
+  (the positive pivots of a symmetric factor of ``B``) holds, is a good
+  input and exits 0;
+* below it, with the suite off, the fine solve's certificate fails the run
+  and its stderr line names ``gamma0_sq``;
 * no cell ends in a traceback, and ``errors.csv`` holds no ``nan`` or ``inf``.
 
 A cell that breaks it today is a strict xfail naming the ROADMAP item that
@@ -33,10 +36,6 @@ ITEM_1_ABORT = _known("item 1: the absolute negativity test aborts a coercive 1e
                       "with 'negative eigenvalue beyond tolerance'")
 ITEM_1_INF = _known("item 1: the numeric kernel split reports spurious kernel modes "
                     "at 1e8, and the run exits 0 with infinite surrogates")
-ITEM_11_ABOVE = _known("item 11: a sub-coercive penalty under checks = off exits 0 "
-                       "with rows above their surrogates")
-ITEM_11_INF = _known("item 11: a sub-coercive penalty under checks = off exits 0 "
-                     "with every surrogate infinite")
 ITEM_13_NEAR = _known("item 13: just above the coercivity limit a row exceeds its "
                       "surrogate (1.41x at (16,4))")
 
@@ -60,12 +59,13 @@ CELLS = [
     pytest.param(24, "constant:1", 2.5, "off"),
     pytest.param(16, "constant:1", 0.8, "on"),
     pytest.param(24, "constant:1", 0.8, "on"),
-    pytest.param(16, "constant:1", 0.8, "off", marks=ITEM_11_ABOVE),
-    pytest.param(24, "constant:1", 0.8, "off", marks=ITEM_11_ABOVE),
+    pytest.param(16, "constant:1", 0.8, "off"),
+    pytest.param(24, "constant:1", 0.8, "off"),
+    pytest.param(32, "constant:1", 0.8, "off"),
     pytest.param(24, "checkerboard:1e4:8", 2.5, "on"),
     pytest.param(24, "checkerboard:1e4:8", 2.5, "off"),
-    pytest.param(16, "checkerboard:1e4:8", 0.8, "off", marks=ITEM_11_ABOVE),
-    pytest.param(24, "checkerboard:1e4:8", 0.8, "off", marks=ITEM_11_INF),
+    pytest.param(16, "checkerboard:1e4:8", 0.8, "off"),
+    pytest.param(24, "checkerboard:1e4:8", 0.8, "off"),
 ]
 
 
@@ -92,3 +92,5 @@ def test_cell_ends_in_a_certified_result_or_one_error_line(tmp_path, capsys, mes
         assert code in (1, 2)
         assert err.endswith("\n") and err.count("\n") == 1, err
         assert gamma0_sq < COERCIVE_GAMMA0_SQ, err
+    if gamma0_sq < COERCIVE_GAMMA0_SQ and checks == "off":
+        assert code == 1 and f"gamma0_sq = {gamma0_sq:g};" in err, err

@@ -48,8 +48,8 @@ def test_global_residual_contract_unit_contrast():
 
 
 def test_solver_error_type_names_the_penalty(monkeypatch):
-    # a factor that breaks down is reported with the penalty hint (the
-    # coercivity probe in the property suite is what detects tiny penalties)
+    # a factor that breaks down is reported with the penalty hint (a tiny penalty
+    # gives a factor with a pivot that is not positive, reported by name)
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
@@ -169,34 +169,42 @@ def test_property_suite_flags_tiny_penalty():
     assert "dg_forms.coercivity" in failing
 
 
-@pytest.mark.parametrize("text, status, origin", [
-    # a block of 8 does not divide 12 cells: only the run's own mesh carries this spec
-    ("mesh_n = 16\ngrid_m = 2\noversampling_layers = 2\ncoefficient = checkerboard:100:8\n",
-     "pass", (0, 0)),
-    ("mesh_n = 32\ngrid_m = 4\ncoefficient = channels:1e8:4\n", "pass", (0, 0)),
-    ("coefficient = checkerboard:1e8:8\n", "pass", (0, 0)),
-    ("gamma0_sq = 1\n", "fail", (0, 0)),
-    # the corner lies in one checkerboard cell; bottom-edge block 21 is the first to
-    # reach column 32
-    ("coefficient = checkerboard:10000:32\n", "pass", (21, 0)),
-    # the corner lies in one 16-cell stripe; left-edge block 5 is the first to reach row 16
-    ("coefficient = channels:100:2\n", "pass", (0, 5)),
-], ids=["checkerboard-100-8", "channels-1e8", "checkerboard-1e8", "gamma0_sq-1",
-        "checkerboard-1e4-32", "channels-100-2"])
-def test_coercivity_probe_reads_the_runs_own_corner_block(text, status, origin):
-    """The probe reads the edge block with the largest coefficient jump, the corner on ties."""
-    problem = build_problem(parse_config(text))
-    probe = next(c for c in run_property_suite(problem).checks
+@pytest.mark.parametrize("gamma0_sq", [2.0, 2.8, 2.9, 2.95, 3.0, 10.0])
+@pytest.mark.parametrize("spec", ["constant:1", "checkerboard:1e4:8"])
+def test_coercivity_certificate_reads_the_sign_of_B(spec, gamma0_sq):
+    """The suite's check and the fine solve each pass exactly when ``B`` is positive definite.
+
+    The sign flips between 2.95 and 3 for ``constant:1`` and between 2.9 and
+    2.95 for the checkerboard, so both sides of each limit are sampled.
+    """
+    problem = build_problem(RunConfig(mesh_n=16, grid_m=4, oversampling_layers=2,
+                                      coefficient=spec, gamma0_sq=gamma0_sq))
+    B = problem.forms.B.toarray()
+    definite = bool(la.eigvalsh(0.5 * (B + B.T))[0] > 0.0)
+    check = next(c for c in run_property_suite(problem).checks
                  if c.name == "dg_forms.coercivity")
-    x, y = origin
-    asm = problem.forms.asm
-    block = square_block(asm.mesh, x, x + 12, y, y + 12)
-    values = asm.coefficient.values[block]
-    assert values.max() / values.min() == asm.coefficient.contrast
-    B = problem.forms.asm.matrix(block, "B").toarray()
-    assert probe.status == status
-    assert probe.witness == {"min_eig": float(la.eigvalsh(0.5 * (B + B.T))[0]),
-                             "probe_cells": 12}
+    # a failure names the first subdomain whose masked block is not positive definite
+    assert (check.status, set(check.witness)) == \
+        (("pass", set()) if definite else ("fail", {"subdomain"}))
+    try:
+        fine_solve(problem.forms)
+        solved = True
+    except SolverError as exc:
+        assert f"gamma0_sq = {gamma0_sq:g};" in str(exc)
+        solved = False
+    assert solved == definite
+
+
+@pytest.mark.parametrize("mesh_n, spec", [(64, "checkerboard:1e6:8"), (64, "channels:1e6:4"),
+                                           (32, "checkerboard:1e8:8"), (32, "channels:1e8:4")])
+def test_high_contrast_forms_certify(mesh_n, spec):
+    # the smallest pivot ratio of the suite's blocks is about 1e-7 at (64, 4) and
+    # contrast 1e6, and 1.4e-9 at (32, 4) and 1e8; each block and the global B certify
+    problem = build_problem(RunConfig(mesh_n=mesh_n, coefficient=spec))
+    check = next(c for c in run_property_suite(problem).checks
+                 if c.name == "dg_forms.coercivity")
+    assert check.status == "pass"
+    assert np.isfinite(fine_solve(problem.forms)).all()
 
 
 def test_zero_overlap_rejected_at_parse_time():
