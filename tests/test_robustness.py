@@ -53,6 +53,7 @@ CELLS = [
     # penalties near and below the limit
     pytest.param(16, "constant:1", 10, "on"),
     pytest.param(16, "constant:1", 3, "off", marks=ITEM_13_NEAR),
+    pytest.param(16, "constant:1", 3.05, "off"),
     pytest.param(24, "constant:1", 3, "off"),
     pytest.param(16, "constant:1", 2.5, "on"),
     pytest.param(16, "constant:1", 2.5, "off"),

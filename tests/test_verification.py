@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 
 import msgfem.local_problems as local_problems
 import msgfem.verification as verification
@@ -48,8 +50,8 @@ def test_global_residual_contract_unit_contrast():
 
 
 def test_solver_error_type_names_the_penalty(monkeypatch):
-    # a factor that breaks down is reported with the penalty hint (a tiny penalty
-    # gives a factor with a pivot that is not positive, reported by name)
+    # an exactly singular factor fails the certificate, so it is reported as a
+    # form that is not positive definite, naming the penalty
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
@@ -57,8 +59,30 @@ def test_solver_error_type_names_the_penalty(monkeypatch):
     mesh = build_structured_mesh(4)
     forms = GlobalForms(DGAssembler(mesh, coefficient_field(mesh, "constant:1"), G0),
                         lambda x, y: np.ones_like(x))
-    with pytest.raises(SolverError, match="global solve broke down .*Factor is exactly "
-                       "singular.*penalty parameter may be below the coercive range"):
+    with pytest.raises(SolverError,
+                       match="^global form is not positive definite at gamma0_sq = 10;"):
+        fine_solve(forms)
+
+
+def test_spd_factor_rejects_an_exactly_singular_matrix():
+    assert verification._spd_factor(sp.diags([1.0, 0.0]).tocsc()) is None
+    assert verification._spd_factor(sp.diags([1.0, 2.0]).tocsc()) is not None
+
+
+def test_failed_residual_on_a_certified_factor_gives_no_penalty_hint(monkeypatch):
+    # B certifies, so a solve that misses its residual contract is the solve's own
+    # failure and says nothing of the penalty
+    spd_factor = verification._spd_factor
+
+    def drifting(A):
+        lu = spd_factor(A)
+        return types.SimpleNamespace(solve=lambda b: lu.solve(b) * (1 + 1e-6))
+
+    monkeypatch.setattr(verification, "_spd_factor", drifting)
+    mesh = build_structured_mesh(4)
+    forms = GlobalForms(DGAssembler(mesh, coefficient_field(mesh, "constant:1"), G0),
+                        lambda x, y: np.ones_like(x))
+    with pytest.raises(SolverError, match=r"^global residual \S+ exceeds tolerance$"):
         fine_solve(forms)
 
 
@@ -233,8 +257,12 @@ SUITE_CHECKS = [
     # the default size at the highest contrast the run supports
     "coefficient = checkerboard:1e8:8\n",
     "coefficient = channels:1e8:4\n",
+    # a random field of contrast 1e8, whose corner block is the tightest tried
+    # inside that contrast: its eigenvalue ratio reaches 1.3e-8
+    "coefficient = log_uniform:1e-4:1e4\n",
+    "coefficient = log_uniform:1e-4:1e4\nseed = 3\n",
 ], ids=["default", "local-40x4", "coarse-32x8", "contrast-60x6-2t", "checkerboard-1e8-8",
-        "channels-1e8-4"])
+        "channels-1e8-4", "log-uniform-1e8", "log-uniform-1e8-seed-3"])
 def test_suite_passes_every_check_on_the_benchmark_configs(text):
     report = run_property_suite(build_problem(parse_config(text)))
     assert [(c.name, c.status) for c in report.checks] == \
@@ -296,3 +324,21 @@ def test_per_subdomain_checks_name_their_first_failing_subdomain():
     assert by_name["decomposition.shrunk_cover"] == ("pass", {"uncovered": 0})
     assert by_name["space_ops.pou_support"] == ("fail", {"subdomain": 3})
     assert by_name["dg_forms.kernel_characterization"] == ("pass", {})
+
+
+def test_indefinite_corner_block_fails_both_definiteness_checks(monkeypatch):
+    problem = build_problem(small_config())
+    asm = problem.forms.asm
+    n = asm.mesh.structured_n
+    corner = square_block(asm.mesh, 0, min(n, 4), 0, min(n, 4))
+    matrix = asm.matrix
+
+    def negated(D=None, kind="B"):
+        A = matrix(D, kind)
+        return -A if D is not None and np.array_equal(D, corner) else A
+
+    monkeypatch.setattr(asm, "matrix", negated)
+    by_name = {c.name: (c.status, c.witness) for c in run_property_suite(problem).checks}
+    assert by_name["dg_forms.bplus_psd"] == ("fail", {})
+    assert by_name["dg_forms.h_positive"] == ("fail", {})
+    assert by_name["dg_forms.coercivity"] == ("pass", {})
