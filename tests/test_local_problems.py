@@ -1,6 +1,9 @@
 import re
 import sys
+import threading
 import tracemalloc
+from collections import Counter
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -8,14 +11,15 @@ import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 import msgfem.local_problems as local_problems
+from msgfem.cli import main
 from msgfem.decomposition import build_decomposition, d_minus
 from msgfem.dg_forms import (_LOAD_POINTS, _LOAD_WEIGHTS, DGAssembler, GlobalForms,
                              nested_dofs, subdomain_dofs)
 from msgfem.errors import ConfigError, SolverError
 from msgfem.gfem import assemble_coarse, solve_coarse, solve_msgfem
-from msgfem.local_problems import (MaskedSystem, check_fixed_counts, compute_local_data,
-                                   eigenproblem, particular_solution, scaled_residual,
-                                   select_coarse, solve_checked)
+from msgfem.local_problems import (LocalSpectralData, MaskedSystem, check_fixed_counts,
+                                   compute_local_data, eigenproblem, particular_solution,
+                                   scaled_residual, select_coarse, solve_checked)
 from msgfem.mesh import Coefficient, build_structured_mesh, coefficient_field
 from msgfem.space_ops import PartitionOfUnity, build_pou, h0_dofs
 from msgfem.verification import decay_fit, fine_solve
@@ -58,7 +62,7 @@ def harmonic_basis(forms, omega_star):
 def eigen(mesh, coef, pou, j, omega, omega_star):
     """The spectral problem of one subdomain on its own masked system."""
     forms = forms_of(mesh, coef)
-    return eigenproblem(forms.asm, pou.dof_weights(mesh, j, omega), omega, omega_star,
+    return eigenproblem(pou.dof_weights(mesh, j, omega), omega, omega_star,
                         MaskedSystem(forms, omega_star), FIXED)
 
 
@@ -150,7 +154,8 @@ def _modes(asm, pou, j, omega, omega_star, basis, n):
 def _assert_matches_oracles(forms, decomp):
     for j in range(decomp.n_subdomains):
         om, oms = decomp.omega(j), decomp.omega_star(j)
-        up, system = particular_solution(forms, om, oms)
+        system = MaskedSystem(forms, oms)
+        up = particular_solution(om, oms, system)
         assert np.array_equal(up, _oracle_particular(forms.asm, source_one, om, oms))
         assert np.array_equal(system.harmonic_extension(),
                               _oracle_harmonic_basis(forms.asm, oms))
@@ -199,8 +204,9 @@ def test_local_stage_hands_over_the_selected_modes_alone(setting, rules, largest
         assert d.eigenvalues.shape == (n_layer,)
         assert n_layer not in d.modes.shape + d.particular.shape
         w = pou.dof_weights(mesh, j, om)
-        up, system = particular_solution(forms, om, oms)
-        values, _, _ = eigenproblem(asm, w, om, oms, system, rules)
+        system = MaskedSystem(forms, oms)
+        up = particular_solution(om, oms, system)
+        values, _, _ = eigenproblem(w, om, oms, system, rules)
         assert np.array_equal(d.particular, w * up)
         assert np.array_equal(d.eigenvalues, values)
         basis = harmonic_basis(forms, oms)
@@ -311,8 +317,9 @@ def test_zero_right_hand_side_is_solved_and_checked():
 
 def test_zero_source_gives_zero_solution(setting):
     mesh, coef, decomp, _ = setting
-    up, _ = particular_solution(forms_of(mesh, coef, lambda x, y: 0.0),
-                                decomp.omega(0), decomp.omega_star(0))
+    oms = decomp.omega_star(0)
+    up = particular_solution(decomp.omega(0), oms,
+                             MaskedSystem(forms_of(mesh, coef, lambda x, y: 0.0), oms))
     assert np.all(up == 0.0)
 
 
@@ -321,7 +328,8 @@ def test_single_subdomain_particular_equals_fine_solve():
     coef = coefficient_field(mesh, "checkerboard:100:2")
     decomp = build_decomposition(mesh, 1, 2, 2)
     forms = forms_of(mesh, coef)
-    up, _ = particular_solution(forms, decomp.omega(0), decomp.omega_star(0))
+    oms = decomp.omega_star(0)
+    up = particular_solution(decomp.omega(0), oms, MaskedSystem(forms, oms))
     u = fine_solve(forms)
     assert np.abs(up - u).max() <= 1e-12 * np.abs(u).max()
 
@@ -337,7 +345,7 @@ def test_masked_system_residual_contract(setting):
     b = forms.F[subdomain_dofs(oms)]
     free = h0_dofs(mesh, oms)
     psi = np.zeros(3 * oms.size)
-    psi[nested_dofs(om, oms)] = particular_solution(forms, om, oms)[0]
+    psi[nested_dofs(om, oms)] = particular_solution(om, oms, MaskedSystem(forms, oms))
     # reconstruct the full masked solution for the residual check
     Aff = A[np.ix_(free, free)].tocsc()
     x = spla.splu(Aff).solve(b[free])
@@ -460,9 +468,8 @@ def test_kernel_gram_solve_residual_is_checked(interior, monkeypatch):
     j = 5   # interior: the constants are the right form's kernel
     om, oms = decomp.omega(j), decomp.omega_star(j)
     forms = forms_of(mesh, coefficient_field(mesh, "constant:1"))
-    asm = forms.asm
     system = MaskedSystem(forms, oms)
-    values, _, _ = eigenproblem(asm, pou.dof_weights(mesh, j, om), om, oms, system, FIXED)
+    values, _, _ = eigenproblem(pou.dof_weights(mesh, j, om), om, oms, system, FIXED)
     assert np.isinf(values[0]) and np.all(np.isfinite(values[1:]))
 
     solve = la.solve
@@ -472,7 +479,7 @@ def test_kernel_gram_solve_residual_is_checked(interior, monkeypatch):
 
     monkeypatch.setattr(local_problems.la, "solve", doctored)
     with pytest.raises(SolverError, match="kernel Gram residual"):
-        eigenproblem(asm, pou.dof_weights(mesh, j, om), om, oms, system, FIXED)
+        eigenproblem(pou.dof_weights(mesh, j, om), om, oms, system, FIXED)
 
 
 def test_negative_eigenvalue_beyond_tolerance_aborts(monkeypatch):
@@ -486,7 +493,7 @@ def test_negative_eigenvalue_beyond_tolerance_aborts(monkeypatch):
     om, oms = decomp.omega(j), decomp.omega_star(j)
     system = MaskedSystem(forms, oms)
     w = pou.dof_weights(mesh, j, om)
-    values, _, _ = eigenproblem(forms.asm, w, om, oms, system, FIXED)
+    values, _, _ = eigenproblem(w, om, oms, system, FIXED)
     assert np.all(np.isfinite(values)) and values[0] > 0.0
     # the right form is the first symmetric part of the eigenproblem, the left form the second
     symmetric_part, parts = local_problems.symmetric_part, []
@@ -498,7 +505,7 @@ def test_negative_eigenvalue_beyond_tolerance_aborts(monkeypatch):
 
     monkeypatch.setattr(local_problems, "symmetric_part", negating_the_second)
     with pytest.raises(SolverError, match="^negative eigenvalue beyond tolerance; assembly bug$"):
-        eigenproblem(forms.asm, w, om, oms, system, FIXED)
+        eigenproblem(w, om, oms, system, FIXED)
     # the one negated is the left form on omega's own assembly, bit for bit
     W = system.harmonic_extension()[nested_dofs(om, oms), :] * w[:, None]
     assert np.array_equal(parts[1], W.T @ (forms.asm.matrix(om, "Bplus") @ W))
@@ -513,11 +520,11 @@ def test_lean_local_stage_is_bit_identical(interior, spec):
     asm = forms.asm
     for j in (0, 5):    # on the boundary, and interior with a kernel mode
         om, oms = decomp.omega(j), decomp.omega_star(j)
-        _, system = particular_solution(forms, om, oms)
+        system = MaskedSystem(forms, oms)
         basis = system.harmonic_extension()
         assert basis.tobytes() == _oracle_harmonic_basis(asm, oms).tobytes()
         n_layer = system.layer.size
-        values, modes, _ = eigenproblem(asm, pou.dof_weights(mesh, j, om), om, oms,
+        values, modes, _ = eigenproblem(pou.dof_weights(mesh, j, om), om, oms,
                                         system, [("fixed", n_layer)])
         oracle_values, oracle_vectors = _oracle_eigenproblem(asm, pou, j, om, oms, basis)
         assert np.isinf(values[0]) == (j == 5)
@@ -547,14 +554,14 @@ def test_local_stage_holds_one_dense_block_beside_the_basis():
     decomp = build_decomposition(mesh, 4, 2, 4)
     pou = build_pou(mesh, decomp)
     forms = forms_of(mesh, coefficient_field(mesh, "constant:1"))
-    asm = forms.asm
     j = 5
     om, oms = decomp.omega(j), decomp.omega_star(j)
-    _, system = particular_solution(forms, om, oms)   # builds the block tables, B and F
+    system = MaskedSystem(forms, oms)
+    particular_solution(om, oms, system)   # builds the block tables, B and F
     shape = (3 * oms.size, system.layer.size)   # the basis
     tracemalloc.start()
     try:
-        eigenproblem(asm, pou.dof_weights(mesh, j, om), om, oms, system, FIXED)
+        eigenproblem(pou.dof_weights(mesh, j, om), om, oms, system, FIXED)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -648,6 +655,194 @@ def test_threaded_results_match_serial(setting):
         assert np.array_equal(a.particular, b.particular)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.modes, b.modes)
+
+
+REUSE_RULES = [("fixed", 4), ("threshold", 0.3)]
+
+
+def _problem_bytes(forms, decomp, pou, j):
+    """The bytes of every array subdomain ``j``'s solves read, one entry per array."""
+    om, oms = decomp.omega(j), decomp.omega_star(j)
+    system = MaskedSystem(forms, oms)
+    arrays = [system.free, nested_dofs(om, oms), pou.dof_weights(forms.asm.mesh, j, om),
+              system.load]
+    for A in (system.Aff, system.Afl, system.Bplus):
+        arrays += [A.data, A.indices, A.indptr]
+    return tuple(a.tobytes() for a in arrays)
+
+
+def _solved_alone(forms, decomp, pou, j, rules):
+    """Subdomain ``j``'s record from its own source solve and eigenproblem."""
+    om, oms = decomp.omega(j), decomp.omega_star(j)
+    w = pou.dof_weights(forms.asm.mesh, j, om)
+    system = MaskedSystem(forms, oms)
+    up = particular_solution(om, oms, system)
+    values, modes, counts = eigenproblem(w, om, oms, system, rules)
+    return LocalSpectralData(dofs=subdomain_dofs(om), particular=w * up, eigenvalues=values,
+                             modes=w[:, None] * modes, counts=counts)
+
+
+def _assert_same_record(a, b):
+    for name in ("dofs", "particular", "eigenvalues", "modes"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+    assert a.counts == b.counts
+
+
+@pytest.fixture(scope="module")
+def dyadic():
+    """The coarse-32x8 geometry at constant:1, with every subdomain solved on its own."""
+    mesh = build_structured_mesh(32)
+    decomp = build_decomposition(mesh, 8, 2, 2)
+    pou = build_pou(mesh, decomp)
+    forms = forms_of(mesh, coefficient_field(mesh, "constant:1"))
+    n = decomp.n_subdomains
+    alone = [_solved_alone(forms, decomp, pou, j, REUSE_RULES) for j in range(n)]
+    problems = [_problem_bytes(forms, decomp, pou, j) for j in range(n)]
+    return mesh, decomp, pou, forms, alone, problems
+
+
+def _largest_group(problems):
+    """The subdomains posing the most frequent local problem."""
+    largest = Counter(problems).most_common(1)[0][0]
+    return [j for j, problem in enumerate(problems) if problem == largest]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_each_distinct_local_problem_is_solved_once(dyadic, threads, monkeypatch):
+    # translated subdomains pose byte-identical problems: one group of 16 interior
+    # ones, eight of 4 and 16 alone; each group is factored once and every record
+    # is, bit for bit, its subdomain's own solve
+    mesh, decomp, pou, forms, alone, problems = dyadic
+    assert sorted(Counter(problems).values()) == [1] * 16 + [4] * 8 + [16]
+    calls = []
+    splu = local_problems.spla.splu
+    monkeypatch.setattr(local_problems.spla, "splu", lambda A: calls.append(A.shape) or splu(A))
+    # more workers than cores, switching often: a digest published twice solves twice
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        box = _within(120, lambda: compute_local_data(mesh, forms, decomp, pou, REUSE_RULES,
+                                                      threads=threads))
+    finally:
+        sys.setswitchinterval(interval)
+    locals_ = box["value"]
+    assert len(calls) == len(set(problems)) == 25
+    for record, own in zip(locals_, alone, strict=True):
+        _assert_same_record(record, own)
+
+
+def test_a_one_ulp_change_in_the_contact_layer_splits_its_group(dyadic, monkeypatch):
+    mesh, decomp, pou, forms, alone, before = dyadic
+    n = decomp.n_subdomains
+    j = _largest_group(before)[0]
+    # a contact-layer element of omega*_j without a face on a masked element, so
+    # that its coefficient enters omega*_j's right form alone
+    oms = decomp.omega_star(j)
+    masked = d_minus(mesh, oms)
+    faces = mesh.iface_elems
+    e = next(e for e in np.setdiff1d(oms, masked)
+             if not np.isin(faces[(faces == e).any(axis=1)], masked).any())
+    values = forms.asm.coefficient.values.copy()
+    values[e] = np.nextafter(values[e], np.inf)
+    nudged = forms_of(mesh, Coefficient(values))
+    after = [_problem_bytes(nudged, decomp, pou, k) for k in range(n)]
+    assert after[j][:-3] == before[j][:-3]    # Bplus's data, indices and index pointers
+    assert after[j][-3] != before[j][-3] and after[j][-2:] == before[j][-2:]
+    assert after.count(after[j]) == 1
+    calls = []
+    splu = local_problems.spla.splu
+    monkeypatch.setattr(local_problems.spla, "splu", lambda A: calls.append(A.shape) or splu(A))
+    locals_ = compute_local_data(mesh, nudged, decomp, pou, REUSE_RULES, threads=2)
+    assert len(calls) == len(set(after)) > len(set(before))
+    monkeypatch.undo()
+    moved = [k for k in range(n) if after[k] != before[k]]
+    assert j in moved
+    for k, record in enumerate(locals_):
+        own = (_solved_alone(nudged, decomp, pou, k, REUSE_RULES) if k in moved
+               else alone[k])
+        _assert_same_record(record, own)
+    # the group's shared bits would have been wrong for j
+    assert locals_[j].eigenvalues.tobytes() != alone[j].eigenvalues.tobytes()
+
+
+def _within(seconds, fn):
+    """``fn()`` on a daemon thread: ``{"value": ...}`` or ``{"error": ...}``; fails on a hang."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no return within {seconds} s"
+    return box
+
+
+def _fail_the_shared_solve(monkeypatch, decomp, group):
+    """Make the source solve of the subdomains ``group``, which pose one problem, fail.
+
+    It fails once a duplicate waits on its future, and the error each waiter
+    of an unfinished future receives is recorded in the returned list.
+    """
+    received, published = [], {}
+
+    class Watched(Future):
+        def __init__(self):
+            super().__init__()
+            self.waited = threading.Event()
+            published[threading.get_ident()] = self    # by the worker that solves
+
+        def result(self, timeout=None):
+            if self.done():
+                return super().result(timeout)
+            self.waited.set()
+            try:
+                return super().result(timeout)
+            except SolverError as exc:
+                received.append(exc)
+                raise
+
+    particular = local_problems.particular_solution
+    stars = {decomp.omega_star(j).tobytes() for j in group}
+
+    def failing(omega, omega_star, system):
+        if omega_star.tobytes() in stars:
+            published[threading.get_ident()].waited.wait(10)
+            raise SolverError("local source broke down: injected")
+        return particular(omega, omega_star, system)
+
+    monkeypatch.setattr(local_problems, "Future", Watched)
+    monkeypatch.setattr(local_problems, "particular_solution", failing)
+    return received
+
+
+def test_a_failed_shared_solve_reaches_its_waiters_and_the_caller(dyadic, monkeypatch):
+    mesh, decomp, pou, forms, _, problems = dyadic
+    received = _fail_the_shared_solve(monkeypatch, decomp, _largest_group(problems))
+    box = _within(60, lambda: compute_local_data(mesh, forms, decomp, pou, REUSE_RULES,
+                                                 threads=2))
+    assert isinstance(box.get("error"), SolverError)
+    assert str(box["error"]) == "local source broke down: injected"
+    assert received and all(exc is box["error"] for exc in received)
+
+
+def test_a_failed_shared_solve_is_one_stderr_line(dyadic, tmp_path, capsys, monkeypatch):
+    _, decomp, _, _, _, problems = dyadic
+    received = _fail_the_shared_solve(monkeypatch, decomp, _largest_group(problems))
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("mesh_n = 32\ngrid_m = 8\noverlap_layers = 2\noversampling_layers = 2\n"
+                   "gamma0_sq = 10\ncoarse_n_sweep = 4\nthreads = 2\nchecks = off\n")
+    box = _within(60, lambda: main(["--config", str(cfg), "--out", str(tmp_path / "o")]))
+    assert box == {"value": 1}
+    assert capsys.readouterr().err.splitlines() == [
+        "pipeline failure: local source broke down: injected"]
+    assert received
+    assert not (tmp_path / "o" / "eigenvalues.csv").exists()
 
 
 @pytest.mark.parametrize("n, m, layers, spec", [
