@@ -32,7 +32,7 @@ from .errors import ConfigError, SolverError
 from .gfem import error_report, solve_msgfem
 from .local_problems import check_fixed_counts, compute_local_data
 from .mesh import build_structured_mesh, coefficient_field
-from .space_ops import PartitionOfUnity, build_pou
+from .space_ops import build_pou
 from .verification import decay_fit, fine_solve, run_property_suite
 
 __all__ = ["Problem", "build_problem", "run", "main", "source_function"]
@@ -60,7 +60,7 @@ class Problem:
 
     config: RunConfig
     decomp: Decomposition
-    pou: PartitionOfUnity
+    pou: list             # per subdomain: its weight at every dof of omega_j
     forms: GlobalForms
 
 

@@ -22,7 +22,7 @@ from .decomposition import Decomposition
 from .dg_forms import GlobalForms, nested_dofs, subdomain_dofs
 from .errors import ConfigError, SolverError
 from .mesh import TriMesh
-from .space_ops import PartitionOfUnity, h0_dofs
+from .space_ops import h0_dofs
 
 __all__ = [
     "LocalSpectralData",
@@ -191,7 +191,7 @@ def eigenproblem(w: np.ndarray, omega, omega_star, system: MaskedSystem, rules):
 
     Right form: energy on the oversampling domain, ``system.Bplus`` on ``omega_star``.
     Left form: energy of the restriction scaled by ``w``, the weight at every
-    dof of ``omega`` (:meth:`~msgfem.space_ops.PartitionOfUnity.dof_weights`),
+    dof of ``omega`` (an entry of :func:`~msgfem.space_ops.build_pou`),
     on that matrix's ``omega`` block: it differs from ``Bplus`` on ``omega``
     only at elements with a face leaving ``omega``, where ``w`` is zero.  Both
     are congruence images of the positive form, hence symmetric PSD; kernel
@@ -311,7 +311,7 @@ def _digest(*arrays) -> bytes:
 
 
 def compute_local_data(mesh: TriMesh, forms: GlobalForms, decomp: Decomposition,
-                       pou: PartitionOfUnity, rules, threads: int = 1) -> list:
+                       pou: list, rules, threads: int = 1) -> list:
     """Run all per-subdomain stages; results are ordered by subdomain index.
 
     ``forms`` holds the run's assembler on ``mesh``, whose block tables
@@ -349,7 +349,7 @@ def compute_local_data(mesh: TriMesh, forms: GlobalForms, decomp: Decomposition,
     def one(j: int) -> LocalSpectralData:
         omega = decomp.omega(j)
         omega_star = decomp.omega_star(j)
-        w = pou.dof_weights(mesh, j, omega)
+        w = pou[j]
         system = MaskedSystem(forms, omega_star)
         # the right form is read only by a pencil, which needs a contact layer
         key = _digest(system.free, nested_dofs(omega, omega_star), w, system.load,

@@ -8,8 +8,6 @@ enclosing layout, :func:`~msgfem.dg_forms.nested_dofs`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
@@ -19,7 +17,6 @@ from .mesh import TriMesh
 
 __all__ = [
     "h0_dofs",
-    "PartitionOfUnity",
     "build_pou",
 ]
 
@@ -33,61 +30,47 @@ def h0_dofs(mesh: TriMesh, D: np.ndarray) -> np.ndarray:
     return nested_dofs(d_minus(mesh, D), D)
 
 
-@dataclass(frozen=True)
-class PartitionOfUnity:
-    """Continuous piecewise-linear weights, one vertex-value row per subdomain.
-
-    Row ``j`` vanishes on every vertex touched by an element outside the
-    shrunk subdomain ``d_minus(omega_j)`` and the rows sum to one at every
-    vertex.
-    """
-
-    values: np.ndarray    # (n_subdomains, n_vertices)
-
-    def dof_weights(self, mesh: TriMesh, j: int, D) -> np.ndarray:
-        """Weight ``j`` at every dof of ``D``, in ``D``'s local dof layout.
-
-        Scaling a dof vector by it is the vertexwise Lagrange interpolant of
-        the (quadratic) product of the P1 weight with the vector.
-        """
-        return self.values[j][mesh.elements[np.asarray(D, dtype=np.int64)]].ravel()
-
-
-def build_pou(mesh: TriMesh, decomp: Decomposition) -> PartitionOfUnity:
+def build_pou(mesh: TriMesh, decomp: Decomposition) -> list:
     """Distance-graded weights normalized to sum to one at each vertex.
 
     Per subdomain the raw weight is the vertex graph distance to the set of
     forbidden vertices (those touching elements outside the shrunk
     subdomain), capped so the twice-shrunk core sits on the unit plateau,
-    then all weights are normalized vertexwise.
+    then all weights are normalized vertexwise.  Entry ``j`` of the returned
+    list is weight ``j`` at every dof of ``omega_j``, in its local layout:
+    scaling a dof vector by it is the vertexwise Lagrange interpolant of the
+    (quadratic) product of the P1 weight with the vector.  Off ``omega_j``
+    the weight is zero.  Every vertex ``omega_j`` shares with an element
+    outside it is forbidden, so no shortest path leaves the closure of
+    ``omega_j``, and the distances are searched on its vertices alone.
     """
-    nv = mesh.n_vertices
-    M = decomp.n_subdomains
-    raw = np.zeros((M, nv))
+    total = np.zeros(mesh.n_vertices)
     # vertices sharing an element are one edge apart
     adjacency = (mesh.incidence.T @ mesh.incidence).tocsr()
-    for j in range(M):
+    raws = []
+    for j in range(decomp.n_subdomains):
         omega = decomp.omega(j)
         inner = d_minus(mesh, omega)
-        outside = np.ones(mesh.n_elements, dtype=bool)
-        outside[inner] = False
-        if not outside.any():
-            raw[j, :] = 1.0
-            continue
-        forbidden = np.flatnonzero(mesh.incidence.T @ outside)
-        dist = dijkstra(adjacency, indices=forbidden, unweighted=True, min_only=True)
-        core = d_minus(mesh, inner)
-        cap = 1.0
-        if core.size:
-            core_verts = np.unique(mesh.elements[core].ravel())
-            cap = max(float(dist[core_verts].min()), 1.0)
-        raw[j, :] = np.minimum(dist, cap) / cap
+        # raveled first: the inverse's shape for a 2-d input differs between NumPy versions
+        verts, local = np.unique(mesh.elements[omega].ravel(), return_inverse=True)
+        local = local.reshape(omega.size, 3)
+        if inner.size == mesh.n_elements:
+            raw = np.ones(verts.size)
+        else:
+            forbidden = local[~np.isin(omega, inner)].ravel()
+            dist = dijkstra(adjacency[verts][:, verts], indices=forbidden,
+                            unweighted=True, min_only=True)
+            core = d_minus(mesh, inner)
+            cap = 1.0
+            if core.size:
+                cap = max(float(dist[local[np.searchsorted(omega, core)]].min()), 1.0)
+            raw = np.minimum(dist, cap) / cap
+        total[verts] += raw
+        raws.append((verts, local, raw))
 
-    total = raw.sum(axis=0)
     uncovered = np.flatnonzero(total <= 0.0)
     if uncovered.size:
         raise ValueError(
             f"vertex {int(uncovered[0])} is not interior to any shrunk subdomain; "
             "increase the overlap")
-    return PartitionOfUnity(values=raw / total[None, :])
-
+    return [(raw / total[verts])[local].ravel() for verts, local, raw in raws]

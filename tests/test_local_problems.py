@@ -21,7 +21,7 @@ from msgfem.local_problems import (LocalSpectralData, MaskedSystem, check_fixed_
                                    compute_local_data, eigenproblem, particular_solution,
                                    scaled_residual, select_coarse, solve_checked)
 from msgfem.mesh import Coefficient, build_structured_mesh, coefficient_field
-from msgfem.space_ops import PartitionOfUnity, build_pou, h0_dofs
+from msgfem.space_ops import build_pou, h0_dofs
 from msgfem.verification import decay_fit, fine_solve
 
 G0 = np.sqrt(10.0)
@@ -62,8 +62,7 @@ def harmonic_basis(forms, omega_star):
 def eigen(mesh, coef, pou, j, omega, omega_star):
     """The spectral problem of one subdomain on its own masked system."""
     forms = forms_of(mesh, coef)
-    return eigenproblem(pou.dof_weights(mesh, j, omega), omega, omega_star,
-                        MaskedSystem(forms, omega_star), FIXED)
+    return eigenproblem(pou[j], omega, omega_star, MaskedSystem(forms, omega_star), FIXED)
 
 
 # -- oracles: the separate source solve and harmonic basis this module replaced
@@ -135,7 +134,7 @@ def _oracle_deflated_pencil(A, M):
 
 def _oracle_eigenproblem(asm, pou, j, omega, omega_star, basis):
     idx = nested_dofs(omega, omega_star)
-    W = basis[idx, :] * pou.dof_weights(asm.mesh, j, omega)[:, None]
+    W = basis[idx, :] * pou[j][:, None]
     A = W.T @ (asm.matrix(omega, "Bplus") @ W)
     A = 0.5 * (A + A.T)
     M = basis.T @ (asm.matrix(omega_star, "Bplus") @ basis)
@@ -172,7 +171,7 @@ def test_one_factorization_matches_separate_solves_bit_for_bit(setting):
     for j, d in enumerate(threaded):
         om, oms = decomp.omega(j), decomp.omega_star(j)
         # the local stage hands over both weighted by chi_j
-        w = pou.dof_weights(mesh, j, om)
+        w = pou[j]
         assert np.array_equal(d.particular,
                               w * _oracle_particular(asm, source_one, om, oms))
         oracle = _modes(asm, pou, j, om, oms, _oracle_harmonic_basis(asm, oms), 4)
@@ -203,7 +202,7 @@ def test_local_stage_hands_over_the_selected_modes_alone(setting, rules, largest
         # one eigenvalue per layer dof, for eigenvalues.csv; nothing else that large
         assert d.eigenvalues.shape == (n_layer,)
         assert n_layer not in d.modes.shape + d.particular.shape
-        w = pou.dof_weights(mesh, j, om)
+        w = pou[j]
         system = MaskedSystem(forms, oms)
         up = particular_solution(om, oms, system)
         values, _, _ = eigenproblem(w, om, oms, system, rules)
@@ -469,7 +468,7 @@ def test_kernel_gram_solve_residual_is_checked(interior, monkeypatch):
     om, oms = decomp.omega(j), decomp.omega_star(j)
     forms = forms_of(mesh, coefficient_field(mesh, "constant:1"))
     system = MaskedSystem(forms, oms)
-    values, _, _ = eigenproblem(pou.dof_weights(mesh, j, om), om, oms, system, FIXED)
+    values, _, _ = eigenproblem(pou[j], om, oms, system, FIXED)
     assert np.isinf(values[0]) and np.all(np.isfinite(values[1:]))
 
     solve = la.solve
@@ -479,7 +478,7 @@ def test_kernel_gram_solve_residual_is_checked(interior, monkeypatch):
 
     monkeypatch.setattr(local_problems.la, "solve", doctored)
     with pytest.raises(SolverError, match="kernel Gram residual"):
-        eigenproblem(pou.dof_weights(mesh, j, om), om, oms, system, FIXED)
+        eigenproblem(pou[j], om, oms, system, FIXED)
 
 
 def test_negative_eigenvalue_beyond_tolerance_aborts(monkeypatch):
@@ -492,7 +491,7 @@ def test_negative_eigenvalue_beyond_tolerance_aborts(monkeypatch):
     j = 0
     om, oms = decomp.omega(j), decomp.omega_star(j)
     system = MaskedSystem(forms, oms)
-    w = pou.dof_weights(mesh, j, om)
+    w = pou[j]
     values, _, _ = eigenproblem(w, om, oms, system, FIXED)
     assert np.all(np.isfinite(values)) and values[0] > 0.0
     # the right form is the first symmetric part of the eigenproblem, the left form the second
@@ -524,8 +523,7 @@ def test_lean_local_stage_is_bit_identical(interior, spec):
         basis = system.harmonic_extension()
         assert basis.tobytes() == _oracle_harmonic_basis(asm, oms).tobytes()
         n_layer = system.layer.size
-        values, modes, _ = eigenproblem(pou.dof_weights(mesh, j, om), om, oms,
-                                        system, [("fixed", n_layer)])
+        values, modes, _ = eigenproblem(pou[j], om, oms, system, [("fixed", n_layer)])
         oracle_values, oracle_vectors = _oracle_eigenproblem(asm, pou, j, om, oms, basis)
         assert np.isinf(values[0]) == (j == 5)
         assert values.tobytes() == oracle_values.tobytes()
@@ -561,7 +559,7 @@ def test_local_stage_holds_one_dense_block_beside_the_basis():
     shape = (3 * oms.size, system.layer.size)   # the basis
     tracemalloc.start()
     try:
-        eigenproblem(pou.dof_weights(mesh, j, om), om, oms, system, FIXED)
+        eigenproblem(pou[j], om, oms, system, FIXED)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -595,7 +593,6 @@ def test_trivial_same_domain_eigenproblem_is_psd_symmetric(setting):
     # and positive semidefiniteness are claimed
     mesh, coef, decomp, _ = setting
     oms = decomp.omega_star(0)
-    ones_pou = PartitionOfUnity(values=np.ones((1, mesh.n_vertices)))
     forms = forms_of(mesh, coef)
     basis = harmonic_basis(forms, oms)
     Bp = forms.asm.matrix(oms, "Bplus")
@@ -614,7 +611,7 @@ def test_pencil_residuals_within_tolerance(setting):
     asm = forms.asm
     basis = harmonic_basis(forms, oms)
     idx = nested_dofs(om, oms)
-    W = basis[idx, :] * pou.dof_weights(mesh, j, om)[:, None]
+    W = basis[idx, :] * pou[j][:, None]
     A = W.T @ (asm.matrix(om, "Bplus") @ W)
     M = basis.T @ (asm.matrix(oms, "Bplus") @ basis)
     A = 0.5 * (A + A.T)
@@ -664,8 +661,7 @@ def _problem_bytes(forms, decomp, pou, j):
     """The bytes of every array subdomain ``j``'s solves read, one entry per array."""
     om, oms = decomp.omega(j), decomp.omega_star(j)
     system = MaskedSystem(forms, oms)
-    arrays = [system.free, nested_dofs(om, oms), pou.dof_weights(forms.asm.mesh, j, om),
-              system.load]
+    arrays = [system.free, nested_dofs(om, oms), pou[j], system.load]
     for A in (system.Aff, system.Afl, system.Bplus):
         arrays += [A.data, A.indices, A.indptr]
     return tuple(a.tobytes() for a in arrays)
@@ -674,7 +670,7 @@ def _problem_bytes(forms, decomp, pou, j):
 def _solved_alone(forms, decomp, pou, j, rules):
     """Subdomain ``j``'s record from its own source solve and eigenproblem."""
     om, oms = decomp.omega(j), decomp.omega_star(j)
-    w = pou.dof_weights(forms.asm.mesh, j, om)
+    w = pou[j]
     system = MaskedSystem(forms, oms)
     up = particular_solution(om, oms, system)
     values, modes, counts = eigenproblem(w, om, oms, system, rules)
@@ -922,7 +918,7 @@ def test_left_form_assemblies_differ_only_where_the_weight_is_zero(n, m, overlap
         idx = nested_dofs(om, oms)
         diff = (asm.matrix(om, "Bplus") - asm.matrix(oms, "Bplus")[idx][:, idx]).tocoo()
         nonzero = diff.data != 0.0
-        w = pou.dof_weights(mesh, j, om)
+        w = pou[j]
         assert np.all(w[diff.row[nonzero]] == 0.0)
         assert np.all(w[diff.col[nonzero]] == 0.0)
         differing += int(nonzero.sum())

@@ -9,12 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_space_ops import pou_by_search
 
 from msgfem.cli import build_problem, main
 from msgfem.config import RunConfig
+from msgfem.decomposition import build_decomposition
 from msgfem.local_problems import compute_local_data
+from msgfem.mesh import build_structured_mesh
+from msgfem.space_ops import build_pou
 
 COEFFICIENTS = ["constant:1", "checkerboard:100:2", "log_uniform:1e-2:1e2", "channels:1e4:2"]
 
@@ -34,6 +38,13 @@ nested_pairs = st.fixed_dictionaries({
     "oversampling_layers": st.integers(1, 3),
     "coefficient": st.sampled_from(COEFFICIENTS),
     "seed": st.integers(0, 3),
+})
+
+decompositions = st.fixed_dictionaries({
+    "mesh_n": st.integers(4, 20),
+    "grid_m": st.integers(1, 4),
+    "overlap_layers": st.integers(2, 4),
+    "oversampling_layers": st.integers(1, 3),
 })
 
 
@@ -104,3 +115,24 @@ def test_local_spectrum_is_monotone_in_oversampling(keys):
         k = min(lam.size, lam_wide.size)
         scale = np.max(lam[np.isfinite(lam)], initial=0.0)
         assert np.all(lam_wide[:k] <= lam[:k] + 1e-8 * scale), j
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(decompositions)
+def test_pou_matches_the_whole_graph_search(keys):
+    """Each weight, searched on its subdomain's closure, is the whole graph's weight.
+
+    Every vertex on the boundary of the closure of omega_j touches an element
+    outside it, so it is forbidden, and a shortest path to the forbidden
+    vertices stays inside the closure; also where omega_j meets the boundary.
+    """
+    mesh = build_structured_mesh(keys["mesh_n"])
+    try:
+        decomp = build_decomposition(mesh, keys["grid_m"], keys["overlap_layers"],
+                                     keys["oversampling_layers"])
+    except ValueError as exc:
+        assume("swallows the whole mesh" not in str(exc))
+        raise
+    want = pou_by_search(mesh, decomp)
+    for j, w in enumerate(build_pou(mesh, decomp)):
+        assert np.array_equal(w, want[j][mesh.elements[decomp.omega(j)]].ravel()), j

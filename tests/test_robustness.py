@@ -50,6 +50,12 @@ CELLS = [
     pytest.param(24, "channels:1e6:4", 10, "off"),
     pytest.param(24, "channels:1e8:4", 10, "off", marks=ITEM_1_INF),
     pytest.param(24, "log_uniform:1e-4:1e4", 10, "off"),
+    # channels across the cuts: stripe edges inside the grid cells (height 4 at 24
+    # against cuts every 6, height 5 at 40 against cuts every 10)
+    pytest.param(24, "channels:1e4:3", 10, "on"),
+    pytest.param(24, "channels:1e6:3", 10, "off"),
+    pytest.param(24, "channels:1e8:3", 10, "off", marks=ITEM_1_INF),
+    pytest.param(40, "channels:1e6:4", 10, "off"),
     # penalties near and below the limit
     pytest.param(16, "constant:1", 10, "on"),
     pytest.param(16, "constant:1", 3, "off", marks=ITEM_13_NEAR),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra
@@ -6,7 +8,7 @@ from msgfem.decomposition import (Decomposition, build_decomposition, d_minus,
                                   grow, square_block)
 from msgfem.dg_forms import DGAssembler, nested_dofs, subdomain_dofs
 from msgfem.mesh import build_structured_mesh, coefficient_field
-from msgfem.space_ops import PartitionOfUnity, build_pou, h0_dofs
+from msgfem.space_ops import build_pou, h0_dofs
 from msgfem.verification import blend_deviation
 
 G0 = np.sqrt(10.0)
@@ -117,30 +119,52 @@ def test_locality_constant_on_interior_set(setting):
     assert abs(a) <= 1e-10 and abs(b) <= 1e-10
 
 
+def vertex_table(mesh, decomp, pou):
+    """Weight ``j`` at every vertex in row ``j``, zero off the closure of ``omega_j``."""
+    values = np.zeros((decomp.n_subdomains, mesh.n_vertices))
+    for j, w in enumerate(pou):
+        values[j][mesh.elements[decomp.omega(j)].ravel()] = w
+    return values
+
+
 def test_pou_single_subdomain_is_one():
     mesh = build_structured_mesh(8)
     decomp = build_decomposition(mesh, 1, 2, 2)
     pou = build_pou(mesh, decomp)
-    assert np.all(pou.values == 1.0)
+    assert np.all(vertex_table(mesh, decomp, pou) == 1.0)
 
 
 def test_pou_invariants_and_plateau():
     mesh = build_structured_mesh(16)
     decomp = build_decomposition(mesh, 2, 2, 4)
-    pou = build_pou(mesh, decomp)
-    sums = pou.values.sum(axis=0)
+    values = vertex_table(mesh, decomp, build_pou(mesh, decomp))
+    sums = values.sum(axis=0)
     assert np.abs(sums - 1.0).max() <= 1e-14
-    assert pou.values.min() >= 0.0 and pou.values.max() <= 1.0
+    assert values.min() >= 0.0 and values.max() <= 1.0
     # far corner vertex lies deep inside subdomain 0 only
     corner = 0
-    assert pou.values[0][corner] == 1.0
-    assert np.all(pou.values[1:, corner] == 0.0)
+    assert values[0][corner] == 1.0
+    assert np.all(values[1:, corner] == 0.0)
     # support: zero on vertices of every element outside the shrunk subdomain
     for j in range(decomp.n_subdomains):
         inner = d_minus(mesh, decomp.omega(j))
         outside = np.setdiff1d(np.arange(mesh.n_elements), inner)
         verts = np.unique(mesh.elements[outside])
-        assert np.all(pou.values[j][verts] == 0.0)
+        assert np.all(values[j][verts] == 0.0)
+
+
+def test_pou_holds_no_subdomains_by_vertices_table():
+    # 144 subdomains on 9,409 vertices: the bound is half of one dense float64
+    # table of weights, which a build storing them per vertex peaks above
+    mesh = build_structured_mesh(96)
+    decomp = build_decomposition(mesh, 12, 2, 2)
+    tracemalloc.start()
+    try:
+        build_pou(mesh, decomp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < decomp.n_subdomains * mesh.n_vertices * 8 / 2
 
 
 def test_pou_uncovered_vertex_reported():
@@ -151,20 +175,23 @@ def test_pou_uncovered_vertex_reported():
         build_pou(mesh, decomp)
 
 
-def test_dof_weights_reproductions(setting):
-    mesh, _, D, _ = setting
+def test_pou_layout_and_reproduction():
+    mesh = build_structured_mesh(16)
     rng = np.random.default_rng(6)
-    u = rng.standard_normal(3 * D.size)
-    ones = PartitionOfUnity(values=np.ones((1, mesh.n_vertices)))
-    assert np.array_equal(ones.dof_weights(mesh, 0, D) * u, u)
-    chi = rng.uniform(0.0, 1.0, size=mesh.n_vertices)
-    weights = PartitionOfUnity(values=np.stack([np.ones(mesh.n_vertices), chi]))
-    out = weights.dof_weights(mesh, 1, D)
-    assert out.shape == (3 * D.size,)
-    # dof 3e + i of the local layout sits at vertex i of element D[e]
-    for e, elem in enumerate(D):
-        for i in range(3):
-            assert out[3 * e + i] == chi[mesh.elements[elem, i]]
+    single = build_decomposition(mesh, 1, 2, 2)
+    u = rng.standard_normal(3 * mesh.n_elements)
+    assert np.array_equal(build_pou(mesh, single)[0] * u, u)
+    decomp = build_decomposition(mesh, 2, 2, 4)
+    pou = build_pou(mesh, decomp)
+    oracle = pou_by_search(mesh, decomp)
+    assert len(pou) == decomp.n_subdomains
+    for j, out in enumerate(pou):
+        om = decomp.omega(j)
+        assert out.shape == (3 * om.size,)
+        # dof 3e + i of the local layout sits at vertex i of element om[e]
+        for e, elem in enumerate(om):
+            for i in range(3):
+                assert out[3 * e + i] == oracle[j][mesh.elements[elem, i]]
 
 
 def test_interpolated_product_lands_in_masked_subspace():
@@ -175,7 +202,7 @@ def test_interpolated_product_lands_in_masked_subspace():
     for j in range(decomp.n_subdomains):
         om = decomp.omega(j)
         u = rng.standard_normal(3 * om.size)
-        out = pou.dof_weights(mesh, j, om) * u
+        out = pou[j] * u
         free = h0_dofs(mesh, om)
         layer = np.setdiff1d(np.arange(3 * om.size), free)
         assert np.all(out[layer] == 0.0)
@@ -189,12 +216,13 @@ def test_interpolation_stability_constant_reported():
     om = decomp.omega(0)
     H = DGAssembler(mesh, coef, G0).matrix(om, "H")
     rng = np.random.default_rng(8)
-    grad = np.einsum("ei,eid->ed", pou.values[0][mesh.elements], mesh.grads)
+    # weight 0 vanishes at every vertex of an element outside omega_0
+    grad = np.einsum("ei,eid->ed", pou[0].reshape(-1, 3), mesh.grads[om])
     denom = np.sqrt(1.0 + np.linalg.norm(grad, axis=1).max() ** 2)
     worst = 0.0
     for _ in range(100):
         u = rng.standard_normal(3 * om.size)
-        pu = pou.dof_weights(mesh, 0, om) * u
+        pu = pou[0] * u
         ratio = np.sqrt(pu @ (H @ pu)) / (denom * np.sqrt(u @ (H @ u)))
         worst = max(worst, ratio)
     # the weight is bounded by one, so the weighted energy cannot blow up
@@ -310,5 +338,7 @@ def test_pou_distances_match_breadth_first_search(n, m, ls):
         assert np.array_equal(fast, slow)
     pou = build_pou(mesh, decomp)
     want = pou_by_search(mesh, decomp)
-    assert pou.values.dtype == want.dtype
-    assert np.array_equal(pou.values, want)
+    for j, w in enumerate(pou):
+        expected = want[j][mesh.elements[decomp.omega(j)]].ravel()
+        assert w.dtype == expected.dtype
+        assert np.array_equal(w, expected)

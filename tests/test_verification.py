@@ -312,12 +312,13 @@ def test_per_subdomain_checks_name_their_first_failing_subdomain():
     for j in (1, 3):   # omega_j no longer nests in omega*_j
         omega, omega_star = subdomains[j]
         subdomains[j] = (omega, np.setdiff1d(omega_star, omega[-1:]))
-    values = pou.values.copy()   # weight 3 leaks outside its shrunk subdomain
-    outside = np.setdiff1d(np.arange(mesh.n_elements), d_minus(mesh, decomp.omega(3)))
-    values[3, mesh.elements[outside[0], 0]] = 0.5
+    pou = list(pou)   # weight 3 leaks onto omega_3 outside its shrunk subdomain
+    omega = decomp.omega(3)
+    contact = np.flatnonzero(~np.isin(omega, d_minus(mesh, omega)))
+    pou[3] = pou[3].copy()
+    pou[3][3 * contact[0]] = 0.5
     doctored = dataclasses.replace(
-        problem, decomp=dataclasses.replace(decomp, subdomains=subdomains),
-        pou=dataclasses.replace(pou, values=values))
+        problem, decomp=dataclasses.replace(decomp, subdomains=subdomains), pou=pou)
     by_name = {c.name: (c.status, c.witness) for c in run_property_suite(doctored).checks}
     assert by_name["decomposition.nesting"] == ("fail", {"subdomain": 1})
     # the cover is taken over every subdomain, not only up to the first misnested one
