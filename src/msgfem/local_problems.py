@@ -331,12 +331,12 @@ def compute_local_data(mesh: TriMesh, forms: GlobalForms, decomp: Decomposition,
     (:func:`_digest`).  The first subdomain with a digest solves; a later
     one takes that record's particular solution, eigenvalues, modes and
     counts (the same arrays) and keeps its own dofs.  Equal bytes give
-    equal results, so every record is byte-identical to its own solve.  On a
-    power-of-two ``mesh_n`` with a constant or cell-aligned periodic
-    coefficient the translated interior subdomains pose one problem: 25 of
-    the 64 at (32, 8) with ``constant:1``.  Where the coordinates are not
-    dyadic (``mesh_n = 40``) or the coefficient is drawn at random
-    (``log_uniform``), every problem is distinct.  On the pool a worker
+    equal results, so every record is byte-identical to its own solve.  The
+    mesh geometry is exact on the vertex lattice and scaled from it, so with
+    a constant or cell-aligned periodic coefficient translated subdomains
+    pose one problem on every ``mesh_n``: 25 of the 64 at (32, 8) and 9 of
+    the 16 at (40, 4) with ``constant:1``.  Where the coefficient is drawn
+    at random (``log_uniform``), every problem is distinct.  On the pool a worker
     publishes a future for its digest before it solves, and a duplicate
     waits on it; a failed solve raises its error in every waiter.
     """

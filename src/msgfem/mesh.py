@@ -38,6 +38,11 @@ class TriMesh:
 
     ``incidence`` is the boolean element x vertex matrix; every vertex-contact
     relation (hulls, vertex graph distances) is a product with it.
+
+    The geometry (``areas``, ``grads``, face lengths and unit normals) is
+    computed on the integer lattice of the vertices and then scaled by the
+    cell width ``1/structured_n``, so every element of one orientation, and
+    every face of one direction, carries bit-identical values.
     """
 
     vertices: np.ndarray       # (nv, 2) float
@@ -95,10 +100,10 @@ class Coefficient:
         return self.nu_max / float(self.values.min())
 
 
-def _element_geometry(vertices, elements):
-    p0 = vertices[elements[:, 0]]
-    p1 = vertices[elements[:, 1]]
-    p2 = vertices[elements[:, 2]]
+def _element_geometry(points, elements):
+    p0 = points[elements[:, 0]]
+    p1 = points[elements[:, 1]]
+    p2 = points[elements[:, 2]]
     d1 = p1 - p0
     d2 = p2 - p0
     twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
@@ -106,14 +111,15 @@ def _element_geometry(vertices, elements):
     # grad of barycentric basis: rotated opposite edges over twice the area
     grads = np.empty((elements.shape[0], 3, 2))
     for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        e = vertices[elements[:, k]] - vertices[elements[:, j]]
+        e = points[elements[:, k]] - points[elements[:, j]]
         grads[:, i, 0] = -e[:, 1]
         grads[:, i, 1] = e[:, 0]
     grads /= twice_area[:, None, None]
     return areas, grads
 
 
-def _build_mesh(vertices, elements, structured_n):
+def _build_mesh(lattice, elements, n):
+    vertices = lattice / n
     ne = elements.shape[0]
     # one row per element edge, canonical vertex order
     local_pairs = np.array([[0, 1], [1, 2], [2, 0]])
@@ -139,11 +145,13 @@ def _build_mesh(vertices, elements, structured_n):
     bface_pairs = es[bnd_rows]
     bface_elem = own[bnd_rows]
 
-    areas, grads = _element_geometry(vertices, elements)
+    areas, grads = _element_geometry(lattice, elements)
+    areas = areas / n**2
+    grads = grads * n
 
     def face_lengths(verts):
-        d = vertices[verts[:, 0]] - vertices[verts[:, 1]]
-        return np.linalg.norm(d, axis=1)
+        d = lattice[verts[:, 0]] - lattice[verts[:, 1]]
+        return np.linalg.norm(d, axis=1) / n
 
     iface_h = face_lengths(iface_pairs)
     bface_h = face_lengths(bface_pairs)
@@ -160,7 +168,7 @@ def _build_mesh(vertices, elements, structured_n):
     bface_local = local_positions(bface_elem, bface_pairs)
 
     def outward_normal(loc, verts):
-        t = vertices[verts[:, 1]] - vertices[verts[:, 0]]
+        t = lattice[verts[:, 1]] - lattice[verts[:, 0]]
         nrm = np.stack([t[:, 1], -t[:, 0]], axis=1)
         nrm /= np.linalg.norm(nrm, axis=1)[:, None]
         # CCW elements: (t_y, -t_x) points out exactly when the pair runs CCW
@@ -179,7 +187,7 @@ def _build_mesh(vertices, elements, structured_n):
         iface_elems=iface_elems, iface_h=iface_h, iface_normal=iface_normal,
         iface_local=iface_local, bface_elem=bface_elem, bface_h=bface_h,
         bface_normal=bface_normal, bface_local=bface_local,
-        incidence=incidence, structured_n=structured_n,
+        incidence=incidence, structured_n=n,
     )
 
 
@@ -191,12 +199,19 @@ def build_structured_mesh(n: int) -> TriMesh:
     elements over ``(n+1)**2`` vertices.  The element order is row-major in
     the cells with the lower triangle first, so element ``2*(iy*n+ix)+t``
     lives in cell ``(ix, iy)``.
+
+    Vertex ``(i, j)`` of the lattice sits at ``(i/n, j/n)``.  The geometry is
+    exact on that lattice and is scaled from it: areas by ``1/n**2``,
+    gradients by ``n`` and face lengths by ``1/n``; the unit normals are the
+    lattice's.  Differencing the coordinates ``i/n`` instead would make
+    translated elements differ in their last bits whenever ``1/n`` is not
+    dyadic, and so make translated subdomains pose different local problems.
     """
     if n < 1:
         raise ValueError(f"mesh subdivision count must be >= 1, got {n}")
-    idx = np.arange(n + 1)
-    xs, ys = np.meshgrid(idx / n, idx / n, indexing="xy")
-    vertices = np.stack([xs.ravel(), ys.ravel()], axis=1)
+    idx = np.arange(n + 1, dtype=float)
+    xs, ys = np.meshgrid(idx, idx, indexing="xy")
+    lattice = np.stack([xs.ravel(), ys.ravel()], axis=1)
 
     ix, iy = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
     ix = ix.ravel()
@@ -210,7 +225,7 @@ def build_structured_mesh(n: int) -> TriMesh:
     elements = np.empty((2 * n * n, 3), dtype=np.int64)
     elements[0::2] = lower
     elements[1::2] = upper
-    return _build_mesh(vertices, elements, n)
+    return _build_mesh(lattice, elements, n)
 
 
 def _square_of_element(mesh: TriMesh, e) -> tuple:

@@ -704,13 +704,22 @@ def _largest_group(problems):
     return [j for j, problem in enumerate(problems) if problem == largest]
 
 
-@pytest.mark.parametrize("threads", [1, 2, 4])
-def test_each_distinct_local_problem_is_solved_once(dyadic, threads, monkeypatch):
-    # translated subdomains pose byte-identical problems: one group of 16 interior
-    # ones, eight of 4 and 16 alone; each group is factored once and every record
-    # is, bit for bit, its subdomain's own solve
-    mesh, decomp, pou, forms, alone, problems = dyadic
-    assert sorted(Counter(problems).values()) == [1] * 16 + [4] * 8 + [16]
+@pytest.fixture(scope="module")
+def nondyadic():
+    """The local-40x4 geometry (1/40 is not dyadic) at constant:1, every subdomain
+    solved on its own."""
+    mesh = build_structured_mesh(40)
+    decomp = build_decomposition(mesh, 4, 2, 4)
+    pou = build_pou(mesh, decomp)
+    forms = forms_of(mesh, coefficient_field(mesh, "constant:1"))
+    n = decomp.n_subdomains
+    alone = [_solved_alone(forms, decomp, pou, j, REUSE_RULES) for j in range(n)]
+    problems = [_problem_bytes(forms, decomp, pou, j) for j in range(n)]
+    return mesh, decomp, pou, forms, alone, problems
+
+
+def _factored_records(mesh, forms, decomp, pou, threads, monkeypatch):
+    """``compute_local_data``'s records and the shapes it hands to ``splu``."""
     calls = []
     splu = local_problems.spla.splu
     monkeypatch.setattr(local_problems.spla, "splu", lambda A: calls.append(A.shape) or splu(A))
@@ -722,10 +731,41 @@ def test_each_distinct_local_problem_is_solved_once(dyadic, threads, monkeypatch
                                                       threads=threads))
     finally:
         sys.setswitchinterval(interval)
-    locals_ = box["value"]
+    return box["value"], calls
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_each_distinct_local_problem_is_solved_once(dyadic, threads, monkeypatch):
+    # translated subdomains pose byte-identical problems: one group of 16 interior
+    # ones, eight of 4 and 16 alone; each group is factored once and every record
+    # is, bit for bit, its subdomain's own solve
+    mesh, decomp, pou, forms, alone, problems = dyadic
+    assert sorted(Counter(problems).values()) == [1] * 16 + [4] * 8 + [16]
+    locals_, calls = _factored_records(mesh, forms, decomp, pou, threads, monkeypatch)
     assert len(calls) == len(set(problems)) == 25
     for record, own in zip(locals_, alone, strict=True):
         _assert_same_record(record, own)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_translates_share_their_solve_on_a_non_dyadic_mesh(nondyadic, threads, monkeypatch):
+    # the geometry is exact on the lattice, so at n = 40 the translates pose one
+    # problem too: 4 corners alone, 4 pairs of edge subdomains and the 4 interior ones
+    mesh, decomp, pou, forms, alone, problems = nondyadic
+    assert sorted(Counter(problems).values()) == [1] * 4 + [2] * 4 + [4]
+    locals_, calls = _factored_records(mesh, forms, decomp, pou, threads, monkeypatch)
+    assert len(calls) == len(set(problems)) == 9
+    for record, own in zip(locals_, alone, strict=True):
+        _assert_same_record(record, own)
+
+
+def test_a_non_dyadic_periodic_coefficient_shares_its_translates():
+    mesh = build_structured_mesh(48)
+    decomp = build_decomposition(mesh, 6, 2, 2)
+    pou = build_pou(mesh, decomp)
+    forms = forms_of(mesh, coefficient_field(mesh, "checkerboard:1e4:8"))
+    problems = [_problem_bytes(forms, decomp, pou, j) for j in range(decomp.n_subdomains)]
+    assert (len(set(problems)), len(problems)) == (14, 36)
 
 
 def test_a_one_ulp_change_in_the_contact_layer_splits_its_group(dyadic, monkeypatch):

@@ -233,3 +233,64 @@ def test_reference_triangle():
     assert np.sum(mesh.bface_elem == 0) == 2
     # the vertex functions 1 - x, x - y and y
     assert np.abs(mesh.grads[0] - [[-1, 0], [1, -1], [0, 1]]).max() <= 1e-15
+
+
+def _difference_geometry(mesh):
+    """Independent oracle: areas, gradients, face lengths and unit normals differenced
+    from the float vertex coordinates."""
+    p = mesh.vertices[mesh.elements]                          # (ne, 3, 2)
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    twice = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    opposite = np.roll(p, -2, axis=1) - np.roll(p, -1, axis=1)   # edge facing vertex i
+    grads = np.stack([-opposite[..., 1], opposite[..., 0]], axis=-1) / twice[:, None, None]
+
+    def faces(elem, loc):
+        ends = mesh.vertices[mesh.elements[elem[:, None], loc]]
+        t = ends[:, 1] - ends[:, 0]
+        h = np.hypot(t[:, 0], t[:, 1])
+        nrm = np.stack([t[:, 1], -t[:, 0]], axis=1) / h[:, None]
+        # out of the element: away from its centroid
+        inward = np.einsum("fd,fd->f", nrm, p[elem].mean(axis=1) - ends.mean(axis=1)) > 0
+        nrm[inward] *= -1.0
+        return h, nrm
+
+    ih, inrm = faces(mesh.iface_elems[:, 0], mesh.iface_local[:, 0])
+    bh, bnrm = faces(mesh.bface_elem, mesh.bface_local)
+    return 0.5 * twice, grads, ih, bh, inrm, bnrm
+
+
+def _rows_identical(a):
+    """Every row has the bits of the first (``==`` would take -0.0 for 0.0)."""
+    bits = a.view(np.uint64)
+    return (bits == bits[:1]).all()
+
+
+@pytest.mark.parametrize("n", [3, 40, 48, 60])
+def test_congruent_elements_and_faces_have_bit_identical_geometry(n):
+    mesh = build_structured_mesh(n)
+    for t in (0, 1):    # lower, then upper triangles
+        assert _rows_identical(mesh.areas[t::2]) and _rows_identical(mesh.grads[t::2])
+    # a face's direction is its lattice step: horizontal, vertical or diagonal
+    for elem, loc, h, nrm in ((mesh.iface_elems[:, 0], mesh.iface_local[:, 0],
+                               mesh.iface_h, mesh.iface_normal),
+                              (mesh.bface_elem, mesh.bface_local, mesh.bface_h,
+                               mesh.bface_normal)):
+        ends = mesh.elements[elem[:, None], loc]
+        step = np.abs(np.diff(ends, axis=1)[:, 0])
+        assert set(np.unique(step)) <= {1, n + 1, n + 2}
+        for s in np.unique(step):
+            assert _rows_identical(h[step == s]) and _rows_identical(np.abs(nrm[step == s]))
+
+
+@pytest.mark.parametrize("n", [3, 40, 48, 60])
+def test_lattice_geometry_keeps_the_coordinates_and_matches_their_differences(n):
+    mesh = build_structured_mesh(n)
+    idx = np.arange(n + 1)
+    xs, ys = np.meshgrid(idx / n, idx / n, indexing="xy")
+    want = np.stack([xs.ravel(), ys.ravel()], axis=1)
+    assert (mesh.vertices.dtype, mesh.vertices.shape) == (want.dtype, want.shape)
+    assert mesh.vertices.tobytes() == want.tobytes()
+    got = (mesh.areas, mesh.grads, mesh.iface_h, mesh.bface_h, mesh.iface_normal,
+           mesh.bface_normal)
+    for a, b in zip(got, _difference_geometry(mesh), strict=True):
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
